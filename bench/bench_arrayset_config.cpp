@@ -10,6 +10,8 @@
 //                  (fingers get 4x the objects array, etc.),
 //   * high-water — arrays unbounded, flush when the aggregate footprint
 //                  hits the memory budget.
+// The budgets are 1/4, 1/2, 1 and 2 times the modeled client memory
+// (CostModel::client_array_memory_bytes, the Fig. 6 paging threshold).
 #include "bench_util.h"
 
 namespace {
@@ -21,6 +23,13 @@ FigureTable g_figure("Extension 4.3: array-set sizing (200 MB data set)",
                      "runtime (simulated seconds)");
 
 enum class Mode { kUniform = 0, kPerTable = 1, kHighWater = 2 };
+
+// Client memory budgets in KiB, relative to the modeled client memory.
+std::vector<int64_t> budgets_kib() {
+  const int64_t memory_kib =
+      sky::client::paper_calibrated_costs().client_array_memory_bytes / 1024;
+  return {memory_kib / 4, memory_kib / 2, memory_kib, memory_kib * 2};
+}
 
 const char* mode_name(Mode mode) {
   switch (mode) {
@@ -41,9 +50,10 @@ const std::map<std::string, double> kRowShares = {
 sky::core::ArraySet::Config config_for(Mode mode, int64_t memory_kib,
                                        const sky::db::Schema& schema) {
   sky::core::ArraySet::Config config;
-  // The measured footprint is ~0.6 KiB per array-row-unit at uniform
-  // sizing; derive comparable budgets for all three modes.
-  const int64_t row_budget = memory_kib * 1024 / 620;
+  // The measured footprint is ~152 B per array-row-unit at uniform sizing
+  // (148 KiB at array size 1000); derive comparable budgets for all three
+  // modes.
+  const int64_t row_budget = memory_kib * 1024 / 152;
   switch (mode) {
     case Mode::kUniform:
       config.default_rows = std::max<int64_t>(16, row_budget / 9);
@@ -90,7 +100,8 @@ void bench_mode(benchmark::State& state) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  for (const int64_t memory_kib : {160, 320, 640, 1280}) {
+  const std::vector<int64_t> budgets = budgets_kib();
+  for (const int64_t memory_kib : budgets) {
     for (const int64_t mode : {0, 1, 2}) {
       benchmark::RegisterBenchmark("arrayset_config/mode", bench_mode)
           ->Args({mode, memory_kib})
@@ -103,7 +114,8 @@ int main(int argc, char** argv) {
   g_figure.print();
 
   int per_table_wins = 0, high_water_wins = 0, points = 0;
-  for (const double memory_kib : {160.0, 320.0, 640.0, 1280.0}) {
+  for (const int64_t budget : budgets) {
+    const auto memory_kib = static_cast<double>(budget);
     ++points;
     if (g_figure.value("per-table", memory_kib) <
         g_figure.value("uniform", memory_kib)) {
@@ -121,8 +133,10 @@ int main(int argc, char** argv) {
               "interleave-aware per-table arrays beat one global size");
   shape_check(high_water_wins >= points - 1,
               "the memory high-water mark matches or beats fixed sizing");
-  const double tight = g_figure.value("uniform", 160);
-  const double loose = g_figure.value("uniform", 1280);
+  const double tight =
+      g_figure.value("uniform", static_cast<double>(budgets.front()));
+  const double loose =
+      g_figure.value("uniform", static_cast<double>(budgets.back()));
   shape_check(tight > loose,
               "more client memory helps until the paging knee (cf. Fig. 6)");
   return 0;

@@ -75,7 +75,7 @@ struct WindowResult {
 };
 
 WindowResult run_window_load(int degree, sky::Nanos window) {
-  sky::core::TuningProfile profile = sky::core::TuningProfile::production();
+  sky::core::TuningProfile profile = sky::core::TuningProfile::paper_2005();
   profile.commit.commit_window = window;
   profile.commit.max_group_commits = 8;
   SimRepository repo = SimRepository::create(profile);

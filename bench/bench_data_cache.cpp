@@ -19,7 +19,7 @@ const std::vector<int64_t> kCachePages = {4096, 16384, 65536, 262144, 1048576};
 void bench_cache(benchmark::State& state) {
   const int64_t pages = state.range(0);
   for (auto _ : state) {
-    sky::core::TuningProfile profile = sky::core::TuningProfile::production();
+    sky::core::TuningProfile profile = sky::core::TuningProfile::paper_2005();
     profile.server_cache_pages = pages;
     SimRepository repo = SimRepository::create(profile);
     const auto file = make_file(200, /*seed=*/1400, /*unit_id=*/140);

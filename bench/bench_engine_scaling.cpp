@@ -10,9 +10,6 @@
 //   * global-mutex — every session call serialized through one process-wide
 //     mutex, emulating the previous engine-wide mutex design. Device waits
 //     serialize, so added loaders buy almost nothing.
-//   * columnar — fine-grained locking with the columnar batch ingest
-//     pipeline (degrees 1 and 6 only): must not regress the row batch path
-//     under the same modeled waits.
 // A second scenario contrasts the heap layouts under same-table contention
 // with only the per-row extent write modeled:
 //   * sharded-8 — eight heap extents per table; round-robin transactions
@@ -115,8 +112,7 @@ struct RunResult {
 RunResult run_files(const sky::db::EngineOptions& engine_options,
                     bool global_lock, int degree,
                     const std::vector<sky::core::CatalogFile>& files,
-                    int64_t commit_every_batches = 0,
-                    bool columnar_ingest = false) {
+                    int64_t commit_every_batches = 0) {
   const sky::db::Schema schema = sky::catalog::make_pq_schema();
   const sky::core::TuningProfile profile =
       sky::core::TuningProfile::production();
@@ -137,7 +133,6 @@ RunResult run_files(const sky::db::EngineOptions& engine_options,
   options.loader.write_audit_row = false;
   options.loader.commit.every_cycles = 2;
   options.loader.commit.every_batches = commit_every_batches;
-  options.loader.columnar_ingest = columnar_ingest;
   std::mutex global_mu;
   const auto factory = [&](int) -> std::unique_ptr<sky::client::Session> {
     if (global_lock) {
@@ -167,15 +162,13 @@ RunResult run_files(const sky::db::EngineOptions& engine_options,
 }
 
 RunResult run_load(bool global_lock, int degree,
-                   const std::vector<sky::core::CatalogFile>& files,
-                   bool columnar_ingest = false) {
+                   const std::vector<sky::core::CatalogFile>& files) {
   sky::db::EngineOptions engine_options =
       sky::core::TuningProfile::production().engine_options();
   engine_options.latency.batch_redo_write = kBatchRedoWrite;
   engine_options.latency.data_write_per_page = kDataWritePerPage;
   engine_options.latency.commit_log_flush = kCommitLogFlush;
-  return run_files(engine_options, global_lock, degree, files,
-                   /*commit_every_batches=*/0, columnar_ingest);
+  return run_files(engine_options, global_lock, degree, files);
 }
 
 // Same-table contention scenario: only the per-row extent write is modeled
@@ -229,12 +222,12 @@ RunResult run_window_load(sky::Nanos window, int degree,
   sky::db::EngineOptions engine_options =
       sky::core::TuningProfile::production().engine_options();
   engine_options.latency.commit_log_flush = kWindowLogFlush;
-  engine_options.commit_window = window;
+  engine_options.policies.commit.commit_window = window;
   // Close the group once all but one of the loaders have queued (the last
   // is usually mid-batch; waiting for it costs the whole window). A cap
   // above the parallel degree would make leaders always wait out the full
   // window for a group that can never fill.
-  engine_options.max_group_commits = std::max(degree - 1, 2);
+  engine_options.policies.commit.max_group_commits = std::max(degree - 1, 2);
   return run_files(engine_options, /*global_lock=*/false, degree, files,
                    /*commit_every_batches=*/8);
 }
@@ -277,22 +270,17 @@ void record_sharding(const char* mode, int degree, const RunResult& result) {
   g_sharding_json.push_back(json_entry(mode, degree, result));
 }
 
-// range(1): 0 = fine-grained row path, 1 = global mutex, 2 = fine-grained
-// with the columnar batch ingest pipeline.
+// range(1): 0 = fine-grained, 1 = global mutex.
 void bench_scaling(benchmark::State& state) {
   const int degree = static_cast<int>(state.range(0));
-  const int mode = static_cast<int>(state.range(1));
+  const bool global_lock = state.range(1) == 1;
   static const std::vector<sky::core::CatalogFile> files = make_workload();
   for (auto _ : state) {
-    const RunResult result =
-        run_load(/*global_lock=*/mode == 1, degree, files,
-                 /*columnar_ingest=*/mode == 2);
+    const RunResult result = run_load(global_lock, degree, files);
     state.SetIterationTime(result.seconds);
     state.counters["rows_per_sec"] = result.rows_per_sec;
     state.counters["lock_wait_s"] = result.lock_wait_seconds;
-    record(mode == 1 ? "global-mutex"
-                     : (mode == 2 ? "columnar" : "fine-grained"),
-           degree, result);
+    record(global_lock ? "global-mutex" : "fine-grained", degree, result);
   }
 }
 
@@ -359,13 +347,6 @@ int main(int argc, char** argv) {
         ->Iterations(1)
         ->UseManualTime()
         ->Unit(benchmark::kSecond);
-    if (degree == 1 || degree == 6) {
-      benchmark::RegisterBenchmark("engine_scaling/columnar", bench_scaling)
-          ->Args({degree, 2})
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kSecond);
-    }
     benchmark::RegisterBenchmark("heap_sharding/sharded", bench_sharding)
         ->Args({degree, 8})
         ->Iterations(1)
@@ -413,12 +394,6 @@ int main(int argc, char** argv) {
               "global mutex emulation stays flat as loaders are added");
   shape_check(fine6 > 2.0 * global6,
               "fine-grained beats the global mutex at degree 6");
-  const double columnar6 = g_figure.value("columnar", 6);
-  std::printf("columnar vs row batch path at degree 6: %.2fx\n",
-              fine6 > 0 ? columnar6 / fine6 : 0);
-  shape_check(columnar6 >= 0.9 * fine6,
-              "columnar ingest does not regress aggregate rows/sec at "
-              "degree 6");
 
   {
     std::ofstream json("BENCH_heap_sharding.json");

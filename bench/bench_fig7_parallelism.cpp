@@ -45,10 +45,10 @@ void bench_parallel(benchmark::State& state) {
   const int degree = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sky::client::ServerConfig server_config =
-        sky::core::TuningProfile::production().server_config();
-    server_config.concurrency = kFig7Policy;
+        sky::core::TuningProfile::paper_2005().server_config();
+    server_config.policies.concurrency = kFig7Policy;
     SimRepository repo =
-        SimRepository::create(sky::core::TuningProfile::production(),
+        SimRepository::create(sky::core::TuningProfile::paper_2005(),
                               &server_config);
     const auto files =
         make_observation(/*paper_mb=*/280, /*seed=*/700, /*night_id=*/7);
@@ -111,14 +111,14 @@ struct RealResult {
 RealResult run_real(int degree, bool gated) {
   const sky::db::Schema schema = sky::catalog::make_pq_schema();
   const sky::core::TuningProfile profile =
-      sky::core::TuningProfile::production();
+      sky::core::TuningProfile::paper_2005();
   sky::db::EngineOptions engine_options = profile.engine_options();
-  engine_options.concurrency = kFig7Policy;
+  engine_options.policies.concurrency = kFig7Policy;
   if (!gated) {
     // Gate-off control: ITL admission disabled, transaction slots
     // permissive. Everything else identical.
-    engine_options.concurrency.itl_slots_per_table = 0;
-    engine_options.concurrency.max_concurrent_transactions = 64;
+    engine_options.policies.concurrency.itl_slots_per_table = 0;
+    engine_options.policies.concurrency.max_concurrent_transactions = 64;
   }
   engine_options.latency.batch_redo_write = kBatchRedoWrite;
   engine_options.latency.data_write_per_page = kDataWritePerPage;

@@ -31,7 +31,7 @@ void bench_indices(benchmark::State& state) {
   const double mb = static_cast<double>(state.range(0));
   const auto scenario = static_cast<Scenario>(state.range(1));
   for (auto _ : state) {
-    sky::core::TuningProfile profile = sky::core::TuningProfile::production();
+    sky::core::TuningProfile profile = sky::core::TuningProfile::paper_2005();
     profile.maintain_htmid_index = scenario == Scenario::kIntIndex;
     profile.maintain_composite_index = scenario == Scenario::kFloatComposite;
     SimRepository repo = SimRepository::create(profile);

@@ -5,7 +5,7 @@
 // The before-state is reconstructed as the untuned-2004 profile: row-at-a-
 // time inserts, 2 statically-assigned loaders, frequent commits, every
 // index maintained, everything on one RAID, a large data cache, unsorted
-// input. The after-state is the production profile: bulk loading (batch
+// input. The after-state is the paper_2005() profile: bulk loading (batch
 // 40, array 1000), 5 dynamically-assigned loaders, infrequent commits, only
 // the htmid index, separate devices, reduced cache, presorted input.
 //
@@ -18,7 +18,7 @@ namespace {
 using namespace skybench;
 
 FigureTable g_figure("Headline: 40 GB loading time, before vs after",
-                     "profile (0=untuned-2004, 1=skyloader-production)",
+                     "profile (0=untuned-2004, 1=paper-2005)",
                      "extrapolated hours for 40 GB");
 
 constexpr double kTotalMb = 280;
@@ -93,7 +93,7 @@ void bench_headline(benchmark::State& state) {
   const bool production = state.range(0) == 1;
   for (auto _ : state) {
     const sky::core::TuningProfile profile =
-        production ? sky::core::TuningProfile::production()
+        production ? sky::core::TuningProfile::paper_2005()
                    : sky::core::TuningProfile::untuned_2004();
     const double hours = run_profile(profile);
     state.SetIterationTime(hours * 3600.0);

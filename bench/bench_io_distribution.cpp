@@ -18,7 +18,7 @@ void bench_layout(benchmark::State& state) {
   const bool separate = state.range(0) == 1;
   const int64_t commit_every = state.range(1);
   for (auto _ : state) {
-    sky::core::TuningProfile profile = sky::core::TuningProfile::production();
+    sky::core::TuningProfile profile = sky::core::TuningProfile::paper_2005();
     profile.device_layout = separate
                                 ? sky::storage::DeviceLayout::separate_raids()
                                 : sky::storage::DeviceLayout::single_raid();

@@ -75,8 +75,8 @@ sky::db::Schema make_objects_schema() {
 // same shape TuningProfile::engine_options() uses.
 sky::db::EngineOptions sim_engine_options() {
   sky::db::EngineOptions options;
-  options.concurrency.max_concurrent_transactions = 64;
-  options.concurrency.itl_slots_per_table = 0;
+  options.policies.concurrency.max_concurrent_transactions = 64;
+  options.policies.concurrency.itl_slots_per_table = 0;
   return options;
 }
 
@@ -287,7 +287,7 @@ sky::client::ServerConfig base_config() {
   sky::client::ServerConfig config;
   // Keep the soak's contrast on the controller's levers: no injected
   // long-stall randomness, and a batch gate wide enough never to bind.
-  config.concurrency.stall_probability = 0.0;
+  config.policies.concurrency.stall_probability = 0.0;
   config.batch_gate_slots = 8;
   return config;
 }
@@ -307,14 +307,14 @@ int main(int argc, char** argv) {
   }
 
   sky::client::ServerConfig bulk = base_config();
-  bulk.commit_window = 8 * sky::kMillisecond;
-  bulk.max_group_commits = 8;
-  bulk.concurrency.max_concurrent_transactions = 8;
+  bulk.policies.commit.commit_window = 8 * sky::kMillisecond;
+  bulk.policies.commit.max_group_commits = 8;
+  bulk.policies.concurrency.max_concurrent_transactions = 8;
 
   sky::client::ServerConfig interactive = base_config();
-  interactive.commit_window = 0;
-  interactive.max_group_commits = 8;
-  interactive.concurrency.max_concurrent_transactions = 4;
+  interactive.policies.commit.commit_window = 0;
+  interactive.policies.commit.max_group_commits = 8;
+  interactive.policies.concurrency.max_concurrent_transactions = 4;
 
   // The adaptive run *starts* as the interactive preset; everything it does
   // better than that preset, it learned from EngineStats at runtime.

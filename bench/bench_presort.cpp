@@ -60,7 +60,7 @@ void bench_presort(benchmark::State& state) {
   const bool presorted = state.range(0) == 1;
   const int64_t db_gb = state.range(1);
   for (auto _ : state) {
-    sky::core::TuningProfile profile = sky::core::TuningProfile::production();
+    sky::core::TuningProfile profile = sky::core::TuningProfile::paper_2005();
     profile.server_cache_pages = 1024;  // moderate cache: page churn matters
     SimRepository repo = SimRepository::create(profile);
     preload_objects(repo, db_gb * 8000);

@@ -24,8 +24,8 @@
 // what query service costs the load.
 //
 // A deterministic sim scenario exercises the SimServer's twin query lanes
-// (ServerConfig::query): batch admission vs an interactive burst, with
-// yielding on and off.
+// (ServerConfig::policies.query): batch admission vs an interactive burst,
+// with yielding on and off.
 //
 // Emits BENCH_query_while_loading.json. `--smoke` runs a short sweep and
 // exits non-zero unless snapshot reads improve interactive p99 by >=1.5x —
@@ -281,8 +281,8 @@ std::pair<double, int64_t> run_sim_lanes(bool batch_yields) {
   sky::db::Engine engine(schema, sky::db::EngineOptions{});
   sky::sim::Environment env;
   sky::client::ServerConfig config;
-  config.query.interactive_slots = 1;  // burst saturates the lane
-  config.query.batch_yields_to_interactive = batch_yields;
+  config.policies.query.interactive_slots = 1;  // burst saturates the lane
+  config.policies.query.batch_yields_to_interactive = batch_yields;
   sky::client::SimServer server(env, engine, config);
 
   env.spawn("interactive-burst", [&] {

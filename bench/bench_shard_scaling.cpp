@@ -54,7 +54,7 @@ FigureTable g_weak("Shard weak scaling: fixed rows and loaders per shard",
 // ------------------------------------------------------------------ Part A
 
 double run_rac(int nodes, bool partitioned, double paper_mb) {
-  sky::core::TuningProfile profile = sky::core::TuningProfile::production();
+  sky::core::TuningProfile profile = sky::core::TuningProfile::paper_2005();
   sky::db::Engine engine(sky::catalog::make_pq_schema(),
                          profile.engine_options());
   if (!profile.apply_index_policy(engine).is_ok()) std::abort();
@@ -63,7 +63,7 @@ double run_rac(int nodes, bool partitioned, double paper_mb) {
   config.nodes = nodes;
   config.cpus = 8 * nodes;              // each node is a full host
   config.batch_gate_slots = 5 * nodes;  // per-instance lock capacity
-  config.concurrency.max_concurrent_transactions = 8 * nodes;
+  config.policies.concurrency.max_concurrent_transactions = 8 * nodes;
   if (partitioned) config.cache_fusion_per_page = 0;
   sky::client::SimServer server(env, engine, config);
   env.spawn("reference", [&] {
@@ -100,7 +100,7 @@ double run_rac(int nodes, bool partitioned, double paper_mb) {
 std::vector<uint64_t> sample_trixels(int policy_depth, int units) {
   const sky::db::Schema schema = sky::catalog::make_pq_schema();
   const sky::core::TuningProfile profile =
-      sky::core::TuningProfile::production();
+      sky::core::TuningProfile::paper_2005();
   sky::db::Engine engine(schema, profile.engine_options());
   if (!profile.apply_index_policy(engine).is_ok()) std::abort();
   sky::client::DirectSession session(engine);
@@ -171,7 +171,7 @@ ShardRun run_sharded(int shards, const std::vector<uint64_t>& sample,
                      int64_t bytes_per_file) {
   const sky::db::Schema schema = sky::catalog::make_pq_schema();
   const sky::core::TuningProfile profile =
-      sky::core::TuningProfile::production();
+      sky::core::TuningProfile::paper_2005();
   sky::db::EngineOptions options = profile.engine_options();
   options.latency.batch_redo_write = kBatchRedoWrite;
   options.latency.data_write_per_page = kDataWritePerPage;

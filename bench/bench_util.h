@@ -101,7 +101,7 @@ struct SimRepository {
   // real runs build their ServerConfig explicitly and pass it here.
   static SimRepository create(
       const sky::core::TuningProfile& profile =
-          sky::core::TuningProfile::production(),
+          sky::core::TuningProfile::paper_2005(),
       const sky::client::ServerConfig* server_config = nullptr) {
     SimRepository repo;
     repo.schema = sky::catalog::make_pq_schema();

@@ -56,9 +56,9 @@ void print_policies(const core::EnginePolicies& policies) {
 int run_live(int64_t sample_mb) {
   const db::Schema schema = catalog::make_pq_schema();
   db::Engine engine(schema,
-                    core::TuningProfile::production().engine_options());
+                    core::TuningProfile::paper_2005().engine_options());
   sim::Environment env;
-  client::ServerConfig config = core::TuningProfile::production()
+  client::ServerConfig config = core::TuningProfile::paper_2005()
                                     .server_config();
   // Neutral start: no commit window, lean slots; everything else the
   // controller learns from EngineStats.
@@ -121,7 +121,7 @@ int run_live(int64_t sample_mb) {
 double run_single(const db::Schema& schema, const std::string& text,
                   int64_t batch, int64_t array_size) {
   db::Engine engine(schema,
-                    core::TuningProfile::production().engine_options());
+                    core::TuningProfile::paper_2005().engine_options());
   sim::Environment env;
   client::SimServer server(env, engine, client::ServerConfig{});
   double seconds = 0;
@@ -147,7 +147,7 @@ double run_parallel(const db::Schema& schema,
                     const std::vector<core::CatalogFile>& files, int degree,
                     const core::BulkLoaderOptions& loader_options) {
   db::Engine engine(schema,
-                    core::TuningProfile::production().engine_options());
+                    core::TuningProfile::paper_2005().engine_options());
   sim::Environment env;
   client::SimServer server(env, engine, client::ServerConfig{});
   env.spawn("reference", [&] {
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   std::printf("tuning against a %lld MB sample (simulated time)\n\n",
               static_cast<long long>(sample_mb));
 
-  core::TuningProfile recommended = core::TuningProfile::production();
+  core::TuningProfile recommended = core::TuningProfile::paper_2005();
   recommended.name = "advisor-recommended";
 
   std::printf("batch-size sweep (array 1000):\n");

@@ -2,21 +2,17 @@
 
 namespace sky::client {
 
-Nanos CostModel::server_cpu_time(const db::OpCosts& costs,
-                                 bool columnar) const {
+Nanos CostModel::server_cpu_time(const db::OpCosts& costs) const {
   Nanos time = 0;
-  time += costs.rows_applied *
-          (columnar ? server_columnar_row_base : server_row_base);
-  time += costs.check_evals *
-          (columnar ? per_check_eval_columnar : per_check_eval);
+  time += costs.rows_applied * server_row_base;
+  time += costs.check_evals * per_check_eval;
   time += costs.index_node_visits * per_index_node_visit;
   time += costs.fk_checks * per_fk_check;
   time += costs.fk_node_visits * per_index_node_visit;
   time += costs.heap_bytes * per_heap_kb / 1024;
   time += costs.wal_bytes * per_wal_kb / 1024;
   time += costs.index_updates * per_index_entry_base;
-  time += costs.index_int_columns *
-          (columnar ? per_index_int_column_columnar : per_index_int_column);
+  time += costs.index_int_columns * per_index_int_column;
   time += costs.index_float_columns * per_index_float_column;
   // String keys priced like floats (width-dominated).
   time += costs.index_string_columns * per_index_float_column;

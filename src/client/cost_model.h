@@ -32,47 +32,16 @@ struct CostModel {
   Nanos wire_latency = 40 * kMicrosecond;          // each direction
   Nanos server_call_overhead = 700 * kMicrosecond; // parse/dispatch/ack
 
-  // ---- per-row client-side work (parse, validate, transform, htmid) ----
-  Nanos client_row_parse = 15 * kMicrosecond;
+  // ---- per-call client-side marshalling ----
   // Batch marshalling grows with batch size (array binding): extra cost per
   // row proportional to the number of rows in its batch. This is what turns
   // "bigger batches are always better" into the paper's interior optimum
-  // (minimizing call/b + q*b gives b* = sqrt(call/q) ~ 45).
-  Nanos client_marshal_per_row_per_batchrow = 360;  // ns per row per batchrow
-
-  // ---- columnar ingest path (DESIGN.md "Columnar ingest hot path") ----
-  // Vectorized block parse: no per-row Row/Value materialization, numerics
-  // converted column-at-a-time into arenas. Scaled from client_row_parse by
-  // the measured end-to-end real-CPU ratio of CatalogParser::parse_block
-  // vs. parse_line in this repo (~2.7x: ~830 vs ~310 ns/row on the bench
-  // catalog; htmid computation, common to both, bounds the ratio).
-  Nanos client_row_parse_columnar = 5500;
-  // A column batch marshals as one contiguous array bind per column —
-  // linear in rows, not quadratic: there is no per-row re-binding of the
-  // whole statement, which is what drove the n^2 term above. This removes
-  // the interior batch-size optimum for the columnar path.
-  Nanos client_marshal_per_row_columnar = 360;  // ns per row
-  // Arena append of one parsed row into the client column buffer: columnwise
-  // pushes into flat vectors, no Row/Value boxing (measured ~35 ns/row real
-  // in bench_hotpath's buffer stage; priced at the same real:model scale as
-  // per_buffered_row).
-  Nanos per_buffered_row_columnar = 150;
+  // (minimizing call/b + q*b gives b* = sqrt(call/q) ~ 39).
+  Nanos client_marshal_per_row_per_batchrow = 560;  // ns per row per batchrow
 
   // ---- per-row server-side work ----
   Nanos server_row_base = 45 * kMicrosecond;  // execute + buffer management
   Nanos per_check_eval = 100;
-  // The columnar validation screen walks typed column arrays directly
-  // (null bitmap scan, NaN scan on double columns, range compares) with no
-  // per-cell Value tag dispatch — see Engine::insert_column_run_latched.
-  Nanos per_check_eval_columnar = 25;
-  // Array-insert execute residual for the columnar path: one statement
-  // execution covers the run, so the per-row remainder is slot formation
-  // and buffer bookkeeping only. Direct-path / array-insert loads in
-  // commercial engines run at 5-10x the conventional per-row execute rate;
-  // this sits at the top of that range because the per-byte / per-index /
-  // per-check work below is still charged separately from the engine's
-  // real counts.
-  Nanos server_columnar_row_base = 4500;
   Nanos per_index_node_visit = 300;
   Nanos per_fk_check = 1 * kMicrosecond;
   Nanos per_heap_kb = 2500;
@@ -82,14 +51,6 @@ struct CostModel {
   // single-int index costs ~1.5% of a row, the 3-float composite ~8.5%).
   Nanos per_index_entry_base = 400;
   Nanos per_index_int_column = 1300;
-  // Columnar rate for integer key columns: the per-entry statement-level
-  // key bind collapses under array DML (keys arrive in the already-bound
-  // column arrays — the same argument that made marshalling linear above);
-  // what remains per entry is leaf-entry formation and comparison. Float
-  // keys keep the row rate — their cost is width/compare-dominated, and
-  // the production profile does not maintain the composite float index
-  // during the load anyway.
-  Nanos per_index_int_column_columnar = 650;
   Nanos per_index_float_column = 27 * kMicrosecond;
   Nanos per_leaf_split = 8 * kMicrosecond;
   // Constraint-failure handling (error raise + statement abort).
@@ -118,19 +79,16 @@ struct CostModel {
   Nanos per_log_kb = 6 * kMicrosecond;
 
   // ---- client memory model (array-set paging; Fig. 6) ----
-  int64_t client_array_memory_bytes = 640 * 1024;
+  // Sized from the array-set's measured column-buffer footprint (about
+  // 150 KiB at array size 1000 on the bench catalog), so arrays past ~1000
+  // rows page on the client.
+  int64_t client_array_memory_bytes = 160 * 1024;
   Nanos per_buffered_row = 500;                    // array append
   Nanos per_paged_row = 40 * kMicrosecond;         // append while thrashing
-  // Array(-set) build/teardown per flush cycle, per array.
-  Nanos per_flush_cycle_array = 500 * kMicrosecond;
 
   // Price the CPU time a batch spends on the server (excluding device I/O,
-  // which queues on devices, and excluding the per-call overhead). The
-  // columnar flag swaps server_row_base for the array-insert residual; all
-  // mechanical counts (index visits, heap/redo bytes, checks) price the
-  // same on both paths.
-  Nanos server_cpu_time(const db::OpCosts& costs,
-                        bool columnar = false) const;
+  // which queues on devices, and excluding the per-call overhead).
+  Nanos server_cpu_time(const db::OpCosts& costs) const;
 
   // Price one log-device flush of `bytes` redo (the fixed device write plus
   // the per-KB transfer). A group-commit joiner pays only the marginal

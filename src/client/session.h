@@ -99,9 +99,9 @@ class Session {
   // Send rows [first, first + count) of a columnar batch (one database
   // call) with execute_batch's exact JDBC semantics; the error row index is
   // relative to `first`. The default bridges to execute_batch by
-  // materializing the rows, so simulation sessions price it identically to
-  // the row batch; DirectSession overrides it with the engine's columnar
-  // fast path (db::Engine::insert_column_batch).
+  // materializing the rows, so a session that only implements execute_batch
+  // still works; DirectSession and SimSession override it with the
+  // engine's columnar fast path (db::Engine::insert_column_batch).
   virtual BatchOutcome execute_column_batch(uint32_t table,
                                             const db::ColumnBatch& batch,
                                             size_t first, size_t count);
@@ -117,8 +117,8 @@ class Session {
 
   // Report array-set buffering activity so the client memory model can
   // charge paging when the buffered footprint exceeds client memory.
-  // `columnar` marks arena-buffer appends (cheaper per row: no Row/Value
-  // construction), which simulation prices at the columnar rate.
+  // `columnar` is unused: every array-set append is a column-buffer append.
+  // The parameter stays so existing overrides keep compiling.
   virtual void note_buffered_rows(int64_t rows, int64_t footprint_bytes,
                                   bool columnar = false) = 0;
 

@@ -20,7 +20,7 @@ SimServer::SimServer(sim::Environment& env, db::Engine& engine,
     : env_(env),
       engine_(engine),
       config_(config),
-      stall_rng_(config.concurrency.stall_seed) {
+      stall_rng_(config.policies.concurrency.stall_seed) {
   const int nodes = std::max(1, config_.nodes);
   const int cpus_per_node = std::max(1, config_.cpus / nodes);
   for (int n = 0; n < nodes; ++n) {
@@ -30,10 +30,11 @@ SimServer::SimServer(sim::Environment& env, db::Engine& engine,
   table_last_writer_.assign(
       static_cast<size_t>(engine_.schema().table_count()), -1);
   transaction_slots_ = std::make_unique<sim::Resource>(
-      env_, config_.concurrency.max_concurrent_transactions, "txn-slots");
+      env_, config_.policies.concurrency.max_concurrent_transactions,
+      "txn-slots");
   batch_gate_ = std::make_unique<sim::Resource>(
       env_, config_.batch_gate_slots, "batch-gate");
-  const core::QueryPolicy query = config_.query.normalized();
+  const core::QueryPolicy query = config_.policies.query.normalized();
   interactive_lane_ = std::make_unique<sim::Resource>(
       env_, query.interactive_slots, "query-interactive");
   batch_lane_ =
@@ -42,7 +43,7 @@ SimServer::SimServer(sim::Environment& env, db::Engine& engine,
   itl_.reserve(static_cast<size_t>(table_count));
   for (int t = 0; t < table_count; ++t) {
     itl_.push_back(std::make_unique<sim::Resource>(
-        env_, config_.concurrency.itl_slots_per_table,
+        env_, config_.policies.concurrency.itl_slots_per_table,
         "itl-" + engine_.schema().table(static_cast<uint32_t>(t)).name));
   }
   devices_.reserve(static_cast<size_t>(config_.device_layout.physical_devices));
@@ -55,9 +56,10 @@ SimServer::SimServer(sim::Environment& env, db::Engine& engine,
 SimServer::LogGroupDecision SimServer::join_log_group() {
   LogGroupDecision decision;
   decision.leader = true;
-  if (config_.commit_window <= 0) return decision;
+  if (config_.policies.commit.commit_window <= 0) return decision;
   const Nanos now = env_.now();
-  if (now < log_group_close_ && log_group_members_ < config_.max_group_commits) {
+  if (now < log_group_close_ &&
+      log_group_members_ < config_.policies.commit.max_group_commits) {
     ++log_group_members_;
     decision.leader = false;
     decision.flush_eta = log_group_eta_;
@@ -68,7 +70,8 @@ SimServer::LogGroupDecision SimServer::join_log_group() {
   // loader's fast path, matching WriteAheadLog's single-transaction check.
   const int64_t open_transactions =
       transaction_slots_->capacity() - transaction_slots_->available();
-  decision.window_wait = open_transactions > 1 ? config_.commit_window : 0;
+  decision.window_wait =
+      open_transactions > 1 ? config_.policies.commit.commit_window : 0;
   log_group_members_ = 1;
   log_group_close_ = now + decision.window_wait;
   log_group_eta_ =
@@ -86,7 +89,7 @@ void SimServer::admit_query(bool interactive) {
   // or queued, polling at a coarse tick — the sim analogue of the real
   // scheduler's condition-variable handshake.
   bool yielded = false;
-  while (config_.query.batch_yields_to_interactive &&
+  while (config_.policies.query.batch_yields_to_interactive &&
          (interactive_lane_->available() < interactive_lane_->capacity() ||
           interactive_lane_->queue_depth() > 0)) {
     if (!yielded) {
@@ -159,18 +162,18 @@ Status SimServer::update_policies(const db::PolicyPatch& patch) {
     if (!status.is_ok()) return status;
   }
   if (patch.commit_window.has_value()) {
-    config_.commit_window = *patch.commit_window;
+    config_.policies.commit.commit_window = *patch.commit_window;
   }
   if (patch.max_group_commits.has_value()) {
-    config_.max_group_commits = *patch.max_group_commits;
+    config_.policies.commit.max_group_commits = *patch.max_group_commits;
   }
   if (patch.transaction_slots.has_value()) {
-    config_.concurrency.max_concurrent_transactions =
+    config_.policies.concurrency.max_concurrent_transactions =
         static_cast<int>(*patch.transaction_slots);
     transaction_slots_->set_capacity(*patch.transaction_slots);
   }
   if (patch.itl_slots_per_table.has_value()) {
-    config_.concurrency.itl_slots_per_table =
+    config_.policies.concurrency.itl_slots_per_table =
         static_cast<int>(*patch.itl_slots_per_table);
     for (auto& itl : itl_) itl->set_capacity(*patch.itl_slots_per_table);
   }
@@ -185,11 +188,12 @@ db::EngineStats SimControlPlane::stats() const {
   stats.concurrency = server_.concurrency_stats();
   stats.query = server_.query_lane_stats();
   const ServerConfig& config = server_.config();
-  stats.policies.commit_window = config.commit_window;
-  stats.policies.max_group_commits = config.max_group_commits;
+  stats.policies.commit_window = config.policies.commit.commit_window;
+  stats.policies.max_group_commits = config.policies.commit.max_group_commits;
   stats.policies.transaction_slots =
-      config.concurrency.max_concurrent_transactions;
-  stats.policies.itl_slots_per_table = config.concurrency.itl_slots_per_table;
+      config.policies.concurrency.max_concurrent_transactions;
+  stats.policies.itl_slots_per_table =
+      config.policies.concurrency.itl_slots_per_table;
   return stats;
 }
 

@@ -45,27 +45,16 @@ struct ServerConfig {
   // the whole block between backends. The concurrency preset models the
   // paper's testbed: 8 open-transaction slots (sessions holding a
   // transaction) and 7 ITL slots per table (concurrent transactions
-  // inserting into one table — the knee of Fig. 7).
+  // inserting into one table — the knee of Fig. 7). The commit window is
+  // modeled here, at the log device (join_log_group): the engine itself runs
+  // with a zero window in simulation, since it must never block in real
+  // time inside a sim process.
   core::EnginePolicies policies = [] {
     core::EnginePolicies p;
     p.concurrency.max_concurrent_transactions = 8;
     p.concurrency.itl_slots_per_table = 7;
     return p;
   }();
-  // Reference views keeping the historical field spellings alive
-  // (config.concurrency..., config.query..., config.commit_window...).
-  // The commit knobs mirror the engine's WAL window (storage::WalOptions):
-  // a commit that leads a log flush holds the device write open for
-  // commit_window so commits arriving meanwhile ride the same flush; the
-  // group closes early at max_group_commits members. The engine itself runs
-  // with a zero window in simulation (it must never block in real time
-  // inside a sim process), so the grouping is modeled here, at the log
-  // device — keeping simulated and real-thread runs in agreement.
-  core::ConcurrencyPolicy& concurrency = policies.concurrency;
-  core::QueryPolicy& query = policies.query;
-  core::SpatialPolicy& spatial = policies.spatial;
-  Nanos& commit_window = policies.commit.commit_window;
-  int64_t& max_group_commits = policies.commit.max_group_commits;
   // Instance-wide limit on concurrently *executing* transactional batch
   // work — the "RDBMS limit on the number of concurrent transactions" the
   // paper hits at parallelism 6-7 (section 4.4/5.4). Queueing here triggers
@@ -76,30 +65,6 @@ struct ServerConfig {
   storage::DeviceLayout device_layout =
       storage::DeviceLayout::separate_raids();
   CostModel costs;
-
-  // The reference members above alias *this* object's `policies`; default
-  // copy semantics would alias the source's. Copies rebind by omitting the
-  // references from the member-init list, so their default initializers
-  // re-run against the new object.
-  ServerConfig() = default;
-  ServerConfig(const ServerConfig& other)
-      : cpus(other.cpus),
-        nodes(other.nodes),
-        cache_fusion_per_page(other.cache_fusion_per_page),
-        policies(other.policies),
-        batch_gate_slots(other.batch_gate_slots),
-        device_layout(other.device_layout),
-        costs(other.costs) {}
-  ServerConfig& operator=(const ServerConfig& other) {
-    cpus = other.cpus;
-    nodes = other.nodes;
-    cache_fusion_per_page = other.cache_fusion_per_page;
-    policies = other.policies;
-    batch_gate_slots = other.batch_gate_slots;
-    device_layout = other.device_layout;
-    costs = other.costs;
-    return *this;
-  }
 };
 
 class SimServer {
@@ -138,7 +103,7 @@ class SimServer {
   // Deterministic stall decision (one shared stream; draws are ordered by
   // virtual time, which is itself deterministic).
   bool draw_stall() {
-    return stall_rng_.bernoulli(config_.concurrency.stall_probability);
+    return stall_rng_.bernoulli(config_.policies.concurrency.stall_probability);
   }
 
   // Unified admission-gate snapshot in the same shape the real engine's
@@ -158,12 +123,13 @@ class SimServer {
   // measure query latency in virtual time at the call site.
   core::QueryStats query_lane_stats() const;
 
-  // Log-device group commit (ServerConfig::commit_window). A committing
-  // session asks whether it leads a new flush group or joins the one in
-  // flight. The leader pays the coalescing-window wait (skipped when it is
-  // the only session holding a transaction — the same single-transaction
-  // fast path the real WAL takes) and the full flush; joiners wait for the
-  // group's device write (flush_eta) and pay only their marginal bytes.
+  // Log-device group commit (ServerConfig::policies.commit.commit_window).
+  // A committing session asks whether it leads a new flush group or joins
+  // the one in flight. The leader pays the coalescing-window wait (skipped
+  // when it is the only session holding a transaction — the same
+  // single-transaction fast path the real WAL takes) and the full flush;
+  // joiners wait for the group's device write (flush_eta) and pay only
+  // their marginal bytes.
   struct LogGroupDecision {
     bool leader = false;
     Nanos window_wait = 0;  // leader only

@@ -97,28 +97,17 @@ void SimSession::charge_log_flush(int64_t bytes) {
   }
 }
 
-db::BatchResult SimSession::server_call(uint32_t table,
-                                        std::span<const db::Row> rows) {
-  const CostModel& costs = server_.costs();
-  // Client-side marshalling: per-call overhead plus array binding that grows
-  // with the batch size.
-  const auto n = static_cast<int64_t>(rows.size());
-  const Nanos marshal =
-      costs.client_call_overhead +
-      n * n * costs.client_marshal_per_row_per_batchrow;
-  return server_visit(table, marshal, /*columnar=*/false,
-                      [&](uint64_t txn) {
-                        return server_.engine().insert_batch(txn, table, rows);
-                      });
-}
-
 db::BatchResult SimSession::server_visit(
-    uint32_t table, Nanos marshal, bool columnar,
+    uint32_t table, int64_t rows,
     const std::function<db::BatchResult(uint64_t)>& engine_call) {
   sim::Environment& env = server_.env();
   const CostModel& costs = server_.costs();
   const uint64_t txn = ensure_transaction();
 
+  // Client-side marshalling: per-call overhead plus array binding that grows
+  // with the batch size.
+  const Nanos marshal = costs.client_call_overhead +
+                        rows * rows * costs.client_marshal_per_row_per_batchrow;
   env.delay(marshal);
   stats_.client_time += marshal;
 
@@ -153,7 +142,7 @@ db::BatchResult SimSession::server_visit(
   const db::BatchResult result = engine_call(txn);
 
   Nanos server_time = costs.server_call_overhead +
-                      costs.server_cpu_time(result.costs, columnar);
+                      costs.server_cpu_time(result.costs);
 
   // Cluster hosting: if another node last wrote this table, its current
   // blocks ship across the interconnect before this insert proceeds.
@@ -171,7 +160,8 @@ db::BatchResult SimSession::server_visit(
         static_cast<double>(1 + (gate_queued ? gate_depth : 0));
     server_time += static_cast<Nanos>(
         static_cast<double>(server_time) *
-        server_.config().concurrency.lock_escalation_factor * depth_factor);
+        server_.config().policies.concurrency.lock_escalation_factor *
+        depth_factor);
   }
   env.delay(server_time);
   stats_.server_time += server_time;
@@ -186,8 +176,8 @@ db::BatchResult SimSession::server_visit(
   // Occasional long stall when lock queues formed (observed "very
   // infrequent ... stalls and dramatic degradation", section 5.4).
   if (itl_queued && server_.draw_stall()) {
-    env.delay(server_.config().concurrency.stall_duration);
-    stats_.stall_time += server_.config().concurrency.stall_duration;
+    env.delay(server_.config().policies.concurrency.stall_duration);
+    stats_.stall_time += server_.config().policies.concurrency.stall_duration;
   }
 
   // Reply wire latency.
@@ -198,7 +188,10 @@ db::BatchResult SimSession::server_visit(
 
 BatchOutcome SimSession::execute_batch(uint32_t table,
                                        std::span<const db::Row> rows) {
-  const db::BatchResult result = server_call(table, rows);
+  const db::BatchResult result = server_visit(
+      table, static_cast<int64_t>(rows.size()), [&](uint64_t txn) {
+        return server_.engine().insert_batch(txn, table, rows);
+      });
   ++stats_.db_calls;
   ++stats_.batch_calls;
   stats_.rows_sent += static_cast<int64_t>(rows.size());
@@ -210,14 +203,10 @@ BatchOutcome SimSession::execute_batch(uint32_t table,
 BatchOutcome SimSession::execute_column_batch(uint32_t table,
                                               const db::ColumnBatch& batch,
                                               size_t first, size_t count) {
-  const CostModel& costs = server_.costs();
-  // Column batches bind each column as one contiguous array: marshalling is
-  // linear in rows (no per-row statement re-bind), so no n^2 term.
-  const Nanos marshal =
-      costs.client_call_overhead +
-      static_cast<int64_t>(count) * costs.client_marshal_per_row_columnar;
-  const db::BatchResult result =
-      server_visit(table, marshal, /*columnar=*/true, [&](uint64_t txn) {
+  if (first > batch.size()) first = batch.size();
+  count = std::min(count, batch.size() - first);
+  const db::BatchResult result = server_visit(
+      table, static_cast<int64_t>(count), [&](uint64_t txn) {
         return server_.engine().insert_column_batch(txn, table, batch, first,
                                                     count);
       });
@@ -230,8 +219,10 @@ BatchOutcome SimSession::execute_column_batch(uint32_t table,
 }
 
 Status SimSession::execute_single(uint32_t table, const db::Row& row) {
-  const db::BatchResult result =
-      server_call(table, std::span<const db::Row>(&row, 1));
+  const db::BatchResult result = server_visit(table, 1, [&](uint64_t txn) {
+    return server_.engine().insert_batch(
+        txn, table, std::span<const db::Row>(&row, 1));
+  });
   ++stats_.db_calls;
   ++stats_.single_calls;
   stats_.rows_sent += 1;
@@ -281,12 +272,11 @@ void SimSession::client_compute(Nanos duration) {
 }
 
 void SimSession::note_buffered_rows(int64_t rows, int64_t footprint_bytes,
-                                    bool columnar) {
+                                    bool /*columnar*/) {
   const CostModel& costs = server_.costs();
   const bool paging = footprint_bytes > costs.client_array_memory_bytes;
-  const Nanos per_row = paging ? costs.per_paged_row
-                               : (columnar ? costs.per_buffered_row_columnar
-                                           : costs.per_buffered_row);
+  const Nanos per_row =
+      paging ? costs.per_paged_row : costs.per_buffered_row;
   const Nanos duration = rows * per_row;
   server_.env().delay(duration);
   stats_.client_time += duration;

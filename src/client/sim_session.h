@@ -21,9 +21,8 @@ class SimSession final : public Session {
   Result<uint32_t> prepare_insert(std::string_view table_name) override;
   BatchOutcome execute_batch(uint32_t table,
                              std::span<const db::Row> rows) override;
-  // Columnar batches walk the same server path but price the marshalling
-  // linearly (array binds) and the server execute at the array-insert
-  // residual rate — see CostModel's columnar constants.
+  // Column batches walk the same server path and are priced like a row
+  // batch of the same size.
   BatchOutcome execute_column_batch(uint32_t table,
                                     const db::ColumnBatch& batch, size_t first,
                                     size_t count) override;
@@ -43,13 +42,11 @@ class SimSession final : public Session {
   // Charge a commit's redo flush through the server's log-device group
   // model (lead a flush — window wait included — or ride one in flight).
   void charge_log_flush(int64_t bytes);
-  // One server visit: slots -> CPU -> engine call -> priced delay -> I/O.
-  db::BatchResult server_call(uint32_t table, std::span<const db::Row> rows);
-  // The shared visit body: charges `marshal` client-side, walks the gates,
-  // runs `engine_call` on a node CPU, prices its OpCosts (columnar rate when
-  // `columnar`), then I/O and the reply.
+  // One server visit for a call carrying `rows` rows: charges the client
+  // marshalling, walks the gates, runs `engine_call` on a node CPU, prices
+  // its OpCosts, then I/O and the reply.
   db::BatchResult server_visit(
-      uint32_t table, Nanos marshal, bool columnar,
+      uint32_t table, int64_t rows,
       const std::function<db::BatchResult(uint64_t)>& engine_call);
 
   SimServer& server_;

@@ -37,7 +37,6 @@ Result<ArraySet::Config> ArraySet::Config::from_config(
 ArraySet::ArraySet(const db::Schema& schema, Config config)
     : high_water_bytes_(config.memory_high_water_bytes) {
   const auto table_count = static_cast<size_t>(schema.table_count());
-  arrays_.resize(table_count);
   batches_.resize(table_count);
   table_defs_.reserve(table_count);
   for (uint32_t id = 0; id < static_cast<uint32_t>(table_count); ++id) {
@@ -48,26 +47,6 @@ ArraySet::ArraySet(const db::Schema& schema, Config config)
     const auto table_id = schema.table_id(table_name);
     if (table_id.is_ok()) capacities_[*table_id] = rows;
   }
-}
-
-bool ArraySet::append(uint32_t table_id, db::Row row) {
-  auto& array = arrays_[table_id];
-  if (!array.has_value()) {
-    // First row for this table in the current cycle: create its array.
-    array.emplace();
-    array->reserve(static_cast<size_t>(capacities_[table_id]));
-  }
-  footprint_bytes_ += static_cast<int64_t>(db::row_memory_bytes(row));
-  array->push_back(std::move(row));
-  ++buffered_rows_;
-  if (static_cast<int64_t>(array->size()) >= capacities_[table_id]) {
-    flush_needed_ = true;
-  }
-  if (high_water_bytes_.has_value() &&
-      footprint_bytes_ >= *high_water_bytes_) {
-    flush_needed_ = true;
-  }
-  return flush_needed_;
 }
 
 bool ArraySet::append_batch(uint32_t table_id, const db::ColumnBatch& batch) {
@@ -96,15 +75,13 @@ bool ArraySet::append_batch(uint32_t table_id, const db::ColumnBatch& batch) {
 }
 
 void ArraySet::clear() {
-  for (auto& array : arrays_) array.reset();  // release, don't just empty
-  for (auto& batch : batches_) batch.reset();
+  for (auto& batch : batches_) batch.reset();  // release, don't just empty
   buffered_rows_ = 0;
   footprint_bytes_ = 0;
   flush_needed_ = false;
 }
 
 void ArraySet::clear_keep_buffers() {
-  for (auto& array : arrays_) array.reset();
   for (auto& batch : batches_) {
     if (batch.has_value()) batch->clear();  // keep layout and capacity
   }
@@ -114,13 +91,9 @@ void ArraySet::clear_keep_buffers() {
 }
 
 int ArraySet::active_arrays() const {
+  // Buffers retained empty across cycles (clear_keep_buffers) are not
+  // active until rows land in them.
   int count = 0;
-  for (const auto& array : arrays_) {
-    if (array.has_value()) ++count;
-  }
-  // A cycle buffers rows OR columns per table, never both, so the sum stays
-  // one-per-table-touched either way. Column buffers retained empty across
-  // cycles (clear_keep_buffers) are not active until rows land in them.
   for (const auto& batch : batches_) {
     if (batch.has_value() && !batch->empty()) ++count;
   }

@@ -2,9 +2,11 @@
 // (paper section 4.3).
 //
 // A dynamically maintained set of two-dimensional arrays — one per
-// destination table, rows by attributes — created on demand as interleaved
-// catalog rows are parsed, and destroyed (memory released) at the end of
-// each bulk-loading cycle. Buffering rows per table is what lets the loader
+// destination table, rows by attributes, stored column-wise in arena-backed
+// db::ColumnBatch buffers — created on demand as interleaved catalog rows
+// are parsed, and emptied at the end of each bulk-loading cycle (the
+// buffers keep their capacity for the next cycle). Buffering rows per table
+// is what lets the loader
 // issue bulk inserts in parent-before-child order despite the interleaved
 // input, and random access into the source array is what makes skip-one-row
 // error recovery possible.
@@ -25,7 +27,6 @@
 #include "common/config.h"
 #include "common/status.h"
 #include "db/column_batch.h"
-#include "db/row.h"
 #include "db/schema.h"
 
 namespace sky::core {
@@ -49,29 +50,13 @@ class ArraySet {
 
   ArraySet(const db::Schema& schema, Config config);
 
-  // Buffer one row for `table_id`. Creates the table's array if this is the
-  // first row seen for it this cycle. Returns true if the append filled any
-  // array to capacity (or hit the high-water mark): time to bulk load.
-  bool append(uint32_t table_id, db::Row row);
-
-  // Columnar sibling of append(): merge a parser block's batch for
-  // `table_id` into this table's column buffer (same capacity / high-water
-  // flush triggers, counted per row). The row arrays and column buffers are
-  // independent surfaces — a load cycle uses one or the other; the topo
-  // iteration and clear() cover both.
+  // Merge a parser block's batch for `table_id` into that table's column
+  // buffer, creating the buffer if these are the first rows seen for the
+  // table this cycle. Returns true if the append filled any buffer to
+  // capacity (or hit the high-water mark): time to bulk load.
   bool append_batch(uint32_t table_id, const db::ColumnBatch& batch);
 
   bool should_flush() const { return flush_needed_; }
-
-  // Arrays in parent-before-child order; fn(table_id, rows).
-  template <typename Fn>
-  void for_each_in_topo_order(Fn&& fn) const {
-    for (uint32_t table_id = 0;
-         table_id < static_cast<uint32_t>(arrays_.size()); ++table_id) {
-      const auto& array = arrays_[table_id];
-      if (array.has_value() && !array->empty()) fn(table_id, *array);
-    }
-  }
 
   // Column buffers in parent-before-child order; fn(table_id, batch).
   template <typename Fn>
@@ -83,29 +68,26 @@ class ArraySet {
     }
   }
 
-  // Destroy all arrays and release their memory (end of a bulk-load cycle).
+  // Destroy all buffers and release their memory.
   void clear();
 
-  // End-of-cycle reset for the columnar path: drop every buffered row but
-  // keep each column buffer's layout and capacity (arena reuse across
-  // cycles). The buffers are bounded by the flush high-water budget, so
-  // retaining them does not grow the client footprint — and it removes the
-  // per-cycle construct/teardown cost the row arrays pay.
+  // End-of-cycle reset: drop every buffered row but keep each column
+  // buffer's layout and capacity (arena reuse across cycles). The buffers
+  // are bounded by the array capacities and the high-water budget, so
+  // retaining them does not grow the client footprint.
   void clear_keep_buffers();
 
   int64_t buffered_rows() const { return buffered_rows_; }
   int64_t footprint_bytes() const { return footprint_bytes_; }
-  // Arrays currently materialized (depends on how interleaved the input is).
+  // Buffers holding rows this cycle (depends on how interleaved the input
+  // is).
   int active_arrays() const;
   int64_t capacity_for(uint32_t table_id) const {
     return capacities_[table_id];
   }
 
  private:
-  std::vector<std::optional<std::vector<db::Row>>> arrays_;  // by table id
-  // Columnar buffers, by table id (the batch ingest path's counterpart of
-  // arrays_). Footprint is tracked by buffer capacity delta: the arena grows
-  // in chunks, so per-row accounting would undercount.
+  // Column buffers, by table id.
   std::vector<std::optional<db::ColumnBatch>> batches_;
   std::vector<const db::TableDef*> table_defs_;  // batch construction
   std::vector<int64_t> capacities_;                          // by table id

@@ -37,44 +37,6 @@ void BulkLoader::record_error(FileLoadReport& report, LoadError error) {
   }
 }
 
-Result<size_t> BulkLoader::batch_row(uint32_t table_id,
-                                     const std::vector<db::Row>& rows,
-                                     size_t first, FileLoadReport& report) {
-  const std::string& table_name = schema_.table(table_id).name;
-  const auto batch = static_cast<size_t>(options_.batch_size);
-  while (first < rows.size()) {
-    const size_t n = std::min(batch, rows.size() - first);
-    const client::BatchOutcome outcome = session_.execute_batch(
-        table_id, std::span<const db::Row>(&rows[first], n));
-    ++report.db_calls;
-    report.rows_loaded += outcome.applied;
-    report.loaded_per_table[table_name] += outcome.applied;
-    if (options_.commit.every_batches > 0 &&
-        report.db_calls % options_.commit.every_batches == 0) {
-      const Status commit_status = session_.commit();
-      if (commit_status.is_ok()) ++report.commits;
-    }
-    if (outcome.error.has_value()) {
-      if (!is_constraint_error(outcome.error->status.code())) {
-        // Infrastructure failure (I/O, connection): do not skip data.
-        return outcome.error->status;
-      }
-      // The batch stopped at `applied`: that row is the bad one. Skip it and
-      // hand the resume index back so the caller repacks from there.
-      const size_t bad = first + static_cast<size_t>(outcome.applied);
-      ++report.rows_skipped_server;
-      record_error(report,
-                   LoadError{LoadError::Stage::kServer, table_name,
-                             /*line_number=*/0,
-                             db::row_to_display(rows[bad]),
-                             outcome.error->status});
-      return bad + 1;
-    }
-    first += n;
-  }
-  return first;
-}
-
 Result<size_t> BulkLoader::batch_columns(uint32_t table_id,
                                          const db::ColumnBatch& rows,
                                          size_t first,
@@ -95,11 +57,12 @@ Result<size_t> BulkLoader::batch_columns(uint32_t table_id,
     }
     if (outcome.error.has_value()) {
       if (!is_constraint_error(outcome.error->status.code())) {
+        // Infrastructure failure (I/O, connection): do not skip data.
         return outcome.error->status;
       }
-      // Same skip-and-repack recovery as the row path: the batch stopped at
-      // `applied`, so that row is the bad one (materialized only here, for
-      // the error detail).
+      // The batch stopped at `applied`: that row is the bad one (materialized
+      // only here, for the error detail). Skip it and hand the resume index
+      // back so the caller repacks from there.
       const size_t bad = first + static_cast<size_t>(outcome.applied);
       ++report.rows_skipped_server;
       record_error(report,
@@ -118,8 +81,9 @@ Status BulkLoader::flush_batches(FileLoadReport& report) {
   if (array_set_.buffered_rows() == 0) return ok_status();
   ++report.flush_cycles;
   session_.client_compute(array_set_.active_arrays() *
-                          options_.flush_cycle_cost_per_array_columnar);
-  // Parent-before-child order, same as the row cycle.
+                          options_.flush_cycle_cost_per_array);
+  // Bulk loading follows the parent-child relationship order regardless of
+  // which array filled first (paper Fig. 2).
   Status failure = ok_status();
   array_set_.for_each_batch_in_topo_order(
       [&](uint32_t table_id, const db::ColumnBatch& batch) {
@@ -135,8 +99,7 @@ Status BulkLoader::flush_batches(FileLoadReport& report) {
         }
       });
   SKY_RETURN_IF_ERROR(failure);
-  // Keep the column buffers' capacity for the next cycle (arena reuse);
-  // only the row arrays pay the build/teardown cost each cycle.
+  // Keep the column buffers' capacity for the next cycle (arena reuse).
   array_set_.clear_keep_buffers();
   if (options_.commit.every_cycles > 0 &&
       report.flush_cycles % options_.commit.every_cycles == 0) {
@@ -146,67 +109,7 @@ Status BulkLoader::flush_batches(FileLoadReport& report) {
   return ok_status();
 }
 
-Status BulkLoader::flush_arrays(FileLoadReport& report) {
-  if (array_set_.buffered_rows() == 0) return ok_status();
-  ++report.flush_cycles;
-  // Array construction/teardown and statement re-preparation overhead,
-  // proportional to how many arrays this cycle materialized.
-  session_.client_compute(array_set_.active_arrays() *
-                          options_.flush_cycle_cost_per_array);
-  // Bulk loading follows the parent-child relationship order regardless of
-  // which array filled first (paper Fig. 2).
-  Status failure = ok_status();
-  array_set_.for_each_in_topo_order(
-      [&](uint32_t table_id, const std::vector<db::Row>& rows) {
-        if (!failure.is_ok()) return;
-        size_t first = 0;
-        while (first < rows.size()) {
-          auto next = batch_row(table_id, rows, first, report);
-          if (!next.is_ok()) {
-            failure = next.status();
-            return;
-          }
-          first = *next;
-        }
-      });
-  SKY_RETURN_IF_ERROR(failure);
-  // Arrays are destroyed and their memory released at the end of the cycle.
-  array_set_.clear();
-  if (options_.commit.every_cycles > 0 &&
-      report.flush_cycles % options_.commit.every_cycles == 0) {
-    const Status commit_status = session_.commit();
-    if (commit_status.is_ok()) ++report.commits;
-  }
-  return ok_status();
-}
-
-Status BulkLoader::ingest_rows(std::string_view text, FileLoadReport& report) {
-  for (std::string_view line : split_view(text, '\n')) {
-    ++report.lines_read;
-    if (!catalog::CatalogParser::is_data_line(line)) continue;
-    // Parse, validate, transform, compute — client-side work.
-    session_.client_compute(options_.client_parse_cost_per_row);
-    auto parsed = parser_->parse_line(line);
-    if (!parsed.is_ok()) {
-      ++report.parse_errors;
-      record_error(report, LoadError{LoadError::Stage::kParse, "",
-                                     report.lines_read,
-                                     std::string(line.substr(0, 80)),
-                                     parsed.status()});
-      continue;
-    }
-    ++report.rows_parsed;
-    const bool full =
-        array_set_.append(parsed->table_id, std::move(parsed->row));
-    session_.note_buffered_rows(1, array_set_.footprint_bytes());
-    if (full) SKY_RETURN_IF_ERROR(flush_arrays(report));
-  }
-  // Load whatever remains buffered.
-  return flush_arrays(report);
-}
-
-Status BulkLoader::ingest_columnar(std::string_view text,
-                                   FileLoadReport& report) {
+Status BulkLoader::ingest(std::string_view text, FileLoadReport& report) {
   catalog::ParsedBlock block;
   size_t pos = 0;
   while (pos <= text.size()) {
@@ -216,9 +119,9 @@ Status BulkLoader::ingest_columnar(std::string_view text,
                          block);
     report.lines_read += block.lines_consumed;
     // Client-side parse/validate/transform/compute cost: charged per data
-    // line, failing lines included, at the vectorized-parse rate.
+    // line, failing lines included.
     session_.client_compute(block.data_lines *
-                            options_.client_parse_cost_per_row_columnar);
+                            options_.client_parse_cost_per_row);
     for (const catalog::BlockError& error : block.errors) {
       ++report.parse_errors;
       record_error(report,
@@ -236,8 +139,7 @@ Status BulkLoader::ingest_columnar(std::string_view text,
     }
     report.rows_parsed += block_rows;
     if (block_rows > 0) {
-      session_.note_buffered_rows(block_rows, array_set_.footprint_bytes(),
-                                  /*columnar=*/true);
+      session_.note_buffered_rows(block_rows, array_set_.footprint_bytes());
     }
     if (array_set_.should_flush()) SKY_RETURN_IF_ERROR(flush_batches(report));
   }
@@ -251,11 +153,7 @@ Result<FileLoadReport> BulkLoader::load_text(std::string_view file_name,
   report.bytes = static_cast<int64_t>(text.size());
   const Nanos start = session_.now();
 
-  if (options_.columnar_ingest) {
-    SKY_RETURN_IF_ERROR(ingest_columnar(text, report));
-  } else {
-    SKY_RETURN_IF_ERROR(ingest_rows(text, report));
-  }
+  SKY_RETURN_IF_ERROR(ingest(text, report));
 
   if (has_audit_table_ && options_.write_audit_row) {
     // The loader's own bookkeeping row. The id derives from the file name;

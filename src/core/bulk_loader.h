@@ -1,14 +1,17 @@
 // BulkLoader: the paper's bulk-loading algorithm (Fig. 3).
 //
-// For each input row: parse / validate / transform / compute, then buffer
-// into the array-set array for its destination table. When any array fills
-// (or the memory high-water mark is hit), run a bulk-loading cycle: walk the
-// arrays in parent-before-child order and batch-insert each, batch_size rows
-// per database call. On a batch error, the failing row is identified via its
-// array index, recorded, skipped, and loading resumes from the row after it
-// (the batch is repacked) — so one bad row costs one extra round trip, and
-// in the worst case (every row failing) loading degenerates to singleton
-// inserts, exactly the behaviour analyzed in section 4.2.
+// Parse / validate / transform / compute the input a block of lines at a
+// time (CatalogParser::parse_block: vectorized, straight into per-table
+// column batches), then buffer each block's rows into the array-set array
+// for their destination table. When any array fills (or the memory
+// high-water mark is hit), run a bulk-loading cycle: walk the arrays in
+// parent-before-child order and batch-insert each, batch_size rows per
+// database call (Session::execute_column_batch). On a batch error, the
+// failing row is identified via its array index, recorded, skipped, and
+// loading resumes from the row after it (the batch is repacked) — so one
+// bad row costs one extra round trip, and in the worst case (every row
+// failing) loading degenerates to singleton inserts, exactly the behaviour
+// analyzed in section 4.2.
 //
 // Commits are infrequent by default (section 4.5.2): only at end of file,
 // or per the CommitPolicy (every N cycles / batches) when configured.
@@ -41,31 +44,18 @@ struct BulkLoaderOptions {
   bool write_audit_row = true;
   // Cap on retained per-row error details (counters stay exact).
   size_t max_error_details = 1000;
-  // Charge per-row client parse/compute time in simulation (cost hook).
-  Nanos client_parse_cost_per_row = 15 * kMicrosecond;
-  // Per-cycle, per-array build/teardown cost (arrays are allocated on
-  // demand and destroyed each cycle; statements re-prepared). This is the
-  // overhead that makes very small array sizes slow (paper section 4.3 /
-  // Fig. 6 left side).
-  Nanos flush_cycle_cost_per_array = 700 * kMicrosecond;
-  // Columnar ingest hot path (DESIGN.md "Columnar ingest hot path"):
-  // vectorized block parse into arena-backed column batches, batches sent
-  // through Session::execute_column_batch. Identical final state and error
-  // accounting to the row path (the differential tests hold both to that);
-  // off by default, wired by TuningProfile::columnar_ingest.
-  bool columnar_ingest = false;
-  // Data lines consumed per parse_block call on the columnar path.
+  // Data lines consumed per parse_block call.
   int64_t parse_block_rows = 512;
-  // Simulated per-row parse cost on the columnar path (vectorized block
-  // parse — no Row/Value materialization; mirrors
-  // client::CostModel::client_row_parse_columnar).
-  Nanos client_parse_cost_per_row_columnar = 5500;
-  // Per-cycle, per-array cost on the columnar path. The column buffers are
-  // retained across cycles (ArraySet::clear_keep_buffers — no per-cycle
-  // array construction or teardown) and the array-insert statements stay
-  // prepared, so what remains is per-array cycle bookkeeping: offset
-  // resets, statistics, and re-arming the statement for the next call.
-  Nanos flush_cycle_cost_per_array_columnar = 100 * kMicrosecond;
+  // Charge per-row client parse/compute time in simulation (cost hook),
+  // per data line, failing lines included.
+  Nanos client_parse_cost_per_row = 15 * kMicrosecond;
+  // Per-cycle, per-array cost: array bookkeeping and statement re-arming
+  // for each array a cycle flushes. This is the overhead that makes very
+  // small array sizes slow (paper section 4.3 / Fig. 6 left side).
+  Nanos flush_cycle_cost_per_array = 700 * kMicrosecond;
+  // There is one ingest pipeline: block parse into column batches. Kept as
+  // a constant for code that still asks which parser the loader uses.
+  static constexpr bool columnar_ingest = true;
 };
 
 class BulkLoader {
@@ -90,26 +80,18 @@ class BulkLoader {
   const catalog::ParserStats& parser_stats() const { return parser_->stats(); }
 
  private:
-  // Row-at-a-time ingest (the original loop) vs. columnar block ingest; both
-  // leave everything buffered flushed and feed the same report fields.
-  Status ingest_rows(std::string_view text, FileLoadReport& report);
-  Status ingest_columnar(std::string_view text, FileLoadReport& report);
+  // Parse the text block by block into the array-set, flushing whenever it
+  // asks to, and flush whatever remains at the end.
+  Status ingest(std::string_view text, FileLoadReport& report);
   // The paper's batch_row: send rows [first, rows.size()) in batches; on a
   // constraint error, record it, skip the bad row, and return the index to
   // resume from; returns rows.size() when the array is fully loaded.
   // Non-constraint errors (I/O, connection loss) are infrastructure
   // failures and abort the file load instead of skipping data.
-  Result<size_t> batch_row(uint32_t table_id,
-                           const std::vector<db::Row>& rows, size_t first,
-                           FileLoadReport& report);
-  // Columnar batch_row: same skip-and-repack recovery over a column batch,
-  // chunked through Session::execute_column_batch.
   Result<size_t> batch_columns(uint32_t table_id,
                                const db::ColumnBatch& rows, size_t first,
                                FileLoadReport& report);
   // One bulk-loading cycle over the array-set, parent-first.
-  Status flush_arrays(FileLoadReport& report);
-  // Columnar flush cycle (same ordering, commit cadence, and teardown).
   Status flush_batches(FileLoadReport& report);
   void record_error(FileLoadReport& report, LoadError error);
 

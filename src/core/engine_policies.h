@@ -8,10 +8,9 @@
 // threads) and client::ServerConfig (simulation). The policies used to be
 // four loose members spread across those structs with duplicated field
 // spellings; folding them here gives tuning code one object to hand around
-// (`options.policies = config.policies`) while the embedding structs keep
-// the old spellings alive as reference members, so existing call sites
-// (`options.concurrency.itl_slots_per_table = 7`,
-// `config.commit_window = 2ms`) compile unchanged.
+// (`options.policies = config.policies`) and one spelling for every knob
+// (`options.policies.concurrency.itl_slots_per_table = 7`,
+// `config.policies.commit.commit_window = 2ms`).
 //
 // Header-only; deliberately no describe() here — CommitPolicy::describe()
 // is defined in the core library, and db/ headers embed this aggregate

@@ -51,61 +51,25 @@ Result<FileLoadReport> NonBulkLoader::load_text(std::string_view file_name,
   report.bytes = static_cast<int64_t>(text.size());
   const Nanos start = session_.now();
 
-  if (options_.columnar_parse) {
-    // Vectorized front end, single-row sends: blocks parse columnar, then
-    // each surviving row goes out as its own database call, tables in
-    // parent-before-child order within the block.
-    catalog::ParsedBlock block;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-      const int64_t base_line = report.lines_read;
-      parser_->parse_block(text, pos,
-                           static_cast<size_t>(options_.parse_block_rows),
-                           block);
-      report.lines_read += block.lines_consumed;
-      session_.client_compute(block.data_lines *
-                              options_.client_parse_cost_per_row_columnar);
-      for (const catalog::BlockError& error : block.errors) {
-        ++report.parse_errors;
-        if (report.errors.size() < options_.max_error_details) {
-          report.errors.push_back(
-              LoadError{LoadError::Stage::kParse, "",
-                        base_line + error.line_offset + 1,
-                        std::string(error.line.substr(0, 80)), error.status});
-        }
+  for (std::string_view line : split_view(text, '\n')) {
+    ++report.lines_read;
+    if (!catalog::CatalogParser::is_data_line(line)) continue;
+    session_.client_compute(options_.client_parse_cost_per_row);
+    auto parsed = parser_->parse_line(line);
+    if (!parsed.is_ok()) {
+      ++report.parse_errors;
+      if (report.errors.size() < options_.max_error_details) {
+        report.errors.push_back(LoadError{LoadError::Stage::kParse, "",
+                                          report.lines_read,
+                                          std::string(line.substr(0, 80)),
+                                          parsed.status()});
       }
-      for (size_t slot = 0; slot < block.batches.size(); ++slot) {
-        const db::ColumnBatch& batch = block.batches[slot];
-        report.rows_parsed += static_cast<int64_t>(batch.size());
-        for (size_t r = 0; r < batch.size(); ++r) {
-          SKY_RETURN_IF_ERROR(
-              send_row(block.table_ids[slot], batch.row(r),
-                       base_line + block.row_lines[slot][r] + 1, report)
-                  .status());
-        }
-      }
+      continue;
     }
-  } else {
-    for (std::string_view line : split_view(text, '\n')) {
-      ++report.lines_read;
-      if (!catalog::CatalogParser::is_data_line(line)) continue;
-      session_.client_compute(options_.client_parse_cost_per_row);
-      auto parsed = parser_->parse_line(line);
-      if (!parsed.is_ok()) {
-        ++report.parse_errors;
-        if (report.errors.size() < options_.max_error_details) {
-          report.errors.push_back(LoadError{LoadError::Stage::kParse, "",
-                                            report.lines_read,
-                                            std::string(line.substr(0, 80)),
-                                            parsed.status()});
-        }
-        continue;
-      }
-      ++report.rows_parsed;
-      SKY_RETURN_IF_ERROR(
-          send_row(parsed->table_id, parsed->row, report.lines_read, report)
-              .status());
-    }
+    ++report.rows_parsed;
+    SKY_RETURN_IF_ERROR(
+        send_row(parsed->table_id, parsed->row, report.lines_read, report)
+            .status());
   }
   const Status commit_status = session_.commit();
   if (!commit_status.is_ok()) return commit_status;

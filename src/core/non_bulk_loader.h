@@ -22,16 +22,6 @@ struct NonBulkLoaderOptions {
   CommitPolicy commit;
   size_t max_error_details = 1000;
   Nanos client_parse_cost_per_row = 15 * kMicrosecond;
-  // Parse input through the vectorized block parser (the columnar ingest
-  // front end) but still send rows one database call each — isolates the
-  // parse speedup from the batch-insert speedup. Rows are sent per block in
-  // table order (parent-before-child), not raw file order.
-  bool columnar_parse = false;
-  // Data lines consumed per parse_block call when columnar_parse is on.
-  int64_t parse_block_rows = 512;
-  // Simulated per-row parse cost when columnar_parse is on (vectorized
-  // block parse; mirrors client::CostModel::client_row_parse_columnar).
-  Nanos client_parse_cost_per_row_columnar = 5500;
 };
 
 class NonBulkLoader {

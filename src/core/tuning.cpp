@@ -11,8 +11,17 @@ TuningProfile TuningProfile::production() {
   return profile;  // the defaults are the production settings
 }
 
-TuningProfile TuningProfile::untuned_2004() {
+TuningProfile TuningProfile::paper_2005() {
   TuningProfile profile;
+  profile.name = "paper-2005";
+  profile.batch_size = 40;
+  profile.array_size = 1000;
+  profile.array_high_water_bytes.reset();
+  return profile;
+}
+
+TuningProfile TuningProfile::untuned_2004() {
+  TuningProfile profile = paper_2005();
   profile.name = "untuned-2004";
   profile.bulk = false;
   profile.batch_size = 1;
@@ -47,49 +56,47 @@ db::EngineOptions TuningProfile::engine_options() const {
   // keep the real gates permissive (64 slots, ITL off) so they never
   // double-count — and so no real gate can block inside a sim process,
   // which would wedge the cooperative scheduler. Real-thread harnesses
-  // that want the admission gates set EngineOptions::concurrency directly.
-  options.concurrency.max_concurrent_transactions = 64;
-  options.concurrency.itl_slots_per_table = 0;
+  // that want the admission gates set policies.concurrency directly.
+  options.policies.concurrency.max_concurrent_transactions = 64;
+  options.policies.concurrency.itl_slots_per_table = 0;
   // Likewise the commit-coalescing window: the sim prices it at the modeled
   // log device (server_config() below), so the engine-side window stays 0 —
   // a real timed wait would stall the cooperative sim scheduler. Real-thread
-  // harnesses opt in via EngineOptions::commit_window directly.
-  options.max_group_commits = commit.max_group_commits;
-  options.durability = commit.durability;
+  // harnesses opt in via policies.commit.commit_window directly.
+  options.policies.commit.max_group_commits = commit.max_group_commits;
+  options.policies.commit.durability = commit.durability;
   return options;
 }
 
 client::ServerConfig TuningProfile::server_config() const {
   client::ServerConfig config;
   config.device_layout = device_layout;
-  config.commit_window = commit.commit_window;
-  config.max_group_commits = commit.max_group_commits;
+  config.policies.commit.commit_window = commit.commit_window;
+  config.policies.commit.max_group_commits = commit.max_group_commits;
   return config;
 }
 
 BulkLoaderOptions TuningProfile::bulk_options() const {
   BulkLoaderOptions options;
-  options.batch_size = bulk ? (columnar_ingest ? columnar_batch_size
-                                               : batch_size)
-                            : 1;
-  options.array_config.default_rows =
-      columnar_ingest ? columnar_array_rows : array_size;
-  if (columnar_ingest) {
-    options.array_config.memory_high_water_bytes =
-        columnar_flush_high_water_bytes;
-  }
+  options.batch_size = bulk ? batch_size : 1;
+  options.array_config.default_rows = array_size;
+  options.array_config.memory_high_water_bytes = array_high_water_bytes;
   options.commit = commit;
-  options.columnar_ingest = columnar_ingest;
   return options;
 }
 
 std::string TuningProfile::describe() const {
+  const std::string high_water =
+      array_high_water_bytes.has_value()
+          ? str_format(" (high-water %lld KiB)",
+                       static_cast<long long>(*array_high_water_bytes / 1024))
+          : "";
   return str_format(
-      "%s: %s%s, batch=%lld, array=%lld, parallel=%d (%s), commits=%s, "
+      "%s: %s, batch=%lld, array=%lld%s, parallel=%d (%s), commits=%s, "
       "indexes[htmid=%s composite=%s], %s, cache=%lld pages, %s input",
       name.c_str(), bulk ? "bulk" : "non-bulk",
-      columnar_ingest ? " (columnar)" : "",
       static_cast<long long>(batch_size), static_cast<long long>(array_size),
+      high_water.c_str(),
       parallel_degree, dynamic_assignment ? "dynamic" : "static",
       commit.describe().c_str(),
       maintain_htmid_index ? "on" : "off",

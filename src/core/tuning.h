@@ -6,12 +6,18 @@
 //   * untuned_2004()  — the before-state: row-at-a-time inserts, low
 //     parallelism, frequent commits, every index maintained, everything on
 //     one RAID device, a large data cache, unsorted input.
-//   * production()    — the after-state: bulk loading (batch 40, array
-//     1000), 5 parallel loaders with dynamic assignment, infrequent
-//     commits, only the htmid index maintained, data/index/log on separate
-//     devices, a reduced data cache, presorted input.
+//   * paper_2005()    — the after-state of section 4.5: bulk loading (batch
+//     40, array 1000), 5 parallel loaders with dynamic assignment,
+//     infrequent commits, only the htmid index maintained, data/index/log
+//     on separate devices, a reduced data cache, presorted input. The
+//     simulated figure benches run this preset.
+// A third preset is what skyloader_tool runs:
+//   * production()    — paper_2005() with the loader sizes the column
+//     buffers were tuned for: batch 4000, array 4000, and a 600 KiB
+//     array-set high-water mark.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "client/sim_server.h"
@@ -26,34 +32,16 @@ struct TuningProfile {
 
   // Loading strategy.
   bool bulk = true;
-  int64_t batch_size = 40;
-  int64_t array_size = 1000;
+  int64_t batch_size = 4000;
+  int64_t array_size = 4000;
   int parallel_degree = 5;
   bool dynamic_assignment = true;
-  // Columnar ingest hot path: vectorized block parse into arena-backed
-  // column batches, one-latch extent appends, sorted-run index builds.
-  // Off by default so the row path remains the differential-testing oracle
-  // and existing figures are unchanged; benches and tests opt in.
-  bool columnar_ingest = false;
-  // Batch size when columnar_ingest is on. Column batches marshal linearly
-  // (one array bind per column), so the quadratic-marshalling term that
-  // pins the row path's optimum near 40 (Fig. 5) is absent: there is no
-  // interior optimum, and sending each flushed array as a single call
-  // amortizes the per-call overhead furthest. Kept equal to
-  // columnar_array_rows for exactly that reason.
-  int64_t columnar_batch_size = 4000;
-  // Array capacity when columnar_ingest is on. Arena-backed column buffers
-  // hold ~4x the rows of the row arrays in the same client memory (no
-  // per-Value boxing: ~110 data bytes/row vs ~450), so the Fig. 6 memory
-  // budget admits proportionally larger arrays before paging.
-  int64_t columnar_array_rows = 4000;
-  // Aggregate buffered-byte budget for the columnar array set (the
-  // high-water flush trigger the paper lists as future work). Sized just
-  // under the client array memory (Fig. 6) so the combined footprint of all
-  // per-table column buffers — not just the largest one — stays resident:
-  // the flush fires before the client starts paging, which per-array row
-  // caps alone cannot guarantee on interleaved input.
-  int64_t columnar_flush_high_water_bytes = 600 * 1024;
+  // Aggregate buffered-byte budget for the array set (the high-water flush
+  // trigger the paper lists as future work; unset = row capacities only).
+  // It bounds the combined footprint of all per-table column buffers, not
+  // just the largest one, which per-array row caps alone cannot guarantee
+  // on interleaved input.
+  std::optional<int64_t> array_high_water_bytes = 600 * 1024;
   // Commit cadence and durability shape (section 4.5.2), shared by the
   // loaders (cadence), the engine (group-commit window, durability mode)
   // and the sim server (log-device grouping model).
@@ -72,6 +60,7 @@ struct TuningProfile {
   bool presorted_input = true;
 
   static TuningProfile production();
+  static TuningProfile paper_2005();
   static TuningProfile untuned_2004();
 
   // Apply the index policy to the repository's objects table.

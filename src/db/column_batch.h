@@ -1,5 +1,5 @@
 // Arena-backed columnar row buffer: the unit of work of the batch ingest
-// hot path (DESIGN.md "Columnar ingest hot path").
+// hot path (DESIGN.md §9, "The bulk ingest pipeline").
 //
 // A ColumnBatch holds one table's parsed rows column-major: per column a
 // null byte-vector plus typed storage — one int64 vector for the integer

@@ -70,11 +70,13 @@ Engine::Engine(Schema schema, EngineOptions options)
       cache_(options.cache_pages, options.dirty_trigger),
       wal_(storage::WalOptions{options.retain_wal_records,
                                options.latency.commit_log_flush,
-                               options.commit_window,
-                               std::max<int64_t>(options.max_group_commits, 1),
-                               options.durability}),
+                               options.policies.commit.commit_window,
+                               std::max<int64_t>(
+                                   options.policies.commit.max_group_commits,
+                                   1),
+                               options.policies.commit.durability}),
       txn_gate_(std::make_unique<BlockingSlotGate>(
-          options.concurrency.max_concurrent_transactions)),
+          options.policies.concurrency.max_concurrent_transactions)),
       snapshots_(static_cast<size_t>(schema_.table_count())) {
   tables_.reserve(static_cast<size_t>(schema_.table_count()));
   uint32_t next_file_id = 0;
@@ -94,11 +96,11 @@ Engine::Engine(Schema schema, EngineOptions options)
     for (const ForeignKey& fk : table.def().foreign_keys) {
       table.fk_parent_ids.push_back(schema_.table_id(fk.parent_table).value());
     }
-    if (options_.concurrency.itl_gated()) {
+    if (options_.policies.concurrency.itl_gated()) {
       // Per-table ITL admission gate. Each gate gets an independent stall
       // stream (seed salted with the table id) so stall draws are
       // deterministic per table regardless of load interleaving.
-      const core::ConcurrencyPolicy& policy = options_.concurrency;
+      const core::ConcurrencyPolicy& policy = options_.policies.concurrency;
       table.set_itl_gate(std::make_unique<FairSlotGate>(
           policy.itl_slots_per_table,
           GateStallModel{policy.stall_probability,
@@ -222,11 +224,12 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
   // With other transactions live, a leader holds the coalescing window
   // open even when their appends have not landed yet; a lone committer
   // reports false and never waits (same rule the sim server applies to
-  // its transaction slots).
-  bool expect_group = false;
+  // its transaction slots). The window closes early once every live
+  // transaction has queued its commit: nobody else can join the group.
+  int64_t live_transactions = 0;
   {
     const std::scoped_lock txn_lock(txn_mu_);
-    expect_group = transactions_.size() > 1;
+    live_transactions = static_cast<int64_t>(transactions_.size());
   }
   {
     const CostScope scope(&result.costs);
@@ -235,7 +238,8 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
     // holding the coalescing window open first — and pay the modeled
     // log-device latency (with no engine latches held beyond the shared
     // engine lock). Relaxed durability acks here without flushing.
-    const storage::WalFlushResult flush = wal_.flush(expect_group);
+    const storage::WalFlushResult flush =
+        wal_.flush(/*expect_group=*/live_transactions > 1, live_transactions);
     result.wal_bytes_flushed = flush.bytes_flushed;
     result.led_flush = flush.led;
     result.piggybacked = flush.piggybacked;
@@ -375,7 +379,7 @@ BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
   engine_lock.unlock();
   const double escalation =
       admission.contended
-          ? options_.concurrency.lock_escalation_factor *
+          ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
   pay_batch_latency(result.costs, escalation);
@@ -473,12 +477,38 @@ BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
   engine_lock.unlock();
   const double escalation =
       admission.contended
-          ? options_.concurrency.lock_escalation_factor *
+          ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
   pay_batch_latency(result.costs, escalation);
   return result;
 }
+
+namespace {
+
+// Index of the first run key already in the table's PK tree (`limit` if
+// none): one forward merge of the sorted run against the tree's leaf chain
+// instead of `limit` point probes. Caller holds the table's index latch.
+size_t first_duplicate_pk(const Table& table,
+                          const std::vector<std::string>& pk_keys,
+                          size_t limit) {
+  if (limit == 0) return 0;
+  index::BPlusTree::Iterator it = table.pk_tree().seek(pk_keys[0]);
+  for (size_t i = 0; i < limit; ++i) {
+    while (it.valid() && it.key() < pk_keys[i]) it.next();
+    if (it.valid() && it.key() == pk_keys[i]) return i;
+  }
+  return limit;
+}
+
+BatchError duplicate_pk_error(const TableDef& def, const ColumnBatch& batch,
+                              size_t first, size_t i) {
+  return BatchError{i, Status(ErrorCode::kConstraintPrimaryKey,
+                              def.name + ": duplicate primary key " +
+                                  row_to_display(batch.row(first + i)))};
+}
+
+}  // namespace
 
 void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
                                        const ColumnBatch& batch, size_t first,
@@ -552,129 +582,158 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
       static_cast<int64_t>((limit + (failure.has_value() ? 1 : 0)) *
                            (def.columns.size() + def.checks.size()));
 
-  // Metadata latch shared for the run, index latch exclusive for the whole
-  // constraint-settle + publish window — the one-latch analogue of the row
-  // path's phase 1/3 pair (no pending/publish handshake needed: nothing can
-  // race between check and publish while we hold it).
+  // Metadata latch shared for the whole run: row traffic only excludes
+  // structural maintenance, never other rows.
   result.costs.lock_wait_ns += lock_shared_timed(table.latch());
   const std::shared_lock<std::shared_mutex> table_latch(table.latch(),
                                                         std::adopt_lock);
-  result.costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
-  const std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
-                                                        std::adopt_lock);
 
-  // Primary-key uniqueness: one forward merge of the sorted run against the
-  // tree's leaf chain instead of count point probes.
-  if (limit > 0) {
-    index::BPlusTree::Iterator it = table.pk_tree().seek(pk_keys[0]);
-    for (size_t i = 0; i < limit; ++i) {
-      while (it.valid() && it.key() < pk_keys[i]) it.next();
-      if (it.valid() && it.key() == pk_keys[i]) {
-        failure = BatchError{
-            i, Status(ErrorCode::kConstraintPrimaryKey,
-                      def.name + ": duplicate primary key " +
-                          row_to_display(batch.row(first + i)))};
-        limit = i;
-        break;
+  // Phase 1 — settle PK and FK constraints under the index latch *shared*,
+  // so a failing row stops the run before anything touches the heap.
+  std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
+                                                  std::defer_lock);
+  uint64_t checked_publishes = 0;
+  result.costs.lock_wait_ns += lock_shared_timed(table.index_latch());
+  {
+    const std::shared_lock<std::shared_mutex> shared_index(
+        table.index_latch(), std::adopt_lock);
+    checked_publishes = table.key_publishes;
+    const size_t duplicate = first_duplicate_pk(table, pk_keys, limit);
+    if (duplicate < limit) {
+      failure = duplicate_pk_error(def, batch, first, duplicate);
+      limit = duplicate;
+    }
+    // Foreign keys: parent index latch shared per probe, memoized on every
+    // probe key already verified this call (catalog blocks repeat parents
+    // heavily, but not always on adjacent rows). Skipped entirely when the
+    // engine runs FK-deferred (shard instances: parents may be remote).
+    const size_t fk_count =
+        options_.enforce_foreign_keys ? def.foreign_keys.size() : 0;
+    for (size_t f = 0; f < fk_count && limit > 0; ++f) {
+      const ForeignKey& fk = def.foreign_keys[f];
+      const Table& parent = tables_[table.fk_parent_ids[f]];
+      const TableDef& parent_def = parent.def();
+      struct FkColumn {
+        size_t child_column;
+        ColumnType parent_type;
+      };
+      std::vector<FkColumn> fk_columns;
+      fk_columns.reserve(fk.columns.size());
+      for (size_t i = 0; i < fk.columns.size(); ++i) {
+        const size_t child_idx =
+            static_cast<size_t>(def.column_index(fk.columns[i]));
+        const size_t parent_idx = static_cast<size_t>(
+            parent_def.column_index(parent_def.primary_key[i]));
+        fk_columns.push_back(
+            FkColumn{child_idx, parent_def.columns[parent_idx].type});
       }
-    }
-  }
-
-  // Foreign keys: parent index latch shared per probe, memoized on every
-  // probe key already verified this call (catalog blocks repeat parents
-  // heavily, but not always on adjacent rows). Skipped entirely when the
-  // engine runs FK-deferred (shard instances: parents may be remote).
-  const size_t fk_count =
-      options_.enforce_foreign_keys ? def.foreign_keys.size() : 0;
-  for (size_t f = 0; f < fk_count && limit > 0; ++f) {
-    const ForeignKey& fk = def.foreign_keys[f];
-    const Table& parent = tables_[table.fk_parent_ids[f]];
-    const TableDef& parent_def = parent.def();
-    struct FkColumn {
-      size_t child_column;
-      ColumnType parent_type;
-    };
-    std::vector<FkColumn> fk_columns;
-    fk_columns.reserve(fk.columns.size());
-    for (size_t i = 0; i < fk.columns.size(); ++i) {
-      const size_t child_idx =
-          static_cast<size_t>(def.column_index(fk.columns[i]));
-      const size_t parent_idx = static_cast<size_t>(
-          parent_def.column_index(parent_def.primary_key[i]));
-      fk_columns.push_back(
-          FkColumn{child_idx, parent_def.columns[parent_idx].type});
-    }
-    index::KeyEncoder encoder;
-    std::unordered_set<std::string> verified;
-    for (size_t i = 0; i < limit; ++i) {
-      const size_t r = first + i;
-      ++result.costs.fk_checks;
-      bool has_null = false;
-      for (const FkColumn& col : fk_columns) {
-        if (batch.is_null(r, col.child_column)) {
-          has_null = true;
+      index::KeyEncoder encoder;
+      std::unordered_set<std::string> verified;
+      for (size_t i = 0; i < limit; ++i) {
+        const size_t r = first + i;
+        ++result.costs.fk_checks;
+        bool has_null = false;
+        for (const FkColumn& col : fk_columns) {
+          if (batch.is_null(r, col.child_column)) {
+            has_null = true;
+            break;
+          }
+          switch (col.parent_type) {
+            case ColumnType::kInt32:
+              encoder.append_int32(
+                  static_cast<int32_t>(batch.i64_at(r, col.child_column)));
+              break;
+            case ColumnType::kInt64:
+            case ColumnType::kTimestamp:
+              encoder.append_int64(batch.i64_at(r, col.child_column));
+              break;
+            case ColumnType::kDouble:
+              encoder.append_double(batch.f64_at(r, col.child_column));
+              break;
+            case ColumnType::kString:
+              encoder.append_string(batch.str_at(r, col.child_column));
+              break;
+          }
+        }
+        if (has_null) {
+          encoder.clear();
+          continue;  // MATCH SIMPLE: NULL FK passes
+        }
+        std::string probe = encoder.take();
+        encoder.clear();
+        if (verified.count(probe) > 0) continue;  // memoized success
+        index::BPlusTree::TouchInfo fk_touch;
+        bool parent_has_row = false;
+        {
+          result.costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
+          const std::shared_lock<std::shared_mutex> parent_latch(
+              parent.index_latch(), std::adopt_lock);
+          parent_has_row =
+              parent.pk_tree().lookup_with_touch(probe, &fk_touch).has_value();
+        }
+        result.costs.fk_node_visits += fk_touch.nodes_visited;
+        if (!parent_has_row) {
+          failure = BatchError{
+              i, Status(ErrorCode::kConstraintForeignKey,
+                        def.name + ": no parent row in " + fk.parent_table +
+                            " for " + row_to_display(batch.row(r)))};
+          limit = i;
           break;
         }
-        switch (col.parent_type) {
-          case ColumnType::kInt32:
-            encoder.append_int32(
-                static_cast<int32_t>(batch.i64_at(r, col.child_column)));
-            break;
-          case ColumnType::kInt64:
-          case ColumnType::kTimestamp:
-            encoder.append_int64(batch.i64_at(r, col.child_column));
-            break;
-          case ColumnType::kDouble:
-            encoder.append_double(batch.f64_at(r, col.child_column));
-            break;
-          case ColumnType::kString:
-            encoder.append_string(batch.str_at(r, col.child_column));
-            break;
-        }
+        cache_.touch_read({parent.pk_cache_file_id, fk_touch.leaf_page_id});
+        verified.insert(std::move(probe));
       }
-      if (has_null) {
-        encoder.clear();
-        continue;  // MATCH SIMPLE: NULL FK passes
-      }
-      std::string probe = encoder.take();
-      encoder.clear();
-      if (verified.count(probe) > 0) continue;  // memoized success
-      index::BPlusTree::TouchInfo fk_touch;
-      bool parent_has_row = false;
-      {
-        result.costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
-        const std::shared_lock<std::shared_mutex> parent_latch(
-            parent.index_latch(), std::adopt_lock);
-        parent_has_row =
-            parent.pk_tree().lookup_with_touch(probe, &fk_touch).has_value();
-      }
-      result.costs.fk_node_visits += fk_touch.nodes_visited;
-      if (!parent_has_row) {
-        failure = BatchError{
-            i, Status(ErrorCode::kConstraintForeignKey,
-                      def.name + ": no parent row in " + fk.parent_table +
-                          " for " + row_to_display(batch.row(r)))};
-        limit = i;
-        break;
-      }
-      cache_.touch_read({parent.pk_cache_file_id, fk_touch.leaf_page_id});
-      verified.insert(std::move(probe));
     }
   }
 
-  // Publish the surviving prefix: one latched heap batch, one WAL record,
-  // one sorted-run merge per tree.
+  // Phase 2 — append the surviving prefix to the admitted extent as hidden
+  // pending rows. Only the extent latch is held (inside the heap): sessions
+  // on distinct extents run this — including the modeled device write — in
+  // parallel.
+  storage::ShardedHeap::BatchAppendResult appended;
   if (limit > 0) {
     std::vector<std::string> row_bytes(limit);
-    std::string wal_payload;
-    size_t encoded_bytes = 0;
     for (size_t i = 0; i < limit; ++i) {
       batch.encode_row_to(first + i, row_bytes[i]);
-      encoded_bytes += row_bytes[i].size();
       result.costs.heap_bytes += static_cast<int64_t>(row_bytes[i].size());
     }
+    appended = table.heap().append_batch(extent, std::move(row_bytes));
+    result.costs.lock_wait_ns += appended.latch_wait_ns;
+    result.costs.heap_pages_opened += appended.pages_opened;
+
+    // Phase 3 — re-check primary keys under the index latch *exclusive*
+    // (another session may have published a conflicting key between the
+    // phases), then log, publish, and index the prefix. Rows from a lost
+    // race on are discarded: their slots stay dead, as after a rollback.
+    result.costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
+    index_latch = std::unique_lock<std::shared_mutex>(table.index_latch(),
+                                                      std::adopt_lock);
+    const size_t lost = table.key_publishes == checked_publishes
+                            ? limit
+                            : first_duplicate_pk(table, pk_keys, limit);
+    if (lost < limit) {
+      for (size_t i = lost; i < limit; ++i) {
+        const Status discarded = table.heap().discard(appended.slots[i]);
+        assert(discarded.is_ok());
+        (void)discarded;
+      }
+      failure = duplicate_pk_error(def, batch, first, lost);
+      limit = lost;
+      appended.slots.resize(limit);
+      appended.views.resize(limit);
+    }
+  }
+
+  // Publish the surviving prefix: one WAL record, one latched heap publish,
+  // one sorted-run merge per tree.
+  if (limit > 0) {
+    std::string wal_payload;
+    size_t encoded_bytes = 0;
+    for (const std::string_view bytes : appended.views) {
+      encoded_bytes += bytes.size();
+    }
     wal_payload.reserve(encoded_bytes + 4 * limit);
-    for (const std::string& bytes : row_bytes) {
+    for (const std::string_view bytes : appended.views) {
       const uint32_t len = static_cast<uint32_t>(bytes.size());
       const char header[4] = {
           static_cast<char>(len >> 24), static_cast<char>(len >> 16),
@@ -685,11 +744,10 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     result.costs.wal_bytes += static_cast<int64_t>(wal_payload.size());
     wal_.append(storage::WalRecordType::kInsertBatch, txn.id, tid,
                 std::move(wal_payload), extent);
+    const Status published = table.heap().publish_batch(appended.slots);
+    assert(published.is_ok());
+    (void)published;
 
-    const storage::ShardedHeap::BatchAppendResult appended =
-        table.heap().append_batch(extent, std::move(row_bytes));
-    result.costs.lock_wait_ns += appended.latch_wait_ns;
-    result.costs.heap_pages_opened += appended.pages_opened;
     std::vector<uint64_t> row_ids(limit);
     for (size_t i = 0; i < limit; ++i) {
       const storage::SlotId slot = appended.slots[i];
@@ -723,6 +781,7 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
         table.pk_tree().insert_sorted_run(std::move(pk_run), &pk_touch);
     assert(pk_status.is_ok());  // dup-checked above, strictly sorted
     (void)pk_status;
+    ++table.key_publishes;
     result.costs.index_updates += static_cast<int64_t>(limit);
     result.costs.index_node_visits += pk_touch.nodes_visited;
     result.costs.index_leaf_splits += pk_touch.leaf_splits;
@@ -828,7 +887,7 @@ Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,
   engine_lock.unlock();
   const double escalation =
       admission.contended
-          ? options_.concurrency.lock_escalation_factor *
+          ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
   pay_batch_latency(costs, escalation);
@@ -1034,6 +1093,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   const Status pk_status = table.pk_tree().insert(pk_key, row_id, &pk_touch);
   assert(pk_status.is_ok());  // pre-checked above
   (void)pk_status;
+  ++table.key_publishes;
   costs.index_updates += 1;
   costs.index_node_visits += pk_touch.nodes_visited;
   costs.index_key_bytes += static_cast<int64_t>(pk_key.size());
@@ -1436,7 +1496,7 @@ Status Engine::update_policies(const PolicyPatch& patch) {
       return Status(ErrorCode::kInvalidArgument,
                     "update_policies: itl_slots_per_table must be >= 1");
     }
-    if (!options_.concurrency.itl_gated()) {
+    if (!options_.policies.concurrency.itl_gated()) {
       // Creating gates live would race the lock-free gate-pointer reads on
       // the insert path; only existing gates can be resized.
       return Status(ErrorCode::kFailedPrecondition,

@@ -125,23 +125,6 @@ struct EngineOptions {
   // real engine permissive: 64 transaction slots, ITL gates off —
   // simulation models the limits in the server cost model instead.
   core::EnginePolicies policies;
-  // Source-compatible views of the folded policies: the former loose fields
-  // live on as references into `policies`, so existing call sites
-  // (`options.concurrency.itl_slots_per_table`, `options.commit_window`)
-  // compile unchanged. The copy operations below deliberately omit the
-  // references from their init lists, so each copy's default member
-  // initializers rebind them to the copy's own `policies`.
-  core::ConcurrencyPolicy& concurrency = policies.concurrency;
-  core::SpatialPolicy& spatial = policies.spatial;
-  // Commit-coalescing group commit (section 4.5.2): a commit-flush leader
-  // holds the device write open up to this long (0 = flush immediately) so
-  // other sessions' commits fold into one flush, closing early once
-  // max_group_commits commits are queued. See storage::WalOptions.
-  Nanos& commit_window = policies.commit.commit_window;
-  int64_t& max_group_commits = policies.commit.max_group_commits;
-  // kStrict acks a commit only after the covering flush; kRelaxed acks at
-  // append and exposes the durable-LSN watermark (Engine::wal_durable_lsn).
-  storage::DurabilityMode& durability = policies.commit.durability;
   // Independent append streams per table heap (1 = the pre-sharding layout;
   // clamped to [1, storage::kMaxHeapExtents]). Transactions are assigned an
   // extent round-robin at begin_transaction(), so N parallel loaders of one
@@ -166,32 +149,6 @@ struct EngineOptions {
   // instances that never serve snapshot reads.
   bool snapshot_reads = true;
   ModeledDeviceLatency latency;
-
-  EngineOptions() = default;
-  EngineOptions(const EngineOptions& other)
-      : cache_pages(other.cache_pages),
-        dirty_trigger(other.dirty_trigger),
-        policies(other.policies),
-        heap_extents(other.heap_extents),
-        extent_assignment(other.extent_assignment),
-        device_layout(other.device_layout),
-        retain_wal_records(other.retain_wal_records),
-        enforce_foreign_keys(other.enforce_foreign_keys),
-        snapshot_reads(other.snapshot_reads),
-        latency(other.latency) {}
-  EngineOptions& operator=(const EngineOptions& other) {
-    cache_pages = other.cache_pages;
-    dirty_trigger = other.dirty_trigger;
-    policies = other.policies;  // references already view this object's copy
-    heap_extents = other.heap_extents;
-    extent_assignment = other.extent_assignment;
-    device_layout = other.device_layout;
-    retain_wal_records = other.retain_wal_records;
-    enforce_foreign_keys = other.enforce_foreign_keys;
-    snapshot_reads = other.snapshot_reads;
-    latency = other.latency;
-    return *this;
-  }
 };
 
 // Canonical fail-closed error for a read over an unavailable secondary
@@ -254,11 +211,13 @@ class Engine {
   // [first, first + count) of `batch` with exactly insert_batch's JDBC
   // semantics and final state: when the rows' primary keys arrive strictly
   // increasing (presorted catalog blocks) and the table has no enabled
-  // unique secondary index, constraints are settled for the whole run under
-  // ONE exclusive index-latch window, the heap absorbs the run under one
-  // extent-latch acquisition (ShardedHeap::append_batch), redo is one
-  // kInsertBatch WAL record, and each B+tree takes one sorted-run merge
-  // (insert_sorted_run) instead of count root-to-leaf descents. Otherwise
+  // unique secondary index, the run takes the row path's three phases once
+  // for all its rows: constraints settled under the shared index latch, one
+  // pending heap append under one extent-latch acquisition
+  // (ShardedHeap::append_batch), then under the exclusive index latch a
+  // primary-key re-check, one kInsertBatch WAL record, one heap publish and
+  // one sorted-run merge per B+tree (insert_sorted_run) instead of count
+  // root-to-leaf descents. Otherwise
   // the rows fall back to the row-at-a-time path (identical semantics,
   // no speedup).
   BatchResult insert_column_batch(uint64_t txn_id, uint32_t table_id,
@@ -436,11 +395,12 @@ class Engine {
   Status insert_row_latched(Transaction& txn, uint32_t table_id,
                             const Row& row, OpCosts& costs, uint32_t extent);
   // Fast path of insert_column_batch (pre-checked eligible): settle
-  // constraints for the whole run under one exclusive index-latch window,
-  // append the surviving prefix to the heap in one latched batch, log one
-  // kInsertBatch record, and merge each tree's sorted run. `pk_keys` holds
-  // the encoded PK of every submitted row (strictly increasing). Fills
-  // `result` (rows_applied / error / costs) in place.
+  // constraints for the whole run under the shared index latch, append the
+  // surviving prefix to the heap as one pending batch (extent latch only),
+  // then under the exclusive index latch re-check primary keys, log one
+  // kInsertBatch record, publish, and merge each tree's sorted run.
+  // `pk_keys` holds the encoded PK of every submitted row (strictly
+  // increasing). Fills `result` (rows_applied / error / costs) in place.
   void insert_column_run_latched(Transaction& txn, uint32_t table_id,
                                  const ColumnBatch& batch, size_t first,
                                  size_t count,

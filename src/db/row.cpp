@@ -120,14 +120,6 @@ Result<Row> decode_row(std::string_view bytes) {
   return row;
 }
 
-size_t row_memory_bytes(const Row& row) {
-  size_t bytes = sizeof(Row) + row.size() * sizeof(Value);
-  for (const Value& value : row) {
-    if (value.is_str()) bytes += value.as_str().capacity();
-  }
-  return bytes;
-}
-
 std::string row_to_display(const Row& row) {
   std::string out = "(";
   for (size_t i = 0; i < row.size(); ++i) {

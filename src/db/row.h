@@ -20,9 +20,6 @@ std::string encode_row(const Row& row);
 
 Result<Row> decode_row(std::string_view bytes);
 
-// Rough in-memory footprint of a buffered row (array-set accounting).
-size_t row_memory_bytes(const Row& row);
-
 std::string row_to_display(const Row& row);
 
 }  // namespace sky::db

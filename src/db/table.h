@@ -114,6 +114,11 @@ class Table {
 
   uint32_t heap_cache_file_id = 0;
   uint32_t pk_cache_file_id = 0;
+  // PK-tree publishes by inserts, bumped under the index latch exclusive
+  // (read under it shared or exclusive). A columnar run skips its
+  // exclusive-phase primary-key re-check when the count has not moved since
+  // its shared-phase check: no other session published a key in between.
+  uint64_t key_publishes = 0;
   // Engine table ids of this table's FK parents, aligned with
   // def().foreign_keys (resolved once by the engine constructor so the
   // per-row FK probe does no name lookups).

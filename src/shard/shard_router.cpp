@@ -230,9 +230,9 @@ int ShardRouter::shard_of_row(uint32_t table_id, const Row& row) const {
   return 0;
 }
 
-int ShardRouter::shard_of_batch_row(uint32_t table_id,
-                                    const ColumnBatch& batch,
-                                    size_t row) const {
+int ShardRouter::shard_of_column_row(uint32_t table_id,
+                                     const ColumnBatch& batch,
+                                     size_t row) const {
   if (policy_.shard_count <= 1) return 0;
   const TableRoute& route = routes_[table_id];
   switch (route.kind) {

@@ -56,8 +56,8 @@ class ShardRouter {
 
   // Route one row of `table_id` (full row / columnar row).
   int shard_of_row(uint32_t table_id, const Row& row) const;
-  int shard_of_batch_row(uint32_t table_id, const ColumnBatch& batch,
-                         size_t row) const;
+  int shard_of_column_row(uint32_t table_id, const ColumnBatch& batch,
+                          size_t row) const;
 
   // Is the table routed by sky position (rules 1-3)? Spatially routed
   // tables keep each index-depth trixel's rows on one shard.

@@ -11,7 +11,7 @@
 //     row order — the JDBC prefix contract (earlier rows stay applied, the
 //     first failure's index is reported, the tail is discarded) holds
 //     exactly as on one engine. Columnar batches split into sub-ranges of
-//     the same ColumnBatch, so the one-latch columnar fast path is kept.
+//     the same ColumnBatch, so the batched columnar fast path is kept.
 //   * read_view() / view_at() return a ShardedReadView implementing the
 //     ReadView method set by scatter-gather: point lookups short-circuit to
 //     the owning shard when the router can derive it, range reads merge

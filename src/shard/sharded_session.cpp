@@ -100,14 +100,14 @@ client::BatchOutcome ShardedSession::execute_column_batch(
   size_t run_start = first;
   const size_t end = first + count;
   while (run_start < end) {
-    const int shard = router.shard_of_batch_row(table, batch, run_start);
+    const int shard = router.shard_of_column_row(table, batch, run_start);
     size_t run_end = run_start + 1;
     while (run_end < end &&
-           router.shard_of_batch_row(table, batch, run_end) == shard) {
+           router.shard_of_column_row(table, batch, run_end) == shard) {
       ++run_end;
     }
     // Sub-range of the same ColumnBatch: the owning shard takes the
-    // one-latch columnar fast path, nothing is materialized here.
+    // batched columnar fast path, nothing is materialized here.
     client::BatchOutcome run = session_for(shard).execute_column_batch(
         table, batch, run_start, run_end - run_start);
     outcome.applied += run.applied;

@@ -94,16 +94,13 @@ ShardedHeap::BatchAppendResult ShardedHeap::append_batch(
   for (std::string& row_bytes : rows) {
     batch_bytes += static_cast<int64_t>(row_bytes.size());
     const HeapFile::AppendResult appended =
-        target.file.append(std::move(row_bytes));
+        target.file.append_pending(std::move(row_bytes));
     result.slots.push_back(appended.slot);
     result.views.push_back(appended.bytes);
     if (appended.opened_new_page) ++result.pages_opened;
   }
   pages_.fetch_add(result.pages_opened, std::memory_order_relaxed);
   target.appended_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
-  live_rows_.fetch_add(static_cast<int64_t>(rows.size()),
-                       std::memory_order_relaxed);
-  total_bytes_.fetch_add(batch_bytes, std::memory_order_relaxed);
   if (append_write_latency_ > 0) {
     // One modeled device write per row, paid as a single sleep under the
     // extent latch (same total as the row path, one syscall).
@@ -125,6 +122,30 @@ Status ShardedHeap::publish(SlotId slot) {
   total_bytes_.fetch_add(
       bytes.is_ok() ? static_cast<int64_t>(bytes->size()) : 0,
       std::memory_order_relaxed);
+  return ok_status();
+}
+
+Status ShardedHeap::publish_batch(std::span<const SlotId> slots) {
+  size_t begin = 0;
+  while (begin < slots.size()) {
+    const uint32_t e = slots[begin].extent;
+    if (e >= extent_count()) {
+      return Status(ErrorCode::kNotFound, "heap extent out of range");
+    }
+    size_t end = begin;
+    while (end < slots.size() && slots[end].extent == e) ++end;
+    Extent& extent = *extents_[e];
+    const std::unique_lock<std::shared_mutex> latch(extent.latch);
+    const int64_t bytes_before = extent.file.total_bytes();
+    for (size_t i = begin; i < end; ++i) {
+      SKY_RETURN_IF_ERROR(extent.file.publish(slots[i]));
+    }
+    live_rows_.fetch_add(static_cast<int64_t>(end - begin),
+                         std::memory_order_relaxed);
+    total_bytes_.fetch_add(extent.file.total_bytes() - bytes_before,
+                           std::memory_order_relaxed);
+    begin = end;
+  }
   return ok_status();
 }
 

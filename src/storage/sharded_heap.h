@@ -33,6 +33,8 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -72,13 +74,13 @@ class ShardedHeap {
   Status publish(SlotId slot);
   Status discard(SlotId slot);
 
-  // Batch append: every row lands live in the given extent under ONE latch
-  // acquisition (the columnar ingest hot path — constraints are settled
-  // under the exclusive index latch before this is called, so the rows skip
-  // the pending/publish handshake). Slot layout is identical to the same
-  // rows appended one by one; the modeled per-append device write is slept
-  // once for the whole batch (rows.size() x append_write_latency) under the
-  // latch, preserving the one-write-stream-per-extent contention model.
+  // Batch append for the columnar insert path: every row lands pending in
+  // the given extent under ONE latch acquisition, hidden until
+  // publish_batch() (discard() drops one). Slot layout is identical to the
+  // same rows appended one by one; the modeled per-append device write is
+  // slept once for the whole batch (rows.size() x append_write_latency)
+  // under the latch, preserving the one-write-stream-per-extent contention
+  // model.
   struct BatchAppendResult {
     std::vector<SlotId> slots;   // one per row, in submission order
     // Views of the stored rows, aligned with `slots` (stable views).
@@ -88,6 +90,9 @@ class ShardedHeap {
   };
   BatchAppendResult append_batch(uint32_t extent,
                                  std::vector<std::string> rows);
+  // Make pending rows live, taking each slot's extent latch once per run of
+  // same-extent slots. Errors if a slot is not pending.
+  Status publish_batch(std::span<const SlotId> slots);
 
   Result<std::string_view> read(SlotId slot) const;
   Status mark_deleted(SlotId slot);

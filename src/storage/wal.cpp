@@ -84,7 +84,7 @@ int64_t WriteAheadLog::write_out_locked(std::unique_lock<std::mutex>& lock) {
   return flushed;
 }
 
-WalFlushResult WriteAheadLog::flush(bool expect_group) {
+WalFlushResult WriteAheadLog::flush(bool expect_group, int64_t group_target) {
   WalFlushResult result;
   std::unique_lock<std::mutex> lock(mu_);
   if (options_.durability == DurabilityMode::kRelaxed) {
@@ -99,8 +99,7 @@ WalFlushResult WriteAheadLog::flush(bool expect_group) {
   ++stats_.commit_requests;
   ++committers_waiting_;
   // A newly queued committer may complete a leader's group.
-  if (leader_in_window_ &&
-      committers_waiting_ >= options_.max_group_commits) {
+  if (leader_in_window_ && committers_waiting_ >= window_target_) {
     window_cv_.notify_all();
   }
   bool waited = false;
@@ -122,8 +121,14 @@ WalFlushResult WriteAheadLog::flush(bool expect_group) {
   // Become the flush leader for everything appended so far (possibly more
   // than `want` — later appends ride along for free).
   flush_in_progress_ = true;
+  // Re-read on every wakeup: set_commit_policy may lower the cap live.
+  const auto target = [&] {
+    return group_target > 0
+               ? std::min(group_target, options_.max_group_commits)
+               : options_.max_group_commits;
+  };
   if (options_.commit_window > 0 && (pending_multi_txn_ || expect_group) &&
-      committers_waiting_ < options_.max_group_commits) {
+      committers_waiting_ < target()) {
     // Hold the device write open so commits closing in behind us fold into
     // this flush. The wait is on a condition variable, so the log mutex is
     // free and loaders keep appending meanwhile.
@@ -131,8 +136,11 @@ WalFlushResult WriteAheadLog::flush(bool expect_group) {
     const Nanos wait_start = steady_now();
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::nanoseconds(options_.commit_window);
-    while (committers_waiting_ < options_.max_group_commits &&
-           !window_close_requested_) {
+    while (true) {
+      window_target_ = target();
+      if (committers_waiting_ >= window_target_ || window_close_requested_) {
+        break;
+      }
       if (window_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
         break;
       }

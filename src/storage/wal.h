@@ -161,8 +161,11 @@ class WriteAheadLog {
   // single-transaction to hold the window anyway because concurrent
   // committers exist whose appends have not landed yet (the engine passes
   // its live-transaction count); a truly lone caller leaves it false and
-  // never waits.
-  WalFlushResult flush(bool expect_group = false);
+  // never waits. group_target, when positive, is how many committers can
+  // possibly join (the engine's live-transaction count, the caller
+  // included): the window closes once that many are queued, or at
+  // max_group_commits if that is smaller.
+  WalFlushResult flush(bool expect_group = false, int64_t group_target = 0);
 
   // Force pending redo to the device regardless of durability mode (the
   // relaxed-mode checkpoint). Never waits a coalescing window. Returns the
@@ -194,6 +197,7 @@ class WriteAheadLog {
   std::condition_variable window_cv_;  // wakes a leader holding the window
   bool flush_in_progress_ = false;
   bool leader_in_window_ = false;
+  int64_t window_target_ = 0;  // queued committers that close the window
   bool window_close_requested_ = false;  // sync() asked the leader to write
   int64_t committers_waiting_ = 0;  // flush() callers not yet covered
   uint64_t append_seq_ = 0;   // records appended so far

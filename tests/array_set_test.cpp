@@ -20,19 +20,26 @@ db::Schema tiny_schema() {
   return schema;
 }
 
-db::Row make_row(int64_t id, std::string payload = "x") {
-  return {db::Value::i64(id), db::Value::str(std::move(payload))};
+db::ColumnBatch make_batch(const db::Schema& schema, uint32_t table_id,
+                           int64_t first_id, int rows,
+                           const std::string& payload = "payload") {
+  db::ColumnBatch batch(schema.table(table_id));
+  for (int i = 0; i < rows; ++i) {
+    batch.push_i64(0, first_id + i);
+    batch.push_str(1, payload);
+  }
+  return batch;
 }
 
 TEST(ArraySetTest, ArraysCreatedOnDemand) {
   const db::Schema schema = tiny_schema();
   ArraySet set(schema, ArraySet::Config{});
   EXPECT_EQ(set.active_arrays(), 0);
-  set.append(1, make_row(1));
+  set.append_batch(1, make_batch(schema, 1, 1, 1));
   EXPECT_EQ(set.active_arrays(), 1);
-  set.append(0, make_row(2));
+  set.append_batch(0, make_batch(schema, 0, 2, 1));
   EXPECT_EQ(set.active_arrays(), 2);
-  set.append(1, make_row(3));
+  set.append_batch(1, make_batch(schema, 1, 3, 1));
   EXPECT_EQ(set.active_arrays(), 2);
   EXPECT_EQ(set.buffered_rows(), 3);
 }
@@ -43,10 +50,10 @@ TEST(ArraySetTest, FlushTriggersAtCapacity) {
   config.default_rows = 5;
   ArraySet set(schema, config);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(set.append(0, make_row(i)));
+    EXPECT_FALSE(set.append_batch(0, make_batch(schema, 0, i, 1)));
   }
   EXPECT_FALSE(set.should_flush());
-  EXPECT_TRUE(set.append(0, make_row(4)));
+  EXPECT_TRUE(set.append_batch(0, make_batch(schema, 0, 4, 1)));
   EXPECT_TRUE(set.should_flush());
 }
 
@@ -58,9 +65,9 @@ TEST(ArraySetTest, PerTableCapacityOverride) {
   ArraySet set(schema, config);
   EXPECT_EQ(set.capacity_for(0), 100);
   EXPECT_EQ(set.capacity_for(1), 3);
-  set.append(1, make_row(1));
-  set.append(1, make_row(2));
-  EXPECT_TRUE(set.append(1, make_row(3)));
+  set.append_batch(1, make_batch(schema, 1, 1, 1));
+  set.append_batch(1, make_batch(schema, 1, 2, 1));
+  EXPECT_TRUE(set.append_batch(1, make_batch(schema, 1, 3, 1)));
 }
 
 TEST(ArraySetTest, HighWaterMarkTriggersFlush) {
@@ -71,7 +78,8 @@ TEST(ArraySetTest, HighWaterMarkTriggersFlush) {
   ArraySet set(schema, config);
   bool triggered = false;
   for (int i = 0; i < 1000 && !triggered; ++i) {
-    triggered = set.append(0, make_row(i, std::string(100, 'p')));
+    triggered =
+        set.append_batch(0, make_batch(schema, 0, i, 1, std::string(100, 'p')));
   }
   EXPECT_TRUE(triggered);
   EXPECT_GE(set.footprint_bytes(), 4096);
@@ -81,12 +89,12 @@ TEST(ArraySetTest, HighWaterMarkTriggersFlush) {
 TEST(ArraySetTest, TopoOrderIterationIsParentFirst) {
   const db::Schema schema = tiny_schema();
   ArraySet set(schema, ArraySet::Config{});
-  set.append(2, make_row(30));  // grandchild buffered first
-  set.append(0, make_row(10));
-  set.append(1, make_row(20));
+  set.append_batch(2, make_batch(schema, 2, 30, 1));  // grandchild first
+  set.append_batch(0, make_batch(schema, 0, 10, 1));
+  set.append_batch(1, make_batch(schema, 1, 20, 1));
   std::vector<uint32_t> order;
-  set.for_each_in_topo_order(
-      [&](uint32_t table_id, const std::vector<db::Row>&) {
+  set.for_each_batch_in_topo_order(
+      [&](uint32_t table_id, const db::ColumnBatch&) {
         order.push_back(table_id);
       });
   EXPECT_EQ(order, (std::vector<uint32_t>{0, 1, 2}));
@@ -95,14 +103,14 @@ TEST(ArraySetTest, TopoOrderIterationIsParentFirst) {
 TEST(ArraySetTest, ClearReleasesEverything) {
   const db::Schema schema = tiny_schema();
   ArraySet set(schema, ArraySet::Config{});
-  for (int i = 0; i < 50; ++i) set.append(0, make_row(i));
+  set.append_batch(0, make_batch(schema, 0, 0, 50));
   set.clear();
   EXPECT_EQ(set.buffered_rows(), 0);
   EXPECT_EQ(set.footprint_bytes(), 0);
   EXPECT_EQ(set.active_arrays(), 0);
   EXPECT_FALSE(set.should_flush());
   // Usable again after clear.
-  set.append(1, make_row(1));
+  set.append_batch(1, make_batch(schema, 1, 1, 1));
   EXPECT_EQ(set.buffered_rows(), 1);
 }
 
@@ -139,18 +147,6 @@ TEST(ArraySetTest, ConfigRejectsBadValues) {
   auto bad_per_table = Config::parse("[array_set]\nchildren = 0\n");
   ASSERT_TRUE(bad_per_table.is_ok());
   EXPECT_FALSE(ArraySet::Config::from_config(*bad_per_table, schema).is_ok());
-}
-
-// -------------------------------------------------------- columnar buffers ---
-
-db::ColumnBatch make_batch(const db::Schema& schema, uint32_t table_id,
-                           int64_t first_id, int rows) {
-  db::ColumnBatch batch(schema.table(table_id));
-  for (int i = 0; i < rows; ++i) {
-    batch.push_i64(0, first_id + i);
-    batch.push_str(1, "payload");
-  }
-  return batch;
 }
 
 TEST(ArraySetTest, AppendBatchMergesAndTriggersAtCapacity) {
@@ -222,19 +218,6 @@ TEST(ArraySetTest, ClearKeepBuffersRetainsLayoutAndResetsCounters) {
         ASSERT_EQ(batch.size(), 4u);
         EXPECT_EQ(batch.i64_at(0, 0), 100);
       });
-}
-
-TEST(ArraySetTest, RowAndBatchFootprintsBothFeedHighWater) {
-  const db::Schema schema = tiny_schema();
-  ArraySet::Config config;
-  config.default_rows = 1000000;
-  config.memory_high_water_bytes = 100000;
-  ArraySet set(schema, config);
-  set.append(0, make_row(1));
-  const int64_t row_only = set.footprint_bytes();
-  EXPECT_GT(row_only, 0);
-  set.append_batch(1, make_batch(schema, 1, 0, 8));
-  EXPECT_GT(set.footprint_bytes(), row_only);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "client/sim_session.h"
 #include "core/bulk_loader.h"
 #include "core/non_bulk_loader.h"
+#include "core/tuning.h"
 #include "db/engine.h"
 
 namespace sky::core {
@@ -394,50 +395,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ErrorRateParams{82, 0.15, 13, 500},
                       ErrorRateParams{83, 0.05, 80, 2500}));
 
-// Bulk and non-bulk load exactly the same set of rows.
-TEST(LoaderEquivalenceTest, BulkMatchesNonBulk) {
-  const db::Schema schema = catalog::make_pq_schema();
-  catalog::FileSpec spec;
-  spec.seed = 61;
-  spec.unit_id = 31;
-  spec.target_bytes = 64 * 1024;
-  spec.error_rate = 0.05;
-  const auto file = catalog::CatalogGenerator::generate(spec);
-  const std::string reference =
-      catalog::CatalogGenerator::reference_file().text;
-
-  auto load_with = [&](bool bulk) {
-    db::Engine engine(schema);
-    client::DirectSession session(engine);
-    BulkLoaderOptions ref_options;
-    ref_options.write_audit_row = false;
-    BulkLoader ref_loader(session, schema, ref_options);
-    EXPECT_TRUE(ref_loader.load_text("reference", reference).is_ok());
-    std::map<std::string, int64_t> loaded;
-    if (bulk) {
-      BulkLoaderOptions options;
-      options.write_audit_row = false;
-      BulkLoader loader(session, schema, options);
-      const auto report = loader.load_text("f", file.text);
-      EXPECT_TRUE(report.is_ok());
-      loaded = report->loaded_per_table;
-    } else {
-      NonBulkLoader loader(session, schema);
-      const auto report = loader.load_text("f", file.text);
-      EXPECT_TRUE(report.is_ok());
-      loaded = report->loaded_per_table;
-    }
-    EXPECT_TRUE(engine.verify_integrity().is_ok());
-    return loaded;
-  };
-  EXPECT_EQ(load_with(true), load_with(false));
-}
-
-// The columnar ingest pipeline is a performance path, not a semantics
-// change: on the same corrupted input it must produce a byte-identical
-// repository (extent/page/slot and encoded bytes per table), the same
-// report counters, and the same parser statistics as the row path.
-TEST(LoaderEquivalenceTest, ColumnarMatchesRowPathExactly) {
+// NonBulkLoader is the reference implementation: the line parser and one
+// database call per row, in file order. The bulk pipeline (block parse,
+// per-table column buffers, parent-first batches, skip-and-repack) at the
+// production sizes must leave a byte-identical repository on the same
+// corrupted input (extent/page/slot and encoded bytes per table), with the
+// same report counters and the same parser line and row counts.
+TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
   const db::Schema schema = catalog::make_pq_schema();
   catalog::FileSpec spec;
   spec.seed = 71;
@@ -456,7 +420,7 @@ TEST(LoaderEquivalenceTest, ColumnarMatchesRowPathExactly) {
              std::vector<std::tuple<uint32_t, uint32_t, uint32_t, std::string>>>
         heap;
   };
-  auto load_with = [&](bool columnar) {
+  auto load_with = [&](bool bulk) {
     db::Engine engine(schema);
     client::DirectSession session(engine);
     BulkLoaderOptions ref_options;
@@ -465,15 +429,21 @@ TEST(LoaderEquivalenceTest, ColumnarMatchesRowPathExactly) {
     EXPECT_TRUE(ref_loader.load_text("reference", reference).is_ok());
 
     Snapshot snap;
-    BulkLoaderOptions options;
-    options.write_audit_row = false;
-    options.max_error_details = 1 << 20;
-    options.columnar_ingest = columnar;
-    BulkLoader loader(session, schema, options);
-    const auto report = loader.load_text("diff.cat", file.text);
-    EXPECT_TRUE(report.is_ok());
-    snap.report = *report;
-    snap.stats = loader.parser_stats();
+    if (bulk) {
+      BulkLoaderOptions options = TuningProfile::production().bulk_options();
+      options.write_audit_row = false;
+      BulkLoader loader(session, schema, options);
+      const auto report = loader.load_text("diff.cat", file.text);
+      EXPECT_TRUE(report.is_ok());
+      snap.report = *report;
+      snap.stats = loader.parser_stats();
+    } else {
+      NonBulkLoader loader(session, schema);
+      const auto report = loader.load_text("diff.cat", file.text);
+      EXPECT_TRUE(report.is_ok());
+      snap.report = *report;
+      snap.stats = loader.parser_stats();
+    }
     EXPECT_TRUE(engine.verify_integrity().is_ok());
     for (const auto& table : schema.tables()) {
       const uint32_t table_id = engine.table_id(table.name).value();
@@ -491,29 +461,30 @@ TEST(LoaderEquivalenceTest, ColumnarMatchesRowPathExactly) {
     return snap;
   };
 
-  const Snapshot row = load_with(false);
-  const Snapshot columnar = load_with(true);
+  const Snapshot reference_load = load_with(/*bulk=*/false);
+  const Snapshot bulk = load_with(/*bulk=*/true);
 
   // Same rows loaded, same rows rejected, at both stages.
-  EXPECT_EQ(columnar.report.rows_parsed, row.report.rows_parsed);
-  EXPECT_EQ(columnar.report.parse_errors, row.report.parse_errors);
-  EXPECT_EQ(columnar.report.rows_loaded, row.report.rows_loaded);
-  EXPECT_EQ(columnar.report.rows_skipped_server,
-            row.report.rows_skipped_server);
-  EXPECT_EQ(columnar.report.loaded_per_table, row.report.loaded_per_table);
-  EXPECT_EQ(columnar.report.errors.size(), row.report.errors.size());
-  EXPECT_GT(columnar.report.rows_skipped_server, 0);  // errors exercised
+  EXPECT_EQ(bulk.report.rows_parsed, reference_load.report.rows_parsed);
+  EXPECT_EQ(bulk.report.parse_errors, reference_load.report.parse_errors);
+  EXPECT_EQ(bulk.report.rows_loaded, reference_load.report.rows_loaded);
+  EXPECT_EQ(bulk.report.rows_skipped_server,
+            reference_load.report.rows_skipped_server);
+  EXPECT_EQ(bulk.report.loaded_per_table,
+            reference_load.report.loaded_per_table);
+  EXPECT_GT(bulk.report.rows_skipped_server, 0);  // errors exercised
+  EXPECT_GT(bulk.report.parse_errors, 0);
 
-  // The vectorized parser saw the same file the line parser did.
-  EXPECT_EQ(columnar.stats.lines, row.stats.lines);
-  EXPECT_EQ(columnar.stats.data_rows, row.stats.data_rows);
-  EXPECT_EQ(columnar.stats.comment_lines, row.stats.comment_lines);
-  EXPECT_EQ(columnar.stats.parse_errors, row.stats.parse_errors);
-  EXPECT_EQ(columnar.stats.htmids_computed, row.stats.htmids_computed);
+  // The block parser saw the same file the line parser did.
+  EXPECT_EQ(bulk.stats.lines, reference_load.stats.lines);
+  EXPECT_EQ(bulk.stats.data_rows, reference_load.stats.data_rows);
+  EXPECT_EQ(bulk.stats.comment_lines, reference_load.stats.comment_lines);
+  EXPECT_EQ(bulk.stats.parse_errors, reference_load.stats.parse_errors);
+  EXPECT_EQ(bulk.stats.htmids_computed, reference_load.stats.htmids_computed);
 
   // Physically identical heaps: same extent, page, slot, and bytes.
-  for (const auto& [table, expected] : row.heap) {
-    EXPECT_EQ(columnar.heap.at(table), expected) << table;
+  for (const auto& [table, expected] : reference_load.heap) {
+    EXPECT_EQ(bulk.heap.at(table), expected) << table;
   }
 }
 

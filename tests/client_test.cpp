@@ -7,6 +7,7 @@
 
 #include "client/session.h"
 #include "client/sim_session.h"
+#include "core/bulk_loader.h"
 #include "db/engine.h"
 #include "sim/environment.h"
 
@@ -153,12 +154,13 @@ TEST(CostModelTest, CalibratedSpeedupInPaperRange) {
   const double call_overhead =
       static_cast<double>(costs.client_call_overhead + costs.wire_latency * 2 +
                           costs.server_call_overhead);
-  const double non_bulk_per_row =
-      call_overhead + row_server + static_cast<double>(costs.client_row_parse);
+  // Client-side parse price, charged by both loaders.
+  const double parse =
+      static_cast<double>(core::BulkLoaderOptions{}.client_parse_cost_per_row);
+  const double non_bulk_per_row = call_overhead + row_server + parse;
   const double b = 40;
   const double bulk_per_row =
-      call_overhead / b + row_server +
-      static_cast<double>(costs.client_row_parse) +
+      call_overhead / b + row_server + parse +
       b * static_cast<double>(costs.client_marshal_per_row_per_batchrow);
   const double speedup = non_bulk_per_row / bulk_per_row;
   EXPECT_GE(speedup, 6.5) << "speedup=" << speedup;
@@ -277,7 +279,7 @@ TEST(SimSessionTest, TransactionSlotsLimitConcurrency) {
   db::Engine engine(two_table_schema());
   sim::Environment env;
   ServerConfig config;
-  config.concurrency.max_concurrent_transactions = 2;
+  config.policies.concurrency.max_concurrent_transactions = 2;
   SimServer server(env, engine, config);
   // Three loaders each hold a transaction for a long client compute; the
   // third must wait for a slot (virtual time shows serialization).

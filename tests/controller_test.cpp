@@ -357,8 +357,8 @@ db::Schema two_table_schema() {
 TEST(DeadlockDetectorTest, CycleVictimAbortsAndSurvivorCommits) {
   const db::Schema schema = two_table_schema();
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 1;
-  options.concurrency.stall_probability = 0;
+  options.policies.concurrency.itl_slots_per_table = 1;
+  options.policies.concurrency.stall_probability = 0;
   db::Engine engine(schema, options);
   const uint32_t table_a = engine.table_id("a").value();
   const uint32_t table_b = engine.table_id("b").value();
@@ -403,8 +403,8 @@ TEST(DeadlockDetectorTest, CycleVictimAbortsAndSurvivorCommits) {
 TEST(DeadlockDetectorTest, OrderedWritesNeverRefused) {
   const db::Schema schema = two_table_schema();
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 1;
-  options.concurrency.stall_probability = 0;
+  options.policies.concurrency.itl_slots_per_table = 1;
+  options.policies.concurrency.stall_probability = 0;
   db::Engine engine(schema, options);
   const uint32_t table_a = engine.table_id("a").value();
   const uint32_t table_b = engine.table_id("b").value();
@@ -441,9 +441,10 @@ TEST(DeadlockDetectorTest, OrderedWritesNeverRefused) {
 TEST(ControlPlaneConcurrencyTest, UpdatePoliciesVsLoadHammer) {
   const db::Schema schema = two_table_schema();
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 4;
-  options.concurrency.stall_probability = 0;  // no 12s stall draws in a test
-  options.commit_window = kMillisecond / 4;
+  options.policies.concurrency.itl_slots_per_table = 4;
+  // No 12 s stall draws in a test.
+  options.policies.concurrency.stall_probability = 0;
+  options.policies.commit.commit_window = kMillisecond / 4;
   db::Engine engine(schema, options);
   const uint32_t table_a = engine.table_id("a").value();
   const uint32_t table_b = engine.table_id("b").value();

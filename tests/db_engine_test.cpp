@@ -246,7 +246,7 @@ TEST_F(EngineTest, InsertIntoUnknownTransactionFails) {
 TEST_F(EngineTest, TransactionGateLimitsConcurrency) {
   Schema schema = frames_objects_schema();
   EngineOptions options;
-  options.concurrency.max_concurrent_transactions = 2;
+  options.policies.concurrency.max_concurrent_transactions = 2;
   Engine engine(std::move(schema), options);
   const uint64_t t1 = engine.begin_transaction();
   const uint64_t t2 = engine.begin_transaction();

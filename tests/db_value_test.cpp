@@ -158,12 +158,6 @@ TEST_P(RowCodecFuzz, RandomRowsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RowCodecFuzz, ::testing::Values(7, 8, 9));
 
-TEST(RowMemoryTest, GrowsWithStringContent) {
-  const Row small = {Value::i64(1)};
-  const Row big = {Value::i64(1), Value::str(std::string(1000, 'x'))};
-  EXPECT_GT(row_memory_bytes(big), row_memory_bytes(small) + 900);
-}
-
 // ---------------------------------------------------------------- Schema ---
 
 TableDef simple_table(std::string name) {

@@ -5,6 +5,7 @@
 // Run under ThreadSanitizer in CI (SKY_SANITIZE=thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -334,6 +335,75 @@ TEST(EngineConcurrencyTest, ShardedSameTableAppendRollbackScanStress) {
   EXPECT_TRUE(engine.verify_integrity().is_ok());
 }
 
+// Column-batch writers racing on the same primary keys over a sharded
+// heap: every writer submits the same strictly increasing key range, so
+// between a run's shared-latch constraint check and its exclusive-latch
+// publish another writer can publish a conflicting key. The loser must
+// discard its pending rows from the conflict on and report a primary-key
+// error at that index. Afterwards every key exists exactly once, nothing
+// pending is visible, and the engine audits clean.
+TEST(EngineConcurrencyTest, ColumnBatchKeyRaceDiscardsLosers) {
+  db::Schema schema;
+  db::TableDef hot;
+  hot.name = "hot";
+  hot.col("id", db::ColumnType::kInt64, false);
+  hot.col("payload", db::ColumnType::kString);
+  hot.primary_key = {"id"};
+  ASSERT_TRUE(schema.add_table(hot).is_ok());
+  db::EngineOptions options;
+  options.heap_extents = 4;
+  db::Engine engine(schema, options);
+  const uint32_t tid = engine.table_id("hot").value();
+
+  constexpr int kWriters = 6;
+  constexpr int64_t kBatches = 40;
+  constexpr int64_t kRows = 16;  // per batch
+  std::atomic<int64_t> applied{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const uint64_t txn = engine.begin_transaction();
+      int64_t mine = 0;
+      for (int64_t b = 0; b < kBatches; ++b) {
+        db::ColumnBatch batch(engine.schema().table(tid));
+        for (int64_t j = 0; j < kRows; ++j) {
+          batch.push_i64(0, b * kRows + j);
+          batch.push_str(1, "w" + std::to_string(w));
+        }
+        const db::BatchResult result =
+            engine.insert_column_batch(txn, tid, batch);
+        mine += result.rows_applied;
+        if (result.error.has_value()) {
+          EXPECT_EQ(result.error->status.code(),
+                    ErrorCode::kConstraintPrimaryKey);
+          EXPECT_EQ(result.error->row_index,
+                    static_cast<size_t>(result.rows_applied));
+        }
+      }
+      EXPECT_TRUE(engine.commit(txn).is_ok());
+      applied.fetch_add(mine);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(applied.load(), kBatches * kRows);
+  EXPECT_EQ(engine.live_view().row_count(tid), kBatches * kRows);
+  std::vector<int64_t> ids;
+  EXPECT_TRUE(engine.live_view()
+                  .scan_heap(tid,
+                             [&](storage::SlotId, std::string_view bytes) {
+                               ids.push_back(
+                                   db::decode_row(bytes).value()[0].as_i64());
+                             })
+                  .is_ok());
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(static_cast<int64_t>(ids.size()), kBatches * kRows);
+  for (int64_t i = 0; i < kBatches * kRows; ++i) {
+    EXPECT_EQ(ids[static_cast<size_t>(i)], i);
+  }
+  EXPECT_TRUE(engine.verify_integrity().is_ok());
+}
+
 // ITL admission: six writers hammer one table gated at two slots, with
 // commits and deliberate rollbacks mixed in. The gate must actually queue
 // (waits observed), never lose a release on the abort path (in_use back to
@@ -347,7 +417,8 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
   hot.primary_key = {"id"};
   ASSERT_TRUE(schema.add_table(hot).is_ok());
   db::EngineOptions options;
-  options.concurrency.itl_slots_per_table = 2;  // slots < writers: must queue
+  // Slots < writers: must queue.
+  options.policies.concurrency.itl_slots_per_table = 2;
   db::Engine engine(schema, options);
   const uint32_t tid = engine.table_id("hot").value();
 

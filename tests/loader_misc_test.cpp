@@ -151,9 +151,16 @@ TEST(TuningProfileTest, OptionMappings) {
   EXPECT_EQ(engine_options.cache_pages, production.server_cache_pages);
   EXPECT_EQ(engine_options.device_layout.physical_devices, 3);
   const auto bulk = production.bulk_options();
-  EXPECT_EQ(bulk.batch_size, 40);
-  EXPECT_EQ(bulk.array_config.default_rows, 1000);
+  EXPECT_EQ(bulk.batch_size, 4000);
+  EXPECT_EQ(bulk.array_config.default_rows, 4000);
+  EXPECT_EQ(bulk.array_config.memory_high_water_bytes, 600 * 1024);
   EXPECT_EQ(bulk.commit.every_cycles, 0);
+
+  // The paper's section 4.5 sizes, with no high-water mark.
+  const auto paper = TuningProfile::paper_2005().bulk_options();
+  EXPECT_EQ(paper.batch_size, 40);
+  EXPECT_EQ(paper.array_config.default_rows, 1000);
+  EXPECT_FALSE(paper.array_config.memory_high_water_bytes.has_value());
 
   const TuningProfile untuned = TuningProfile::untuned_2004();
   EXPECT_EQ(untuned.bulk_options().batch_size, 1);  // non-bulk => batch 1

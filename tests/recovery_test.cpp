@@ -126,7 +126,11 @@ TEST(RecoveryTest, EmptyLogRecoversEmptyEngine) {
 
 TEST(RecoveryTest, FullLoaderRunRoundTrips) {
   // A real bulk load — with error rows skipped mid-batch — replays from the
-  // WAL into an equivalent repository.
+  // WAL into an equivalent repository. The loader logs one kInsertBatch
+  // record per extent append instead of a record per row; replay must
+  // rebuild an extent-identical repository from those batch records, the
+  // same live rows in the same extents as the source engine,
+  // deterministically down to page and slot across repeated replays.
   const Schema schema = catalog::make_pq_schema();
   EngineOptions options = retain_options();
   Engine engine(schema, options);
@@ -148,13 +152,75 @@ TEST(RecoveryTest, FullLoaderRunRoundTrips) {
   ASSERT_TRUE(report.is_ok());
   ASSERT_GT(report->rows_skipped_server, 0);  // recovery under mid-batch skips
 
+  // The load actually took the batch-logging path.
+  const auto records = engine.wal_records();
+  int64_t batch_records = 0;
+  for (const auto& record : records) {
+    if (record.type == storage::WalRecordType::kInsertBatch) ++batch_records;
+  }
+  EXPECT_GT(batch_records, 0);
+
   RecoveryStats stats;
   const auto recovered =
-      recover_from_wal(schema, engine.wal_records(), EngineOptions{}, &stats);
+      recover_from_wal(schema, records, EngineOptions{}, &stats);
   ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
   EXPECT_EQ(stats.rows_replayed, engine.total_rows());
   EXPECT_TRUE(engines_equivalent(engine, **recovered).is_ok());
   EXPECT_TRUE((*recovered)->verify_integrity().is_ok());
+
+  // Extent-identical: per table, live rows grouped by extent match the
+  // source exactly (page/slot may differ where skipped rows left holes).
+  for (int t = 0; t < schema.table_count(); ++t) {
+    const uint32_t tid = static_cast<uint32_t>(t);
+    std::multiset<std::pair<uint32_t, std::string>> original, replayed;
+    ASSERT_TRUE(engine.live_view()
+                    .scan_heap(tid,
+                               [&](storage::SlotId slot,
+                                   std::string_view bytes) {
+                                 original.emplace(slot.extent,
+                                                  std::string(bytes));
+                               })
+                    .is_ok());
+    ASSERT_TRUE((*recovered)->live_view()
+                    .scan_heap(tid,
+                                [&](storage::SlotId slot,
+                                    std::string_view bytes) {
+                                  replayed.emplace(slot.extent,
+                                                   std::string(bytes));
+                                })
+                    .is_ok());
+    EXPECT_EQ(original, replayed) << "table " << schema.table(tid).name;
+  }
+
+  // Deterministic replay: two recoveries of the same batch records agree
+  // byte-for-byte on physical layout.
+  const auto again = recover_from_wal(schema, records);
+  ASSERT_TRUE(again.is_ok());
+  using PhysicalRow =
+      std::tuple<uint32_t, uint32_t, uint32_t, uint32_t, std::string>;
+  std::vector<PhysicalRow> first_layout, second_layout;
+  for (int t = 0; t < schema.table_count(); ++t) {
+    const uint32_t tid = static_cast<uint32_t>(t);
+    ASSERT_TRUE((*recovered)->live_view()
+                    .scan_heap(tid,
+                                [&](storage::SlotId slot,
+                                    std::string_view bytes) {
+                                  first_layout.emplace_back(
+                                      tid, slot.extent, slot.page, slot.slot,
+                                      std::string(bytes));
+                                })
+                    .is_ok());
+    ASSERT_TRUE((*again)->live_view()
+                    .scan_heap(tid,
+                                [&](storage::SlotId slot,
+                                    std::string_view bytes) {
+                                  second_layout.emplace_back(
+                                      tid, slot.extent, slot.page, slot.slot,
+                                      std::string(bytes));
+                                })
+                    .is_ok());
+  }
+  EXPECT_EQ(first_layout, second_layout);
 }
 
 // Decorates a session so the Nth execute_batch call reports a dropped
@@ -334,110 +400,6 @@ TEST(RecoveryTest, ParallelSameTableCrashRoundTrip) {
   EXPECT_EQ(first_layout, second_layout);
 }
 
-// The columnar fast path logs one kInsertBatch record per extent append
-// instead of a record per row. Replay must rebuild an extent-identical
-// repository from those batch records — same live rows in the same extents
-// as the source engine, deterministically down to page and slot across
-// repeated replays — even when server-side skips interrupted batches.
-TEST(RecoveryTest, ColumnarLoadRoundTripsExtentIdentical) {
-  const Schema schema = catalog::make_pq_schema();
-  Engine engine(schema, retain_options());
-  client::DirectSession session(engine);
-  {
-    core::BulkLoaderOptions reference_options;
-    reference_options.write_audit_row = false;
-    core::BulkLoader loader(session, schema, reference_options);
-    ASSERT_TRUE(loader
-                    .load_text("reference",
-                               catalog::CatalogGenerator::reference_file().text)
-                    .is_ok());
-  }
-  catalog::FileSpec spec;
-  spec.seed = 505;
-  spec.unit_id = 55;
-  spec.target_bytes = 64 * 1024;
-  spec.error_rate = 0.05;
-  const auto file = catalog::CatalogGenerator::generate(spec);
-  core::BulkLoaderOptions loader_options;
-  loader_options.write_audit_row = false;
-  loader_options.columnar_ingest = true;
-  loader_options.commit.every_cycles = 2;  // several commit boundaries
-  core::BulkLoader loader(session, schema, loader_options);
-  const auto report = loader.load_text("columnar.cat", file.text);
-  ASSERT_TRUE(report.is_ok());
-  ASSERT_GT(report->rows_skipped_server, 0);  // skips interrupted batches
-
-  // The load actually took the batch-logging path.
-  const auto records = engine.wal_records();
-  int64_t batch_records = 0;
-  for (const auto& record : records) {
-    if (record.type == storage::WalRecordType::kInsertBatch) ++batch_records;
-  }
-  EXPECT_GT(batch_records, 0);
-
-  RecoveryStats stats;
-  const auto recovered =
-      recover_from_wal(schema, records, EngineOptions{}, &stats);
-  ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
-  EXPECT_EQ(stats.rows_replayed, engine.total_rows());
-  EXPECT_TRUE(engines_equivalent(engine, **recovered).is_ok());
-  EXPECT_TRUE((*recovered)->verify_integrity().is_ok());
-
-  // Extent-identical: per table, live rows grouped by extent match the
-  // source exactly (page/slot may differ where skipped rows left holes).
-  for (int t = 0; t < schema.table_count(); ++t) {
-    const uint32_t tid = static_cast<uint32_t>(t);
-    std::multiset<std::pair<uint32_t, std::string>> original, replayed;
-    ASSERT_TRUE(engine.live_view()
-                    .scan_heap(tid,
-                               [&](storage::SlotId slot,
-                                   std::string_view bytes) {
-                                 original.emplace(slot.extent,
-                                                  std::string(bytes));
-                               })
-                    .is_ok());
-    ASSERT_TRUE((*recovered)->live_view()
-                    .scan_heap(tid,
-                                [&](storage::SlotId slot,
-                                    std::string_view bytes) {
-                                  replayed.emplace(slot.extent,
-                                                   std::string(bytes));
-                                })
-                    .is_ok());
-    EXPECT_EQ(original, replayed) << "table " << schema.table(tid).name;
-  }
-
-  // Deterministic replay: two recoveries of the same batch records agree
-  // byte-for-byte on physical layout.
-  const auto again = recover_from_wal(schema, records);
-  ASSERT_TRUE(again.is_ok());
-  using PhysicalRow =
-      std::tuple<uint32_t, uint32_t, uint32_t, uint32_t, std::string>;
-  std::vector<PhysicalRow> first_layout, second_layout;
-  for (int t = 0; t < schema.table_count(); ++t) {
-    const uint32_t tid = static_cast<uint32_t>(t);
-    ASSERT_TRUE((*recovered)->live_view()
-                    .scan_heap(tid,
-                                [&](storage::SlotId slot,
-                                    std::string_view bytes) {
-                                  first_layout.emplace_back(
-                                      tid, slot.extent, slot.page, slot.slot,
-                                      std::string(bytes));
-                                })
-                    .is_ok());
-    ASSERT_TRUE((*again)->live_view()
-                    .scan_heap(tid,
-                                [&](storage::SlotId slot,
-                                    std::string_view bytes) {
-                                  second_layout.emplace_back(
-                                      tid, slot.extent, slot.page, slot.slot,
-                                      std::string(bytes));
-                                })
-                    .is_ok());
-  }
-  EXPECT_EQ(first_layout, second_layout);
-}
-
 // Crash immediately after the covering flush: the WAL is truncated at the
 // durable-LSN watermark, exactly what a device would hold the instant the
 // flush completed. Under strict durability every acked commit must be below
@@ -446,7 +408,8 @@ TEST(RecoveryTest, ColumnarLoadRoundTripsExtentIdentical) {
 TEST(RecoveryTest, StrictAckedCommitsSurviveCrashAtWatermark) {
   const Schema schema = pair_schema();
   EngineOptions options = retain_options();
-  options.commit_window = kMillisecond;  // exercise the window path
+  // Exercise the window path.
+  options.policies.commit.commit_window = kMillisecond;
   Engine engine(schema, options);
   OpCosts costs;
   // Two interleaved transactions so the pending region is multi-transaction
@@ -483,7 +446,7 @@ TEST(RecoveryTest, StrictAckedCommitsSurviveCrashAtWatermark) {
 TEST(RecoveryTest, RelaxedWatermarkIsHonest) {
   const Schema schema = pair_schema();
   EngineOptions options = retain_options();
-  options.durability = storage::DurabilityMode::kRelaxed;
+  options.policies.commit.durability = storage::DurabilityMode::kRelaxed;
   Engine engine(schema, options);
   OpCosts costs;
   const uint64_t a = engine.begin_transaction();
@@ -516,7 +479,7 @@ TEST(RecoveryTest, RelaxedWatermarkIsHonest) {
 TEST(RecoveryTest, CrashWhileBlockedOnItlSlotLeaksNothing) {
   const Schema schema = pair_schema();
   EngineOptions options = retain_options();
-  options.concurrency.itl_slots_per_table = 1;
+  options.policies.concurrency.itl_slots_per_table = 1;
   Engine engine(schema, options);
   OpCosts costs;
   // Committed baseline row.

@@ -1,6 +1,7 @@
 // Multi-threaded tests for the WAL's commit-coalescing group-commit window:
 // the max-group cutoff folds a full complement of committers into one
-// device write, sync() closes a window instead of waiting it out, and the
+// device write, the window also closes once every committer that can join
+// has queued, sync() closes a window instead of waiting it out, and the
 // leader/piggyback accounting stays consistent under concurrent load.
 #include <gtest/gtest.h>
 
@@ -50,6 +51,36 @@ TEST(WalGroupCommitTest, MaxGroupCutoffFoldsCommittersIntoOneFlush) {
   EXPECT_EQ(stats.commit_requests, 4);
   EXPECT_EQ(stats.group_size_hist[3], 1);  // one flush covering 4 commits
   EXPECT_EQ(wal.unflushed_bytes(), 0);
+  EXPECT_EQ(wal.durable_lsn(), wal.appended_lsn());
+}
+
+// The window closes as soon as every committer that can join has queued:
+// with two live transactions and a cap of 8, the second commit completes
+// the group instead of the 10 s window expiring.
+TEST(WalGroupCommitTest, GroupTargetClosesWindowBelowCap) {
+  WalOptions options;
+  options.commit_window = 10 * kSecond;  // the test hangs if waited out
+  options.max_group_commits = 8;
+  WriteAheadLog wal(options);
+  for (uint64_t txn = 1; txn <= 2; ++txn) {
+    wal.append(WalRecordType::kInsert, txn, 1, "row-" + std::to_string(txn));
+    wal.append(WalRecordType::kCommit, txn, 0, "");
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> committers;
+  for (int i = 0; i < 2; ++i) {
+    committers.emplace_back([&] {
+      (void)wal.flush(/*expect_group=*/true, /*group_target=*/2);
+    });
+  }
+  for (std::thread& committer : committers) committer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  const WalStats stats = wal.stats();
+  EXPECT_EQ(stats.flushes, 1);
+  EXPECT_EQ(stats.group_piggybacks, 1);
+  EXPECT_EQ(stats.group_size_hist[1], 1);  // one flush covering 2 commits
   EXPECT_EQ(wal.durable_lsn(), wal.appended_lsn());
 }
 

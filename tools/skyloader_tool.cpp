@@ -6,7 +6,8 @@
 //             files to DIR.
 //   load      --parallel P [--batch B] [--array A] [--report out.md] FILES...
 //             Create a repository, load the files (reference files first,
-//             detected by name), print/write a report.
+//             detected by name), print/write a report. Batch and array
+//             sizes default to TuningProfile::production()'s.
 //   verify    FILES...
 //             Load into a throwaway repository and run the deep integrity
 //             audit; exit nonzero on any inconsistency.
@@ -235,8 +236,12 @@ int cmd_load(const Args& args, bool verify_only) {
   }
   core::CoordinatorOptions options;
   options.parallel_degree = static_cast<int>(opt_int(args, "parallel", 4));
-  options.loader.batch_size = opt_int(args, "batch", 40);
-  options.loader.array_config.default_rows = opt_int(args, "array", 1000);
+  // The profile's loader settings, overridden only by the flags given.
+  options.loader = profile.bulk_options();
+  options.loader.batch_size =
+      opt_int(args, "batch", options.loader.batch_size);
+  options.loader.array_config.default_rows =
+      opt_int(args, "array", options.loader.array_config.default_rows);
   const auto report =
       load_into(engine, schema, std::move(*files), options);
   if (!report.is_ok()) {
