@@ -16,7 +16,6 @@
 #include "bench_util.h"
 
 #include <cstring>
-#include <fstream>
 
 namespace {
 
@@ -183,14 +182,7 @@ int main(int argc, char** argv) {
               "runtime improves monotonically as commits get rarer");
 
   g_window_figure.print();
-  {
-    std::ofstream json("BENCH_commit_window.json");
-    json << "[\n";
-    for (size_t i = 0; i < g_window_json.size(); ++i) {
-      json << g_window_json[i] << (i + 1 < g_window_json.size() ? ",\n" : "\n");
-    }
-    json << "]\n";
-  }
+  write_json_array("BENCH_commit_window.json", g_window_json);
   std::printf("\nwrote BENCH_commit_window.json\n");
 
   const int high_degree = degrees.back();

@@ -28,7 +28,6 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
 
 namespace {
@@ -58,6 +57,12 @@ class GlobalLockSession final : public sky::client::Session {
       uint32_t table, std::span<const sky::db::Row> rows) override {
     const std::scoped_lock lock(mu_);
     return inner_.execute_batch(table, rows);
+  }
+  sky::client::BatchOutcome execute_column_batch(
+      uint32_t table, const sky::db::ColumnBatch& batch, size_t first,
+      size_t count) override {
+    const std::scoped_lock lock(mu_);
+    return inner_.execute_column_batch(table, batch, first, count);
   }
   sky::Status execute_single(uint32_t table, const sky::db::Row& row) override {
     const std::scoped_lock lock(mu_);
@@ -203,6 +208,8 @@ constexpr sky::Nanos kWindowLogFlush = 250 * 1000;  // 0.25 ms
 // workers stay phase-locked and their commits arrive in clumps that
 // piggyback for free, which both inflates the no-window baseline and
 // leaves the window nothing to do; real catalog nights are not uniform.
+// Sized so even the fastest run lasts over a second: at tens of
+// milliseconds the makespan ratios the checks compare are scheduler noise.
 std::vector<sky::core::CatalogFile> make_window_workload() {
   std::vector<sky::core::CatalogFile> files;
   for (int f = 0; f < 16; ++f) {
@@ -210,7 +217,7 @@ std::vector<sky::core::CatalogFile> make_window_workload() {
     spec.name = "window-" + std::to_string(f) + ".cat";
     spec.seed = 7700 + static_cast<uint64_t>(f);
     spec.unit_id = 950 + f;
-    spec.target_bytes = (32 + 5 * (f % 7)) * 1024;  // 32-62 KiB
+    spec.target_bytes = (32 + 5 * (f % 7)) * 128 * 1024;  // 4-7.8 MiB
     files.push_back(sky::core::CatalogFile{
         spec.name, sky::catalog::CatalogGenerator::generate(spec).text});
   }
@@ -371,14 +378,7 @@ int main(int argc, char** argv) {
   g_figure.print();
   g_sharding_figure.print();
 
-  {
-    std::ofstream json("BENCH_engine_scaling.json");
-    json << "[\n";
-    for (size_t i = 0; i < g_json_entries.size(); ++i) {
-      json << g_json_entries[i] << (i + 1 < g_json_entries.size() ? ",\n" : "\n");
-    }
-    json << "]\n";
-  }
+  write_json_array("BENCH_engine_scaling.json", g_json_entries);
   std::printf("\nwrote BENCH_engine_scaling.json\n");
 
   const double fine1 = g_figure.value("fine-grained", 1);
@@ -395,15 +395,7 @@ int main(int argc, char** argv) {
   shape_check(fine6 > 2.0 * global6,
               "fine-grained beats the global mutex at degree 6");
 
-  {
-    std::ofstream json("BENCH_heap_sharding.json");
-    json << "[\n";
-    for (size_t i = 0; i < g_sharding_json.size(); ++i) {
-      json << g_sharding_json[i]
-           << (i + 1 < g_sharding_json.size() ? ",\n" : "\n");
-    }
-    json << "]\n";
-  }
+  write_json_array("BENCH_heap_sharding.json", g_sharding_json);
   std::printf("\nwrote BENCH_heap_sharding.json\n");
 
   const double sharded1 = g_sharding_figure.value("sharded-8", 1);
@@ -418,14 +410,7 @@ int main(int argc, char** argv) {
               "sharded heap scales with loaders on the same table");
 
   g_window_figure.print();
-  {
-    std::ofstream json("BENCH_commit_window_threads.json");
-    json << "[\n";
-    for (size_t i = 0; i < g_window_json.size(); ++i) {
-      json << g_window_json[i] << (i + 1 < g_window_json.size() ? ",\n" : "\n");
-    }
-    json << "]\n";
-  }
+  write_json_array("BENCH_commit_window_threads.json", g_window_json);
   std::printf("\nwrote BENCH_commit_window_threads.json\n");
 
   const double fpc_base = g_window_fpc[{"no-window", 6}];

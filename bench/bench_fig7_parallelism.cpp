@@ -19,7 +19,6 @@
 #include "bench_util.h"
 
 #include <cstring>
-#include <fstream>
 
 namespace {
 
@@ -259,14 +258,7 @@ int main(int argc, char** argv) {
   }
 
   g_real_figure.print();
-  {
-    std::ofstream json("BENCH_fig7_real.json");
-    json << "[\n";
-    for (size_t i = 0; i < g_real_json.size(); ++i) {
-      json << g_real_json[i] << (i + 1 < g_real_json.size() ? ",\n" : "\n");
-    }
-    json << "]\n";
-  }
+  write_json_array("BENCH_fig7_real.json", g_real_json);
   std::printf("\nwrote BENCH_fig7_real.json\n");
 
   double real_peak = 0;

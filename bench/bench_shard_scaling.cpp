@@ -377,18 +377,10 @@ int main(int argc, char** argv) {
               "routed point-lookup p99 stays near-flat as shards are added");
   shape_check(gate_fk, "cross-shard FK reconciliation converges at every M");
 
-  {
-    std::ofstream json("BENCH_shard_scaling.json");
-    json << "{\n  \"rac_baseline\": [\n";
-    for (size_t i = 0; i < rac_json.size(); ++i) {
-      json << rac_json[i] << (i + 1 < rac_json.size() ? ",\n" : "\n");
-    }
-    json << "  ],\n  \"weak_scaling\": [\n";
-    for (size_t i = 0; i < weak_json.size(); ++i) {
-      json << weak_json[i] << (i + 1 < weak_json.size() ? ",\n" : "\n");
-    }
-    json << "  ]\n}\n";
-  }
+  std::ofstream("BENCH_shard_scaling.json")
+      << "{\n  \"rac_baseline\": " << json_array(rac_json, "  ")
+      << ",\n  \"weak_scaling\": " << json_array(weak_json, "  ")
+      << "\n}\n";
   std::printf("\nwrote BENCH_shard_scaling.json\n");
 
   if (smoke && !(gate_scaling && gate_skew && gate_p99 && gate_fk)) {

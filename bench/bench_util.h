@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -209,6 +210,25 @@ class FigureTable {
   std::map<std::pair<double, std::string>, double> values_;
   std::set<double> xs_;
 };
+
+// A JSON array of pre-rendered entries, one per line: "[\n", the entries
+// joined by ",\n" and ended by "\n", then `indent` + "]". Every bench JSON
+// file uses this layout.
+inline std::string json_array(const std::vector<std::string>& entries,
+                              const std::string& indent = "") {
+  std::string out = "[\n";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    out += entries[i];
+    out += i + 1 < entries.size() ? ",\n" : "\n";
+  }
+  return out + indent + "]";
+}
+
+// Write `entries` to `path` as a top-level JSON array.
+inline void write_json_array(const std::string& path,
+                             const std::vector<std::string>& entries) {
+  std::ofstream(path) << json_array(entries) << "\n";
+}
 
 inline void shape_check(bool ok, const char* description) {
   std::printf("SHAPE-CHECK %s: %s\n", ok ? "PASS" : "FAIL", description);

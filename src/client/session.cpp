@@ -2,22 +2,55 @@
 
 #include <algorithm>
 #include <chrono>
-#include <vector>
 
 namespace sky::client {
 
-BatchOutcome Session::execute_column_batch(uint32_t table,
-                                           const db::ColumnBatch& batch,
-                                           size_t first, size_t count) {
-  // Default bridge: materialize the slice and send it as a row batch. One
-  // database call either way, so call/commit accounting and (for simulation
-  // sessions) server pricing are unchanged.
-  if (first > batch.size()) first = batch.size();
-  count = std::min(count, batch.size() - first);
-  std::vector<db::Row> rows;
-  rows.reserve(count);
-  for (size_t i = 0; i < count; ++i) rows.push_back(batch.row(first + i));
-  return execute_batch(table, rows);
+void SessionStats::count_batch(int64_t rows, const db::BatchResult& result) {
+  ++db_calls;
+  ++batch_calls;
+  rows_sent += rows;
+  rows_applied += result.rows_applied;
+  if (result.error.has_value()) ++failed_calls;
+}
+
+void SessionStats::absorb(const db::OpCosts& costs) {
+  lock_wait_time += costs.lock_wait_ns;
+  txn_slot_wait_time += costs.txn_slot_wait_ns;
+  itl_wait_time += costs.itl_wait_ns;
+  stall_time += costs.stall_ns;
+  query_lane_wait_time += costs.query_lane_wait_ns;
+  commit_flushes_led += costs.commit_flushes_led;
+  commit_piggybacks += costs.commit_piggybacks;
+  commit_leader_wait += costs.commit_leader_wait_ns;
+  zone_scan_rows += costs.zone_scan_rows;
+  xmatch_candidates += costs.xmatch_candidates;
+  xmatch_pairs += costs.xmatch_pairs;
+}
+
+SessionStats& SessionStats::operator+=(const SessionStats& other) {
+  db_calls += other.db_calls;
+  batch_calls += other.batch_calls;
+  single_calls += other.single_calls;
+  commits += other.commits;
+  rows_sent += other.rows_sent;
+  rows_applied += other.rows_applied;
+  failed_calls += other.failed_calls;
+  client_time += other.client_time;
+  network_time += other.network_time;
+  server_time += other.server_time;
+  lock_wait_time += other.lock_wait_time;
+  io_time += other.io_time;
+  stall_time += other.stall_time;
+  txn_slot_wait_time += other.txn_slot_wait_time;
+  itl_wait_time += other.itl_wait_time;
+  query_lane_wait_time += other.query_lane_wait_time;
+  commit_flushes_led += other.commit_flushes_led;
+  commit_piggybacks += other.commit_piggybacks;
+  commit_leader_wait += other.commit_leader_wait;
+  zone_scan_rows += other.zone_scan_rows;
+  xmatch_candidates += other.xmatch_candidates;
+  xmatch_pairs += other.xmatch_pairs;
+  return *this;
 }
 
 namespace {
@@ -43,19 +76,9 @@ uint64_t DirectSession::ensure_transaction() {
   if (!txn_.has_value()) {
     db::OpCosts costs;
     txn_ = engine_.begin_transaction(&costs);
-    stats_.txn_slot_wait_time += costs.txn_slot_wait_ns;
-    stats_.lock_wait_time += costs.lock_wait_ns;
+    stats_.absorb(costs);
   }
   return *txn_;
-}
-
-void DirectSession::absorb_wait_costs(const db::OpCosts& costs) {
-  stats_.lock_wait_time += costs.lock_wait_ns;
-  stats_.txn_slot_wait_time += costs.txn_slot_wait_ns;
-  stats_.itl_wait_time += costs.itl_wait_ns;
-  stats_.stall_time += costs.stall_ns;
-  stats_.query_lane_wait_time += costs.query_lane_wait_ns;
-  stats_.absorb_spatial_costs(costs);
 }
 
 Result<uint32_t> DirectSession::prepare_insert(std::string_view table_name) {
@@ -64,31 +87,22 @@ Result<uint32_t> DirectSession::prepare_insert(std::string_view table_name) {
 
 BatchOutcome DirectSession::execute_batch(uint32_t table,
                                           std::span<const db::Row> rows) {
-  const uint64_t txn = ensure_transaction();
-  const db::BatchResult result = engine_.insert_batch(txn, table, rows);
-  ++stats_.db_calls;
-  ++stats_.batch_calls;
-  stats_.rows_sent += static_cast<int64_t>(rows.size());
-  stats_.rows_applied += result.rows_applied;
-  absorb_wait_costs(result.costs);
-  if (result.error.has_value()) ++stats_.failed_calls;
+  const db::BatchResult result =
+      engine_.insert_batch(ensure_transaction(), table, rows);
+  stats_.count_batch(static_cast<int64_t>(rows.size()), result);
+  stats_.absorb(result.costs);
   return BatchOutcome{result.rows_applied, result.error};
 }
 
 BatchOutcome DirectSession::execute_column_batch(uint32_t table,
                                                  const db::ColumnBatch& batch,
                                                  size_t first, size_t count) {
-  const uint64_t txn = ensure_transaction();
-  const db::BatchResult result =
-      engine_.insert_column_batch(txn, table, batch, first, count);
-  ++stats_.db_calls;
-  ++stats_.batch_calls;
   if (first > batch.size()) first = batch.size();
-  stats_.rows_sent +=
-      static_cast<int64_t>(std::min(count, batch.size() - first));
-  stats_.rows_applied += result.rows_applied;
-  absorb_wait_costs(result.costs);
-  if (result.error.has_value()) ++stats_.failed_calls;
+  count = std::min(count, batch.size() - first);
+  const db::BatchResult result = engine_.insert_column_batch(
+      ensure_transaction(), table, batch, first, count);
+  stats_.count_batch(static_cast<int64_t>(count), result);
+  stats_.absorb(result.costs);
   return BatchOutcome{result.rows_applied, result.error};
 }
 
@@ -99,7 +113,7 @@ Status DirectSession::execute_single(uint32_t table, const db::Row& row) {
   ++stats_.db_calls;
   ++stats_.single_calls;
   stats_.rows_sent += 1;
-  absorb_wait_costs(costs);
+  stats_.absorb(costs);
   if (status.is_ok()) {
     stats_.rows_applied += 1;
   } else {
@@ -114,12 +128,7 @@ Status DirectSession::commit() {
   txn_.reset();
   ++stats_.db_calls;
   ++stats_.commits;
-  if (result.is_ok()) {
-    absorb_wait_costs(result->costs);
-    stats_.commit_flushes_led += result->costs.commit_flushes_led;
-    stats_.commit_piggybacks += result->costs.commit_piggybacks;
-    stats_.commit_leader_wait += result->costs.commit_leader_wait_ns;
-  }
+  if (result.is_ok()) stats_.absorb(result->costs);
   return result.status();
 }
 

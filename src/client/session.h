@@ -75,14 +75,15 @@ struct SessionStats {
   int64_t zone_scan_rows = 0;
   int64_t xmatch_candidates = 0;
   int64_t xmatch_pairs = 0;
-  // Fold one spatial operation's OpCosts tallies into these totals (shared
-  // by DirectSession internals and query-side callers that run spatial
-  // operators against an engine directly).
-  void absorb_spatial_costs(const db::OpCosts& costs) {
-    zone_scan_rows += costs.zone_scan_rows;
-    xmatch_candidates += costs.xmatch_candidates;
-    xmatch_pairs += costs.xmatch_pairs;
-  }
+
+  // Count one batch call that sent `rows` rows (call, row and failure
+  // counters; the same in both execution modes).
+  void count_batch(int64_t rows, const db::BatchResult& result);
+  // Fold one engine call's OpCosts into the wait, commit and spatial
+  // fields (every field a real session fills from the engine).
+  void absorb(const db::OpCosts& costs);
+  // Field-by-field sum (aggregating several sessions' stats).
+  SessionStats& operator+=(const SessionStats& other);
 };
 
 class Session {
@@ -98,13 +99,13 @@ class Session {
                                      std::span<const db::Row> rows) = 0;
   // Send rows [first, first + count) of a columnar batch (one database
   // call) with execute_batch's exact JDBC semantics; the error row index is
-  // relative to `first`. The default bridges to execute_batch by
-  // materializing the rows, so a session that only implements execute_batch
-  // still works; DirectSession and SimSession override it with the
-  // engine's columnar fast path (db::Engine::insert_column_batch).
+  // relative to `first`. Every session implements it on the engine's
+  // columnar path (db::Engine::insert_column_batch) or forwards it to one
+  // that does, so column traffic never turns back into rows; a decorator
+  // that counts calls counts both batch kinds.
   virtual BatchOutcome execute_column_batch(uint32_t table,
                                             const db::ColumnBatch& batch,
-                                            size_t first, size_t count);
+                                            size_t first, size_t count) = 0;
   // Send a single-row insert (one database call) — the non-bulk baseline.
   virtual Status execute_single(uint32_t table, const db::Row& row) = 0;
 
@@ -152,8 +153,6 @@ class DirectSession final : public Session {
 
  private:
   uint64_t ensure_transaction();
-  // Fold one call's gate/latch waits (OpCosts) into the session stats.
-  void absorb_wait_costs(const db::OpCosts& costs);
 
   db::Engine& engine_;
   std::optional<uint64_t> txn_;

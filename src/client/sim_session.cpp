@@ -192,11 +192,7 @@ BatchOutcome SimSession::execute_batch(uint32_t table,
       table, static_cast<int64_t>(rows.size()), [&](uint64_t txn) {
         return server_.engine().insert_batch(txn, table, rows);
       });
-  ++stats_.db_calls;
-  ++stats_.batch_calls;
-  stats_.rows_sent += static_cast<int64_t>(rows.size());
-  stats_.rows_applied += result.rows_applied;
-  if (result.error.has_value()) ++stats_.failed_calls;
+  stats_.count_batch(static_cast<int64_t>(rows.size()), result);
   return BatchOutcome{result.rows_applied, result.error};
 }
 
@@ -210,11 +206,7 @@ BatchOutcome SimSession::execute_column_batch(uint32_t table,
         return server_.engine().insert_column_batch(txn, table, batch, first,
                                                     count);
       });
-  ++stats_.db_calls;
-  ++stats_.batch_calls;
-  stats_.rows_sent += static_cast<int64_t>(count);
-  stats_.rows_applied += result.rows_applied;
-  if (result.error.has_value()) ++stats_.failed_calls;
+  stats_.count_batch(static_cast<int64_t>(count), result);
   return BatchOutcome{result.rows_applied, result.error};
 }
 

@@ -58,17 +58,7 @@ class WorkQueue {
 struct WorkerResult {
   std::vector<FileLoadReport> reports;
   Nanos busy = 0;
-  Nanos lock_wait = 0;
-  int64_t commit_flushes = 0;
-  int64_t commit_piggybacks = 0;
-  Nanos commit_leader_wait = 0;
-  Nanos txn_slot_wait = 0;
-  Nanos itl_wait = 0;
-  Nanos stall_time = 0;
-  Nanos query_lane_wait = 0;
-  int64_t zone_scan_rows = 0;
-  int64_t xmatch_candidates = 0;
-  int64_t xmatch_pairs = 0;
+  client::SessionStats session;  // the worker's session, at loop end
   catalog::ParserStats parser;
   int files = 0;
   int files_skipped = 0;
@@ -100,17 +90,7 @@ void worker_loop(int worker, WorkQueue& queue,
     result.reports.push_back(std::move(*report));
   }
   result.parser = loader.parser_stats();
-  result.lock_wait = session.stats().lock_wait_time;
-  result.commit_flushes = session.stats().commit_flushes_led;
-  result.commit_piggybacks = session.stats().commit_piggybacks;
-  result.commit_leader_wait = session.stats().commit_leader_wait;
-  result.txn_slot_wait = session.stats().txn_slot_wait_time;
-  result.itl_wait = session.stats().itl_wait_time;
-  result.stall_time = session.stats().stall_time;
-  result.query_lane_wait = session.stats().query_lane_wait_time;
-  result.zone_scan_rows = session.stats().zone_scan_rows;
-  result.xmatch_candidates = session.stats().xmatch_candidates;
-  result.xmatch_pairs = session.stats().xmatch_pairs;
+  result.session = session.stats();
 }
 
 ParallelLoadReport assemble(std::vector<WorkerResult> worker_results,
@@ -118,21 +98,13 @@ ParallelLoadReport assemble(std::vector<WorkerResult> worker_results,
   ParallelLoadReport report;
   report.workers = workers;
   report.makespan = makespan;
+  client::SessionStats sessions;
   for (WorkerResult& worker : worker_results) {
     report.worker_busy.push_back(worker.busy);
-    report.worker_lock_wait.push_back(worker.lock_wait);
+    report.worker_lock_wait.push_back(worker.session.lock_wait_time);
     report.files_per_worker.push_back(worker.files);
     report.files_skipped += worker.files_skipped;
-    report.commit_flushes += worker.commit_flushes;
-    report.commit_piggybacks += worker.commit_piggybacks;
-    report.commit_leader_wait += worker.commit_leader_wait;
-    report.txn_slot_wait += worker.txn_slot_wait;
-    report.itl_wait += worker.itl_wait;
-    report.stall_time += worker.stall_time;
-    report.query_lane_wait += worker.query_lane_wait;
-    report.zone_scan_rows += worker.zone_scan_rows;
-    report.xmatch_candidates += worker.xmatch_candidates;
-    report.xmatch_pairs += worker.xmatch_pairs;
+    sessions += worker.session;
     report.parser_lines += worker.parser.lines;
     report.parser_data_rows += worker.parser.data_rows;
     report.parser_errors += worker.parser.parse_errors;
@@ -143,6 +115,16 @@ ParallelLoadReport assemble(std::vector<WorkerResult> worker_results,
       report.files.push_back(std::move(file));
     }
   }
+  report.commit_flushes = sessions.commit_flushes_led;
+  report.commit_piggybacks = sessions.commit_piggybacks;
+  report.commit_leader_wait = sessions.commit_leader_wait;
+  report.txn_slot_wait = sessions.txn_slot_wait_time;
+  report.itl_wait = sessions.itl_wait_time;
+  report.stall_time = sessions.stall_time;
+  report.query_lane_wait = sessions.query_lane_wait_time;
+  report.zone_scan_rows = sessions.zone_scan_rows;
+  report.xmatch_candidates = sessions.xmatch_candidates;
+  report.xmatch_pairs = sessions.xmatch_pairs;
   return report;
 }
 

@@ -326,55 +326,49 @@ Status Engine::rollback(uint64_t txn_id) {
 
 // ----------------------------------------------------------------- inserts
 
-BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
-                                 std::span<const Row> rows) {
-  BatchResult result;
+template <typename Body>
+std::optional<BatchError> Engine::admitted_insert(uint64_t txn_id,
+                                                  uint32_t tid, size_t count,
+                                                  OpCosts& costs,
+                                                  const Body& body) {
   Transaction* txn = find_transaction(txn_id);
-  if (txn == nullptr) {
-    result.error = BatchError{
-        0, Status(ErrorCode::kFailedPrecondition,
-                  "insert: unknown transaction")};
-    ++result.costs.constraint_failures;
-    return result;
-  }
-  if (tid >= tables_.size()) {
-    result.error =
-        BatchError{0, Status(ErrorCode::kNotFound, "insert: bad table id")};
-    ++result.costs.constraint_failures;
-    return result;
-  }
   // ITL admission precedes the engine rwlock in the lock order: a session
   // blocked on a full gate holds no engine lock, so DDL and rollback (which
   // take the rwlock exclusive) can always drain ahead of it.
-  const Result<TableAdmission> admitted = admit_table(*txn, tid, result.costs);
+  const Result<TableAdmission> admitted = [&]() -> Result<TableAdmission> {
+    if (txn == nullptr) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    "insert: unknown transaction");
+    }
+    if (tid >= tables_.size()) {
+      return Status(ErrorCode::kNotFound, "insert: bad table id");
+    }
+    return admit_table(*txn, tid, costs);
+  }();
   if (!admitted.is_ok()) {
-    result.error = BatchError{0, admitted.status()};
-    ++result.costs.constraint_failures;
-    return result;
+    ++costs.constraint_failures;
+    return BatchError{0, admitted.status()};
   }
   const TableAdmission admission = *admitted;
-  result.costs.lock_wait_ns += lock_shared_timed(engine_mu_);
+  std::optional<BatchError> error;
+  costs.lock_wait_ns += lock_shared_timed(engine_mu_);
   std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
   {
-    const CostScope scope(&result.costs);
+    const CostScope scope(&costs);
     // Cache deltas are exact when calls don't overlap (single-threaded and
-    // simulation runs); under real concurrency a batch may absorb events
+    // simulation runs); under real concurrency a call may absorb events
     // from neighbours — fine for the aggregate telemetry they feed.
     const storage::CacheEvents cache_before = cache_.events();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Status status = insert_row_latched(*txn, tid, rows[i],
-                                               result.costs, admission.extent);
-      if (!status.is_ok()) {
-        // JDBC semantics: earlier rows stay, this row failed, the remainder
-        // of the batch is discarded.
-        result.error = BatchError{i, status};
-        ++result.costs.constraint_failures;
-        break;
-      }
-      ++result.rows_applied;
+    error = body(*txn, admission.extent);
+    if (error.has_value()) {
+      // JDBC semantics: earlier rows stay, this row failed, the remainder
+      // of the call is discarded.
+      ++costs.constraint_failures;
+      costs.rows_applied += static_cast<int64_t>(error->row_index);
+    } else {
+      costs.rows_applied += static_cast<int64_t>(count);
     }
-    result.costs.rows_applied = result.rows_applied;
-    result.costs.cache = cache_.events().since(cache_before);
+    costs.cache += cache_.events().since(cache_before);
   }
   engine_lock.unlock();
   const double escalation =
@@ -382,106 +376,108 @@ BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
           ? options_.policies.concurrency.lock_escalation_factor *
                 static_cast<double>(1 + admission.queue_depth)
           : 0.0;
-  pay_batch_latency(result.costs, escalation);
+  pay_batch_latency(costs, escalation);
+  return error;
+}
+
+template <typename RowAt>
+std::optional<BatchError> Engine::insert_rows_latched(Transaction& txn,
+                                                      uint32_t tid,
+                                                      size_t count,
+                                                      const RowAt& row_at,
+                                                      OpCosts& costs,
+                                                      uint32_t extent) {
+  for (size_t i = 0; i < count; ++i) {
+    Status status = insert_row_latched(txn, tid, row_at(i), costs, extent);
+    if (!status.is_ok()) return BatchError{i, std::move(status)};
+  }
+  return std::nullopt;
+}
+
+BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
+                                 std::span<const Row> rows) {
+  BatchResult result;
+  result.error = admitted_insert(
+      txn_id, tid, rows.size(), result.costs,
+      [&](Transaction& txn, uint32_t extent) {
+        return insert_rows_latched(
+            txn, tid, rows.size(),
+            [&](size_t i) -> const Row& { return rows[i]; }, result.costs,
+            extent);
+      });
+  result.rows_applied = result.costs.rows_applied;
   return result;
 }
 
 BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
                                         const ColumnBatch& batch, size_t first,
                                         size_t count) {
-  BatchResult result;
-  Transaction* txn = find_transaction(txn_id);
-  if (txn == nullptr) {
-    result.error = BatchError{
-        0, Status(ErrorCode::kFailedPrecondition,
-                  "insert: unknown transaction")};
-    ++result.costs.constraint_failures;
-    return result;
-  }
-  if (tid >= tables_.size()) {
-    result.error =
-        BatchError{0, Status(ErrorCode::kNotFound, "insert: bad table id")};
-    ++result.costs.constraint_failures;
-    return result;
-  }
   if (first > batch.size()) first = batch.size();
   count = std::min(count, batch.size() - first);
-  // Same admission-before-rwlock envelope as insert_batch.
-  const Result<TableAdmission> admitted = admit_table(*txn, tid, result.costs);
-  if (!admitted.is_ok()) {
-    result.error = BatchError{0, admitted.status()};
-    ++result.costs.constraint_failures;
-    return result;
-  }
-  const TableAdmission admission = *admitted;
-  result.costs.lock_wait_ns += lock_shared_timed(engine_mu_);
-  std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
-  {
-    const CostScope scope(&result.costs);
-    const storage::CacheEvents cache_before = cache_.events();
-    Table& table = tables_[tid];
-
-    // Fast-path eligibility. A batch whose column layout matches the table,
-    // whose primary keys arrive strictly increasing, and whose table has no
-    // enabled unique secondary index can settle every constraint up front
-    // under one exclusive index-latch window; anything else goes through the
-    // row-at-a-time path (identical semantics, no speedup). Self-referential
-    // FKs also stay on the row path: a run row may parent a later run row,
-    // which needs interleaved insert-then-check.
-    bool fast = count > 0 && batch.num_columns() == table.def().columns.size();
-    for (size_t c = 0; fast && c < batch.num_columns(); ++c) {
-      fast = batch.column_type(c) == table.def().columns[c].type;
-    }
-    for (const SecondaryIndex& secondary : table.secondaries()) {
-      if (secondary.enabled && secondary.def.unique) fast = false;
-    }
-    for (const uint32_t parent_id : table.fk_parent_ids) {
-      if (parent_id == tid) fast = false;
-    }
-    std::vector<std::string> pk_keys;
-    if (fast) {
-      pk_keys.reserve(count);
-      index::KeyEncoder encoder;
-      for (size_t i = 0; i < count; ++i) {
-        for (const int idx : table.pk_column_indices()) {
-          batch.append_cell_to_key(encoder, first + i,
-                                   static_cast<size_t>(idx));
+  BatchResult result;
+  result.error = admitted_insert(
+      txn_id, tid, count, result.costs, [&](Transaction& txn, uint32_t extent) {
+        std::vector<std::string> pk_keys =
+            column_run_keys(tables_[tid], batch, first, count);
+        if (!pk_keys.empty()) {
+          return insert_column_run_latched(txn, tid, batch, first, count,
+                                           std::move(pk_keys), extent,
+                                           result.costs);
         }
-        pk_keys.push_back(encoder.take());
-        encoder.clear();
-        if (i > 0 && pk_keys[i - 1] >= pk_keys[i]) {
-          fast = false;  // not presorted: fall back
-          break;
-        }
-      }
-    }
-    if (fast) {
-      insert_column_run_latched(*txn, tid, batch, first, count,
-                                std::move(pk_keys), admission.extent, result);
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        const Status status =
-            insert_row_latched(*txn, tid, batch.row(first + i), result.costs,
-                               admission.extent);
-        if (!status.is_ok()) {
-          result.error = BatchError{i, status};
-          ++result.costs.constraint_failures;
-          break;
-        }
-        ++result.rows_applied;
-      }
-    }
-    result.costs.rows_applied = result.rows_applied;
-    result.costs.cache = cache_.events().since(cache_before);
-  }
-  engine_lock.unlock();
-  const double escalation =
-      admission.contended
-          ? options_.policies.concurrency.lock_escalation_factor *
-                static_cast<double>(1 + admission.queue_depth)
-          : 0.0;
-  pay_batch_latency(result.costs, escalation);
+        return insert_rows_latched(
+            txn, tid, count,
+            [&](size_t i) { return batch.row(first + i); }, result.costs,
+            extent);
+      });
+  result.rows_applied = result.costs.rows_applied;
   return result;
+}
+
+Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,
+                          OpCosts& costs,
+                          std::optional<uint32_t> extent_override) {
+  std::optional<BatchError> error = admitted_insert(
+      txn_id, tid, 1, costs, [&](Transaction& txn, uint32_t extent) {
+        return insert_rows_latched(
+            txn, tid, 1, [&](size_t) -> const Row& { return row; }, costs,
+            extent_override.value_or(extent));
+      });
+  return error.has_value() ? std::move(error->status) : ok_status();
+}
+
+std::vector<std::string> Engine::column_run_keys(const Table& table,
+                                                 const ColumnBatch& batch,
+                                                 size_t first,
+                                                 size_t count) const {
+  // A batch whose column layout matches the table, whose primary keys
+  // arrive strictly increasing, and whose table has no enabled unique
+  // secondary index can settle every constraint up front in one run.
+  // Self-referential FKs also stay on the row path: a run row may parent a
+  // later run row, which needs interleaved insert-then-check.
+  bool eligible =
+      count > 0 && batch.num_columns() == table.def().columns.size();
+  for (size_t c = 0; eligible && c < batch.num_columns(); ++c) {
+    eligible = batch.column_type(c) == table.def().columns[c].type;
+  }
+  for (const SecondaryIndex& secondary : table.secondaries()) {
+    if (secondary.enabled && secondary.def.unique) eligible = false;
+  }
+  for (const uint32_t parent_id : table.fk_parent_ids) {
+    if (parent_id == table.id()) eligible = false;
+  }
+  std::vector<std::string> pk_keys;
+  if (!eligible) return pk_keys;
+  pk_keys.reserve(count);
+  index::KeyEncoder encoder;
+  for (size_t i = 0; i < count; ++i) {
+    for (const int idx : table.pk_column_indices()) {
+      batch.append_cell_to_key(encoder, first + i, static_cast<size_t>(idx));
+    }
+    pk_keys.push_back(encoder.take());
+    encoder.clear();
+    if (i > 0 && pk_keys[i - 1] >= pk_keys[i]) return {};  // not presorted
+  }
+  return pk_keys;
 }
 
 namespace {
@@ -501,27 +497,34 @@ size_t first_duplicate_pk(const Table& table,
   return limit;
 }
 
-BatchError duplicate_pk_error(const TableDef& def, const ColumnBatch& batch,
-                              size_t first, size_t i) {
-  return BatchError{i, Status(ErrorCode::kConstraintPrimaryKey,
-                              def.name + ": duplicate primary key " +
-                                  row_to_display(batch.row(first + i)))};
-}
-
 }  // namespace
 
-void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
-                                       const ColumnBatch& batch, size_t first,
-                                       size_t count,
-                                       std::vector<std::string> pk_keys,
-                                       uint32_t extent, BatchResult& result) {
+std::optional<BatchError> Engine::insert_column_run_latched(
+    Transaction& txn, uint32_t tid, const ColumnBatch& batch, size_t first,
+    size_t count, std::vector<std::string> pk_keys, uint32_t extent,
+    OpCosts& costs) {
   Table& table = tables_[tid];
   const TableDef& def = table.def();
+  // The run only locates the first failing row; its status always comes
+  // from the row path's own rules on that one materialized row, so messages
+  // and rule order match insert_row_latched bit for bit.
+  size_t limit = count;
+  std::optional<BatchError> failure;
+  // Row i failed a PK check under the index latch: check_constraints,
+  // status-only, names the violation.
+  const auto fail_constraint_at = [&](size_t i) {
+    Status status = check_constraints(table, tid, batch.row(first + i),
+                                      pk_keys[i], nullptr);
+    failure = BatchError{
+        i, status.is_ok()
+               ? Status(ErrorCode::kInternal,
+                        def.name + ": batch constraint locator mismatch")
+               : std::move(status)};
+    limit = i;
+  };
 
   // Columnar validation screen (no latch — immutable schema only): find the
-  // earliest row any validation rule rejects. The exact error status comes
-  // from validate_row on that one materialized row, so messages and rule
-  // ordering within the row match the row path bit for bit.
+  // earliest row any validation rule rejects; validate_row names the rule.
   size_t bad_row = count;
   for (size_t c = 0; c < def.columns.size(); ++c) {
     const ColumnDef& column = def.columns[c];
@@ -565,8 +568,6 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
       }
     }
   }
-  size_t limit = count;
-  std::optional<BatchError> failure;
   if (bad_row < count) {
     OpCosts scratch;
     const Status status = validate_row(table, batch.row(first + bad_row),
@@ -578,13 +579,13 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
                      : status};
     limit = bad_row;
   }
-  result.costs.check_evals +=
+  costs.check_evals +=
       static_cast<int64_t>((limit + (failure.has_value() ? 1 : 0)) *
                            (def.columns.size() + def.checks.size()));
 
   // Metadata latch shared for the whole run: row traffic only excludes
   // structural maintenance, never other rows.
-  result.costs.lock_wait_ns += lock_shared_timed(table.latch());
+  costs.lock_wait_ns += lock_shared_timed(table.latch());
   const std::shared_lock<std::shared_mutex> table_latch(table.latch(),
                                                         std::adopt_lock);
 
@@ -593,95 +594,53 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
   std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
                                                   std::defer_lock);
   uint64_t checked_publishes = 0;
-  result.costs.lock_wait_ns += lock_shared_timed(table.index_latch());
+  costs.lock_wait_ns += lock_shared_timed(table.index_latch());
   {
     const std::shared_lock<std::shared_mutex> shared_index(
         table.index_latch(), std::adopt_lock);
     checked_publishes = table.key_publishes;
     const size_t duplicate = first_duplicate_pk(table, pk_keys, limit);
-    if (duplicate < limit) {
-      failure = duplicate_pk_error(def, batch, first, duplicate);
-      limit = duplicate;
-    }
-    // Foreign keys: parent index latch shared per probe, memoized on every
-    // probe key already verified this call (catalog blocks repeat parents
+    if (duplicate < limit) fail_constraint_at(duplicate);
+    // Foreign keys, one FK at a time over the run: each probe memoized on
+    // every key already verified this call (catalog blocks repeat parents
     // heavily, but not always on adjacent rows). Skipped entirely when the
     // engine runs FK-deferred (shard instances: parents may be remote).
     const size_t fk_count =
         options_.enforce_foreign_keys ? def.foreign_keys.size() : 0;
     for (size_t f = 0; f < fk_count && limit > 0; ++f) {
-      const ForeignKey& fk = def.foreign_keys[f];
       const Table& parent = tables_[table.fk_parent_ids[f]];
-      const TableDef& parent_def = parent.def();
-      struct FkColumn {
-        size_t child_column;
-        ColumnType parent_type;
-      };
-      std::vector<FkColumn> fk_columns;
-      fk_columns.reserve(fk.columns.size());
-      for (size_t i = 0; i < fk.columns.size(); ++i) {
-        const size_t child_idx =
-            static_cast<size_t>(def.column_index(fk.columns[i]));
-        const size_t parent_idx = static_cast<size_t>(
-            parent_def.column_index(parent_def.primary_key[i]));
-        fk_columns.push_back(
-            FkColumn{child_idx, parent_def.columns[parent_idx].type});
-      }
+      const std::vector<int>& fk_columns = table.fk_columns[f];
       index::KeyEncoder encoder;
       std::unordered_set<std::string> verified;
       for (size_t i = 0; i < limit; ++i) {
         const size_t r = first + i;
-        ++result.costs.fk_checks;
-        bool has_null = false;
-        for (const FkColumn& col : fk_columns) {
-          if (batch.is_null(r, col.child_column)) {
-            has_null = true;
-            break;
-          }
-          switch (col.parent_type) {
-            case ColumnType::kInt32:
-              encoder.append_int32(
-                  static_cast<int32_t>(batch.i64_at(r, col.child_column)));
-              break;
-            case ColumnType::kInt64:
-            case ColumnType::kTimestamp:
-              encoder.append_int64(batch.i64_at(r, col.child_column));
-              break;
-            case ColumnType::kDouble:
-              encoder.append_double(batch.f64_at(r, col.child_column));
-              break;
-            case ColumnType::kString:
-              encoder.append_string(batch.str_at(r, col.child_column));
-              break;
-          }
-        }
-        if (has_null) {
-          encoder.clear();
+        ++costs.fk_checks;
+        if (std::any_of(fk_columns.begin(), fk_columns.end(), [&](int c) {
+              return batch.is_null(r, static_cast<size_t>(c));
+            })) {
           continue;  // MATCH SIMPLE: NULL FK passes
+        }
+        for (const int c : fk_columns) {
+          batch.append_cell_to_key(encoder, r, static_cast<size_t>(c));
         }
         std::string probe = encoder.take();
         encoder.clear();
         if (verified.count(probe) > 0) continue;  // memoized success
-        index::BPlusTree::TouchInfo fk_touch;
-        bool parent_has_row = false;
-        {
-          result.costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
-          const std::shared_lock<std::shared_mutex> parent_latch(
-              parent.index_latch(), std::adopt_lock);
-          parent_has_row =
-              parent.pk_tree().lookup_with_touch(probe, &fk_touch).has_value();
+        if (parent_has_key(parent, /*self_reference=*/false, probe, costs,
+                           /*touch_cache=*/true)) {
+          verified.insert(std::move(probe));
+          continue;
         }
-        result.costs.fk_node_visits += fk_touch.nodes_visited;
-        if (!parent_has_row) {
-          failure = BatchError{
-              i, Status(ErrorCode::kConstraintForeignKey,
-                        def.name + ": no parent row in " + fk.parent_table +
-                            " for " + row_to_display(batch.row(r)))};
+        // The status-only check re-probes every FK of the row; it passes
+        // only if another session published the parent since the probe
+        // above, and then the row may stay.
+        Status status =
+            check_constraints(table, tid, batch.row(r), pk_keys[i], nullptr);
+        if (!status.is_ok()) {
+          failure = BatchError{i, std::move(status)};
           limit = i;
           break;
         }
-        cache_.touch_read({parent.pk_cache_file_id, fk_touch.leaf_page_id});
-        verified.insert(std::move(probe));
       }
     }
   }
@@ -695,17 +654,17 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     std::vector<std::string> row_bytes(limit);
     for (size_t i = 0; i < limit; ++i) {
       batch.encode_row_to(first + i, row_bytes[i]);
-      result.costs.heap_bytes += static_cast<int64_t>(row_bytes[i].size());
+      costs.heap_bytes += static_cast<int64_t>(row_bytes[i].size());
     }
     appended = table.heap().append_batch(extent, std::move(row_bytes));
-    result.costs.lock_wait_ns += appended.latch_wait_ns;
-    result.costs.heap_pages_opened += appended.pages_opened;
+    costs.lock_wait_ns += appended.latch_wait_ns;
+    costs.heap_pages_opened += appended.pages_opened;
 
     // Phase 3 — re-check primary keys under the index latch *exclusive*
     // (another session may have published a conflicting key between the
     // phases), then log, publish, and index the prefix. Rows from a lost
     // race on are discarded: their slots stay dead, as after a rollback.
-    result.costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
+    costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
     index_latch = std::unique_lock<std::shared_mutex>(table.index_latch(),
                                                       std::adopt_lock);
     const size_t lost = table.key_publishes == checked_publishes
@@ -717,8 +676,7 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
         assert(discarded.is_ok());
         (void)discarded;
       }
-      failure = duplicate_pk_error(def, batch, first, lost);
-      limit = lost;
+      fail_constraint_at(lost);
       appended.slots.resize(limit);
       appended.views.resize(limit);
     }
@@ -741,7 +699,7 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
       wal_payload.append(header, sizeof(header));
       wal_payload.append(bytes);
     }
-    result.costs.wal_bytes += static_cast<int64_t>(wal_payload.size());
+    costs.wal_bytes += static_cast<int64_t>(wal_payload.size());
     wal_.append(storage::WalRecordType::kInsertBatch, txn.id, tid,
                 std::move(wal_payload), extent);
     const Status published = table.heap().publish_batch(appended.slots);
@@ -772,8 +730,8 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     std::vector<std::pair<std::string, uint64_t>> pk_run;
     pk_run.reserve(limit);
     for (size_t i = 0; i < limit; ++i) {
-      result.costs.index_key_bytes += static_cast<int64_t>(pk_keys[i].size());
-      count_index_columns(def, table.pk_column_indices(), result.costs);
+      costs.index_key_bytes += static_cast<int64_t>(pk_keys[i].size());
+      count_index_columns(def, table.pk_column_indices(), costs);
       pk_run.emplace_back(std::move(pk_keys[i]), row_ids[i]);
     }
     index::BPlusTree::RunTouch pk_touch;
@@ -782,9 +740,9 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     assert(pk_status.is_ok());  // dup-checked above, strictly sorted
     (void)pk_status;
     ++table.key_publishes;
-    result.costs.index_updates += static_cast<int64_t>(limit);
-    result.costs.index_node_visits += pk_touch.nodes_visited;
-    result.costs.index_leaf_splits += pk_touch.leaf_splits;
+    costs.index_updates += static_cast<int64_t>(limit);
+    costs.index_node_visits += pk_touch.nodes_visited;
+    costs.index_leaf_splits += pk_touch.leaf_splits;
     for (const uint32_t leaf : pk_touch.touched_leaf_ids) {
       cache_.touch_write({table.pk_cache_file_id, leaf});
     }
@@ -809,18 +767,18 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
               batch.f64_at(r,
                            static_cast<size_t>(secondary.column_indices[1])),
               secondary.def.htm->depth)));
-          ++result.costs.index_int_columns;
+          ++costs.index_int_columns;
         } else {
           for (const int idx : secondary.column_indices) {
             batch.append_cell_to_key(encoder, first + i,
                                      static_cast<size_t>(idx));
           }
-          count_index_columns(def, secondary.column_indices, result.costs);
+          count_index_columns(def, secondary.column_indices, costs);
         }
         encoder.append_int64(static_cast<int64_t>(row_ids[i]));
         std::string key = encoder.take();
         encoder.clear();
-        result.costs.index_key_bytes += static_cast<int64_t>(key.size());
+        costs.index_key_bytes += static_cast<int64_t>(key.size());
         txn.undo[undo_base + i].secondary_keys.emplace_back(s, key);
         run.emplace_back(std::move(key), row_ids[i]);
       }
@@ -830,9 +788,9 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
           secondary.tree.insert_sorted_run(std::move(run), &touch);
       assert(index_status.is_ok());
       (void)index_status;
-      result.costs.index_updates += static_cast<int64_t>(limit);
-      result.costs.index_node_visits += touch.nodes_visited;
-      result.costs.index_leaf_splits += touch.leaf_splits;
+      costs.index_updates += static_cast<int64_t>(limit);
+      costs.index_node_visits += touch.nodes_visited;
+      costs.index_leaf_splits += touch.leaf_splits;
       for (const uint32_t leaf : touch.touched_leaf_ids) {
         cache_.touch_write({secondary.cache_file_id, leaf});
       }
@@ -841,57 +799,8 @@ void Engine::insert_column_run_latched(Transaction& txn, uint32_t tid,
     if (insert_observer_) {
       for (size_t i = 0; i < limit; ++i) insert_observer_(tid, row_ids[i]);
     }
-    result.rows_applied = static_cast<int64_t>(limit);
   }
-  if (failure.has_value()) {
-    result.error = std::move(failure);
-    ++result.costs.constraint_failures;
-  }
-}
-
-Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,
-                          OpCosts& costs,
-                          std::optional<uint32_t> extent_override) {
-  Transaction* txn = find_transaction(txn_id);
-  if (txn == nullptr) {
-    ++costs.constraint_failures;
-    return Status(ErrorCode::kFailedPrecondition,
-                  "insert: unknown transaction");
-  }
-  if (tid >= tables_.size()) {
-    ++costs.constraint_failures;
-    return Status(ErrorCode::kNotFound, "insert: bad table id");
-  }
-  // Same admission-before-rwlock ordering as insert_batch.
-  const Result<TableAdmission> admitted = admit_table(*txn, tid, costs);
-  if (!admitted.is_ok()) {
-    ++costs.constraint_failures;
-    return admitted.status();
-  }
-  const TableAdmission admission = *admitted;
-  costs.lock_wait_ns += lock_shared_timed(engine_mu_);
-  std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
-  Status status = ok_status();
-  {
-    const CostScope scope(&costs);
-    const storage::CacheEvents cache_before = cache_.events();
-    status = insert_row_latched(*txn, tid, row, costs,
-                                extent_override.value_or(admission.extent));
-    if (status.is_ok()) {
-      costs.rows_applied += 1;
-    } else {
-      ++costs.constraint_failures;
-    }
-    costs.cache += cache_.events().since(cache_before);
-  }
-  engine_lock.unlock();
-  const double escalation =
-      admission.contended
-          ? options_.policies.concurrency.lock_escalation_factor *
-                static_cast<double>(1 + admission.queue_depth)
-          : 0.0;
-  pay_batch_latency(costs, escalation);
-  return status;
+  return failure;
 }
 
 Status Engine::validate_row(const Table& table, const Row& row,
@@ -946,54 +855,62 @@ Status Engine::validate_row(const Table& table, const Row& row,
   return ok_status();
 }
 
+bool Engine::parent_has_key(const Table& parent, bool self_reference,
+                            const std::string& key, OpCosts& costs,
+                            bool touch_cache) {
+  index::BPlusTree::TouchInfo touch;
+  bool found = false;
+  if (self_reference) {
+    // The caller's latch on this very index already covers the probe.
+    found = parent.pk_tree().lookup_with_touch(key, &touch).has_value();
+  } else {
+    costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
+    const std::shared_lock<std::shared_mutex> parent_latch(
+        parent.index_latch(), std::adopt_lock);
+    found = parent.pk_tree().lookup_with_touch(key, &touch).has_value();
+  }
+  costs.fk_node_visits += touch.nodes_visited;
+  if (found && touch_cache) {
+    cache_.touch_read({parent.pk_cache_file_id, touch.leaf_page_id});
+  }
+  return found;
+}
+
 Status Engine::check_constraints(const Table& table, uint32_t tid,
                                  const Row& row, const std::string& pk_key,
-                                 OpCosts& costs) {
+                                 OpCosts* costs) {
+  OpCosts scratch;
+  OpCosts& tally = costs != nullptr ? *costs : scratch;
   // Primary key uniqueness.
   index::BPlusTree::TouchInfo pk_probe;
-  if (table.pk_tree().lookup_with_touch(pk_key, &pk_probe).has_value()) {
-    costs.index_node_visits += pk_probe.nodes_visited;
+  const bool duplicate =
+      table.pk_tree().lookup_with_touch(pk_key, &pk_probe).has_value();
+  tally.index_node_visits += pk_probe.nodes_visited;
+  if (duplicate) {
     return Status(ErrorCode::kConstraintPrimaryKey,
                   table.def().name + ": duplicate primary key " +
                       row_to_display(row));
   }
-  costs.index_node_visits += pk_probe.nodes_visited;
 
   // Foreign keys: shared index latch on each parent, held only for the
   // probe. Nested order is child index latch -> parent index latch, i.e.
   // descending table id (FKs only reference earlier tables), so the
   // hierarchy is acyclic. FK-deferred engines (shard instances) skip the
   // probes; the sharded repository reconciles edges across shards instead.
-  const size_t row_fk_count =
+  const size_t fk_count =
       options_.enforce_foreign_keys ? table.def().foreign_keys.size() : 0;
-  for (size_t f = 0; f < row_fk_count; ++f) {
-    const ForeignKey& fk = table.def().foreign_keys[f];
+  for (size_t f = 0; f < fk_count; ++f) {
     const uint32_t parent_id = table.fk_parent_ids[f];
-    const Table& parent = tables_[parent_id];
-    const auto probe =
-        Table::encode_fk_probe(table.def(), fk, row, parent.def());
-    ++costs.fk_checks;
+    const auto probe = encode_fk_probe(table.def(), table.fk_columns[f], row);
+    ++tally.fk_checks;
     if (!probe.has_value()) continue;  // NULL FK passes
-    index::BPlusTree::TouchInfo fk_touch;
-    bool parent_has_row = false;
-    if (parent_id == tid) {
-      // Self-reference: the caller's latch on our index already covers it.
-      parent_has_row =
-          parent.pk_tree().lookup_with_touch(*probe, &fk_touch).has_value();
-    } else {
-      costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
-      const std::shared_lock<std::shared_mutex> parent_latch(
-          parent.index_latch(), std::adopt_lock);
-      parent_has_row =
-          parent.pk_tree().lookup_with_touch(*probe, &fk_touch).has_value();
-    }
-    costs.fk_node_visits += fk_touch.nodes_visited;
-    if (!parent_has_row) {
+    if (!parent_has_key(tables_[parent_id], parent_id == tid, *probe, tally,
+                        /*touch_cache=*/costs != nullptr)) {
       return Status(ErrorCode::kConstraintForeignKey,
                     table.def().name + ": no parent row in " +
-                        fk.parent_table + " for " + row_to_display(row));
+                        table.def().foreign_keys[f].parent_table + " for " +
+                        row_to_display(row));
     }
-    cache_.touch_read({parent.pk_cache_file_id, fk_touch.leaf_page_id});
   }
 
   // Unique secondary indexes (enforced only while the index is enabled,
@@ -1033,7 +950,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     costs.lock_wait_ns += lock_shared_timed(table.index_latch());
     const std::shared_lock<std::shared_mutex> index_latch(table.index_latch(),
                                                           std::adopt_lock);
-    SKY_RETURN_IF_ERROR(check_constraints(table, tid, row, pk_key, costs));
+    SKY_RETURN_IF_ERROR(check_constraints(table, tid, row, pk_key, &costs));
   }
 
   // Phase 2 — append to the admitted extent as a hidden pending row.
@@ -1069,12 +986,11 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   if (lost_race) {
     // Another session published a conflicting row between the phases. The
     // pending slot is abandoned (a hole in the page, as after a rollback);
-    // re-run the full check to produce the seed's exact error status.
+    // re-run the full check, status-only, to produce the exact error.
     const Status discarded = table.heap().discard(appended.slot);
     assert(discarded.is_ok());
     (void)discarded;
-    OpCosts scratch;
-    const Status failure = check_constraints(table, tid, row, pk_key, scratch);
+    const Status failure = check_constraints(table, tid, row, pk_key, nullptr);
     if (failure.is_ok()) {
       return Status(ErrorCode::kInternal,
                     table.def().name + ": insert race re-check mismatch");
@@ -1584,16 +1500,14 @@ Status Engine::verify_integrity() const {
       // FK-deferred shard's parents may live on sibling shards, audited by
       // ShardedRepository::reconcile_foreign_keys instead.
       if (options_.enforce_foreign_keys) {
-        for (const ForeignKey& fk : table.def().foreign_keys) {
-          const uint32_t parent_id =
-              schema_.table_id(fk.parent_table).value();
-          const auto probe = Table::encode_fk_probe(table.def(), fk, *row,
-                                                    tables_[parent_id].def());
+        for (size_t f = 0; f < table.fk_columns.size(); ++f) {
+          const auto probe =
+              encode_fk_probe(table.def(), table.fk_columns[f], *row);
           if (probe.has_value() &&
-              !tables_[parent_id].pk_tree().contains(*probe)) {
+              !tables_[table.fk_parent_ids[f]].pk_tree().contains(*probe)) {
             failure = Status(ErrorCode::kInternal,
                              table.def().name + ": dangling FK to " +
-                                 fk.parent_table);
+                                 table.def().foreign_keys[f].parent_table);
             return;
           }
         }

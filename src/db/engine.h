@@ -204,12 +204,17 @@ class Engine {
   Status rollback(uint64_t txn_id);
 
   // ---------------------------------------------------------------- inserts
-  // JDBC executeBatch semantics (see file header).
+  // The three insert calls are thin wrappers over one private admission
+  // envelope (admitted_insert): transaction lookup, table-id check, ITL
+  // admission before the engine rwlock, cost attribution, the cache-event
+  // delta and the modeled device sleep are written once. All three have
+  // JDBC executeBatch semantics (see file header), and every error status
+  // they report comes from the row rules (validate_row, check_constraints).
   BatchResult insert_batch(uint64_t txn_id, uint32_t table_id,
                            std::span<const Row> rows);
   // Columnar batch insert — the batch ingest hot path. Applies rows
-  // [first, first + count) of `batch` with exactly insert_batch's JDBC
-  // semantics and final state: when the rows' primary keys arrive strictly
+  // [first, first + count) of `batch` with exactly insert_batch's results
+  // and final state: when the rows' primary keys arrive strictly
   // increasing (presorted catalog blocks) and the table has no enabled
   // unique secondary index, the run takes the row path's three phases once
   // for all its rows: constraints settled under the shared index latch, one
@@ -217,9 +222,10 @@ class Engine {
   // (ShardedHeap::append_batch), then under the exclusive index latch a
   // primary-key re-check, one kInsertBatch WAL record, one heap publish and
   // one sorted-run merge per B+tree (insert_sorted_run) instead of count
-  // root-to-leaf descents. Otherwise
-  // the rows fall back to the row-at-a-time path (identical semantics,
-  // no speedup).
+  // root-to-leaf descents. The run only locates its first failing row; the
+  // status is the row path's own, computed on that one row. Otherwise the
+  // rows fall back to the row-at-a-time path (identical semantics, no
+  // speedup).
   BatchResult insert_column_batch(uint64_t txn_id, uint32_t table_id,
                                   const ColumnBatch& batch, size_t first = 0,
                                   size_t count = static_cast<size_t>(-1));
@@ -388,29 +394,67 @@ class Engine {
   // victim; its transaction stays live so the caller can roll back).
   Result<TableAdmission> admit_table(Transaction& txn, uint32_t table_id,
                                      OpCosts& costs);
+  // The one admission envelope of every insert call: look up the
+  // transaction, check the table id, admit the transaction to the table
+  // (ITL gate before the engine rwlock), then — rwlock shared, I/O
+  // attributed to `costs` through a CostScope — run `body(txn, extent)` on
+  // the admitted heap extent and record the call's cache-event delta.
+  // Last, with no lock held, pay the modeled device sleep, inflated by the
+  // lock-escalation factor when admission was contended. `body` returns
+  // the failure that stopped the call; rows before its index stay applied.
+  // Tallies rows_applied (all `count` rows when nothing failed) and
+  // constraint_failures into `costs` and returns the failure.
+  template <typename Body>  // std::optional<BatchError>(Transaction&, uint32_t)
+  std::optional<BatchError> admitted_insert(uint64_t txn_id, uint32_t table_id,
+                                            size_t count, OpCosts& costs,
+                                            const Body& body);
+  // Row-at-a-time body: insert_row_latched on row_at(0 .. count-1) in
+  // order, stopping at the first failure.
+  template <typename RowAt>  // Row or const Row& (size_t i)
+  std::optional<BatchError> insert_rows_latched(Transaction& txn,
+                                                uint32_t table_id, size_t count,
+                                                const RowAt& row_at,
+                                                OpCosts& costs,
+                                                uint32_t extent);
   // One row, three phases: pre-check constraints (index latch shared),
   // append to the admitted heap extent as a hidden pending row (extent
   // latch only — parallel across extents), then re-check and publish (index
   // latch exclusive). See DESIGN.md "Heap extent sharding".
   Status insert_row_latched(Transaction& txn, uint32_t table_id,
                             const Row& row, OpCosts& costs, uint32_t extent);
-  // Fast path of insert_column_batch (pre-checked eligible): settle
-  // constraints for the whole run under the shared index latch, append the
-  // surviving prefix to the heap as one pending batch (extent latch only),
-  // then under the exclusive index latch re-check primary keys, log one
-  // kInsertBatch record, publish, and merge each tree's sorted run.
-  // `pk_keys` holds the encoded PK of every submitted row (strictly
-  // increasing). Fills `result` (rows_applied / error / costs) in place.
-  void insert_column_run_latched(Transaction& txn, uint32_t table_id,
-                                 const ColumnBatch& batch, size_t first,
-                                 size_t count,
-                                 std::vector<std::string> pk_keys,
-                                 uint32_t extent, BatchResult& result);
+  // The encoded primary key of every row of the slice when it can take the
+  // columnar run (layout matches the table, keys strictly increasing, no
+  // enabled unique secondary, no self-referential FK); empty otherwise.
+  std::vector<std::string> column_run_keys(const Table& table,
+                                           const ColumnBatch& batch,
+                                           size_t first, size_t count) const;
+  // The columnar run of insert_column_batch: settle constraints for the
+  // whole run under the shared index latch, append the surviving prefix to
+  // the heap as one pending batch (extent latch only), then under the
+  // exclusive index latch re-check primary keys, log one kInsertBatch
+  // record, publish, and merge each tree's sorted run. `pk_keys` is
+  // column_run_keys' output. The run only locates the first failing row;
+  // validate_row or check_constraints (status-only) on that row gives the
+  // status. Returns that failure, if any.
+  std::optional<BatchError> insert_column_run_latched(
+      Transaction& txn, uint32_t table_id, const ColumnBatch& batch,
+      size_t first, size_t count, std::vector<std::string> pk_keys,
+      uint32_t extent, OpCosts& costs);
   // Constraint checks against the current trees (PK, FK, unique secondary).
   // Caller holds the table's index latch (shared or exclusive); parents'
   // index latches are taken shared inside. Returns the first violation.
+  // `costs == nullptr` is the status-only form: nothing is charged and no
+  // cache page is touched (the columnar run's status source and the
+  // lost-race re-check, which must not move the tallies the sim prices).
   Status check_constraints(const Table& table, uint32_t tid, const Row& row,
-                           const std::string& pk_key, OpCosts& costs);
+                           const std::string& pk_key, OpCosts* costs);
+  // Does `parent`'s primary key hold `key`? Takes the parent's index latch
+  // shared for the probe (not for a self-reference: the caller's latch on
+  // that index covers it), charges latch wait and node visits to `costs`,
+  // and on a hit touches the parent leaf page in the cache if `touch_cache`.
+  bool parent_has_key(const Table& parent, bool self_reference,
+                      const std::string& key, OpCosts& costs,
+                      bool touch_cache);
   Status validate_row(const Table& table, const Row& row,
                       OpCosts& costs) const;
   // Modeled device sleep for a completed call (no locks held).

@@ -33,14 +33,7 @@ Snapshot::~Snapshot() {
 }
 
 const SnapshotNode* Snapshot::visible_head(uint32_t table_id) const {
-  if (table_id >= heads_.size()) return nullptr;
-  const SnapshotNode* node = heads_[table_id].get();
-  // Skip chunks published after the pin. commit_lsn decreases along the
-  // chain, so the first node at or below read_lsn_ starts the visible view.
-  while (node != nullptr && node->chunk.commit_lsn > read_lsn_) {
-    node = node->prev.get();
-  }
-  return node;
+  return table_id < heads_.size() ? heads_[table_id].get() : nullptr;
 }
 
 // -------------------------------------------------------- SnapshotManager
@@ -49,7 +42,7 @@ SnapshotManager::SnapshotManager(size_t table_count) : heads_(table_count) {}
 
 uint64_t SnapshotManager::publish(
     std::vector<std::pair<uint32_t, SnapshotChunk>> chunks) {
-  const std::scoped_lock lock(publish_mu_);
+  const std::scoped_lock lock(mu_);
   const uint64_t lsn = published_lsn_.load(std::memory_order_relaxed) + 1;
   for (auto& [table_id, chunk] : chunks) {
     if (table_id >= heads_.size() || chunk.rows.empty()) continue;
@@ -58,17 +51,17 @@ uint64_t SnapshotManager::publish(
     rows_published_.fetch_add(static_cast<int64_t>(chunk.rows.size()),
                               std::memory_order_relaxed);
     auto node = std::make_shared<SnapshotNode>();
-    node->prev = heads_[table_id].load(std::memory_order_relaxed);
+    node->prev = std::move(heads_[table_id]);
     node->rows_cumulative =
         (node->prev ? node->prev->rows_cumulative : 0) +
         static_cast<int64_t>(chunk.rows.size());
     node->chunk = std::move(chunk);
-    // Release: a reader that acquires this head sees the fully built node
-    // and — transitively — the heap row bytes written before the commit.
-    heads_[table_id].store(std::move(node), std::memory_order_release);
+    heads_[table_id] = std::move(node);
   }
-  // Advance the watermark only after every head carries the commit: a pin
-  // that reads lsn here is guaranteed to find all its chunks in the heads.
+  // The heads and the watermark change under the same mutex a pin holds
+  // while it copies them, so a pin sees every chunk up to read_lsn and
+  // none beyond it. The mutex also orders the node contents — and the
+  // heap row bytes written before the commit — before any pinned read.
   published_lsn_.store(lsn, std::memory_order_release);
   return lsn;
 }
@@ -76,26 +69,17 @@ uint64_t SnapshotManager::publish(
 Snapshot SnapshotManager::pin() {
   Snapshot snap;
   snap.manager_ = this;
-  // Order matters: the LSN first (acquire), then the heads (acquire). Every
-  // chunk with commit_lsn <= read_lsn was in its head before published_lsn_
-  // advanced, so the heads loaded after cannot miss it; newer chunks the
-  // heads may already carry are filtered by visible_head().
-  snap.read_lsn_ = published_lsn_.load(std::memory_order_acquire);
-  snap.heads_.reserve(heads_.size());
-  for (const auto& head : heads_) {
-    snap.heads_.push_back(head.load(std::memory_order_acquire));
-  }
   pins_taken_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::scoped_lock lock(pin_mu_);
-    snap.pin_id_ = next_pin_id_++;
-    pins_.emplace(snap.pin_id_, std::chrono::steady_clock::now());
-  }
+  const std::scoped_lock lock(mu_);
+  snap.read_lsn_ = published_lsn_.load(std::memory_order_relaxed);
+  snap.heads_ = heads_;
+  snap.pin_id_ = next_pin_id_++;
+  pins_.emplace(snap.pin_id_, std::chrono::steady_clock::now());
   return snap;
 }
 
 void SnapshotManager::unpin(uint64_t pin_id) {
-  const std::scoped_lock lock(pin_mu_);
+  const std::scoped_lock lock(mu_);
   pins_.erase(pin_id);
 }
 
@@ -105,7 +89,7 @@ SnapshotStats SnapshotManager::stats() const {
   stats.chunks_published = chunks_published_.load(std::memory_order_relaxed);
   stats.rows_published = rows_published_.load(std::memory_order_relaxed);
   stats.pins_taken = pins_taken_.load(std::memory_order_relaxed);
-  const std::scoped_lock lock(pin_mu_);
+  const std::scoped_lock lock(mu_);
   stats.active_pins = static_cast<int64_t>(pins_.size());
   if (!pins_.empty()) {
     const auto now = std::chrono::steady_clock::now();

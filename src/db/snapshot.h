@@ -13,12 +13,11 @@
 // storage-stability contract — row bytes never move), plus sorted key runs
 // for the PK and every enabled secondary index, built from the very keys
 // the insert path already encoded. Chunks are linked newest-first into
-// per-table chains whose heads are std::atomic<std::shared_ptr<const
-// SnapshotNode>>; publication is serialized by one mutex and stamped with a
-// monotone commit LSN, and the manager's published_lsn_ advances only after
-// every head includes the commit (release/acquire pairing) — so any reader
-// that loads published_lsn_ and then the heads sees a transactionally
-// consistent committed prefix.
+// per-table chains of std::shared_ptr<const SnapshotNode>; the chain heads
+// and published_lsn_ change together under one mutex — the one a pin
+// already takes to register itself — and each publication is stamped with a
+// monotone commit LSN, so any pin sees a transactionally consistent
+// committed prefix.
 //
 // A Snapshot is a pin: it captures read_lsn = published_lsn() plus every
 // chain head, and visits only chunks with commit_lsn <= read_lsn. Reads
@@ -113,8 +112,7 @@ class Snapshot {
   uint64_t read_lsn() const { return read_lsn_; }
 
   // First chain node visible at read_lsn() for a table (nullptr when the
-  // table has no committed rows in view). The captured head may lead with
-  // nodes published after the pin; they are skipped here.
+  // table has no committed rows in view): the head captured at pin time.
   const SnapshotNode* visible_head(uint32_t table_id) const;
 
   // Committed rows visible for one table. Latch-free.
@@ -141,7 +139,7 @@ class Snapshot {
   SnapshotManager* manager_ = nullptr;
   uint64_t pin_id_ = 0;
   uint64_t read_lsn_ = 0;
-  // Chain head per table, captured at pin time (acquire loads).
+  // Chain head per table, captured at pin time with read_lsn_.
   std::vector<std::shared_ptr<const SnapshotNode>> heads_;
 };
 
@@ -151,14 +149,14 @@ class SnapshotManager {
   explicit SnapshotManager(size_t table_count);
 
   // Publish one commit's chunks atomically: assigns the commit LSN, links
-  // each chunk onto its table's chain, then advances published_lsn_.
-  // Serialized under the publish mutex; callers hold whatever lock keeps
-  // the chunks' source data (e.g. secondary enabled flags) stable.
-  // Returns the assigned commit LSN.
+  // each chunk onto its table's chain, and advances published_lsn_, all
+  // under the manager mutex. Callers hold whatever lock keeps the chunks'
+  // source data (e.g. secondary enabled flags) stable. Returns the assigned
+  // commit LSN.
   uint64_t publish(std::vector<std::pair<uint32_t, SnapshotChunk>> chunks);
 
-  // Pin the newest consistent view. Lock order: only the pin-registry
-  // mutex, briefly; never blocks on publication.
+  // Pin the newest consistent view. Lock order: only the manager mutex,
+  // briefly (held by a publication only while it links its nodes).
   Snapshot pin();
 
   uint64_t published_lsn() const {
@@ -170,12 +168,11 @@ class SnapshotManager {
   friend class Snapshot;
   void unpin(uint64_t pin_id);
 
-  // Heads are lock-free published (release) and pinned (acquire).
-  std::vector<std::atomic<std::shared_ptr<const SnapshotNode>>> heads_;
+  // Guards heads_, the writes of published_lsn_, pins_ and next_pin_id_.
+  // published_lsn_ stays atomic so published_lsn() reads it lock-free.
+  mutable std::mutex mu_;
+  std::vector<std::shared_ptr<const SnapshotNode>> heads_;
   std::atomic<uint64_t> published_lsn_{0};
-  std::mutex publish_mu_;
-
-  mutable std::mutex pin_mu_;  // guards pins_ / next_pin_id_
   uint64_t next_pin_id_ = 1;
   std::unordered_map<uint64_t, std::chrono::steady_clock::time_point> pins_;
   std::atomic<int64_t> pins_taken_{0};

@@ -49,6 +49,10 @@ Table::Table(uint32_t table_id, TableDef table_def, uint32_t heap_extents,
     }
     secondaries_.push_back(std::move(secondary));
   }
+  fk_columns.reserve(def_.foreign_keys.size());
+  for (const ForeignKey& fk : def_.foreign_keys) {
+    fk_columns.push_back(fk_column_indices(def_, fk));
+  }
 }
 
 std::string Table::encode_pk_key(const Row& row) const {
@@ -85,19 +89,26 @@ std::string Table::encode_index_key(
   return encoder.take();
 }
 
-std::optional<std::string> Table::encode_fk_probe(const TableDef& child_def,
-                                                  const ForeignKey& fk,
-                                                  const Row& child_row,
-                                                  const TableDef& parent_def) {
+std::vector<int> fk_column_indices(const TableDef& child_def,
+                                   const ForeignKey& fk) {
+  std::vector<int> columns;
+  columns.reserve(fk.columns.size());
+  for (const std::string& name : fk.columns) {
+    columns.push_back(child_def.column_index(name));
+    assert(columns.back() >= 0);
+  }
+  return columns;
+}
+
+std::optional<std::string> encode_fk_probe(const TableDef& child_def,
+                                           const std::vector<int>& fk_columns,
+                                           const Row& child_row) {
   index::KeyEncoder encoder;
-  for (size_t i = 0; i < fk.columns.size(); ++i) {
-    const int child_idx = child_def.column_index(fk.columns[i]);
-    assert(child_idx >= 0);
-    const Value& value = child_row[static_cast<size_t>(child_idx)];
+  for (const int idx : fk_columns) {
+    const Value& value = child_row[static_cast<size_t>(idx)];
     if (value.is_null()) return std::nullopt;  // MATCH SIMPLE semantics
-    const int parent_idx = parent_def.column_index(parent_def.primary_key[i]);
     append_value_to_key(encoder, value,
-                        parent_def.columns[static_cast<size_t>(parent_idx)].type);
+                        child_def.columns[static_cast<size_t>(idx)].type);
   }
   return encoder.take();
 }

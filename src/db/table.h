@@ -41,6 +41,17 @@ constexpr storage::SlotId row_id_slot(uint64_t row_id) {
 void append_value_to_key(index::KeyEncoder& encoder, const Value& value,
                          ColumnType type);
 
+// Child column indices of one foreign key, in FK column order.
+std::vector<int> fk_column_indices(const TableDef& child_def,
+                                   const ForeignKey& fk);
+// Key a child row uses to probe its FK parent's PK, from the FK's child
+// column indices; nullopt if any referencing value is NULL (SQL MATCH
+// SIMPLE: NULL FK passes). Encoded with the child columns' types, which
+// Schema::add_table requires to equal the parent key columns' types.
+std::optional<std::string> encode_fk_probe(const TableDef& child_def,
+                                           const std::vector<int>& fk_columns,
+                                           const Row& child_row);
+
 struct SecondaryIndex {
   IndexDef def;
   std::vector<int> column_indices;
@@ -67,11 +78,6 @@ class Table {
   // unique index probe? — NULLs participate normally (they encode as NULL).
   std::string encode_index_key(const SecondaryIndex& index, const Row& row,
                                std::optional<uint64_t> row_id_suffix) const;
-  // Key a FK child row uses to probe this (parent) table's PK; nullopt if
-  // any referencing value is NULL (SQL MATCH SIMPLE: NULL FK passes).
-  static std::optional<std::string> encode_fk_probe(
-      const TableDef& child_def, const ForeignKey& fk, const Row& child_row,
-      const TableDef& parent_def);
 
   storage::ShardedHeap& heap() { return heap_; }
   const storage::ShardedHeap& heap() const { return heap_; }
@@ -119,10 +125,12 @@ class Table {
   // exclusive-phase primary-key re-check when the count has not moved since
   // its shared-phase check: no other session published a key in between.
   uint64_t key_publishes = 0;
-  // Engine table ids of this table's FK parents, aligned with
-  // def().foreign_keys (resolved once by the engine constructor so the
-  // per-row FK probe does no name lookups).
+  // Engine table ids of this table's FK parents and each FK's child column
+  // indices, aligned with def().foreign_keys (resolved once at construction
+  // so the per-row FK probe does no name lookups). The parent ids are
+  // filled by the engine constructor, which owns the schema.
   std::vector<uint32_t> fk_parent_ids;
+  std::vector<std::vector<int>> fk_columns;
 
  private:
   uint32_t id_;

@@ -121,8 +121,7 @@ Result<FkReconcileReport> ShardedRepository::reconcile_foreign_keys() const {
     for (const ForeignKey& fk : child_def.foreign_keys) {
       auto parent_id = schema_.table_id(fk.parent_table);
       if (!parent_id.is_ok()) return parent_id.status();
-      const TableDef& parent_def =
-          schema_.table(parent_id.value());
+      const std::vector<int> fk_columns = fk_column_indices(child_def, fk);
       ++report.edges_checked;
       for (int home = 0; home < shard_count(); ++home) {
         const std::vector<Row> children = view.shard_view(home).scan_collect(
@@ -130,7 +129,7 @@ Result<FkReconcileReport> ShardedRepository::reconcile_foreign_keys() const {
         for (const Row& child : children) {
           ++report.rows_checked;
           const std::optional<std::string> probe =
-              Table::encode_fk_probe(child_def, fk, child, parent_def);
+              encode_fk_probe(child_def, fk_columns, child);
           if (!probe.has_value()) {
             ++report.null_skipped;
             continue;

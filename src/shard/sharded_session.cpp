@@ -14,30 +14,32 @@ Nanos real_now() {
       .count();
 }
 
-// Field-by-field sum of one shard session's stats into the aggregate.
-void add_stats(client::SessionStats& agg, const client::SessionStats& s) {
-  agg.db_calls += s.db_calls;
-  agg.batch_calls += s.batch_calls;
-  agg.single_calls += s.single_calls;
-  agg.commits += s.commits;
-  agg.rows_sent += s.rows_sent;
-  agg.rows_applied += s.rows_applied;
-  agg.failed_calls += s.failed_calls;
-  agg.client_time += s.client_time;
-  agg.network_time += s.network_time;
-  agg.server_time += s.server_time;
-  agg.lock_wait_time += s.lock_wait_time;
-  agg.io_time += s.io_time;
-  agg.stall_time += s.stall_time;
-  agg.txn_slot_wait_time += s.txn_slot_wait_time;
-  agg.itl_wait_time += s.itl_wait_time;
-  agg.query_lane_wait_time += s.query_lane_wait_time;
-  agg.commit_flushes_led += s.commit_flushes_led;
-  agg.commit_piggybacks += s.commit_piggybacks;
-  agg.commit_leader_wait += s.commit_leader_wait;
-  agg.zone_scan_rows += s.zone_scan_rows;
-  agg.xmatch_candidates += s.xmatch_candidates;
-  agg.xmatch_pairs += s.xmatch_pairs;
+// Send rows [first, first + count) as the longest contiguous runs owned by
+// one shard (`shard_of(i)` routes row i), each through `send(shard, at, n)`
+// in the original order. The JDBC prefix contract survives the split: a
+// failure inside a run stops before any later run is sent, and its row
+// index is rebased onto the whole call.
+template <typename ShardOf, typename Send>
+client::BatchOutcome send_shard_runs(size_t first, size_t count,
+                                     const ShardOf& shard_of,
+                                     const Send& send) {
+  client::BatchOutcome outcome;
+  const size_t end = first + count;
+  size_t run_start = first;
+  while (run_start < end) {
+    const int shard = shard_of(run_start);
+    size_t run_end = run_start + 1;
+    while (run_end < end && shard_of(run_end) == shard) ++run_end;
+    client::BatchOutcome run = send(shard, run_start, run_end - run_start);
+    outcome.applied += run.applied;
+    if (run.error.has_value()) {
+      outcome.error = run.error;
+      outcome.error->row_index += run_start - first;
+      return outcome;
+    }
+    run_start = run_end;
+  }
+  return outcome;
 }
 
 }  // namespace
@@ -65,60 +67,28 @@ Result<uint32_t> ShardedSession::prepare_insert(std::string_view table_name) {
 
 client::BatchOutcome ShardedSession::execute_batch(uint32_t table,
                                                    std::span<const Row> rows) {
-  client::BatchOutcome outcome;
   const ShardRouter& router = repo_.router();
-  size_t run_start = 0;
-  while (run_start < rows.size()) {
-    // Longest contiguous run of rows owned by one shard, applied in the
-    // original order — the JDBC prefix contract survives the split because
-    // a failure inside a run stops before any later run is sent.
-    const int shard = router.shard_of_row(table, rows[run_start]);
-    size_t run_end = run_start + 1;
-    while (run_end < rows.size() &&
-           router.shard_of_row(table, rows[run_end]) == shard) {
-      ++run_end;
-    }
-    client::BatchOutcome run = session_for(shard).execute_batch(
-        table, rows.subspan(run_start, run_end - run_start));
-    outcome.applied += run.applied;
-    if (run.error.has_value()) {
-      outcome.error = run.error;
-      outcome.error->row_index += run_start;
-      return outcome;
-    }
-    run_start = run_end;
-  }
-  return outcome;
+  return send_shard_runs(
+      0, rows.size(),
+      [&](size_t i) { return router.shard_of_row(table, rows[i]); },
+      [&](int shard, size_t at, size_t n) {
+        return session_for(shard).execute_batch(table, rows.subspan(at, n));
+      });
 }
 
 client::BatchOutcome ShardedSession::execute_column_batch(
     uint32_t table, const ColumnBatch& batch, size_t first, size_t count) {
   if (first > batch.size()) first = batch.size();
   count = std::min(count, batch.size() - first);
-  client::BatchOutcome outcome;
   const ShardRouter& router = repo_.router();
-  size_t run_start = first;
-  const size_t end = first + count;
-  while (run_start < end) {
-    const int shard = router.shard_of_column_row(table, batch, run_start);
-    size_t run_end = run_start + 1;
-    while (run_end < end &&
-           router.shard_of_column_row(table, batch, run_end) == shard) {
-      ++run_end;
-    }
-    // Sub-range of the same ColumnBatch: the owning shard takes the
-    // batched columnar fast path, nothing is materialized here.
-    client::BatchOutcome run = session_for(shard).execute_column_batch(
-        table, batch, run_start, run_end - run_start);
-    outcome.applied += run.applied;
-    if (run.error.has_value()) {
-      outcome.error = run.error;
-      outcome.error->row_index += run_start - first;
-      return outcome;
-    }
-    run_start = run_end;
-  }
-  return outcome;
+  // Sub-ranges of the same ColumnBatch: each owning shard takes the
+  // columnar path, nothing is materialized here.
+  return send_shard_runs(
+      first, count,
+      [&](size_t i) { return router.shard_of_column_row(table, batch, i); },
+      [&](int shard, size_t at, size_t n) {
+        return session_for(shard).execute_column_batch(table, batch, at, n);
+      });
 }
 
 Status ShardedSession::execute_single(uint32_t table, const Row& row) {
@@ -156,7 +126,7 @@ Nanos ShardedSession::now() const { return real_now() - start_real_; }
 const client::SessionStats& ShardedSession::stats() const {
   agg_ = client::SessionStats{};
   for (const auto& session : sessions_) {
-    if (session != nullptr) add_stats(agg_, session->stats());
+    if (session != nullptr) agg_ += session->stats();
   }
   return agg_;
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -505,7 +506,35 @@ ColumnBatch column_frames(const Schema& schema,
 TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
   // The same rows through insert_batch (oracle) and insert_column_batch
   // (fast path: presorted keys, one latch window) — physically identical
-  // heap state, identical row counts, identical index contents.
+  // heap state, identical row counts, identical index contents. Then the
+  // same again for dirty input: identical per-call outcomes too.
+  // Physically identical heaps: same extent/page/slot layout, same bytes.
+  const auto expect_same_heaps = [](const Engine& a_engine,
+                                    const Engine& b_engine,
+                                    std::initializer_list<uint32_t> tids) {
+    for (uint32_t tid : tids) {
+      std::vector<std::tuple<uint32_t, uint32_t, uint32_t, std::string>> a, b;
+      ASSERT_TRUE(a_engine.live_view()
+                      .scan_heap(tid,
+                                 [&](storage::SlotId slot,
+                                     std::string_view bytes) {
+                                   a.emplace_back(slot.extent, slot.page,
+                                                  slot.slot,
+                                                  std::string(bytes));
+                                 })
+                      .is_ok());
+      ASSERT_TRUE(b_engine.live_view()
+                      .scan_heap(tid,
+                                 [&](storage::SlotId slot,
+                                     std::string_view bytes) {
+                                   b.emplace_back(slot.extent, slot.page,
+                                                  slot.slot,
+                                                  std::string(bytes));
+                                 })
+                      .is_ok());
+      EXPECT_EQ(a, b) << "table " << tid;
+    }
+  };
   const Schema schema = frames_objects_schema();
   Engine row_engine(schema);
   Engine col_engine(schema);
@@ -550,27 +579,7 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
   EXPECT_TRUE(row_engine.verify_integrity().is_ok());
   EXPECT_TRUE(col_engine.verify_integrity().is_ok());
 
-  // Physically identical heaps: same extent/page/slot layout, same bytes.
-  for (uint32_t tid : {frames, objects}) {
-    std::vector<std::tuple<uint32_t, uint32_t, uint32_t, std::string>> a, b;
-    ASSERT_TRUE(row_engine.live_view()
-                    .scan_heap(tid,
-                               [&](storage::SlotId slot,
-                                   std::string_view bytes) {
-                                 a.emplace_back(slot.extent, slot.page,
-                                                slot.slot, std::string(bytes));
-                               })
-                    .is_ok());
-    ASSERT_TRUE(col_engine.live_view()
-                    .scan_heap(tid,
-                               [&](storage::SlotId slot,
-                                   std::string_view bytes) {
-                                 b.emplace_back(slot.extent, slot.page,
-                                                slot.slot, std::string(bytes));
-                               })
-                    .is_ok());
-    EXPECT_EQ(a, b) << "table " << tid;
-  }
+  expect_same_heaps(row_engine, col_engine, {frames, objects});
 
   // Identical secondary-index contents (same rows, same iteration order).
   const auto row_mag = row_engine.live_view().index_range(
@@ -586,6 +595,106 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
       EXPECT_EQ((*row_mag)[i][c], (*col_mag)[i][c]) << i << "," << c;
     }
   }
+
+  // Dirty input, resumed after each error the way BulkLoader::batch_columns
+  // does (skip the failing row, resend from the next). This objects variant
+  // has a nullable FK (a NULL parent reference passes) and a NOT NULL mag.
+  Schema dirty_schema;
+  ASSERT_TRUE(dirty_schema.add_table(schema.table(frames)).is_ok());
+  TableDef dirty_def = schema.table(objects);
+  dirty_def.columns[1].nullable = true;   // frame_id
+  dirty_def.columns[4].nullable = false;  // mag
+  ASSERT_TRUE(dirty_schema.add_table(dirty_def).is_ok());
+  const Value null = Value::null();
+  const Value nan = Value::f64(std::numeric_limits<double>::quiet_NaN());
+  const auto obj = [](int64_t id, Value frame, Value ra, Value dec,
+                      Value mag) {
+    return Row{Value::i64(id), std::move(frame), std::move(ra),
+               std::move(dec), std::move(mag)};
+  };
+  const Value f1 = Value::i64(1), orphan = Value::i64(999);
+  const Value ra = Value::f64(10.0), dec = Value::f64(5.0);
+  const Value mag = Value::f64(18.0);
+  const std::vector<Row> dirty = {
+      obj(0, f1, ra, dec, mag),
+      obj(1, Value::i64(2), ra, dec, mag),
+      obj(2, Value::i64(3), ra, dec, mag),
+      obj(3, Value::i64(4), ra, dec, mag),
+      obj(2, f1, ra, dec, mag),                     // in-table duplicate PK
+      obj(3, orphan, ra, dec, mag),                 // duplicate PK reported first
+      obj(4, f1, ra, dec, mag),
+      obj(5, orphan, ra, dec, mag),                 // missing FK parent
+      obj(6, null, ra, dec, mag),                   // NULL FK passes
+      obj(7, f1, ra, dec, null),                    // NULL in NOT NULL mag
+      obj(8, f1, nan, dec, mag),                    // NaN
+      obj(9, f1, ra, Value::f64(95.0), mag),        // dec CHECK out of range
+      obj(10, orphan, Value::f64(400.0), dec, mag), // CHECK before FK
+      obj(11, f1, ra, dec, mag),
+      obj(12, f1, ra, dec, mag),
+      obj(13, f1, ra, dec, mag),
+      obj(13, Value::i64(2), ra, dec, mag),         // in-batch duplicate PK
+      obj(14, f1, ra, dec, mag),
+  };
+  ColumnBatch dirty_cols(dirty_def);
+  for (const Row& row : dirty) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (row[c].is_null()) {
+        dirty_cols.push_null(c);
+      } else if (row[c].is_i64()) {
+        dirty_cols.push_i64(c, row[c].as_i64());
+      } else {
+        dirty_cols.push_f64(c, row[c].as_f64());
+      }
+    }
+  }
+  Engine dirty_row_engine(dirty_schema);
+  Engine dirty_col_engine(dirty_schema);
+  const uint64_t dirty_row_txn = dirty_row_engine.begin_transaction();
+  const uint64_t dirty_col_txn = dirty_col_engine.begin_transaction();
+  ASSERT_EQ(dirty_row_engine
+                .insert_batch(dirty_row_txn, frames,
+                              std::span<const Row>(frame_rows.data(), 10))
+                .rows_applied,
+            10);
+  ASSERT_EQ(dirty_col_engine
+                .insert_column_batch(dirty_col_txn, frames, frame_cols, 0, 10)
+                .rows_applied,
+            10);
+  constexpr size_t kDirtyBatch = 4;
+  std::set<ErrorCode> codes;
+  int64_t dirty_applied = 0;
+  size_t first = 0;
+  while (first < dirty.size()) {
+    const size_t n = std::min(kDirtyBatch, dirty.size() - first);
+    const BatchResult r = dirty_row_engine.insert_batch(
+        dirty_row_txn, objects, std::span<const Row>(&dirty[first], n));
+    const BatchResult c = dirty_col_engine.insert_column_batch(
+        dirty_col_txn, objects, dirty_cols, first, n);
+    ASSERT_EQ(r.rows_applied, c.rows_applied) << "slice at " << first;
+    ASSERT_EQ(r.error.has_value(), c.error.has_value()) << "slice at " << first;
+    dirty_applied += c.rows_applied;
+    if (!c.error.has_value()) {
+      first += n;
+      continue;
+    }
+    EXPECT_EQ(r.error->row_index, c.error->row_index) << "slice at " << first;
+    EXPECT_EQ(r.error->status.code(), c.error->status.code())
+        << "slice at " << first;
+    EXPECT_EQ(r.error->status.message(), c.error->status.message())
+        << "slice at " << first;
+    codes.insert(c.error->status.code());
+    first += c.error->row_index + 1;
+  }
+  EXPECT_EQ(dirty_applied, 10);
+  EXPECT_EQ(codes, (std::set<ErrorCode>{ErrorCode::kConstraintPrimaryKey,
+                                        ErrorCode::kConstraintForeignKey,
+                                        ErrorCode::kConstraintNotNull,
+                                        ErrorCode::kConstraintCheck}));
+  ASSERT_TRUE(dirty_row_engine.commit(dirty_row_txn).is_ok());
+  ASSERT_TRUE(dirty_col_engine.commit(dirty_col_txn).is_ok());
+  EXPECT_TRUE(dirty_row_engine.verify_integrity().is_ok());
+  EXPECT_TRUE(dirty_col_engine.verify_integrity().is_ok());
+  expect_same_heaps(dirty_row_engine, dirty_col_engine, {frames, objects});
 }
 
 TEST_F(EngineTest, ColumnBatchStopsAtFirstErrorJdbcSemantics) {

@@ -3,6 +3,8 @@
 // "skipped" like data errors, and a rolled-back retry must succeed.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "catalog/generator.h"
 #include "catalog/pq_schema.h"
 #include "client/session.h"
@@ -12,7 +14,8 @@
 namespace sky::core {
 namespace {
 
-// Decorates a session: the Nth execute_batch call reports a given error.
+// Decorates a session: the Nth batch call (execute_batch or
+// execute_column_batch) reports a given error.
 class FaultySession final : public client::Session {
  public:
   FaultySession(client::Session& inner, int64_t fail_on_call, Status failure)
@@ -24,14 +27,15 @@ class FaultySession final : public client::Session {
   }
   client::BatchOutcome execute_batch(
       uint32_t table, std::span<const db::Row> rows) override {
-    if (++calls_ == fail_on_call_) {
-      // Connection dropped mid-call: nothing applied, error reported.
-      client::BatchOutcome outcome;
-      outcome.applied = 0;
-      outcome.error = db::BatchError{0, failure_};
-      return outcome;
-    }
+    if (auto fault = next_call_fault()) return *fault;
     return inner_.execute_batch(table, rows);
+  }
+  client::BatchOutcome execute_column_batch(uint32_t table,
+                                            const db::ColumnBatch& batch,
+                                            size_t first,
+                                            size_t count) override {
+    if (auto fault = next_call_fault()) return *fault;
+    return inner_.execute_column_batch(table, batch, first, count);
   }
   Status execute_single(uint32_t table, const db::Row& row) override {
     return inner_.execute_single(table, row);
@@ -51,6 +55,13 @@ class FaultySession final : public client::Session {
   int64_t calls() const { return calls_; }
 
  private:
+  // Count one batch call; the injected outcome when it is the Nth.
+  std::optional<client::BatchOutcome> next_call_fault() {
+    if (++calls_ != fail_on_call_) return std::nullopt;
+    // Connection dropped mid-call: nothing applied, error reported.
+    return client::BatchOutcome{0, db::BatchError{0, failure_}};
+  }
+
   client::Session& inner_;
   int64_t calls_ = 0;
   int64_t fail_on_call_;

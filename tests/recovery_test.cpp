@@ -9,6 +9,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -223,9 +224,10 @@ TEST(RecoveryTest, FullLoaderRunRoundTrips) {
   EXPECT_EQ(first_layout, second_layout);
 }
 
-// Decorates a session so the Nth execute_batch call reports a dropped
-// connection (nothing applied) — the fault_injection_test pattern, used
-// here to kill one worker of a parallel load mid-batch.
+// Decorates a session so the Nth batch call (execute_batch or
+// execute_column_batch) reports a dropped connection (nothing applied) —
+// the fault_injection_test pattern, used here to kill one worker of a
+// parallel load mid-batch.
 class CrashingSession final : public client::Session {
  public:
   CrashingSession(client::Session& inner, int64_t fail_on_call)
@@ -236,14 +238,15 @@ class CrashingSession final : public client::Session {
   }
   client::BatchOutcome execute_batch(uint32_t table,
                                      std::span<const Row> rows) override {
-    if (++calls_ == fail_on_call_) {
-      client::BatchOutcome outcome;
-      outcome.applied = 0;
-      outcome.error =
-          BatchError{0, Status(ErrorCode::kIoError, "worker killed")};
-      return outcome;
-    }
+    if (auto fault = next_call_fault()) return *fault;
     return inner_.execute_batch(table, rows);
+  }
+  client::BatchOutcome execute_column_batch(uint32_t table,
+                                            const ColumnBatch& batch,
+                                            size_t first,
+                                            size_t count) override {
+    if (auto fault = next_call_fault()) return *fault;
+    return inner_.execute_column_batch(table, batch, first, count);
   }
   Status execute_single(uint32_t table, const Row& row) override {
     return inner_.execute_single(table, row);
@@ -262,6 +265,13 @@ class CrashingSession final : public client::Session {
   }
 
  private:
+  // Count one batch call; the injected outcome when it is the Nth.
+  std::optional<client::BatchOutcome> next_call_fault() {
+    if (++calls_ != fail_on_call_) return std::nullopt;
+    return client::BatchOutcome{
+        0, BatchError{0, Status(ErrorCode::kIoError, "worker killed")}};
+  }
+
   client::Session& inner_;
   int64_t calls_ = 0;
   int64_t fail_on_call_;
