@@ -96,14 +96,14 @@ WindowResult run_window_load(int degree, sky::Nanos window) {
       result.seconds > 0
           ? static_cast<double>(report->total_rows_loaded) / result.seconds
           : 0;
-  result.flushes = report->commit_flushes;
-  result.piggybacks = report->commit_piggybacks;
+  result.flushes = report->sessions.commit_flushes_led;
+  result.piggybacks = report->sessions.commit_piggybacks;
   const int64_t commits = result.flushes + result.piggybacks;
   result.flushes_per_commit =
       commits > 0 ? static_cast<double>(result.flushes) /
                         static_cast<double>(commits)
                   : 1.0;
-  result.leader_wait_s = sky::to_seconds(report->commit_leader_wait);
+  result.leader_wait_s = sky::to_seconds(report->sessions.commit_leader_wait);
   return result;
 }
 

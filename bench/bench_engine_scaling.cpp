@@ -159,9 +159,7 @@ RunResult run_files(const sky::db::EngineOptions& engine_options,
   for (const sky::Nanos busy : report->worker_busy) {
     result.busy_seconds += sky::to_seconds(busy);
   }
-  for (const sky::Nanos wait : report->worker_lock_wait) {
-    result.lock_wait_seconds += sky::to_seconds(wait);
-  }
+  result.lock_wait_seconds = sky::to_seconds(report->sessions.lock_wait_time);
   result.wal = engine.wal_stats();
   return result;
 }

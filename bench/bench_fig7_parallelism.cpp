@@ -159,9 +159,9 @@ RealResult run_real(int degree, bool gated) {
                           result.seconds
                     : 0;
   result.gates = engine.concurrency_stats();
-  result.itl_wait_s = sky::to_seconds(report->itl_wait);
-  result.txn_slot_wait_s = sky::to_seconds(report->txn_slot_wait);
-  result.stall_s = sky::to_seconds(report->stall_time);
+  result.itl_wait_s = sky::to_seconds(report->sessions.itl_wait_time);
+  result.txn_slot_wait_s = sky::to_seconds(report->sessions.txn_slot_wait_time);
+  result.stall_s = sky::to_seconds(report->sessions.stall_time);
   return result;
 }
 

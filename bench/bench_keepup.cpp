@@ -37,7 +37,6 @@
 #include "client/sim_server.h"
 #include "common/rng.h"
 #include "core/controller.h"
-#include "core/load_report.h"
 #include "db/control_plane.h"
 
 namespace {
@@ -92,7 +91,7 @@ struct SoakResult {
   double nights_per_day = 0;
   uint64_t control_ticks = 0;
   uint64_t control_patches = 0;
-  std::vector<std::string> control_decisions;
+  std::vector<std::string> decision_tail;
 };
 
 struct PhasePlan {
@@ -277,7 +276,7 @@ SoakResult run_soak(const std::string& name,
     const auto decisions = controller->trace().snapshot();
     const size_t tail = decisions.size() > 6 ? decisions.size() - 6 : 0;
     for (size_t i = tail; i < decisions.size(); ++i) {
-      result.control_decisions.push_back(decisions[i].render());
+      result.decision_tail.push_back(decisions[i].render());
     }
   }
   return result;
@@ -344,16 +343,10 @@ int main(int argc, char** argv) {
               r_bulk.nights_per_day, r_inter.nights_per_day,
               r_adapt.nights_per_day);
 
-  // Surface the controller's decisions the same way a coordinator run
-  // reports them.
-  sky::core::ParallelLoadReport control_report;
-  control_report.control_ticks = r_adapt.control_ticks;
-  control_report.control_patches = r_adapt.control_patches;
-  control_report.control_decisions = r_adapt.control_decisions;
   std::printf("\nadaptive control: %llu ticks, %llu patches applied\n",
               static_cast<unsigned long long>(r_adapt.control_ticks),
               static_cast<unsigned long long>(r_adapt.control_patches));
-  for (const std::string& decision : r_adapt.control_decisions) {
+  for (const std::string& decision : r_adapt.decision_tail) {
     std::printf("  %s\n", decision.c_str());
   }
 
@@ -367,7 +360,7 @@ int main(int argc, char** argv) {
   const bool traced =
       r_adapt.control_patches > 0 &&
       r_adapt.control_ticks > 0 &&
-      !r_adapt.control_decisions.empty();
+      !r_adapt.decision_tail.empty();
 
   {
     std::ofstream json("BENCH_keepup.json");

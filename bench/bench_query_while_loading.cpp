@@ -105,6 +105,7 @@ struct MixedResult {
   int64_t batch_scans = 0;
   int64_t batch_yields = 0;   // snapshot mode only
   int64_t lane_wait_ms = 0;   // snapshot mode only (summed lane queue wait)
+  int64_t snapshot_chunks = 0;  // chunks the engine published during the run
 };
 
 // One mixed run: kLoaders loader threads + `interactive_clients` +
@@ -252,6 +253,7 @@ MixedResult run_mixed(bool use_snapshots, int interactive_clients,
   MixedResult result;
   result.ingest_rows_per_sec =
       static_cast<double>(rows_after - rows_before) / window_elapsed;
+  result.snapshot_chunks = engine.stats().snapshots.chunks_published;
   std::vector<sky::Nanos> interactive_all;
   for (auto& samples : interactive_samples) {
     interactive_all.insert(interactive_all.end(), samples.begin(),
@@ -399,12 +401,15 @@ int main(int argc, char** argv) {
           buffer, sizeof(buffer),
           "%s\n    {\"clients\": %d, \"baseline_p99_ms\": %.3f, "
           "\"snapshot_p99_ms\": %.3f, \"baseline_ingest\": %.1f, "
-          "\"snapshot_ingest\": %.1f, \"batch_yields\": %lld}",
+          "\"snapshot_ingest\": %.1f, \"batch_yields\": %lld, "
+          "\"baseline_snapshot_chunks\": %lld, \"snapshot_chunks\": %lld}",
           i > 0 ? "," : "", point.clients, point.baseline.interactive_p99_ms,
           point.snapshot.interactive_p99_ms,
           point.baseline.ingest_rows_per_sec,
           point.snapshot.ingest_rows_per_sec,
-          static_cast<long long>(point.snapshot.batch_yields));
+          static_cast<long long>(point.snapshot.batch_yields),
+          static_cast<long long>(point.baseline.snapshot_chunks),
+          static_cast<long long>(point.snapshot.snapshot_chunks));
       json << buffer;
     }
     std::snprintf(buffer, sizeof(buffer),

@@ -201,13 +201,12 @@ ShardRun run_sharded(int shards, const std::vector<uint64_t>& sample,
   coordinator_options.loader.write_audit_row = false;
   coordinator_options.loader.commit.every_cycles = 2;
   const auto factory = [&](int) { return repo.make_session(); };
-  auto report = sky::core::LoadCoordinator::run_threads(
+  const auto report = sky::core::LoadCoordinator::run_threads(
       files, schema, factory, coordinator_options);
   if (!report.is_ok()) std::abort();
   if (!repo.verify_integrity().is_ok()) std::abort();
   const auto fk = repo.reconcile_foreign_keys();
   if (!fk.is_ok()) std::abort();
-  repo.fill_shard_telemetry(*report);
 
   ShardRun run;
   run.shards = shards;

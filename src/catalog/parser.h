@@ -65,6 +65,16 @@ struct ParserStats {
   int64_t comment_lines = 0;
   int64_t parse_errors = 0;
   int64_t htmids_computed = 0;
+
+  // Field-by-field sum (aggregating several loaders' parsers).
+  ParserStats& operator+=(const ParserStats& other) {
+    lines += other.lines;
+    data_rows += other.data_rows;
+    comment_lines += other.comment_lines;
+    parse_errors += other.parse_errors;
+    htmids_computed += other.htmids_computed;
+    return *this;
+  }
 };
 
 class CatalogParser {

@@ -18,13 +18,9 @@ void SessionStats::absorb(const db::OpCosts& costs) {
   txn_slot_wait_time += costs.txn_slot_wait_ns;
   itl_wait_time += costs.itl_wait_ns;
   stall_time += costs.stall_ns;
-  query_lane_wait_time += costs.query_lane_wait_ns;
   commit_flushes_led += costs.commit_flushes_led;
   commit_piggybacks += costs.commit_piggybacks;
   commit_leader_wait += costs.commit_leader_wait_ns;
-  zone_scan_rows += costs.zone_scan_rows;
-  xmatch_candidates += costs.xmatch_candidates;
-  xmatch_pairs += costs.xmatch_pairs;
 }
 
 SessionStats& SessionStats::operator+=(const SessionStats& other) {
@@ -43,13 +39,9 @@ SessionStats& SessionStats::operator+=(const SessionStats& other) {
   stall_time += other.stall_time;
   txn_slot_wait_time += other.txn_slot_wait_time;
   itl_wait_time += other.itl_wait_time;
-  query_lane_wait_time += other.query_lane_wait_time;
   commit_flushes_led += other.commit_flushes_led;
   commit_piggybacks += other.commit_piggybacks;
   commit_leader_wait += other.commit_leader_wait;
-  zone_scan_rows += other.zone_scan_rows;
-  xmatch_candidates += other.xmatch_candidates;
-  xmatch_pairs += other.xmatch_pairs;
   return *this;
 }
 

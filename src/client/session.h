@@ -54,13 +54,9 @@ struct SessionStats {
   // Admission-gate breakdown (subsets of lock_wait_time except stall_time,
   // which is its own bucket): instance-wide transaction-slot waits vs.
   // per-table ITL waits. Same field names in both execution modes, so
-  // ParallelLoadReport reads one schema.
+  // ParallelLoadReport holds one summed SessionStats for either.
   Nanos txn_slot_wait_time = 0;
   Nanos itl_wait_time = 0;
-  // Query-lane admission wait (db/query_scheduler.h): time spent queued on
-  // the interactive/batch lane gates. Not a subset of lock_wait_time — lane
-  // queueing is scheduling policy, not latch contention.
-  Nanos query_lane_wait_time = 0;
   // Group-commit accounting: commits where this session led the covering
   // log-device write vs. rode another session's flush, and the
   // commit-coalescing window time it paid as leader. Filled by both
@@ -69,18 +65,12 @@ struct SessionStats {
   int64_t commit_flushes_led = 0;
   int64_t commit_piggybacks = 0;
   Nanos commit_leader_wait = 0;
-  // Spatial-operator totals (db/spatial.h, OpCosts spatial counters): rows
-  // pulled through cone probes and zone windows, pairs reaching the exact
-  // angular-distance test, and pairs that matched.
-  int64_t zone_scan_rows = 0;
-  int64_t xmatch_candidates = 0;
-  int64_t xmatch_pairs = 0;
 
   // Count one batch call that sent `rows` rows (call, row and failure
   // counters; the same in both execution modes).
   void count_batch(int64_t rows, const db::BatchResult& result);
-  // Fold one engine call's OpCosts into the wait, commit and spatial
-  // fields (every field a real session fills from the engine).
+  // Fold one engine call's OpCosts into the wait and commit fields (every
+  // field a real session fills from the engine).
   void absorb(const db::OpCosts& costs);
   // Field-by-field sum (aggregating several sessions' stats).
   SessionStats& operator+=(const SessionStats& other);

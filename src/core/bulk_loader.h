@@ -75,8 +75,8 @@ class BulkLoader {
   const BulkLoaderOptions& options() const { return options_; }
 
   // Client-side parser counters for this loader (lines, data rows, parse
-  // errors, htmids computed) — aggregated across workers into
-  // ParallelLoadReport by the coordinator.
+  // errors, htmids computed) — summed across workers into
+  // ParallelLoadReport::parser by the coordinator.
   const catalog::ParserStats& parser_stats() const { return parser_->stats(); }
 
  private:

@@ -30,7 +30,7 @@
 // start()/stop() run it on a real thread against live engines.
 //
 // Every decision (and its reason) lands in a ControlTrace ring buffer,
-// surfaced through ParallelLoadReport and `tuning_advisor --live`.
+// read through Controller::trace() (bench_keepup, `tuning_advisor --live`).
 #pragma once
 
 #include <atomic>

@@ -98,33 +98,19 @@ ParallelLoadReport assemble(std::vector<WorkerResult> worker_results,
   ParallelLoadReport report;
   report.workers = workers;
   report.makespan = makespan;
-  client::SessionStats sessions;
   for (WorkerResult& worker : worker_results) {
     report.worker_busy.push_back(worker.busy);
     report.worker_lock_wait.push_back(worker.session.lock_wait_time);
     report.files_per_worker.push_back(worker.files);
     report.files_skipped += worker.files_skipped;
-    sessions += worker.session;
-    report.parser_lines += worker.parser.lines;
-    report.parser_data_rows += worker.parser.data_rows;
-    report.parser_errors += worker.parser.parse_errors;
-    report.htmids_computed += worker.parser.htmids_computed;
+    report.sessions += worker.session;
+    report.parser += worker.parser;
     for (FileLoadReport& file : worker.reports) {
       report.total_bytes += file.bytes;
       report.total_rows_loaded += file.rows_loaded;
       report.files.push_back(std::move(file));
     }
   }
-  report.commit_flushes = sessions.commit_flushes_led;
-  report.commit_piggybacks = sessions.commit_piggybacks;
-  report.commit_leader_wait = sessions.commit_leader_wait;
-  report.txn_slot_wait = sessions.txn_slot_wait_time;
-  report.itl_wait = sessions.itl_wait_time;
-  report.stall_time = sessions.stall_time;
-  report.query_lane_wait = sessions.query_lane_wait_time;
-  report.zone_scan_rows = sessions.zone_scan_rows;
-  report.xmatch_candidates = sessions.xmatch_candidates;
-  report.xmatch_pairs = sessions.xmatch_pairs;
   return report;
 }
 

@@ -36,35 +36,21 @@ std::string ParallelLoadReport::summary() const {
       "%d workers, %zu files, %lld rows, %s makespan, %.2f MB/s",
       workers, files.size(), static_cast<long long>(total_rows_loaded),
       format_duration(makespan).c_str(), throughput_mb_per_s());
-  const int64_t commits = commit_flushes + commit_piggybacks;
+  const int64_t flushes = sessions.commit_flushes_led;
+  const int64_t commits = flushes + sessions.commit_piggybacks;
   if (commits > 0) {
     out += str_format(
         ", %lld log flushes / %lld commits (%.2f flushes per commit)",
-        static_cast<long long>(commit_flushes),
-        static_cast<long long>(commits),
-        static_cast<double>(commit_flushes) / static_cast<double>(commits));
+        static_cast<long long>(flushes), static_cast<long long>(commits),
+        static_cast<double>(flushes) / static_cast<double>(commits));
   }
-  if (txn_slot_wait > 0 || itl_wait > 0) {
+  if (sessions.txn_slot_wait_time > 0 || sessions.itl_wait_time > 0) {
     out += str_format(", gate waits: txn-slot %s, itl %s",
-                      format_duration(txn_slot_wait).c_str(),
-                      format_duration(itl_wait).c_str());
+                      format_duration(sessions.txn_slot_wait_time).c_str(),
+                      format_duration(sessions.itl_wait_time).c_str());
   }
-  if (stall_time > 0) {
-    out += ", stalls " + format_duration(stall_time);
-  }
-  if (query_lane_wait > 0) {
-    out += ", query-lane wait " + format_duration(query_lane_wait);
-  }
-  if (xmatch_candidates > 0 || zone_scan_rows > 0) {
-    out += str_format(", spatial %lld scanned / %lld tested / %lld matched",
-                      static_cast<long long>(zone_scan_rows),
-                      static_cast<long long>(xmatch_candidates),
-                      static_cast<long long>(xmatch_pairs));
-  }
-  if (control_ticks > 0) {
-    out += str_format(", control %llu ticks / %llu patches",
-                      static_cast<unsigned long long>(control_ticks),
-                      static_cast<unsigned long long>(control_patches));
+  if (sessions.stall_time > 0) {
+    out += ", stalls " + format_duration(sessions.stall_time);
   }
   return out;
 }
@@ -85,14 +71,15 @@ std::string render_markdown_report(const ParallelLoadReport& report,
   out += str_format("- skipped: %lld parse, %lld constraint\n",
                     static_cast<long long>(totals.parse_errors),
                     static_cast<long long>(totals.rows_skipped_server));
-  if (report.parser_lines > 0) {
+  const catalog::ParserStats& parser = report.parser;
+  if (parser.lines > 0) {
     out += str_format(
         "- parser: %lld data lines, %lld rows, %lld errors, "
         "%lld htmids computed\n",
-        static_cast<long long>(report.parser_lines),
-        static_cast<long long>(report.parser_data_rows),
-        static_cast<long long>(report.parser_errors),
-        static_cast<long long>(report.htmids_computed));
+        static_cast<long long>(parser.lines),
+        static_cast<long long>(parser.data_rows),
+        static_cast<long long>(parser.parse_errors),
+        static_cast<long long>(parser.htmids_computed));
   }
 
   out += "\n## Rows per table\n\n| table | rows |\n|---|---|\n";
@@ -113,32 +100,14 @@ std::string render_markdown_report(const ParallelLoadReport& report,
                       format_duration(lock_wait).c_str());
   }
 
-  if (report.txn_slot_wait > 0 || report.itl_wait > 0 ||
-      report.stall_time > 0) {
+  const client::SessionStats& sessions = report.sessions;
+  if (sessions.txn_slot_wait_time > 0 || sessions.itl_wait_time > 0 ||
+      sessions.stall_time > 0) {
     out += "\n## Admission gates\n\n";
-    out += "- txn-slot wait: " + format_duration(report.txn_slot_wait) + "\n";
-    out += "- itl wait: " + format_duration(report.itl_wait) + "\n";
-    out += "- stall time: " + format_duration(report.stall_time) + "\n";
-  }
-  if (report.query_lane_wait > 0) {
-    out += "\n## Query lanes\n\n";
-    out += "- lane wait: " + format_duration(report.query_lane_wait) + "\n";
-  }
-  if (report.control_ticks > 0) {
-    out += "\n## Adaptive control\n\n";
-    out += "- ticks: " + std::to_string(report.control_ticks) + "\n";
-    out += "- patches applied: " + std::to_string(report.control_patches) +
-           "\n";
-    for (const std::string& decision : report.control_decisions) {
-      out += "- " + decision + "\n";
-    }
-  }
-  if (report.zone_scan_rows > 0 || report.xmatch_candidates > 0) {
-    out += "\n## Spatial operators\n\n";
-    out += "- zone-scan rows: " + std::to_string(report.zone_scan_rows) + "\n";
-    out += "- exact-distance tests: " +
-           std::to_string(report.xmatch_candidates) + "\n";
-    out += "- matched pairs: " + std::to_string(report.xmatch_pairs) + "\n";
+    out += "- txn-slot wait: " +
+           format_duration(sessions.txn_slot_wait_time) + "\n";
+    out += "- itl wait: " + format_duration(sessions.itl_wait_time) + "\n";
+    out += "- stall time: " + format_duration(sessions.stall_time) + "\n";
   }
 
   size_t shown = 0;

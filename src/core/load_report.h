@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "catalog/parser.h"
+#include "client/session.h"
 #include "common/status.h"
 #include "common/units.h"
 
@@ -54,49 +56,17 @@ struct ParallelLoadReport {
   std::vector<Nanos> worker_lock_wait;
   std::vector<int> files_per_worker;
   int files_skipped = 0;  // already-loaded files skipped (idempotent rerun)
-  // Group-commit totals across workers: log-device flushes led, commits
-  // that rode another worker's flush, and commit-coalescing window wait
-  // paid by leaders. flushes/(flushes+piggybacks) is the flushes-per-commit
-  // ratio the commit-window bench sweeps.
-  int64_t commit_flushes = 0;
-  int64_t commit_piggybacks = 0;
-  Nanos commit_leader_wait = 0;
-  // Admission-gate totals across workers (SessionStats field names; filled
-  // identically by real and simulation runs): instance-wide transaction-slot
-  // waits, per-table ITL waits, and injected long-stall time.
-  Nanos txn_slot_wait = 0;
-  Nanos itl_wait = 0;
-  Nanos stall_time = 0;
-  // Query-lane admission wait summed across workers that also served
-  // queries (db/query_scheduler.h lanes; zero for load-only runs).
-  Nanos query_lane_wait = 0;
-  // Spatial-operator totals across workers that ran cone searches or
-  // cross-matches alongside the load (db/spatial.h; zero for load-only
-  // runs): rows pulled through zone/cone windows, pairs reaching the exact
-  // angular-distance test, and pairs matched.
-  int64_t zone_scan_rows = 0;
-  int64_t xmatch_candidates = 0;
-  int64_t xmatch_pairs = 0;
-  // Client-side parser totals across workers (summed from each loader's
-  // ParserStats): data lines parsed, rows that converted cleanly,
-  // structural parse errors, and computed object htmids. These cross-check
-  // the per-file parse_errors counters and the htmid index row count.
-  int64_t parser_lines = 0;
-  int64_t parser_data_rows = 0;
-  int64_t parser_errors = 0;
-  int64_t htmids_computed = 0;
-  // Multi-engine scale-out telemetry (db::ShardedRepository): committed
-  // rows per shard and the skew ratio max/mean (1.0 = perfectly balanced).
-  // Empty / 0.0 for single-engine runs; filled by
-  // ShardedRepository::fill_shard_telemetry after a sharded load.
-  std::vector<int64_t> shard_rows;
-  double shard_skew = 0.0;
-  // Adaptive-control telemetry (core/controller.h; zero/empty when the run
-  // had no controller): feedback ticks taken, policy patches applied, and
-  // the rendered tail of the ControlTrace decision ring.
-  uint64_t control_ticks = 0;
-  uint64_t control_patches = 0;
-  std::vector<std::string> control_decisions;
+  // The worker sessions' stats summed: group-commit flushes led, commits
+  // that rode another worker's flush and leader window wait (commit
+  // flushes per commit = flushes / (flushes + piggybacks)); admission-gate
+  // waits on transaction slots and ITLs, and injected stall time. Filled
+  // identically by real and simulation runs.
+  client::SessionStats sessions;
+  // The workers' parser stats summed: data lines parsed, rows that
+  // converted cleanly, structural parse errors and computed object htmids.
+  // These cross-check the per-file parse_errors counters and the htmid
+  // index row count.
+  catalog::ParserStats parser;
 
   double throughput_mb_per_s() const {
     if (makespan <= 0) return 0.0;

@@ -240,9 +240,6 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
     // engine lock). Relaxed durability acks here without flushing.
     const storage::WalFlushResult flush =
         wal_.flush(/*expect_group=*/live_transactions > 1, live_transactions);
-    result.wal_bytes_flushed = flush.bytes_flushed;
-    result.led_flush = flush.led;
-    result.piggybacked = flush.piggybacked;
     result.costs.wal_bytes += flush.bytes_flushed;
     result.costs.io.log_bytes_flushed += flush.bytes_flushed;
     result.costs.commit_flushes_led += flush.led ? 1 : 0;
@@ -265,7 +262,7 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
   // recycle its undo log into snapshot chunks so pinned readers gain this
   // commit as one atomic publication. Still under the shared engine lock
   // (publication must not interleave with a DDL world-stop).
-  if (options_.snapshot_reads && !undo.empty()) {
+  if (!undo.empty()) {
     publish_snapshot_chunks(std::move(undo));
   }
   engine_lock.unlock();
@@ -1143,7 +1140,7 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
   // A preload is one logical commit: published to snapshot readers as a
   // single chunk (slots and byte views collected as the rows land).
   SnapshotChunk chunk;
-  const bool build_chunk = options_.snapshot_reads && !rows.empty();
+  const bool build_chunk = !rows.empty();
   for (const Row& row : rows) {
     SKY_RETURN_IF_ERROR(validate_row(table, row, scratch));
     const auto appended = table.heap().append(extent, encode_row(row));

@@ -142,12 +142,6 @@ struct EngineOptions {
   // (ShardedRepository::reconcile_foreign_keys). PK/NOT NULL/range/unique
   // constraints are unaffected.
   bool enforce_foreign_keys = true;
-  // Publish copy-on-write snapshot chunks at commit (db/snapshot.h) so
-  // snapshot ReadViews serve a consistent committed prefix without touching
-  // any latch. Costs commit-time work proportional to the transaction's
-  // rows plus a second copy of its index keys; turn off for ingest-only
-  // instances that never serve snapshot reads.
-  bool snapshot_reads = true;
   ModeledDeviceLatency latency;
 };
 
@@ -175,12 +169,10 @@ struct BatchResult {
   OpCosts costs;
 };
 
+// How the commit became durable (group commit) is in the costs: a led
+// flush, a ride on another caller's flush, or neither (relaxed mode, acked
+// at append); io.log_bytes_flushed is the bytes the covering flush wrote.
 struct CommitResult {
-  int64_t wal_bytes_flushed = 0;
-  // How the commit became durable (group commit): led a flush, rode one, or
-  // was acked at append (relaxed mode: neither flag set).
-  bool led_flush = false;
-  bool piggybacked = false;
   OpCosts costs;
 };
 
@@ -263,9 +255,9 @@ class Engine {
     return ReadView(this, &snap);
   }
 
-  // Pin a consistent committed-prefix snapshot (db/snapshot.h). Requires
-  // EngineOptions::snapshot_reads (the default); with it off, pins succeed
-  // but see an empty repository. A Snapshot must not outlive its engine.
+  // Pin a consistent committed-prefix snapshot (db/snapshot.h): every
+  // commit publishes copy-on-write chunks, so a pin sees every transaction
+  // committed before it. A Snapshot must not outlive its engine.
   Snapshot pin_snapshot() const { return snapshots_.pin(); }
   SnapshotStats snapshot_stats() const { return snapshots_.stats(); }
   // Newest publication LSN a fresh pin would read (the snapshot analogue of
@@ -463,7 +455,7 @@ class Engine {
   // applied to real time.
   void pay_batch_latency(const OpCosts& costs, double escalation = 0.0) const;
   // Recycle a committed transaction's undo log into per-table snapshot
-  // chunks and publish them (commit path, snapshot_reads on). Called with
+  // chunks and publish them (every commit that wrote rows). Called with
   // the engine rwlock held shared.
   void publish_snapshot_chunks(std::vector<UndoEntry> undo);
   // Shared core of the snapshot range reads: collect [lo, hi) (empty hi =

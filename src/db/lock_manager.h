@@ -40,7 +40,7 @@ Nanos lock_shared_timed(std::shared_mutex& mu);
 
 // Unified snapshot of one gate's history. The sim path reports the same
 // shape (client::gate_stats_from converts sim::Resource accounting), so
-// ParallelLoadReport has a single source for wait breakdowns.
+// ConcurrencyStats reads one schema in both execution modes.
 struct GateStats {
   uint64_t acquires = 0;
   uint64_t waits = 0;     // acquisitions that blocked

@@ -105,12 +105,6 @@ double ShardedRepository::shard_skew() const {
   return static_cast<double>(max_rows) / mean;
 }
 
-void ShardedRepository::fill_shard_telemetry(
-    core::ParallelLoadReport& report) const {
-  report.shard_rows = shard_rows();
-  report.shard_skew = shard_skew();
-}
-
 Result<FkReconcileReport> ShardedRepository::reconcile_foreign_keys() const {
   constexpr size_t kOrphanSamples = 8;
   FkReconcileReport report;

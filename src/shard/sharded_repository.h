@@ -40,7 +40,6 @@
 
 #include "client/session.h"
 #include "common/status.h"
-#include "core/load_report.h"
 #include "db/engine.h"
 #include "db/recovery.h"
 #include "db/snapshot.h"
@@ -190,7 +189,6 @@ class ShardedRepository {
   int64_t total_rows() const;
   std::vector<int64_t> shard_rows() const;
   double shard_skew() const;
-  void fill_shard_telemetry(core::ParallelLoadReport& report) const;
 
   // Post-load FK pass: for every child row on every shard, probe the parent
   // PK on the child's own shard first, then the rest. Fails only on

@@ -220,6 +220,49 @@ TEST(CoordinatorSimTest, ErrorHeavyFileAbsorbedByDynamicAssignment) {
   EXPECT_GT(skipped, 0);
 }
 
+TEST(CoordinatorSimTest, ContendedNightReportsWaitAndCommitTotals) {
+  // Fewer transaction and ITL slots than workers, a commit every cycle and
+  // planted parse errors: every block of the report's wait, commit and
+  // parser totals is nonzero and rendered, and the rendering is
+  // deterministic.
+  const db::Schema schema = catalog::make_pq_schema();
+  const auto files = make_files(6, 24 * 1024, 103, /*error_rate=*/0.05);
+  auto run_once = [&]() {
+    db::Engine engine(schema);
+    load_reference(engine, schema);
+    sim::Environment env;
+    client::ServerConfig config;
+    config.policies.concurrency.max_concurrent_transactions = 2;
+    config.policies.concurrency.itl_slots_per_table = 2;
+    client::SimServer server(env, engine, config);
+    CoordinatorOptions options;
+    options.parallel_degree = 4;
+    options.loader.write_audit_row = false;
+    options.loader.commit.every_cycles = 1;
+    auto report =
+        LoadCoordinator::run_sim(env, server, files, schema, options);
+    EXPECT_TRUE(report.is_ok());
+    return report.is_ok() ? *report : ParallelLoadReport{};
+  };
+  const ParallelLoadReport report = run_once();
+  const client::SessionStats& sessions = report.sessions;
+  EXPECT_GT(sessions.txn_slot_wait_time + sessions.itl_wait_time, 0);
+  EXPECT_GT(sessions.commit_flushes_led + sessions.commit_piggybacks, 0);
+  EXPECT_GT(report.parser.lines, 0);
+  EXPECT_GT(report.parser.parse_errors, 0);
+
+  const std::string summary = report.summary();
+  const std::string markdown = render_markdown_report(report);
+  EXPECT_NE(summary.find("flushes per commit"), std::string::npos);
+  EXPECT_NE(summary.find("gate waits"), std::string::npos);
+  EXPECT_NE(markdown.find("## Admission gates"), std::string::npos);
+  EXPECT_NE(markdown.find("- parser:"), std::string::npos);
+
+  const ParallelLoadReport again = run_once();
+  EXPECT_EQ(again.summary() + render_markdown_report(again),
+            summary + markdown);
+}
+
 TEST(CoordinatorThreadsTest, RerunSkipsAlreadyLoadedFiles) {
   // A restarted loading job must not duplicate work: the audit checker
   // recognizes files recorded in load_audit and skips them.

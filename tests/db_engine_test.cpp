@@ -212,7 +212,7 @@ TEST_F(EngineTest, CommitFlushesWal) {
   ASSERT_TRUE(insert(txn, frames_, frame_row(1)).is_ok());
   const auto commit = engine_.commit(txn);
   ASSERT_TRUE(commit.is_ok());
-  EXPECT_GT(commit->wal_bytes_flushed, 0);
+  EXPECT_GT(commit->costs.io.log_bytes_flushed, 0);
   EXPECT_EQ(engine_.wal_stats().flushes, 1);
   // Unknown transaction errors.
   EXPECT_FALSE(engine_.commit(999).is_ok());
