@@ -106,6 +106,7 @@ struct MixedResult {
   int64_t batch_yields = 0;   // snapshot mode only
   int64_t lane_wait_ms = 0;   // snapshot mode only (summed lane queue wait)
   int64_t snapshot_chunks = 0;  // chunks the engine published during the run
+  int64_t snapshot_runs = 0;    // chain runs left after the merger's tiering
 };
 
 // One mixed run: kLoaders loader threads + `interactive_clients` +
@@ -253,7 +254,9 @@ MixedResult run_mixed(bool use_snapshots, int interactive_clients,
   MixedResult result;
   result.ingest_rows_per_sec =
       static_cast<double>(rows_after - rows_before) / window_elapsed;
-  result.snapshot_chunks = engine.stats().snapshots.chunks_published;
+  const sky::db::SnapshotStats snapshots = engine.stats().snapshots;
+  result.snapshot_chunks = snapshots.chunks_published;
+  result.snapshot_runs = snapshots.runs;
   std::vector<sky::Nanos> interactive_all;
   for (auto& samples : interactive_samples) {
     interactive_all.insert(interactive_all.end(), samples.begin(),
@@ -402,14 +405,17 @@ int main(int argc, char** argv) {
           "%s\n    {\"clients\": %d, \"baseline_p99_ms\": %.3f, "
           "\"snapshot_p99_ms\": %.3f, \"baseline_ingest\": %.1f, "
           "\"snapshot_ingest\": %.1f, \"batch_yields\": %lld, "
-          "\"baseline_snapshot_chunks\": %lld, \"snapshot_chunks\": %lld}",
+          "\"baseline_snapshot_chunks\": %lld, \"snapshot_chunks\": %lld, "
+          "\"baseline_snapshot_runs\": %lld, \"snapshot_runs\": %lld}",
           i > 0 ? "," : "", point.clients, point.baseline.interactive_p99_ms,
           point.snapshot.interactive_p99_ms,
           point.baseline.ingest_rows_per_sec,
           point.snapshot.ingest_rows_per_sec,
           static_cast<long long>(point.snapshot.batch_yields),
           static_cast<long long>(point.baseline.snapshot_chunks),
-          static_cast<long long>(point.snapshot.snapshot_chunks));
+          static_cast<long long>(point.snapshot.snapshot_chunks),
+          static_cast<long long>(point.baseline.snapshot_runs),
+          static_cast<long long>(point.snapshot.snapshot_runs));
       json << buffer;
     }
     std::snprintf(buffer, sizeof(buffer),

@@ -90,8 +90,10 @@ EngineStats EngineStats::delta_since(const EngineStats& prev) const {
       snapshots.chunks_published - prev.snapshots.chunks_published;
   d.snapshots.rows_published =
       snapshots.rows_published - prev.snapshots.rows_published;
+  d.snapshots.merges = snapshots.merges - prev.snapshots.merges;
   d.snapshots.pins_taken = snapshots.pins_taken - prev.snapshots.pins_taken;
-  // published_lsn / active_pins / oldest_pin_age stay gauges.
+  // published_lsn / runs / key_bytes / active_pins / oldest_pin_age stay
+  // gauges.
 
   for (TableExtentStats& table : d.extents) {
     const TableExtentStats* before = nullptr;

@@ -1138,38 +1138,39 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
           : next_extent_.fetch_add(1, std::memory_order_relaxed) %
                 options_.heap_extents;
   // A preload is one logical commit: published to snapshot readers as a
-  // single chunk (slots and byte views collected as the rows land).
+  // single chunk (slots and byte views collected as the rows land; chunk
+  // row index = input position).
   SnapshotChunk chunk;
-  const bool build_chunk = !rows.empty();
+  chunk.rows.reserve(rows.size());
   for (const Row& row : rows) {
     SKY_RETURN_IF_ERROR(validate_row(table, row, scratch));
     const auto appended = table.heap().append(extent, encode_row(row));
     pk_entries.emplace_back(table.encode_pk_key(row),
                             make_row_id(tid, appended.slot));
-    if (build_chunk) {
-      chunk.pk.emplace_back(pk_entries.back().first,
-                            static_cast<uint32_t>(chunk.rows.size()));
-      chunk.rows.push_back({appended.slot, appended.bytes});
+    chunk.rows.push_back({appended.slot, appended.bytes});
+  }
+  // Pack each key run before its tree build consumes the keys it views.
+  const auto pack = [](const std::vector<std::pair<std::string, uint64_t>>&
+                           entries) {
+    KeyRun::Entries views;
+    views.reserve(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      views.emplace_back(entries[i].first, static_cast<uint32_t>(i));
     }
-  }
-  if (build_chunk) {
-    chunk.secondaries.resize(table.secondaries().size());
-  }
+    return KeyRun::sorted(std::move(views));
+  };
+  chunk.pk = pack(pk_entries);
+  chunk.secondaries.resize(table.secondaries().size());
   // Requires strict PK order; bulk_build rejects violations.
   SKY_RETURN_IF_ERROR(table.pk_tree().bulk_build(std::move(pk_entries)));
   for (size_t s = 0; s < table.secondaries().size(); ++s) {
     SecondaryIndex& secondary = table.secondaries()[s];
     if (!secondary.enabled) continue;  // chunk run stays nullopt (disabled)
-    // Rebuild from heap so preloaded data is indexed too.
+    // Rebuild from heap so preloaded data is indexed too. The table was
+    // empty, so the scan visits exactly the rows just appended, in append
+    // order — scan position = chunk row index.
     std::vector<std::pair<std::string, uint64_t>> entries;
     entries.reserve(rows.size());
-    if (build_chunk) {
-      chunk.secondaries[s].emplace();
-      chunk.secondaries[s]->reserve(rows.size());
-    }
-    // The table was empty, so the scan visits exactly the rows just
-    // appended, in append order — scan position = chunk row index.
-    uint32_t scan_idx = 0;
     table.heap().scan([&](storage::SlotId slot, std::string_view bytes) {
       const auto row = decode_row(bytes);
       const uint64_t row_id = make_row_id(tid, slot);
@@ -1179,18 +1180,12 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
                                      ? std::nullopt
                                      : std::optional<uint64_t>(row_id)),
           row_id);
-      if (build_chunk) {
-        chunk.secondaries[s]->emplace_back(entries.back().first, scan_idx);
-      }
-      ++scan_idx;
     });
+    chunk.secondaries[s] = pack(entries);
     std::sort(entries.begin(), entries.end());
-    if (build_chunk) {
-      std::sort(chunk.secondaries[s]->begin(), chunk.secondaries[s]->end());
-    }
     SKY_RETURN_IF_ERROR(secondary.tree.bulk_build(std::move(entries)));
   }
-  if (build_chunk) {
+  if (!chunk.rows.empty()) {
     std::vector<std::pair<uint32_t, SnapshotChunk>> chunks;
     chunks.emplace_back(tid, std::move(chunk));
     snapshots_.publish(std::move(chunks));
@@ -1249,43 +1244,49 @@ Result<bool> Engine::index_enabled(uint32_t tid,
 
 void Engine::publish_snapshot_chunks(std::vector<UndoEntry> undo) {
   // Group the undo log into one chunk per table, preserving insert order
-  // within each table (chunk row index = per-table insert sequence).
-  std::vector<int> chunk_of(tables_.size(), -1);
-  std::vector<std::pair<uint32_t, SnapshotChunk>> chunks;
-  for (UndoEntry& entry : undo) {
+  // within each table (chunk row index = per-table insert sequence). Key
+  // runs are gathered as views into the undo log, then sorted and packed.
+  struct Draft {
+    uint32_t table_id = 0;
+    SnapshotChunk chunk;
+    KeyRun::Entries pk;
+    std::vector<KeyRun::Entries> secondaries;
+  };
+  std::vector<int> draft_of(tables_.size(), -1);
+  std::vector<Draft> drafts;
+  for (const UndoEntry& entry : undo) {
     if (entry.table_id >= tables_.size()) continue;
-    int& slot = chunk_of[entry.table_id];
+    int& slot = draft_of[entry.table_id];
     if (slot < 0) {
-      slot = static_cast<int>(chunks.size());
-      chunks.emplace_back(entry.table_id, SnapshotChunk{});
-      // Start every secondary run engaged; runs a row is missing from are
-      // reset below (the index was disabled for part of the transaction).
-      chunks.back().second.secondaries.resize(
+      slot = static_cast<int>(drafts.size());
+      drafts.emplace_back().table_id = entry.table_id;
+      drafts.back().secondaries.resize(
           tables_[entry.table_id].secondaries().size());
-      for (auto& run : chunks.back().second.secondaries) run.emplace();
     }
-    SnapshotChunk& chunk = chunks[static_cast<size_t>(slot)].second;
-    const auto row_idx = static_cast<uint32_t>(chunk.rows.size());
-    chunk.rows.push_back({entry.slot, entry.bytes});
-    chunk.pk.emplace_back(std::move(entry.pk_key), row_idx);
-    for (auto& [s, key] : entry.secondary_keys) {
-      if (s < chunk.secondaries.size() && chunk.secondaries[s].has_value()) {
-        chunk.secondaries[s]->emplace_back(std::move(key), row_idx);
+    Draft& draft = drafts[static_cast<size_t>(slot)];
+    const auto row_idx = static_cast<uint32_t>(draft.chunk.rows.size());
+    draft.chunk.rows.push_back({entry.slot, entry.bytes});
+    draft.pk.emplace_back(entry.pk_key, row_idx);
+    for (const auto& [s, key] : entry.secondary_keys) {
+      if (s < draft.secondaries.size()) {
+        draft.secondaries[s].emplace_back(key, row_idx);
       }
     }
   }
-  for (auto& [tid, chunk] : chunks) {
-    std::sort(chunk.pk.begin(), chunk.pk.end());
-    for (auto& run : chunk.secondaries) {
-      if (!run.has_value()) continue;
-      if (run->size() != chunk.rows.size()) {
-        // Some rows committed while the index was disabled: the run is
-        // incomplete, so the chunk cannot serve reads over that index.
-        run.reset();
-        continue;
-      }
-      std::sort(run->begin(), run->end());
+  std::vector<std::pair<uint32_t, SnapshotChunk>> chunks;
+  chunks.reserve(drafts.size());
+  for (Draft& draft : drafts) {
+    SnapshotChunk& chunk = draft.chunk;
+    chunk.pk = KeyRun::sorted(std::move(draft.pk));
+    for (KeyRun::Entries& entries : draft.secondaries) {
+      // A run missing rows that committed while its index was disabled
+      // cannot serve reads over that index: leave it nullopt.
+      chunk.secondaries.push_back(
+          entries.size() == chunk.rows.size()
+              ? std::optional<KeyRun>(KeyRun::sorted(std::move(entries)))
+              : std::nullopt);
     }
+    chunks.emplace_back(draft.table_id, std::move(chunk));
   }
   snapshots_.publish(std::move(chunks));
 }
@@ -1315,7 +1316,7 @@ Result<std::vector<Row>> Engine::snapshot_collect_range(
   Status failure = ok_status();
   snap.visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
     if (!failure.is_ok()) return;
-    const std::vector<std::pair<std::string, uint32_t>>* run = &chunk.pk;
+    const KeyRun* run = &chunk.pk;
     if (secondary >= 0) {
       const auto s = static_cast<size_t>(secondary);
       if (s >= chunk.secondaries.size() || !chunk.secondaries[s].has_value()) {
@@ -1326,13 +1327,10 @@ Result<std::vector<Row>> Engine::snapshot_collect_range(
       }
       run = &*chunk.secondaries[s];
     }
-    auto it = std::lower_bound(
-        run->begin(), run->end(), lo,
-        [](const std::pair<std::string, uint32_t>& entry,
-           const std::string& k) { return entry.first < k; });
-    for (; it != run->end(); ++it) {
-      if (!hi.empty() && it->first >= hi) break;
-      hits.emplace_back(it->first, chunk.rows[it->second].bytes);
+    for (size_t i = run->lower_bound(lo); i < run->size(); ++i) {
+      const std::string_view key = run->key(i);
+      if (!hi.empty() && key >= hi) break;
+      hits.emplace_back(key, chunk.rows[run->row(i)].bytes);
     }
   });
   SKY_RETURN_IF_ERROR(failure);

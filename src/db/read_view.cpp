@@ -4,10 +4,8 @@
 // engine.h for the deprecated per-mode shims that delegate here.
 #include "db/read_view.h"
 
-#include <algorithm>
 #include <mutex>
 #include <shared_mutex>
-#include <tuple>
 
 #include "db/engine.h"
 #include "db/snapshot.h"
@@ -61,16 +59,13 @@ Result<Row> ReadView::pk_lookup(uint32_t table_id, const Row& pk_values) const {
     }
     const std::string key =
         e.encode_tuple_key(table.def(), table.pk_column_indices(), pk_values);
-    // Newest chunk first; PKs are unique, so the first hit is the row.
+    // Newest run first; PKs are unique, so the first hit is the row.
     for (const SnapshotNode* node = snap_->visible_head(table_id);
          node != nullptr; node = node->prev.get()) {
-      const SnapshotChunk& chunk = node->chunk;
-      const auto it = std::lower_bound(
-          chunk.pk.begin(), chunk.pk.end(), key,
-          [](const std::pair<std::string, uint32_t>& entry,
-             const std::string& k) { return entry.first < k; });
-      if (it != chunk.pk.end() && it->first == key) {
-        return decode_row(chunk.rows[it->second].bytes);
+      const SnapshotChunk& chunk = *node->chunk;
+      const size_t i = chunk.pk.lower_bound(key);
+      if (i < chunk.pk.size() && chunk.pk.key(i) == key) {
+        return decode_row(chunk.rows[chunk.pk.row(i)].bytes);
       }
     }
     return Status(ErrorCode::kNotFound, "no row with given primary key");
@@ -264,20 +259,11 @@ std::vector<Row> ReadView::scan_collect(
     if (table_id >= e.tables_.size()) return rows;
     OpCosts scratch;
     OpCosts& tally = costs != nullptr ? *costs : scratch;
-    // Gather the pinned refs, then visit in physical heap order so the
-    // result matches a live scan on a quiesced heap. lock_wait_ns stays 0
-    // by construction — the zero-latch regression test asserts it.
-    std::vector<SnapshotChunk::RowRef> refs;
-    refs.reserve(static_cast<size_t>(snap_->row_count(table_id)));
-    snap_->visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-      refs.insert(refs.end(), chunk.rows.begin(), chunk.rows.end());
-    });
-    std::sort(
-        refs.begin(), refs.end(),
-        [](const SnapshotChunk::RowRef& a, const SnapshotChunk::RowRef& b) {
-          return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
-                 std::tie(b.slot.extent, b.slot.page, b.slot.slot);
-        });
+    // Physical heap order, so the result matches a live scan on a quiesced
+    // heap. lock_wait_ns stays 0 by construction — the zero-latch
+    // regression test asserts it.
+    const std::vector<SnapshotChunk::RowRef> refs =
+        snap_->rows_in_heap_order(table_id);
     for (const SnapshotChunk::RowRef& ref : refs) {
       tally.heap_bytes += static_cast<int64_t>(ref.bytes.size());
       auto row = decode_row(ref.bytes);
@@ -307,18 +293,10 @@ Status ReadView::scan_heap(
     if (table_id >= e.tables_.size()) {
       return Status(ErrorCode::kNotFound, "bad table id");
     }
-    std::vector<SnapshotChunk::RowRef> refs;
-    refs.reserve(static_cast<size_t>(snap_->row_count(table_id)));
-    snap_->visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-      refs.insert(refs.end(), chunk.rows.begin(), chunk.rows.end());
-    });
-    std::sort(
-        refs.begin(), refs.end(),
-        [](const SnapshotChunk::RowRef& a, const SnapshotChunk::RowRef& b) {
-          return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
-                 std::tie(b.slot.extent, b.slot.page, b.slot.slot);
-        });
-    for (const SnapshotChunk::RowRef& ref : refs) fn(ref.slot, ref.bytes);
+    for (const SnapshotChunk::RowRef& ref :
+         snap_->rows_in_heap_order(table_id)) {
+      fn(ref.slot, ref.bytes);
+    }
     return ok_status();
   }
   const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);

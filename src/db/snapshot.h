@@ -10,40 +10,50 @@
 // Mechanism: per-table chains of immutable chunks. At commit the engine
 // turns the transaction's undo log into one SnapshotChunk per written table:
 // the committed rows' slots and byte views (valid forever by the heap's
-// storage-stability contract — row bytes never move), plus sorted key runs
-// for the PK and every enabled secondary index, built from the very keys
-// the insert path already encoded. Chunks are linked newest-first into
+// storage-stability contract — row bytes never move), plus packed sorted key
+// runs for the PK and every enabled secondary index, built from the very
+// keys the insert path already encoded. Chunks are linked newest-first into
 // per-table chains of std::shared_ptr<const SnapshotNode>; the chain heads
 // and published_lsn_ change together under one mutex — the one a pin
-// already takes to register itself — and each publication is stamped with a
-// monotone commit LSN, so any pin sees a transactionally consistent
-// committed prefix.
+// already takes to register itself — so any pin sees a transactionally
+// consistent committed prefix.
 //
 // A Snapshot is a pin: it captures read_lsn = published_lsn() plus every
-// chain head, and visits only chunks with commit_lsn <= read_lsn. Reads
+// chain head, and reads exactly the chains behind those heads. Reads
 // against a pinned snapshot touch nothing but immutable chunk data — no
 // engine rwlock, no table latch, no extent latch, no gate — which is what
 // the zero-latch regression test asserts. Pins are registered (with their
 // pin time) so telemetry can report live-pin count and oldest-pin age, and
 // so a leaked pin is observable; dropping the Snapshot unpins.
 //
+// Bounded chains: a merger thread owned by the SnapshotManager (scheduled
+// SCHED_BATCH, so its wake-ups never preempt a loader) keeps each chain
+// tiered. A node absorbs its older neighbour while that neighbour holds at
+// most twice its rows, so a chain holds O(log rows) runs and a probe costs
+// O(log commits) binary searches, not one per commit. Merged chunks are
+// built outside the mutex from immutable nodes and swapped in under it;
+// pins keep the replaced nodes alive, so a pin is still an exact committed
+// prefix. A merge never dereferences row bytes.
+//
 // Costs and limits (see DESIGN.md "Snapshot reads and the query scheduler"):
-// chains are never compacted (depth = number of commits since startup) and
 // chunks duplicate the index keys' bytes, roughly doubling index-key memory
-// for snapshot-visible data. A chunk whose table had a secondary index
-// disabled at commit carries no key run for it; snapshot index reads over a
-// chain containing such a chunk fail with kFailedPrecondition rather than
-// silently missing rows. Snapshots must not outlive their engine.
+// for snapshot-visible data (SnapshotStats::key_bytes reports it). A chunk
+// whose table had a secondary index disabled at commit carries no key run
+// for it, nor does any merged chunk that absorbed it; snapshot index reads
+// over a chain containing such a chunk fail with kFailedPrecondition rather
+// than silently missing rows. Snapshots must not outlive their engine.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,41 +63,79 @@
 
 namespace sky::db {
 
-// One committed transaction's rows for one table. Immutable once published.
+// A sorted run of (encoded key, chunk row index) entries. Every key's bytes
+// sit end to end in one buffer, so a run is three allocations however many
+// keys it holds, and merging two runs is a sequential copy.
+class KeyRun {
+ public:
+  // (key, row index) pairs in any order; the viewed keys must stay alive
+  // until sorted() returns.
+  using Entries = std::vector<std::pair<std::string_view, uint32_t>>;
+  static KeyRun sorted(Entries entries);
+  // Merge two sorted runs; `newer`'s row indices shift by `row_offset`.
+  static KeyRun merge(const KeyRun& older, const KeyRun& newer,
+                      uint32_t row_offset);
+
+  size_t size() const { return rows_.size(); }
+  std::string_view key(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return std::string_view(keys_).substr(begin, ends_[i] - begin);
+  }
+  uint32_t row(size_t i) const { return rows_[i]; }
+  // Index of the first key >= `key` (size() when there is none).
+  size_t lower_bound(std::string_view key) const;
+  size_t key_bytes() const { return keys_.size(); }
+  // Heap bytes held: packed keys plus the offset and row-index arrays.
+  int64_t memory_bytes() const;
+
+ private:
+  void reserve(size_t entries, size_t key_bytes);
+  void push_back(std::string_view key, uint32_t row);
+  // Append entries [begin, size()) of `from`, shifting their row indices.
+  void append(const KeyRun& from, size_t begin, uint32_t row_offset);
+
+  std::string keys_;
+  std::vector<uint32_t> ends_;  // ends_[i] = end offset of key(i) in keys_
+  std::vector<uint32_t> rows_;
+};
+
+// The rows of one or more consecutive commits for one table. Immutable once
+// published.
 struct SnapshotChunk {
-  // Monotone publication sequence (1-based; assigned under the publish
-  // mutex, analogous to the WAL's durable-LSN watermark).
-  uint64_t commit_lsn = 0;
   struct RowRef {
     storage::SlotId slot;
     std::string_view bytes;  // into the heap; stable for the heap's lifetime
   };
-  std::vector<RowRef> rows;  // insertion order within the transaction
-  // Sorted (encoded PK key, index into rows) run for point/range lookups.
-  std::vector<std::pair<std::string, uint32_t>> pk;
+  std::vector<RowRef> rows;  // commit order, insertion order within each
+  KeyRun pk;                 // encoded PK key -> index into rows
   // One entry per secondary-index slot of the table, aligned with
   // Table::secondaries(). Keys carry the same row-id suffix the live trees
   // use for non-unique indexes, so byte-order equals live index order.
-  // nullopt = the index was disabled when this chunk committed (reads over
-  // the chain must fail rather than miss rows).
-  std::vector<std::optional<std::vector<std::pair<std::string, uint32_t>>>>
-      secondaries;
+  // nullopt = the index was disabled when some row of this chunk committed
+  // (reads over the chain must fail rather than miss rows).
+  std::vector<std::optional<KeyRun>> secondaries;
+
+  int64_t key_run_bytes() const;
 };
 
-// Immutable chain node, newest-first; prev is the table's previous
-// committed state.
+// Immutable chain node, newest-first; prev is the table's older committed
+// state. The chunk is shared so a merge can re-link newer nodes onto a
+// merged suffix by copying pointers.
 struct SnapshotNode {
   std::shared_ptr<const SnapshotNode> prev;
-  SnapshotChunk chunk;
+  std::shared_ptr<const SnapshotChunk> chunk;
   // Rows in this chunk plus every older chunk: a pinned row_count() is one
-  // pointer chase once the first visible node is found.
+  // pointer chase.
   int64_t rows_cumulative = 0;
 };
 
 struct SnapshotStats {
   uint64_t published_lsn = 0;   // newest publication visible to new pins
-  int64_t chunks_published = 0;
+  int64_t chunks_published = 0;  // lifetime publications (one per table)
   int64_t rows_published = 0;
+  int64_t merges = 0;           // lifetime two-run merges
+  int64_t runs = 0;             // chain nodes behind the current heads
+  int64_t key_bytes = 0;        // KeyRun::memory_bytes() of those nodes
   int64_t pins_taken = 0;       // lifetime pin count
   int64_t active_pins = 0;      // currently live Snapshot handles
   Nanos oldest_pin_age = 0;     // age of the oldest live pin at stats() time
@@ -111,8 +159,8 @@ class Snapshot {
   bool valid() const { return manager_ != nullptr; }
   uint64_t read_lsn() const { return read_lsn_; }
 
-  // First chain node visible at read_lsn() for a table (nullptr when the
-  // table has no committed rows in view): the head captured at pin time.
+  // Newest chain node visible for a table (nullptr when the table has no
+  // committed rows in view): the head captured at pin time.
   const SnapshotNode* visible_head(uint32_t table_id) const;
 
   // Committed rows visible for one table. Latch-free.
@@ -121,18 +169,19 @@ class Snapshot {
     return node == nullptr ? 0 : node->rows_cumulative;
   }
 
-  // Visit every visible chunk of a table, oldest first.
+  // Visit every visible chunk of a table, newest first.
   template <typename Fn>  // Fn(const SnapshotChunk&)
   void visit_chunks(uint32_t table_id, Fn&& fn) const {
-    std::vector<const SnapshotNode*> nodes;
     for (const SnapshotNode* node = visible_head(table_id); node != nullptr;
          node = node->prev.get()) {
-      nodes.push_back(node);
-    }
-    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-      fn((*it)->chunk);
+      fn(*node->chunk);
     }
   }
+
+  // Every visible row of a table in physical heap order (extent, page,
+  // slot), so a scan matches a live scan on a quiesced heap.
+  std::vector<SnapshotChunk::RowRef> rows_in_heap_order(
+      uint32_t table_id) const;
 
  private:
   friend class SnapshotManager;
@@ -143,20 +192,25 @@ class Snapshot {
   std::vector<std::shared_ptr<const SnapshotNode>> heads_;
 };
 
-// Owns the per-table chunk chains and the pin registry. One per engine.
+// Owns the per-table chunk chains, their merger thread and the pin
+// registry. One per engine.
 class SnapshotManager {
  public:
   explicit SnapshotManager(size_t table_count);
+  ~SnapshotManager();  // stops and joins the merger
+  SnapshotManager(const SnapshotManager&) = delete;
+  SnapshotManager& operator=(const SnapshotManager&) = delete;
 
-  // Publish one commit's chunks atomically: assigns the commit LSN, links
-  // each chunk onto its table's chain, and advances published_lsn_, all
-  // under the manager mutex. Callers hold whatever lock keeps the chunks'
-  // source data (e.g. secondary enabled flags) stable. Returns the assigned
-  // commit LSN.
+  // Publish one commit's chunks atomically: links each chunk onto its
+  // table's chain and advances published_lsn_, all under the manager
+  // mutex, then wakes the merger if a new head can absorb its neighbour.
+  // Callers hold whatever lock keeps the chunks' source data (e.g.
+  // secondary enabled flags) stable. Returns the new published LSN.
   uint64_t publish(std::vector<std::pair<uint32_t, SnapshotChunk>> chunks);
 
   // Pin the newest consistent view. Lock order: only the manager mutex,
-  // briefly (held by a publication only while it links its nodes).
+  // briefly (held by a publication or a merge swap only while it links
+  // nodes).
   Snapshot pin();
 
   uint64_t published_lsn() const {
@@ -167,17 +221,28 @@ class SnapshotManager {
  private:
   friend class Snapshot;
   void unpin(uint64_t pin_id);
+  void run_merger();
+  // One tiering pass over one table's chain.
+  void merge_table(size_t table_id);
 
-  // Guards heads_, the writes of published_lsn_, pins_ and next_pin_id_.
-  // published_lsn_ stays atomic so published_lsn() reads it lock-free.
+  // Guards heads_, the writes of published_lsn_, pins_, next_pin_id_, the
+  // chain gauges and the merger flags. published_lsn_ stays atomic so
+  // published_lsn() reads it lock-free.
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<const SnapshotNode>> heads_;
   std::atomic<uint64_t> published_lsn_{0};
   uint64_t next_pin_id_ = 1;
   std::unordered_map<uint64_t, std::chrono::steady_clock::time_point> pins_;
+  int64_t runs_ = 0;
+  int64_t key_bytes_ = 0;
+  int64_t merges_ = 0;
+  bool merge_pending_ = false;
+  bool stop_merger_ = false;
+  std::condition_variable merge_cv_;
   std::atomic<int64_t> pins_taken_{0};
   std::atomic<int64_t> chunks_published_{0};
   std::atomic<int64_t> rows_published_{0};
+  std::thread merger_;  // last: starts once every member above exists
 };
 
 }  // namespace sky::db

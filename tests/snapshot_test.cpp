@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <set>
@@ -40,6 +41,20 @@ Schema batches_schema() {
 Row batch_row(int64_t pk, int64_t batch_id, int64_t seq, int64_t total) {
   return {Value::i64(pk), Value::i64(batch_id), Value::i64(seq),
           Value::i64(total)};
+}
+
+// Polls the snapshot stats until the merger has tiered the chains down to
+// at most `max_runs` runs, or a deadline passes (the merger runs on its
+// own thread, so a busy host can delay it).
+SnapshotStats wait_for_runs(const Engine& engine, int64_t max_runs) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  SnapshotStats stats = engine.snapshot_stats();
+  while (stats.runs > max_runs && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stats = engine.snapshot_stats();
+  }
+  return stats;
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -232,6 +247,113 @@ TEST_F(SnapshotTest, ChunkPredatingIndexFailsClosed) {
                                             {Value::i64(1000)});
   ASSERT_TRUE(pk.is_ok());
   EXPECT_EQ(pk->size(), 12u);
+}
+
+// Bounded chains: after 10k single-row commits the merger keeps the chain
+// at O(log commits) runs, and reads over the merged runs equal live reads.
+TEST_F(SnapshotTest, DeepChainStaysLogarithmic) {
+  constexpr int64_t kCommits = 10000;
+  for (int64_t i = 0; i < kCommits; ++i) commit_batch(i, i, 1);
+  const auto max_runs = static_cast<int64_t>(
+      2.0 * std::log2(static_cast<double>(kCommits)));
+  const SnapshotStats stats = wait_for_runs(engine_, max_runs);
+  EXPECT_LE(stats.runs, max_runs);
+  EXPECT_EQ(stats.chunks_published, kCommits);
+  EXPECT_GT(stats.merges, 0);
+  EXPECT_GT(stats.key_bytes, 0);
+
+  const Snapshot snap = engine_.pin_snapshot();
+  const ReadView pinned = engine_.view_at(snap);
+  const ReadView live = engine_.live_view();
+  EXPECT_EQ(pinned.row_count(table_), kCommits);
+  for (const int64_t pk : {0L, 1L, 4095L, 4096L, 7777L, kCommits - 1}) {
+    const auto want = live.pk_lookup(table_, {Value::i64(pk)});
+    const auto got = pinned.pk_lookup(table_, {Value::i64(pk)});
+    ASSERT_TRUE(want.is_ok());
+    ASSERT_TRUE(got.is_ok()) << pk;
+    EXPECT_EQ(*want, *got);
+  }
+  EXPECT_EQ(pinned.pk_lookup(table_, {Value::i64(kCommits)}).status().code(),
+            ErrorCode::kNotFound);
+  const auto live_ix = live.index_range(table_, "ix_batch", {Value::i64(900)},
+                                        {Value::i64(1300)});
+  const auto snap_ix = pinned.index_range(table_, "ix_batch",
+                                          {Value::i64(900)},
+                                          {Value::i64(1300)});
+  ASSERT_TRUE(live_ix.is_ok());
+  ASSERT_TRUE(snap_ix.is_ok());
+  EXPECT_EQ(live_ix->size(), 400u);
+  EXPECT_EQ(*live_ix, *snap_ix);
+  const auto all = [](const Row&) { return true; };
+  EXPECT_EQ(live.scan_collect(table_, all), pinned.scan_collect(table_, all));
+}
+
+// Fail-closed survives merging: once the index-less chunk is absorbed into
+// a merged run, the merged run has no run for the index either.
+TEST_F(SnapshotTest, MergeAbsorbingIndexlessChunkFailsClosed) {
+  for (int64_t i = 0; i < 10; ++i) commit_batch(i, i, 1);
+  ASSERT_TRUE(engine_.set_index_enabled(table_, "ix_batch", false).is_ok());
+  commit_batch(10, 10, 1);  // chunk committed with the index disabled
+  ASSERT_TRUE(engine_.set_index_enabled(table_, "ix_batch", true).is_ok());
+  ASSERT_TRUE(engine_.rebuild_index(table_, "ix_batch").is_ok());
+  for (int64_t i = 11; i < 64; ++i) commit_batch(i, i, 1);
+
+  // 64 one-row commits tier into at most 7 runs, so the index-less chunk
+  // (commit 11 of 64) then sits inside a merged run.
+  const SnapshotStats stats = wait_for_runs(engine_, 7);
+  EXPECT_LE(stats.runs, 7);
+  EXPECT_GT(stats.merges, 0);
+  const Snapshot snap = engine_.pin_snapshot();
+  const auto snapped = engine_.view_at(snap).index_range(
+      table_, "ix_batch", {Value::i64(0)}, {Value::i64(64)});
+  ASSERT_FALSE(snapped.is_ok());
+  EXPECT_EQ(snapped.status().code(), ErrorCode::kFailedPrecondition);
+  const auto live = engine_.live_view().index_range(
+      table_, "ix_batch", {Value::i64(0)}, {Value::i64(64)});
+  ASSERT_TRUE(live.is_ok());
+  EXPECT_EQ(live->size(), 64u);
+  const auto pk = engine_.view_at(snap).pk_range(table_, {Value::i64(0)},
+                                                 {Value::i64(64)});
+  ASSERT_TRUE(pk.is_ok());
+  EXPECT_EQ(pk->size(), 64u);
+}
+
+// A pin holds its own chain: merges that replace the nodes it captured
+// change nothing it reads.
+TEST_F(SnapshotTest, PinHeldAcrossMergesIsFrozen) {
+  for (int64_t i = 0; i < 100; ++i) commit_batch(i, i, 1);
+  const Snapshot pinned = engine_.pin_snapshot();
+  const ReadView view = engine_.view_at(pinned);
+  const auto all = [](const Row&) { return true; };
+  const auto scan_before = view.scan_collect(table_, all);
+  const auto pk_before =
+      view.pk_range(table_, {Value::i64(0)}, {Value::i64(1000)});
+  const auto ix_before = view.index_range(table_, "ix_batch", {Value::i64(10)},
+                                          {Value::i64(60)});
+  ASSERT_TRUE(pk_before.is_ok());
+  ASSERT_TRUE(ix_before.is_ok());
+  const int64_t merges_before = wait_for_runs(engine_, 8).merges;
+
+  for (int64_t i = 100; i < 1000; ++i) commit_batch(i, i, 1);
+  const SnapshotStats stats = wait_for_runs(engine_, 10);
+  EXPECT_LE(stats.runs, 10);
+  EXPECT_GT(stats.merges, merges_before + 10);
+
+  EXPECT_EQ(view.row_count(table_), 100);
+  EXPECT_EQ(view.scan_collect(table_, all), scan_before);
+  const auto pk_after =
+      view.pk_range(table_, {Value::i64(0)}, {Value::i64(1000)});
+  ASSERT_TRUE(pk_after.is_ok());
+  EXPECT_EQ(*pk_after, *pk_before);
+  EXPECT_EQ(pk_after->size(), 100u);
+  const auto ix_after = view.index_range(table_, "ix_batch", {Value::i64(10)},
+                                         {Value::i64(60)});
+  ASSERT_TRUE(ix_after.is_ok());
+  EXPECT_EQ(*ix_after, *ix_before);
+  EXPECT_FALSE(view.pk_lookup(table_, {Value::i64(500)}).is_ok());
+  EXPECT_TRUE(engine_.view_at(engine_.pin_snapshot())
+                  .pk_lookup(table_, {Value::i64(500)})
+                  .is_ok());
 }
 
 // Fail-closed symmetry: an index that cannot serve a read reports one
