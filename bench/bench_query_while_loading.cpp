@@ -118,9 +118,7 @@ MixedResult run_mixed(bool use_snapshots, int interactive_clients,
   sky::db::Engine engine(schema, mixed_engine_options());
   const uint32_t objects = engine.table_id("objects").value();
 
-  sky::core::QueryPolicy policy;
-  policy.use_snapshots = use_snapshots;
-  sky::db::QueryScheduler scheduler(engine, policy);
+  sky::db::QueryScheduler scheduler(engine);
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> rows_committed{0};

@@ -31,12 +31,6 @@ struct QueryPolicy {
   // Batch admission waits until no interactive query is admitted or running
   // (strict priority; each deferral is counted as a batch "yield").
   bool batch_yields_to_interactive = true;
-  // Serve queries from pinned copy-on-write snapshots (db/snapshot.h):
-  // latch-free reads of the committed prefix. Off = the latch-shared live
-  // read path (reads see published-but-uncommitted rows and contend with
-  // loaders on the index/extent latches) — the pre-snapshot baseline the
-  // mixed-workload bench contrasts against.
-  bool use_snapshots = true;
 
   // Clamp slot counts to at least one admission per lane (a zero-slot lane
   // would deadlock every admitter).
@@ -47,13 +41,11 @@ struct QueryPolicy {
     return p;
   }
 
-  // e.g. "interactive=8, batch=2 (yields), snapshots=on".
+  // e.g. "interactive=8, batch=2 (yields)".
   std::string describe() const {
     std::string out = "interactive=" + std::to_string(interactive_slots) +
                       ", batch=" + std::to_string(batch_slots);
     if (batch_yields_to_interactive) out += " (yields)";
-    out += ", snapshots=";
-    out += use_snapshots ? "on" : "off";
     return out;
   }
 };

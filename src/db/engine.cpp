@@ -1202,13 +1202,6 @@ int64_t Engine::total_rows() const {
   return total;
 }
 
-int64_t Engine::total_heap_bytes() const {
-  const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
-  int64_t total = 0;
-  for (const Table& table : tables_) total += table.heap().total_bytes();
-  return total;
-}
-
 std::string Engine::encode_tuple_key(const TableDef& def,
                                      const std::vector<int>& column_indices,
                                      const Row& values) const {
@@ -1300,49 +1293,6 @@ Status index_unavailable_error(std::string_view index_name,
     message += ")";
   }
   return Status(ErrorCode::kFailedPrecondition, std::move(message));
-}
-
-Result<std::vector<Row>> Engine::snapshot_collect_range(
-    const Snapshot& snap, uint32_t table_id, int secondary,
-    std::string_view index_name, const std::string& lo,
-    const std::string& hi) const {
-  if (table_id >= tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  // (encoded key, row bytes) hits across all visible chunks. Keys are
-  // globally unique — PKs by constraint, non-unique secondary keys by their
-  // row-id suffix — so a plain sort yields live-index order.
-  std::vector<std::pair<std::string_view, std::string_view>> hits;
-  Status failure = ok_status();
-  snap.visit_chunks(table_id, [&](const SnapshotChunk& chunk) {
-    if (!failure.is_ok()) return;
-    const KeyRun* run = &chunk.pk;
-    if (secondary >= 0) {
-      const auto s = static_cast<size_t>(secondary);
-      if (s >= chunk.secondaries.size() || !chunk.secondaries[s].has_value()) {
-        failure = index_unavailable_error(
-            index_name,
-            "snapshot chunk predates index: committed while it was disabled");
-        return;
-      }
-      run = &*chunk.secondaries[s];
-    }
-    for (size_t i = run->lower_bound(lo); i < run->size(); ++i) {
-      const std::string_view key = run->key(i);
-      if (!hi.empty() && key >= hi) break;
-      hits.emplace_back(key, chunk.rows[run->row(i)].bytes);
-    }
-  });
-  SKY_RETURN_IF_ERROR(failure);
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Row> rows;
-  rows.reserve(hits.size());
-  for (const auto& [key, bytes] : hits) {
-    SKY_ASSIGN_OR_RETURN(Row row, decode_row(bytes));
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 // --------------------------------------------------------------- telemetry

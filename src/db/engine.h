@@ -247,7 +247,7 @@ class Engine {
   // The unified read API (db/read_view.h): one handle carrying every read
   // operation, constructed live or over a pinned snapshot. All query code —
   // the planner, the spatial operators, the scheduler's admitted queries —
-  // reads through a ReadView; the per-mode method families below are shims.
+  // reads through a ReadView.
   ReadView live_view() const { return ReadView(this, nullptr); }
   // View of the pinned committed prefix; reads take no engine lock, table
   // latch, extent latch, or gate. `snap` must outlive the returned view.
@@ -267,14 +267,9 @@ class Engine {
   }
 
   int64_t total_rows() const;
-  int64_t total_heap_bytes() const;
   // Is the named secondary index currently enabled?
   Result<bool> index_enabled(uint32_t table_id,
                              std::string_view index_name) const;
-
-  // The pre-ReadView per-mode read families (pk_lookup / snapshot_* /
-  // scan_heap shims) were deprecated and have been removed — every read
-  // goes through live_view() / view_at() (see DESIGN.md §10).
 
   // ----------------------------------------------------------- control plane
   // The unified telemetry snapshot: every per-subsystem surface below plus
@@ -458,16 +453,6 @@ class Engine {
   // chunks and publish them (every commit that wrote rows). Called with
   // the engine rwlock held shared.
   void publish_snapshot_chunks(std::vector<UndoEntry> undo);
-  // Shared core of the snapshot range reads: collect [lo, hi) (empty hi =
-  // unbounded) from each visible chunk's PK run (secondary < 0) or the
-  // given secondary run, merge by key order, decode. `index_name` labels
-  // the fail-closed error when a chunk predates the secondary index.
-  Result<std::vector<Row>> snapshot_collect_range(const Snapshot& snap,
-                                                  uint32_t table_id,
-                                                  int secondary,
-                                                  std::string_view index_name,
-                                                  const std::string& lo,
-                                                  const std::string& hi) const;
   storage::IoRole role_of_file(uint32_t file_id) const;
   Result<Row> row_at(const Table& table, uint64_t row_id) const;
   std::string encode_tuple_key(const TableDef& def,

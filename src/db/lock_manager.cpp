@@ -90,23 +90,6 @@ bool WaitGraph::reachable_locked(uint64_t from_owner,
   return false;
 }
 
-GateAcquire NullSlotGate::acquire() {
-  const std::scoped_lock lock(mu_);
-  ++stats_.acquires;
-  ++stats_.in_use;
-  return {};
-}
-
-void NullSlotGate::release() {
-  const std::scoped_lock lock(mu_);
-  --stats_.in_use;
-}
-
-GateStats NullSlotGate::stats() const {
-  const std::scoped_lock lock(mu_);
-  return stats_;
-}
-
 BlockingSlotGate::BlockingSlotGate(int64_t slots)
     : slots_(slots), available_(slots) {
   assert(slots > 0);

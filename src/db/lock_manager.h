@@ -139,19 +139,6 @@ struct ConcurrencyStats {
   GateStats itl;  // aggregated across all per-table gates
 };
 
-// Never blocks; used when concurrency is modeled elsewhere (simulation) or
-// unlimited. Thread-safe counting.
-class NullSlotGate final : public SlotGate {
- public:
-  GateAcquire acquire() override;
-  void release() override;
-  GateStats stats() const override;
-
- private:
-  mutable std::mutex mu_;
-  GateStats stats_;
-};
-
 // Real counting gate for multi-threaded runs (unfair: cv wakeup order).
 // Used for the instance-wide transaction gate.
 class BlockingSlotGate final : public SlotGate {

@@ -63,8 +63,7 @@ Admission::~Admission() {
 
 ReadView Admission::view() const {
   if (scheduler_ == nullptr) return ReadView();
-  if (snapshot_.valid()) return scheduler_->engine_.view_at(snapshot_);
-  return scheduler_->engine_.live_view();
+  return scheduler_->engine_.view_at(snapshot_);
 }
 
 // --------------------------------------------------------- QueryScheduler
@@ -119,7 +118,7 @@ Admission QueryScheduler::admit(QueryLane lane, OpCosts* costs) {
   admission.queue_wait_ =
       std::chrono::duration_cast<std::chrono::nanoseconds>(admitted - arrival)
           .count();
-  if (policy_.use_snapshots) admission.snapshot_ = engine_.pin_snapshot();
+  admission.snapshot_ = engine_.pin_snapshot();
   if (costs != nullptr) costs->query_lane_wait_ns += admission.queue_wait_;
   return admission;
 }

@@ -11,9 +11,9 @@
 // admits only when no interactive query is queued or in flight (when
 // QueryPolicy::batch_yields_to_interactive is set).
 //
-// Admission returns a move-only RAII grant that (by default) carries a
-// pinned Snapshot (db/snapshot.h), so an admitted query reads a consistent
-// committed prefix latch-free; dropping the grant releases the lane slot,
+// Admission returns a move-only RAII grant that carries a pinned Snapshot
+// (db/snapshot.h), so an admitted query reads a consistent committed
+// prefix latch-free; dropping the grant releases the lane slot,
 // unpins, and records the query's latency into a lock-free log2 histogram
 // (p50/p99 per lane in QueryStats). Lane queue wait is attributed to
 // OpCosts::query_lane_wait_ns — deliberately not lock_wait_ns, because lane
@@ -65,8 +65,8 @@ using QueryStats = core::QueryStats;
 
 class QueryScheduler;
 
-// One admitted query: lane slot + (optionally) pinned snapshot. Move-only
-// RAII; destruction releases the slot, unpins, and records latency.
+// One admitted query: lane slot + pinned snapshot. Move-only RAII;
+// destruction releases the slot, unpins, and records latency.
 class Admission {
  public:
   Admission() = default;
@@ -78,13 +78,11 @@ class Admission {
 
   bool valid() const { return scheduler_ != nullptr; }
   QueryLane lane() const { return lane_; }
-  // Pinned snapshot; valid() && snapshot().valid() iff the policy has
-  // use_snapshots on. Most callers want view() instead.
+  // The snapshot pinned at admission (valid iff valid()). Most callers
+  // want view() instead.
   const Snapshot& snapshot() const { return snapshot_; }
-  // The read view this admission should query through: the pinned snapshot
-  // when the policy pinned one, the live engine state otherwise — so query
-  // code is written once against ReadView and the snapshot/live split stays
-  // a QueryPolicy decision. Empty ReadView on an invalid admission.
+  // The read view over the pinned snapshot. Empty ReadView on an invalid
+  // admission.
   ReadView view() const;
   Nanos queue_wait() const { return queue_wait_; }
 
@@ -106,7 +104,7 @@ class QueryScheduler {
   explicit QueryScheduler(Engine& engine, core::QueryPolicy policy = {});
   ~QueryScheduler();
 
-  // Block until the lane admits, then pin a snapshot (policy permitting).
+  // Block until the lane admits, then pin a snapshot.
   // Batch admissions yield: they wait until no interactive query is queued
   // or in flight before taking a batch slot. Queue wait (yield + gate) is
   // added to costs->query_lane_wait_ns when costs is non-null.

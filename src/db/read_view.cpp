@@ -1,11 +1,13 @@
-// ReadView implementation: every read operation once, with a live branch
-// (index latch shared, synchronizes with writers) and a snapshot branch
-// (pinned chunk data, latch-free). See read_view.h for the contract and
-// engine.h for the deprecated per-mode shims that delegate here.
+// ReadView implementation: latch-free resolvers over one range primitive
+// and one heap-order visit, each with a live half (engine rwlock, index or
+// extent latches shared) and a snapshot half (pinned chunks, no latch).
+// See read_view.h for the contract.
 #include "db/read_view.h"
 
+#include <algorithm>
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 
 #include "db/engine.h"
 #include "db/snapshot.h"
@@ -18,6 +20,17 @@ namespace {
 
 Status empty_view_error() {
   return Status(ErrorCode::kFailedPrecondition, "read on an empty ReadView");
+}
+
+// Position of the named secondary index in table.secondaries(). Index
+// definitions are immutable after construction — safe latch-free.
+Result<int> find_secondary(const Table& table, std::string_view index_name) {
+  const std::vector<SecondaryIndex>& secondaries = table.secondaries();
+  for (size_t s = 0; s < secondaries.size(); ++s) {
+    if (secondaries[s].def.name == index_name) return static_cast<int>(s);
+  }
+  return Status(ErrorCode::kNotFound,
+                "no such index: " + std::string(index_name));
 }
 
 // Probe key for an HTM-keyed index: the bound tuple is a single int64
@@ -33,32 +46,98 @@ std::string encode_htm_probe_key(const Row& values) {
 
 }  // namespace
 
-int64_t ReadView::row_count(uint32_t table_id) const {
-  if (engine_ == nullptr) return 0;
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) return 0;
-    return snap_->row_count(table_id);
+Result<const Table*> ReadView::resolve_table(uint32_t table_id) const {
+  if (engine_ == nullptr) return empty_view_error();
+  // tables_ is sized once at construction, so the check needs no lock.
+  if (table_id >= engine_->tables_.size()) {
+    return Status(ErrorCode::kNotFound, "bad table id");
   }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) return 0;
+  return &engine_->tables_[table_id];
+}
+
+Result<std::vector<Row>> ReadView::range(const Table& table, int secondary,
+                                         const std::string& lo,
+                                         const std::string& hi) const {
+  const SecondaryIndex* index =
+      secondary < 0 ? nullptr
+                    : &table.secondaries()[static_cast<size_t>(secondary)];
+  if (snap_ != nullptr) {
+    // (encoded key, row bytes) hits across all visible chunks. Keys are
+    // globally unique — PKs by constraint, non-unique secondary keys by
+    // their row-id suffix — so a plain sort yields live-index order.
+    // `enabled` is deliberately not consulted: visibility is per chunk.
+    std::vector<std::pair<std::string_view, std::string_view>> hits;
+    Status failure = ok_status();
+    snap_->visit_chunks(table.id(), [&](const SnapshotChunk& chunk) {
+      if (!failure.is_ok()) return;
+      const KeyRun* run = &chunk.pk;
+      if (index != nullptr) {
+        const auto s = static_cast<size_t>(secondary);
+        if (s >= chunk.secondaries.size() ||
+            !chunk.secondaries[s].has_value()) {
+          failure = index_unavailable_error(
+              index->def.name,
+              "snapshot chunk predates index: committed while it was "
+              "disabled");
+          return;
+        }
+        run = &*chunk.secondaries[s];
+      }
+      for (size_t i = run->lower_bound(lo); i < run->size(); ++i) {
+        const std::string_view key = run->key(i);
+        if (!hi.empty() && key >= hi) break;
+        hits.emplace_back(key, chunk.rows[run->row(i)].bytes);
+      }
+    });
+    SKY_RETURN_IF_ERROR(failure);
+    std::sort(hits.begin(), hits.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<Row> rows;
+    rows.reserve(hits.size());
+    for (const auto& [key, bytes] : hits) {
+      SKY_ASSIGN_OR_RETURN(Row row, decode_row(bytes));
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+  const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
+  if (index != nullptr && !index->enabled) {
+    return index_unavailable_error(index->def.name, "index is disabled");
+  }
+  const index::BPlusTree& tree = index != nullptr ? index->tree
+                                                  : table.pk_tree();
+  // Tree reads synchronize with row publication on the index latch; the
+  // heap read inside row_at() takes its extent latch underneath.
+  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
+  const std::vector<uint64_t> row_ids =
+      hi.empty() ? tree.range_lookup_unbounded(lo)
+                 : tree.range_lookup(lo, hi);
+  std::vector<Row> rows;
+  rows.reserve(row_ids.size());
+  for (const uint64_t row_id : row_ids) {
+    SKY_ASSIGN_OR_RETURN(Row row, engine_->row_at(table, row_id));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+int64_t ReadView::row_count(uint32_t table_id) const {
+  const auto table = resolve_table(table_id);
+  if (!table.is_ok()) return 0;
+  if (snap_ != nullptr) return snap_->row_count(table_id);
+  const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
   // Heap counters are latch-free atomics (storage/sharded_heap.h).
-  return e.tables_[table_id].heap().row_count();
+  return (*table)->heap().row_count();
 }
 
 Result<Row> ReadView::pk_lookup(uint32_t table_id, const Row& pk_values) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
+  SKY_ASSIGN_OR_RETURN(const Table* table, resolve_table(table_id));
+  if (pk_values.size() != table->pk_column_indices().size()) {
+    return Status(ErrorCode::kInvalidArgument, "pk tuple arity mismatch");
+  }
+  const std::string key = engine_->encode_tuple_key(
+      table->def(), table->pk_column_indices(), pk_values);
   if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    if (pk_values.size() != table.pk_column_indices().size()) {
-      return Status(ErrorCode::kInvalidArgument, "pk tuple arity mismatch");
-    }
-    const std::string key =
-        e.encode_tuple_key(table.def(), table.pk_column_indices(), pk_values);
     // Newest run first; PKs are unique, so the first hit is the row.
     for (const SnapshotNode* node = snap_->visible_head(table_id);
          node != nullptr; node = node->prev.get()) {
@@ -70,241 +149,101 @@ Result<Row> ReadView::pk_lookup(uint32_t table_id, const Row& pk_values) const {
     }
     return Status(ErrorCode::kNotFound, "no row with given primary key");
   }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  if (pk_values.size() != table.pk_column_indices().size()) {
-    return Status(ErrorCode::kInvalidArgument, "pk tuple arity mismatch");
-  }
-  const std::string key =
-      e.encode_tuple_key(table.def(), table.pk_column_indices(), pk_values);
-  // Tree reads synchronize with row publication on the index latch; the
-  // heap read inside row_at() takes its extent latch underneath.
-  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  const auto row_id = table.pk_tree().lookup(key);
+  const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
+  const std::shared_lock<std::shared_mutex> latch(table->index_latch());
+  const auto row_id = table->pk_tree().lookup(key);
   if (!row_id.has_value()) {
     return Status(ErrorCode::kNotFound, "no row with given primary key");
   }
-  return e.row_at(table, *row_id);
+  return engine_->row_at(*table, *row_id);
 }
 
 Result<std::vector<Row>> ReadView::pk_range(uint32_t table_id, const Row& lo,
                                             const Row& hi) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    return e.snapshot_collect_range(
-        *snap_, table_id, -1, {},
-        e.encode_tuple_key(table.def(), table.pk_column_indices(), lo),
-        e.encode_tuple_key(table.def(), table.pk_column_indices(), hi));
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  const std::string lo_key =
-      e.encode_tuple_key(table.def(), table.pk_column_indices(), lo);
-  const std::string hi_key =
-      e.encode_tuple_key(table.def(), table.pk_column_indices(), hi);
-  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  std::vector<Row> rows;
-  for (const uint64_t row_id : table.pk_tree().range_lookup(lo_key, hi_key)) {
-    SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  SKY_ASSIGN_OR_RETURN(const Table* table, resolve_table(table_id));
+  const auto encode = [&](const Row& values) {
+    return engine_->encode_tuple_key(table->def(), table->pk_column_indices(),
+                                     values);
+  };
+  return range(*table, -1, encode(lo), encode(hi));
 }
 
 Result<std::vector<Row>> ReadView::index_range(uint32_t table_id,
                                                std::string_view index_name,
                                                const Row& lo,
                                                const Row& hi) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    // def/column_indices are immutable after construction — safe latch-free.
-    // `enabled` is deliberately NOT consulted: visibility is per chunk.
-    for (size_t s = 0; s < table.secondaries().size(); ++s) {
-      const SecondaryIndex& secondary = table.secondaries()[s];
-      if (secondary.def.name != index_name) continue;
-      const bool htm = secondary.def.htm.has_value();
-      return e.snapshot_collect_range(
-          *snap_, table_id, static_cast<int>(s), index_name,
-          htm ? encode_htm_probe_key(lo)
-              : e.encode_tuple_key(table.def(), secondary.column_indices, lo),
-          htm ? encode_htm_probe_key(hi)
-              : e.encode_tuple_key(table.def(), secondary.column_indices, hi));
-    }
-    return Status(ErrorCode::kNotFound,
-                  "no such index: " + std::string(index_name));
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  for (const SecondaryIndex& secondary : table.secondaries()) {
-    if (secondary.def.name != index_name) continue;
-    if (!secondary.enabled) {
-      return index_unavailable_error(index_name, "index is disabled");
-    }
-    const bool htm = secondary.def.htm.has_value();
-    const std::string lo_key =
-        htm ? encode_htm_probe_key(lo)
-            : e.encode_tuple_key(table.def(), secondary.column_indices, lo);
-    const std::string hi_key =
-        htm ? encode_htm_probe_key(hi)
-            : e.encode_tuple_key(table.def(), secondary.column_indices, hi);
-    const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-    std::vector<Row> rows;
-    for (const uint64_t row_id : secondary.tree.range_lookup(lo_key, hi_key)) {
-      SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  }
-  return Status(ErrorCode::kNotFound,
-                "no such index: " + std::string(index_name));
+  SKY_ASSIGN_OR_RETURN(const Table* table, resolve_table(table_id));
+  SKY_ASSIGN_OR_RETURN(const int s, find_secondary(*table, index_name));
+  const SecondaryIndex& index = table->secondaries()[static_cast<size_t>(s)];
+  const auto encode = [&](const Row& values) {
+    return index.def.htm.has_value()
+               ? encode_htm_probe_key(values)
+               : engine_->encode_tuple_key(table->def(), index.column_indices,
+                                           values);
+  };
+  return range(*table, s, encode(lo), encode(hi));
 }
 
 Result<std::vector<Row>> ReadView::pk_encoded_range(uint32_t table_id,
                                                     const std::string& lo,
                                                     const std::string& hi)
     const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    return e.snapshot_collect_range(*snap_, table_id, -1, {}, lo, hi);
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  const std::vector<uint64_t> row_ids =
-      hi.empty() ? table.pk_tree().range_lookup_unbounded(lo)
-                 : table.pk_tree().range_lookup(lo, hi);
-  std::vector<Row> rows;
-  rows.reserve(row_ids.size());
-  for (const uint64_t row_id : row_ids) {
-    SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  SKY_ASSIGN_OR_RETURN(const Table* table, resolve_table(table_id));
+  return range(*table, -1, lo, hi);
 }
 
 Result<std::vector<Row>> ReadView::index_encoded_range(
     uint32_t table_id, std::string_view index_name, const std::string& lo,
     const std::string& hi) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
-    const Table& table = e.tables_[table_id];
-    for (size_t s = 0; s < table.secondaries().size(); ++s) {
-      if (table.secondaries()[s].def.name != index_name) continue;
-      return e.snapshot_collect_range(*snap_, table_id, static_cast<int>(s),
-                                      index_name, lo, hi);
-    }
-    return Status(ErrorCode::kNotFound,
-                  "no such index: " + std::string(index_name));
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  const Table& table = e.tables_[table_id];
-  for (const SecondaryIndex& secondary : table.secondaries()) {
-    if (secondary.def.name != index_name) continue;
-    if (!secondary.enabled) {
-      return index_unavailable_error(index_name, "index is disabled");
-    }
-    const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-    const std::vector<uint64_t> row_ids =
-        hi.empty() ? secondary.tree.range_lookup_unbounded(lo)
-                   : secondary.tree.range_lookup(lo, hi);
-    std::vector<Row> rows;
-    rows.reserve(row_ids.size());
-    for (const uint64_t row_id : row_ids) {
-      SKY_ASSIGN_OR_RETURN(Row row, e.row_at(table, row_id));
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  }
-  return Status(ErrorCode::kNotFound,
-                "no such index: " + std::string(index_name));
+  SKY_ASSIGN_OR_RETURN(const Table* table, resolve_table(table_id));
+  SKY_ASSIGN_OR_RETURN(const int s, find_secondary(*table, index_name));
+  return range(*table, s, lo, hi);
 }
 
-std::vector<Row> ReadView::scan_collect(
-    uint32_t table_id, const std::function<bool(const Row&)>& pred,
-    OpCosts* costs) const {
-  std::vector<Row> rows;
-  if (engine_ == nullptr) return rows;
-  const Engine& e = *engine_;
+template <typename Fn>
+Status ReadView::visit_heap(uint32_t table_id, Fn&& fn) const {
+  SKY_ASSIGN_OR_RETURN(const Table* table, resolve_table(table_id));
   if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) return rows;
-    OpCosts scratch;
-    OpCosts& tally = costs != nullptr ? *costs : scratch;
-    // Physical heap order, so the result matches a live scan on a quiesced
-    // heap. lock_wait_ns stays 0 by construction — the zero-latch
-    // regression test asserts it.
-    const std::vector<SnapshotChunk::RowRef> refs =
-        snap_->rows_in_heap_order(table_id);
-    for (const SnapshotChunk::RowRef& ref : refs) {
-      tally.heap_bytes += static_cast<int64_t>(ref.bytes.size());
-      auto row = decode_row(ref.bytes);
-      if (row.is_ok() && pred(*row)) rows.push_back(std::move(*row));
-    }
-    tally.rows_applied += static_cast<int64_t>(refs.size());
-    return rows;
-  }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) return rows;
-  const Table& table = e.tables_[table_id];
-  // Heap-only read: the scan synchronizes on each extent latch inside the
-  // heap and sees published rows exactly (pending rows are hidden).
-  table.heap().scan([&](storage::SlotId, std::string_view bytes) {
-    auto row = decode_row(bytes);
-    if (row.is_ok() && pred(*row)) rows.push_back(std::move(*row));
-  });
-  return rows;
-}
-
-Status ReadView::scan_heap(
-    uint32_t table_id,
-    const std::function<void(storage::SlotId, std::string_view)>& fn) const {
-  if (engine_ == nullptr) return empty_view_error();
-  const Engine& e = *engine_;
-  if (snap_ != nullptr) {
-    if (table_id >= e.tables_.size()) {
-      return Status(ErrorCode::kNotFound, "bad table id");
-    }
+    // Physical heap order, so a pinned scan matches a live scan on a
+    // quiesced heap. No latch is taken — the zero-latch regression test
+    // asserts it.
     for (const SnapshotChunk::RowRef& ref :
          snap_->rows_in_heap_order(table_id)) {
       fn(ref.slot, ref.bytes);
     }
     return ok_status();
   }
-  const std::shared_lock<std::shared_mutex> engine_lock(e.engine_mu_);
-  if (table_id >= e.tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  e.tables_[table_id].heap().scan(fn);
+  const std::shared_lock<std::shared_mutex> engine_lock(engine_->engine_mu_);
+  // Heap-only read: the scan synchronizes on each extent latch inside the
+  // heap and sees published rows exactly (pending rows are hidden).
+  table->heap().scan(fn);
   return ok_status();
+}
+
+Status ReadView::scan_heap(
+    uint32_t table_id,
+    const std::function<void(storage::SlotId, std::string_view)>& fn) const {
+  return visit_heap(table_id, fn);
+}
+
+std::vector<Row> ReadView::scan_collect(
+    uint32_t table_id, const std::function<bool(const Row&)>& pred,
+    OpCosts* costs) const {
+  std::vector<Row> rows;
+  int64_t visited = 0;
+  int64_t bytes_read = 0;
+  // A failed resolve (empty view, bad table id) collects nothing.
+  (void)visit_heap(table_id, [&](storage::SlotId, std::string_view bytes) {
+    ++visited;
+    bytes_read += static_cast<int64_t>(bytes.size());
+    auto row = decode_row(bytes);
+    if (row.is_ok() && pred(*row)) rows.push_back(std::move(*row));
+  });
+  if (costs != nullptr) {
+    costs->rows_applied += visited;
+    costs->heap_bytes += bytes_read;
+  }
+  return rows;
 }
 
 }  // namespace sky::db

@@ -1,11 +1,6 @@
 // ReadView: the one read handle over the engine.
 //
-// The read API used to be forked into two parallel method families — the
-// live queries (Engine::pk_lookup / index_range / scan_collect / ...) that
-// synchronize with writers on the index latch, and their eight snapshot_*
-// twins that read a pinned copy-on-write prefix latch-free (db/snapshot.h).
-// Every new read operator had to be written twice. A ReadView carries each
-// operation once and is constructed in either mode:
+// A ReadView is constructed live or over a pinned snapshot:
 //
 //   db::ReadView live = engine.live_view();        // latch-shared, freshest
 //   db::Snapshot snap = engine.pin_snapshot();
@@ -14,8 +9,16 @@
 //
 // Operators written against ReadView (spatial::cone_search,
 // spatial::xmatch, the query planner) serve both modes for free, and
-// QueryScheduler::Admission::view() hands an admitted query the right mode
-// per QueryPolicy::use_snapshots without branching at the call site.
+// QueryScheduler::Admission::view() hands an admitted query its pinned
+// snapshot.
+//
+// Inside, each range read is a resolver over one range primitive. The
+// resolver checks the table id, finds the secondary index by name and
+// encodes the bounds; it reads only immutable schema and key layout, so it
+// takes no lock in either mode. The primitive has a live half (engine
+// rwlock shared, the index's enabled flag, index latch shared, tree range)
+// and a snapshot half (the pinned chunks' key runs, latch-free). The heap
+// scans share one heap-order visit with the same two halves.
 //
 // A ReadView is a non-owning handle: it must not outlive the engine, and a
 // snapshot view must not outlive the Snapshot it was constructed from (the
@@ -23,11 +26,12 @@
 // natural). Copying a view is free; it carries no state beyond the two
 // pointers.
 //
-// Error contract: reads over an unavailable secondary index fail closed
-// with the same canonical code in both modes — kFailedPrecondition, whether
-// the index is disabled right now (live) or a visible chunk was committed
-// while it was disabled (snapshot). See index_unavailable_error in
-// engine.h.
+// Error contract: argument errors (bad table id, unknown index, PK arity)
+// carry the same code and message in both modes. Reads over an unavailable
+// secondary index fail closed with the same canonical code in both modes —
+// kFailedPrecondition — but each mode judges availability its own way: live
+// when the index is disabled right now, snapshot when a visible chunk was
+// committed while it was disabled. See index_unavailable_error in engine.h.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +49,7 @@ namespace sky::db {
 
 class Engine;
 class Snapshot;
+class Table;
 
 class ReadView {
  public:
@@ -52,24 +57,18 @@ class ReadView {
   ReadView() = default;
 
   bool valid() const { return engine_ != nullptr; }
-  // Reading a pinned snapshot (latch-free committed prefix) vs. live state?
-  bool is_snapshot() const { return snap_ != nullptr; }
-  // The engine under this view (valid views only — callers resolve schema
-  // metadata, e.g. table ids and index definitions, through this).
-  const Engine& engine() const { return *engine_; }
-  // The pinned snapshot under a snapshot view (nullptr on live views).
-  const Snapshot* snapshot() const { return snap_; }
 
   // Rows of the table visible to this view.
   int64_t row_count(uint32_t table_id) const;
   // Look up one row by full primary key.
   Result<Row> pk_lookup(uint32_t table_id, const Row& pk_values) const;
-  // All rows whose PK is in [lo, hi) — keys built from value tuples.
+  // All rows whose PK is in [lo, hi) — keys built from value tuples; an
+  // empty `hi` tuple means unbounded.
   Result<std::vector<Row>> pk_range(uint32_t table_id, const Row& lo,
                                     const Row& hi) const;
   // Range over a secondary index: [lo, hi) on the indexed columns. On an
   // HTM-keyed index (IndexDef::htm) the tuples are single int64 trixel ids,
-  // not (ra, dec) pairs.
+  // not (ra, dec) pairs. An empty `hi` tuple means unbounded.
   Result<std::vector<Row>> index_range(uint32_t table_id,
                                        std::string_view index_name,
                                        const Row& lo, const Row& hi) const;
@@ -82,9 +81,8 @@ class ReadView {
                                                std::string_view index_name,
                                                const std::string& lo,
                                                const std::string& hi) const;
-  // Full scan with predicate. `costs` (optional) tallies rows visited and
-  // heap bytes decoded on the snapshot path; the live path's costs are
-  // attributed by the engine's own instrumentation.
+  // Full scan with predicate, in heap order. `costs` (optional) tallies
+  // rows visited (rows_applied) and heap bytes decoded.
   std::vector<Row> scan_collect(uint32_t table_id,
                                 const std::function<bool(const Row&)>& pred,
                                 OpCosts* costs = nullptr) const;
@@ -97,6 +95,19 @@ class ReadView {
   friend class Engine;
   ReadView(const Engine* engine, const Snapshot* snap)
       : engine_(engine), snap_(snap) {}
+
+  // The table behind `table_id`; fails on an empty view or a bad id.
+  Result<const Table*> resolve_table(uint32_t table_id) const;
+  // The range primitive: rows with encoded key in [lo, hi) (empty `hi` =
+  // unbounded) over the PK (secondary < 0) or the table's secondary index
+  // at that position, in key order.
+  Result<std::vector<Row>> range(const Table& table, int secondary,
+                                 const std::string& lo,
+                                 const std::string& hi) const;
+  // The heap-order visit behind scan_heap and scan_collect (defined and
+  // instantiated in read_view.cpp only).
+  template <typename Fn>  // Fn(storage::SlotId, std::string_view)
+  Status visit_heap(uint32_t table_id, Fn&& fn) const;
 
   const Engine* engine_ = nullptr;
   const Snapshot* snap_ = nullptr;

@@ -110,26 +110,28 @@ Result<std::vector<Row>> cone_search(const ReadView& view,
         std::vector<Row> rows,
         view.index_encoded_range(spec.table_id, spec.htm_index, lo.take(),
                                  hi.take()));
-    for (Row& row : rows) {
-      const double row_ra =
-          row[static_cast<size_t>(spec.ra_column)].as_f64();
-      const double row_dec =
-          row[static_cast<size_t>(spec.dec_column)].as_f64();
-      if (costs != nullptr) {
-        ++costs->zone_scan_rows;
-        ++costs->xmatch_candidates;
-      }
-      // The cover is conservative: a returned trixel may poke outside the
-      // cap, so every row is confirmed by exact distance.
-      if (htm::angular_distance_deg(center,
-                                    htm::radec_to_vector(row_ra, row_dec)) <=
-          radius_deg) {
-        if (costs != nullptr) ++costs->xmatch_pairs;
-        out.push_back(std::move(row));
-      }
-    }
+    filter_cone(std::move(rows), spec, center, radius_deg, costs, out);
   }
   return out;
+}
+
+void filter_cone(std::vector<Row> rows, const SpatialTableSpec& spec,
+                 const htm::Vec3& center, double radius_deg, OpCosts* costs,
+                 std::vector<Row>& out) {
+  for (Row& row : rows) {
+    const double row_ra = row[static_cast<size_t>(spec.ra_column)].as_f64();
+    const double row_dec = row[static_cast<size_t>(spec.dec_column)].as_f64();
+    if (costs != nullptr) {
+      ++costs->zone_scan_rows;
+      ++costs->xmatch_candidates;
+    }
+    if (htm::angular_distance_deg(center,
+                                  htm::radec_to_vector(row_ra, row_dec)) <=
+        radius_deg) {
+      if (costs != nullptr) ++costs->xmatch_pairs;
+      out.push_back(std::move(row));
+    }
+  }
 }
 
 XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
@@ -247,6 +249,21 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
   return result;
 }
 
+PositionColumns gather_positions(std::vector<Row> rows,
+                                 const SpatialTableSpec& spec,
+                                 std::vector<Row>* rows_out) {
+  PositionColumns positions;
+  positions.ra.reserve(rows.size());
+  positions.dec.reserve(rows.size());
+  for (const Row& row : rows) {
+    positions.ra.push_back(row[static_cast<size_t>(spec.ra_column)].as_f64());
+    positions.dec.push_back(
+        row[static_cast<size_t>(spec.dec_column)].as_f64());
+  }
+  if (rows_out != nullptr) *rows_out = std::move(rows);
+  return positions;
+}
+
 Result<XmatchResult> xmatch(const ReadView& view_a,
                             const SpatialTableSpec& spec_a,
                             const ReadView& view_b,
@@ -258,26 +275,12 @@ Result<XmatchResult> xmatch(const ReadView& view_a,
     return Status(ErrorCode::kFailedPrecondition,
                   "xmatch on an empty ReadView");
   }
-  const auto collect = [](const ReadView& view, const SpatialTableSpec& spec,
-                          std::vector<double>& ra, std::vector<double>& dec,
-                          std::vector<Row>* rows_out) {
-    std::vector<Row> rows =
-        view.scan_collect(spec.table_id, [](const Row&) { return true; });
-    ra.reserve(rows.size());
-    dec.reserve(rows.size());
-    for (const Row& row : rows) {
-      ra.push_back(row[static_cast<size_t>(spec.ra_column)].as_f64());
-      dec.push_back(row[static_cast<size_t>(spec.dec_column)].as_f64());
-    }
-    if (rows_out != nullptr) *rows_out = std::move(rows);
-  };
-  std::vector<double> a_ra;
-  std::vector<double> a_dec;
-  std::vector<double> b_ra;
-  std::vector<double> b_dec;
-  collect(view_a, spec_a, a_ra, a_dec, a_rows_out);
-  collect(view_b, spec_b, b_ra, b_dec, b_rows_out);
-  return xmatch_arrays(a_ra, a_dec, b_ra, b_dec, options);
+  const auto all = [](const Row&) { return true; };
+  const PositionColumns a = gather_positions(
+      view_a.scan_collect(spec_a.table_id, all), spec_a, a_rows_out);
+  const PositionColumns b = gather_positions(
+      view_b.scan_collect(spec_b.table_id, all), spec_b, b_rows_out);
+  return xmatch_arrays(a.ra, a.dec, b.ra, b.dec, options);
 }
 
 }  // namespace sky::db::spatial

@@ -33,6 +33,7 @@
 #include "db/op_costs.h"
 #include "db/read_view.h"
 #include "db/row.h"
+#include "htm/htm.h"
 
 namespace sky::db::spatial {
 
@@ -62,6 +63,16 @@ Result<std::vector<Row>> cone_search(const ReadView& view,
                                      double ra_deg, double dec_deg,
                                      double radius_deg,
                                      OpCosts* costs = nullptr);
+
+// The exact-distance post-filter of every cone search (this one and the
+// sharded repository's): moves the rows within radius_deg of `center` to
+// `out`, in order. The HTM cover is conservative — a returned trixel may
+// poke outside the cap — so every row is tested. `costs` (optional) tallies
+// zone_scan_rows and xmatch_candidates per row tested, xmatch_pairs per row
+// kept.
+void filter_cone(std::vector<Row> rows, const SpatialTableSpec& spec,
+                 const htm::Vec3& center, double radius_deg, OpCosts* costs,
+                 std::vector<Row>& out);
 
 // Parallel executor hook: run `tasks` task bodies on up to `workers`
 // workers. body(worker, task) must be invoked exactly once per task index in
@@ -125,6 +136,19 @@ XmatchResult xmatch_arrays(const std::vector<double>& a_ra,
                            const std::vector<double>& b_ra,
                            const std::vector<double>& b_dec,
                            const XmatchOptions& options);
+
+// One table's positions, in the order its rows were collected.
+struct PositionColumns {
+  std::vector<double> ra;
+  std::vector<double> dec;
+};
+
+// The position gather of every xmatch (this one and the sharded
+// repository's): the spec's ra/dec columns of `rows`, in order. The rows
+// move to `rows_out` when it is given.
+PositionColumns gather_positions(std::vector<Row> rows,
+                                 const SpatialTableSpec& spec,
+                                 std::vector<Row>* rows_out);
 
 // Cross-match two tables as seen by two ReadViews (typically both from the
 // same pinned snapshot, so the match is transactionally consistent while

@@ -117,81 +117,61 @@ Result<Row> ShardedReadView::pk_lookup(uint32_t table_id,
   return miss;
 }
 
-Result<std::vector<Row>> ShardedReadView::pk_range(uint32_t table_id,
-                                                   const Row& lo,
-                                                   const Row& hi) const {
+Result<std::vector<Row>> ShardedReadView::scatter_merge(
+    uint32_t table_id, std::optional<std::string_view> index_name,
+    const std::function<Result<std::vector<Row>>(const ReadView&)>& read)
+    const {
   if (!valid()) return empty_view_error();
   std::vector<std::vector<Row>> per_shard;
   per_shard.reserve(views_.size());
   for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         view.pk_range(table_id, lo, hi));
+    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, read(view));
     per_shard.push_back(std::move(rows));
   }
   const TableDef& def = repo_->schema().table(table_id);
-  return merge_by_key(std::move(per_shard), [&def](const Row& row) {
-    return encode_pk_of(def, row);
+  if (!index_name.has_value()) {
+    return merge_by_key(std::move(per_shard), [&def](const Row& row) {
+      return encode_pk_of(def, row);
+    });
+  }
+  const IndexDef* index = find_index(def, *index_name);
+  if (index == nullptr) {
+    return Status(ErrorCode::kNotFound, "no index named " +
+                                            std::string(*index_name));
+  }
+  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
+    return encode_index_value_of(def, *index, row);
+  });
+}
+
+Result<std::vector<Row>> ShardedReadView::pk_range(uint32_t table_id,
+                                                   const Row& lo,
+                                                   const Row& hi) const {
+  return scatter_merge(table_id, std::nullopt, [&](const ReadView& view) {
+    return view.pk_range(table_id, lo, hi);
   });
 }
 
 Result<std::vector<Row>> ShardedReadView::index_range(
     uint32_t table_id, std::string_view index_name, const Row& lo,
     const Row& hi) const {
-  if (!valid()) return empty_view_error();
-  std::vector<std::vector<Row>> per_shard;
-  per_shard.reserve(views_.size());
-  for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         view.index_range(table_id, index_name, lo, hi));
-    per_shard.push_back(std::move(rows));
-  }
-  const TableDef& def = repo_->schema().table(table_id);
-  const IndexDef* index = find_index(def, index_name);
-  if (index == nullptr) {
-    return Status(ErrorCode::kNotFound, "no index named " +
-                                            std::string(index_name));
-  }
-  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
-    return encode_index_value_of(def, *index, row);
+  return scatter_merge(table_id, index_name, [&](const ReadView& view) {
+    return view.index_range(table_id, index_name, lo, hi);
   });
 }
 
 Result<std::vector<Row>> ShardedReadView::pk_encoded_range(
     uint32_t table_id, const std::string& lo, const std::string& hi) const {
-  if (!valid()) return empty_view_error();
-  std::vector<std::vector<Row>> per_shard;
-  per_shard.reserve(views_.size());
-  for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         view.pk_encoded_range(table_id, lo, hi));
-    per_shard.push_back(std::move(rows));
-  }
-  const TableDef& def = repo_->schema().table(table_id);
-  return merge_by_key(std::move(per_shard), [&def](const Row& row) {
-    return encode_pk_of(def, row);
+  return scatter_merge(table_id, std::nullopt, [&](const ReadView& view) {
+    return view.pk_encoded_range(table_id, lo, hi);
   });
 }
 
 Result<std::vector<Row>> ShardedReadView::index_encoded_range(
     uint32_t table_id, std::string_view index_name, const std::string& lo,
     const std::string& hi) const {
-  if (!valid()) return empty_view_error();
-  std::vector<std::vector<Row>> per_shard;
-  per_shard.reserve(views_.size());
-  for (const ReadView& view : views_) {
-    SKY_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
-        view.index_encoded_range(table_id, index_name, lo, hi));
-    per_shard.push_back(std::move(rows));
-  }
-  const TableDef& def = repo_->schema().table(table_id);
-  const IndexDef* index = find_index(def, index_name);
-  if (index == nullptr) {
-    return Status(ErrorCode::kNotFound, "no index named " +
-                                            std::string(index_name));
-  }
-  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
-    return encode_index_value_of(def, *index, row);
+  return scatter_merge(table_id, index_name, [&](const ReadView& view) {
+    return view.index_encoded_range(table_id, index_name, lo, hi);
   });
 }
 
@@ -234,38 +214,23 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
   const bool exact = spec.htm_depth >= router.policy().htm_depth;
   std::vector<char> touched(static_cast<size_t>(view.shard_count()), 0);
   std::vector<Row> out;
-  const auto filter_append = [&](std::vector<Row> rows) {
-    for (Row& row : rows) {
-      const double row_ra = row[static_cast<size_t>(spec.ra_column)].as_f64();
-      const double row_dec =
-          row[static_cast<size_t>(spec.dec_column)].as_f64();
-      if (costs != nullptr) {
-        ++costs->zone_scan_rows;
-        ++costs->xmatch_candidates;
-      }
-      if (htm::angular_distance_deg(center,
-                                    htm::radec_to_vector(row_ra, row_dec)) <=
-          radius_deg) {
-        if (costs != nullptr) ++costs->xmatch_pairs;
-        out.push_back(std::move(row));
-      }
-    }
+  const auto probe = [&](const ShardRouter::Segment& seg) {
+    touched[static_cast<size_t>(seg.shard)] = 1;
+    index::KeyEncoder lo;
+    index::KeyEncoder hi;
+    lo.append_int64(static_cast<int64_t>(seg.first));
+    hi.append_int64(static_cast<int64_t>(seg.last));
+    return view.shard_view(seg.shard).index_encoded_range(
+        spec.table_id, spec.htm_index, lo.take(), hi.take());
   };
   for (const htm::IdRange& range : cover) {
     const std::vector<ShardRouter::Segment> segments =
         router.segments_for_range(range.first, range.last, spec.htm_depth);
     if (exact) {
       for (const ShardRouter::Segment& seg : segments) {
-        touched[static_cast<size_t>(seg.shard)] = 1;
-        index::KeyEncoder lo;
-        index::KeyEncoder hi;
-        lo.append_int64(static_cast<int64_t>(seg.first));
-        hi.append_int64(static_cast<int64_t>(seg.last));
-        SKY_ASSIGN_OR_RETURN(
-            std::vector<Row> rows,
-            view.shard_view(seg.shard).index_encoded_range(
-                spec.table_id, spec.htm_index, lo.take(), hi.take()));
-        filter_append(std::move(rows));
+        SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, probe(seg));
+        spatial::filter_cone(std::move(rows), spec, center, radius_deg, costs,
+                             out);
       }
     } else {
       // Index coarser than the shard layout: a trixel can straddle shards,
@@ -274,15 +239,7 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
       // key-ascending order of the single-shard path).
       std::vector<std::pair<std::string, Row>> keyed;
       for (const ShardRouter::Segment& seg : segments) {
-        touched[static_cast<size_t>(seg.shard)] = 1;
-        index::KeyEncoder lo;
-        index::KeyEncoder hi;
-        lo.append_int64(static_cast<int64_t>(seg.first));
-        hi.append_int64(static_cast<int64_t>(seg.last));
-        SKY_ASSIGN_OR_RETURN(
-            std::vector<Row> rows,
-            view.shard_view(seg.shard).index_encoded_range(
-                spec.table_id, spec.htm_index, lo.take(), hi.take()));
+        SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, probe(seg));
         for (Row& row : rows) {
           index::KeyEncoder key;
           key.append_int64(static_cast<int64_t>(htm::htm_id_radec(
@@ -299,7 +256,8 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
       std::vector<Row> merged;
       merged.reserve(keyed.size());
       for (auto& [key, row] : keyed) merged.push_back(std::move(row));
-      filter_append(std::move(merged));
+      spatial::filter_cone(std::move(merged), spec, center, radius_deg, costs,
+                           out);
     }
   }
   if (shards_probed != nullptr) {
@@ -317,29 +275,14 @@ Result<spatial::XmatchResult> xmatch(const ShardedReadView& view_a,
                                      std::vector<Row>* a_rows_out,
                                      std::vector<Row>* b_rows_out) {
   if (!view_a.valid() || !view_b.valid()) return empty_view_error();
-  const auto collect = [](const ShardedReadView& view,
-                          const spatial::SpatialTableSpec& spec,
-                          std::vector<double>& ra, std::vector<double>& dec,
-                          std::vector<Row>* rows_out) {
-    // Shard-major concatenation: deterministic for any worker count, and
-    // MatchPair indices resolve against exactly this order.
-    std::vector<Row> rows =
-        view.scan_collect(spec.table_id, [](const Row&) { return true; });
-    ra.reserve(rows.size());
-    dec.reserve(rows.size());
-    for (const Row& row : rows) {
-      ra.push_back(row[static_cast<size_t>(spec.ra_column)].as_f64());
-      dec.push_back(row[static_cast<size_t>(spec.dec_column)].as_f64());
-    }
-    if (rows_out != nullptr) *rows_out = std::move(rows);
-  };
-  std::vector<double> a_ra;
-  std::vector<double> a_dec;
-  std::vector<double> b_ra;
-  std::vector<double> b_dec;
-  collect(view_a, spec_a, a_ra, a_dec, a_rows_out);
-  collect(view_b, spec_b, b_ra, b_dec, b_rows_out);
-  return spatial::xmatch_arrays(a_ra, a_dec, b_ra, b_dec, options);
+  // Shard-major concatenation: deterministic for any worker count, and
+  // MatchPair indices resolve against exactly this order.
+  const auto all = [](const Row&) { return true; };
+  const spatial::PositionColumns a = spatial::gather_positions(
+      view_a.scan_collect(spec_a.table_id, all), spec_a, a_rows_out);
+  const spatial::PositionColumns b = spatial::gather_positions(
+      view_b.scan_collect(spec_b.table_id, all), spec_b, b_rows_out);
+  return spatial::xmatch_arrays(a.ra, a.dec, b.ra, b.dec, options);
 }
 
 }  // namespace shard

@@ -60,24 +60,6 @@ ShardedReadView ShardedRepository::read_view() const {
   return ShardedReadView(this, std::move(views));
 }
 
-std::vector<Snapshot> ShardedRepository::pin_snapshots() const {
-  std::vector<Snapshot> snaps;
-  snaps.reserve(engines_.size());
-  for (const auto& engine : engines_) snaps.push_back(engine->pin_snapshot());
-  return snaps;
-}
-
-ShardedReadView ShardedRepository::view_at(
-    const std::vector<Snapshot>& snaps) const {
-  std::vector<ReadView> views;
-  const size_t n = std::min(engines_.size(), snaps.size());
-  views.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    views.push_back(engines_[s]->view_at(snaps[s]));
-  }
-  return ShardedReadView(this, std::move(views));
-}
-
 int64_t ShardedRepository::total_rows() const {
   int64_t total = 0;
   for (const auto& engine : engines_) total += engine->total_rows();

@@ -12,11 +12,11 @@
 //     first failure's index is reported, the tail is discarded) holds
 //     exactly as on one engine. Columnar batches split into sub-ranges of
 //     the same ColumnBatch, so the batched columnar fast path is kept.
-//   * read_view() / view_at() return a ShardedReadView implementing the
-//     ReadView method set by scatter-gather: point lookups short-circuit to
-//     the owning shard when the router can derive it, range reads merge
-//     per-shard results by primary-key order so the bytes match a
-//     single-shard oracle.
+//   * read_view() returns a ShardedReadView implementing the ReadView
+//     method set by scatter-gather: point lookups short-circuit to the
+//     owning shard when the router can derive it, range reads merge
+//     per-shard results by key order so the bytes match a single-shard
+//     oracle.
 //   * shard::cone_search probes only the shards whose trixel slices
 //     intersect the cone cover; shard::xmatch collects positions shard by
 //     shard and fans the zone matcher out across workers.
@@ -33,16 +33,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "client/session.h"
 #include "common/status.h"
 #include "db/engine.h"
 #include "db/recovery.h"
-#include "db/snapshot.h"
 #include "db/spatial.h"
 #include "shard/shard_router.h"
 
@@ -99,6 +100,13 @@ class ShardedReadView {
   ShardedReadView(const ShardedRepository* repo, std::vector<ReadView> views)
       : repo_(repo), views_(std::move(views)) {}
 
+  // Run one range read on every shard and merge the per-shard runs: by
+  // primary key when `index_name` is nullopt, else by the named index's
+  // value key.
+  Result<std::vector<Row>> scatter_merge(
+      uint32_t table_id, std::optional<std::string_view> index_name,
+      const std::function<Result<std::vector<Row>>(const ReadView&)>& read)
+      const;
   // Merge per-shard result runs (each already key-ascending) into one
   // key-ascending sequence; `key(row)` re-derives the comparison key.
   static std::vector<Row> merge_by_key(
@@ -178,11 +186,8 @@ class ShardedRepository {
     return std::make_unique<ShardedSession>(*this);
   }
 
-  // Scatter-gather read handles. A snapshot view reads each shard's pinned
-  // snapshot; the Snapshot vector must outlive the view.
+  // Scatter-gather read handle over every shard's live state.
   ShardedReadView read_view() const;
-  std::vector<Snapshot> pin_snapshots() const;
-  ShardedReadView view_at(const std::vector<Snapshot>& snaps) const;
 
   // Telemetry: committed rows per shard and the skew ratio
   // max(shard rows) / mean(shard rows) — 1.0 is perfectly balanced.

@@ -1,7 +1,7 @@
 // Multi-engine scale-out battery: the HTM-range router's ownership property
 // (every row lands on the shard whose trixel slice contains it, boundary
 // trixels included), scatter-gather reads byte-identical to a single-shard
-// oracle (pk_range / pk_lookup / cone_search), batch run-splitting under
+// oracle (every range spelling, pk_lookup, scan_heap, cone_search), batch run-splitting under
 // the JDBC prefix contract (row and columnar paths), equal-frequency
 // boundary planning holding skew under 1.5 on a clustered footprint, and
 // cross-shard FK reconciliation (convergence and orphan detection).
@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "db/spatial.h"
 #include "htm/htm.h"
+#include "index/key_codec.h"
 
 namespace sky::db {
 namespace {
@@ -36,6 +37,7 @@ Schema test_schema() {
   obj.primary_key = {"id"};
   obj.indexes.push_back(
       IndexDef{"ix_htm", {}, false, HtmIndexSpec{"ra", "dec", kIndexDepth}});
+  obj.indexes.push_back(IndexDef{"ix_dec", {"dec"}, false, {}});
   EXPECT_TRUE(schema.add_table(obj).is_ok());
   TableDef det;
   det.name = "det";
@@ -255,6 +257,63 @@ TEST_F(ShardScatterGatherTest, PkLookupFindsRowsOnEveryShard) {
   }
   EXPECT_EQ(view.pk_lookup(obj_, {Value::i64(100000)}).status().code(),
             ErrorCode::kNotFound);
+}
+
+// Every range spelling against the oracle: index ranges over a plain and an
+// HTM index merge by indexed value, the encoded spellings run bounded and
+// unbounded (empty hi), and scan_heap visits the same row bytes.
+TEST_F(ShardScatterGatherTest, RangeReadsAndHeapMatchOracle) {
+  Rng rng(0x5AD0009);
+  std::vector<double> ra, dec;
+  band_catalog(rng, 300, &ra, &dec);
+  load_both(obj_, object_rows(ra, dec));
+
+  const ShardedReadView view = repo_.read_view();
+  const ReadView single = oracle_.live_view();
+  const auto expect_same = [](const Result<std::vector<Row>>& sharded,
+                              const Result<std::vector<Row>>& oracle) {
+    ASSERT_TRUE(sharded.is_ok());
+    ASSERT_TRUE(oracle.is_ok());
+    EXPECT_FALSE(oracle->empty());
+    expect_rows_identical(*sharded, *oracle);
+  };
+  const auto key = [](int64_t v) {
+    index::KeyEncoder enc;
+    enc.append_int64(v);
+    return enc.take();
+  };
+
+  expect_same(view.index_range(obj_, "ix_dec", {Value::f64(-10.0)},
+                               {Value::f64(5.0)}),
+              single.index_range(obj_, "ix_dec", {Value::f64(-10.0)},
+                                 {Value::f64(5.0)}));
+  // HTM tuples are trixel ids at the index depth: ids in [8, 16) * 4^depth,
+  // so this range spans several shard slices.
+  const int64_t depth_base = int64_t{1} << (2 * kIndexDepth);
+  const Row htm_lo = {Value::i64(9 * depth_base)};
+  const Row htm_hi = {Value::i64(14 * depth_base)};
+  expect_same(view.index_range(obj_, "ix_htm", htm_lo, htm_hi),
+              single.index_range(obj_, "ix_htm", htm_lo, htm_hi));
+  for (const std::string& hi : {key(222), std::string()}) {
+    expect_same(view.pk_encoded_range(obj_, key(50), hi),
+                single.pk_encoded_range(obj_, key(50), hi));
+  }
+  for (const std::string& hi : {key(14 * depth_base), std::string()}) {
+    expect_same(
+        view.index_encoded_range(obj_, "ix_htm", key(9 * depth_base), hi),
+        single.index_encoded_range(obj_, "ix_htm", key(9 * depth_base), hi));
+  }
+
+  std::multiset<std::string> sharded_heap;
+  std::multiset<std::string> single_heap;
+  ASSERT_TRUE(view.scan_heap(obj_, [&](storage::SlotId, std::string_view b) {
+                    sharded_heap.emplace(b);
+                  }).is_ok());
+  ASSERT_TRUE(single.scan_heap(obj_, [&](storage::SlotId, std::string_view b) {
+                      single_heap.emplace(b);
+                    }).is_ok());
+  EXPECT_EQ(sharded_heap.size(), 300u);
+  EXPECT_EQ(sharded_heap, single_heap);
 }
 
 TEST_F(ShardScatterGatherTest, ConeSearchByteIdenticalAndPruned) {

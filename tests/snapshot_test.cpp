@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -175,6 +176,33 @@ TEST_F(SnapshotTest, QuiescedEquivalenceWithLiveReads) {
   EXPECT_EQ(live_ix->size(), 16u);
   EXPECT_EQ(*live_ix, *snap_ix);
 
+  // Encoded-key spellings, bounded and unbounded (empty hi).
+  const auto key = [](int64_t v) {
+    index::KeyEncoder enc;
+    enc.append_int64(v);
+    return enc.take();
+  };
+  for (const std::string& hi : {key(150), std::string()}) {
+    const auto live_pk =
+        engine_.live_view().pk_encoded_range(table_, key(3), hi);
+    const auto snap_pk = engine_.view_at(snap).pk_encoded_range(table_, key(3),
+                                                               hi);
+    ASSERT_TRUE(live_pk.is_ok());
+    ASSERT_TRUE(snap_pk.is_ok());
+    EXPECT_EQ(live_pk->size(), hi.empty() ? 25u : 21u);
+    EXPECT_EQ(*live_pk, *snap_pk);
+  }
+  for (const std::string& hi : {key(3), std::string()}) {
+    const auto live_enc =
+        engine_.live_view().index_encoded_range(table_, "ix_batch", key(2), hi);
+    const auto snap_enc = engine_.view_at(snap).index_encoded_range(
+        table_, "ix_batch", key(2), hi);
+    ASSERT_TRUE(live_enc.is_ok());
+    ASSERT_TRUE(snap_enc.is_ok());
+    EXPECT_EQ(live_enc->size(), hi.empty() ? 20u : 16u);
+    EXPECT_EQ(*live_enc, *snap_enc);
+  }
+
   for (const int64_t pk : {0L, 107L, 203L}) {
     const auto live = engine_.live_view().pk_lookup(table_, {Value::i64(pk)});
     const auto snapped =
@@ -203,6 +231,117 @@ TEST_F(SnapshotTest, QuiescedEquivalenceWithLiveReads) {
                       })
                   .is_ok());
   EXPECT_EQ(live_heap, snap_heap);
+}
+
+// Argument errors do not depend on the read mode: a live and a pinned view
+// report the same code and message, and an empty view fails every read
+// with kFailedPrecondition.
+TEST_F(SnapshotTest, ArgumentErrorsIdenticalAcrossReadModes) {
+  commit_batch(0, 1, 4);
+  const Snapshot snap = engine_.pin_snapshot();
+  const uint32_t bad_table = table_ + 7;
+  const auto heap_visit = [](storage::SlotId, std::string_view) {};
+
+  struct ErrorCase {
+    const char* name;
+    std::function<Status(const ReadView&)> read;
+    ErrorCode code;
+  };
+  const ErrorCase kCases[] = {
+      {"pk_lookup/bad table",
+       [&](const ReadView& v) {
+         return v.pk_lookup(bad_table, {Value::i64(0)}).status();
+       },
+       ErrorCode::kNotFound},
+      {"pk_range/bad table",
+       [&](const ReadView& v) {
+         return v.pk_range(bad_table, {Value::i64(0)}, {Value::i64(9)})
+             .status();
+       },
+       ErrorCode::kNotFound},
+      {"index_range/bad table",
+       [&](const ReadView& v) {
+         return v.index_range(bad_table, "ix_batch", {Value::i64(0)},
+                              {Value::i64(9)})
+             .status();
+       },
+       ErrorCode::kNotFound},
+      {"pk_encoded_range/bad table",
+       [&](const ReadView& v) {
+         return v.pk_encoded_range(bad_table, "", "").status();
+       },
+       ErrorCode::kNotFound},
+      {"index_encoded_range/bad table",
+       [&](const ReadView& v) {
+         return v.index_encoded_range(bad_table, "ix_batch", "", "").status();
+       },
+       ErrorCode::kNotFound},
+      {"scan_heap/bad table",
+       [&](const ReadView& v) { return v.scan_heap(bad_table, heap_visit); },
+       ErrorCode::kNotFound},
+      {"index_range/unknown index",
+       [&](const ReadView& v) {
+         return v.index_range(table_, "ix_none", {Value::i64(0)},
+                              {Value::i64(9)})
+             .status();
+       },
+       ErrorCode::kNotFound},
+      {"index_encoded_range/unknown index",
+       [&](const ReadView& v) {
+         return v.index_encoded_range(table_, "ix_none", "", "").status();
+       },
+       ErrorCode::kNotFound},
+      {"pk_lookup/arity mismatch",
+       [&](const ReadView& v) {
+         return v.pk_lookup(table_, {Value::i64(0), Value::i64(1)}).status();
+       },
+       ErrorCode::kInvalidArgument},
+  };
+  for (const ErrorCase& c : kCases) {
+    const Status live = c.read(engine_.live_view());
+    const Status pinned = c.read(engine_.view_at(snap));
+    EXPECT_EQ(live.code(), c.code) << c.name;
+    EXPECT_EQ(pinned.code(), c.code) << c.name;
+    EXPECT_EQ(live.message(), pinned.message()) << c.name;
+    EXPECT_EQ(c.read(ReadView()).code(), ErrorCode::kFailedPrecondition)
+        << c.name;
+  }
+}
+
+// The one intended divergence between the modes: a live read fails because
+// the index is disabled now, a snapshot read because a visible chunk was
+// committed without the index's run. A pin whose chunks all carry the run
+// keeps serving after the index is disabled.
+TEST_F(SnapshotTest, IndexAvailabilityIsJudgedPerMode) {
+  commit_batch(0, 1, 4);
+  const Snapshot before = engine_.pin_snapshot();
+  ASSERT_TRUE(engine_.set_index_enabled(table_, "ix_batch", false).is_ok());
+  const Snapshot after_disable = engine_.pin_snapshot();
+  index::KeyEncoder enc;
+  enc.append_int64(1);
+  const std::string lo = enc.take();
+
+  EXPECT_EQ(engine_.live_view()
+                .index_range(table_, "ix_batch", {Value::i64(1)},
+                             {Value::i64(2)})
+                .status()
+                .code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(engine_.live_view()
+                .index_encoded_range(table_, "ix_batch", lo, "")
+                .status()
+                .code(),
+            ErrorCode::kFailedPrecondition);
+  for (const Snapshot* snap : {&before, &after_disable}) {
+    const auto rows = engine_.view_at(*snap).index_range(
+        table_, "ix_batch", {Value::i64(1)}, {Value::i64(2)});
+    ASSERT_TRUE(rows.is_ok());
+    EXPECT_EQ(rows->size(), 4u);
+    const auto encoded =
+        engine_.view_at(*snap).index_encoded_range(table_, "ix_batch", lo, "");
+    ASSERT_TRUE(encoded.is_ok());
+    EXPECT_EQ(*encoded, *rows);
+  }
 }
 
 TEST_F(SnapshotTest, BulkLoadSortedPublishesOneChunk) {
