@@ -51,7 +51,7 @@ void bench_commit(benchmark::State& state) {
                  seconds);
     state.counters["commits"] = static_cast<double>(report.commits);
     state.counters["redo_backlog_max"] = static_cast<double>(
-        repo.engine->wal_stats().max_unflushed_bytes);
+        repo.engine->stats().wal.max_unflushed_bytes);
   }
 }
 

@@ -160,7 +160,7 @@ RunResult run_files(const sky::db::EngineOptions& engine_options,
     result.busy_seconds += sky::to_seconds(busy);
   }
   result.lock_wait_seconds = sky::to_seconds(report->sessions.lock_wait_time);
-  result.wal = engine.wal_stats();
+  result.wal = engine.stats().wal;
   return result;
 }
 

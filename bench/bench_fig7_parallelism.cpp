@@ -10,7 +10,7 @@
 //   * sim — the virtual-time SimServer sweep over one 280 MB observation
 //     (the original figure regeneration).
 //   * real — actual loader threads against the engine's admission gates
-//     (BlockingSlotGate transaction slots + per-table FairSlotGate ITL),
+//     (FIFO SlotGate transaction slots + per-table SlotGate ITL),
 //     with modeled device latencies carrying the contrast. Gated runs use
 //     kFig7Policy verbatim; a gate-off control must scale monotonically.
 // Emits BENCH_fig7_real.json for the real sweep.
@@ -158,7 +158,7 @@ RealResult run_real(int degree, bool gated) {
                     ? static_cast<double>(report->total_bytes) / 1e6 /
                           result.seconds
                     : 0;
-  result.gates = engine.concurrency_stats();
+  result.gates = engine.stats().concurrency;
   result.itl_wait_s = sky::to_seconds(report->sessions.itl_wait_time);
   result.txn_slot_wait_s = sky::to_seconds(report->sessions.txn_slot_wait_time);
   result.stall_s = sky::to_seconds(report->sessions.stall_time);

@@ -89,7 +89,7 @@ DepthPoint probe(const sky::db::Engine& engine, uint32_t table,
   point.commits = commits;
   point.snapshot_p99_us = p99_us(snapshot_us);
   point.live_p99_us = p99_us(live_us);
-  point.snapshots = engine.snapshot_stats();
+  point.snapshots = engine.stats().snapshots;
   return point;
 }
 

@@ -33,6 +33,7 @@
 #include "core/coordinator.h"
 #include "core/non_bulk_loader.h"
 #include "core/tuning.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 
 namespace skybench {

@@ -52,7 +52,8 @@ void print_policies(const core::EnginePolicies& policies) {
 
 // --live: load the sample under the adaptive controller instead of sweeping
 // knobs offline. Four parallel loaders, the controller ticking on virtual
-// time through the SimControlPlane; prints every decision it took.
+// time through the SimControlPlane; prints every decision it took. Exits
+// non-zero when a load fails or the controller never ticked.
 int run_live(int64_t sample_mb) {
   const db::Schema schema = catalog::make_pq_schema();
   db::Engine engine(schema,
@@ -72,13 +73,14 @@ int run_live(int64_t sample_mb) {
 
   constexpr int kLoaders = 4;
   int active = kLoaders;
+  int failed_loads = 0;
   for (int w = 0; w < kLoaders; ++w) {
     catalog::FileSpec spec;
     spec.name = "live-" + std::to_string(w) + ".cat";
     spec.seed = 9600 + static_cast<uint64_t>(w);
     spec.unit_id = 90 + w;
     spec.target_bytes = sample_mb * 1000 * 1000 / kLoaders;
-    env.spawn(spec.name, [&server, &schema, &active, spec] {
+    env.spawn(spec.name, [&server, &schema, &active, &failed_loads, spec] {
       client::SimSession session(server);
       core::BulkLoaderOptions options;
       options.write_audit_row = false;
@@ -87,7 +89,12 @@ int run_live(int64_t sample_mb) {
       options.commit.every_batches = 1;
       core::BulkLoader loader(session, schema, options);
       const std::string text = catalog::CatalogGenerator::generate(spec).text;
-      (void)loader.load_text(spec.name, text);
+      const auto report = loader.load_text(spec.name, text);
+      if (!report.is_ok()) {
+        std::fprintf(stderr, "%s: %s\n", spec.name.c_str(),
+                     report.status().to_string().c_str());
+        ++failed_loads;
+      }
       --active;
     });
   }
@@ -114,6 +121,12 @@ int run_live(int64_t sample_mb) {
   }
   std::printf("\nsettled policies:\n");
   print_policies(server.config().policies);
+  if (failed_loads > 0 || controller.ticks() == 0) {
+    std::fprintf(stderr, "live run failed: %d failed loads, %llu ticks\n",
+                 failed_loads,
+                 static_cast<unsigned long long>(controller.ticks()));
+    return 1;
+  }
   return 0;
 }
 

@@ -136,22 +136,7 @@ int64_t SimServer::note_table_writer(uint32_t table_id, int node,
 }
 
 Status SimServer::update_policies(const db::PolicyPatch& patch) {
-  if (patch.commit_window.has_value() && *patch.commit_window < 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: commit_window must be >= 0");
-  }
-  if (patch.max_group_commits.has_value() && *patch.max_group_commits < 1) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: max_group_commits must be >= 1");
-  }
-  if (patch.transaction_slots.has_value() && *patch.transaction_slots < 1) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: transaction_slots must be >= 1");
-  }
-  if (patch.itl_slots_per_table.has_value() && *patch.itl_slots_per_table < 1) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: itl_slots_per_table must be >= 1");
-  }
+  SKY_RETURN_IF_ERROR(patch.validate());
   if (patch.extent_assignment.has_value()) {
     // The embedded engine places rows even in sim mode; let it apply (and
     // validate) the placement flip, but keep the sim-owned knobs out of the

@@ -106,8 +106,8 @@ class SimServer {
     return stall_rng_.bernoulli(config_.policies.concurrency.stall_probability);
   }
 
-  // Unified admission-gate snapshot in the same shape the real engine's
-  // Engine::concurrency_stats() reports (db::ConcurrencyStats), derived
+  // Unified admission-gate snapshot in the same shape the real engine
+  // reports as EngineStats::concurrency (db::ConcurrencyStats), derived
   // from the sim resources' virtual-time accounting.
   db::ConcurrencyStats concurrency_stats() const;
 

@@ -6,7 +6,7 @@
 // The lanes reproduce the CasJobs shape ("Batch is back", MSR-TR-2005-19):
 // short interactive lookups must stay fast while long batch scans run
 // against the same hot, continuously loaded database. Interactive and batch
-// admissions go through separate FairSlotGates so a batch backlog can never
+// admissions go through separate SlotGates so a batch backlog can never
 // consume interactive slots, and — when batch_yields_to_interactive is on —
 // a batch query defers admission entirely while any interactive query is
 // admitted or in flight (strict priority at admission granularity; batch

@@ -28,10 +28,7 @@ struct QueryLaneStats {
 struct QueryStats {
   QueryLaneStats interactive;
   QueryLaneStats batch;
-  int64_t batch_yields = 0;    // batch admissions that waited for quiet
-  uint64_t read_lsn = 0;       // engine's snapshot_published_lsn()
-  int64_t snapshot_pins = 0;   // live pins (engine snapshot_stats())
-  Nanos snapshot_pin_age = 0;  // oldest live pin's age
+  int64_t batch_yields = 0;  // batch admissions that waited for quiet
 };
 
 }  // namespace sky::core

@@ -28,6 +28,26 @@ core::QueryLaneStats lane_delta(const core::QueryLaneStats& now,
 
 }  // namespace
 
+Status PolicyPatch::validate() const {
+  if (commit_window.has_value() && *commit_window < 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "update_policies: commit_window must be >= 0");
+  }
+  if (max_group_commits.has_value() && *max_group_commits < 1) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "update_policies: max_group_commits must be >= 1");
+  }
+  if (transaction_slots.has_value() && *transaction_slots < 1) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "update_policies: transaction_slots must be >= 1");
+  }
+  if (itl_slots_per_table.has_value() && *itl_slots_per_table < 1) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "update_policies: itl_slots_per_table must be >= 1");
+  }
+  return Status::ok();
+}
+
 std::string PolicyPatch::describe() const {
   std::string out;
   const auto append = [&out](std::string part) {
@@ -84,7 +104,6 @@ EngineStats EngineStats::delta_since(const EngineStats& prev) const {
   d.query.interactive = lane_delta(query.interactive, prev.query.interactive);
   d.query.batch = lane_delta(query.batch, prev.query.batch);
   d.query.batch_yields = query.batch_yields - prev.query.batch_yields;
-  // read_lsn / pins / pin age stay gauges.
 
   d.snapshots.chunks_published =
       snapshots.chunks_published - prev.snapshots.chunks_published;

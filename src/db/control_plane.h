@@ -1,10 +1,9 @@
 // Unified engine statistics and the live-policy API (the control plane).
 //
-// Before this header the engine's telemetry was five scattered surfaces —
-// WalStats, ConcurrencyStats, QueryStats, SnapshotStats, per-table extent
-// stats — each with its own getter, and every tunable was fixed at
-// construction. EngineStats folds them into one snapshot behind a single
-// Engine::stats() call, with delta_since() to turn two snapshots into
+// EngineStats folds the engine's five telemetry surfaces — WalStats,
+// ConcurrencyStats, QueryStats, SnapshotStats, per-table extent stats —
+// into one snapshot behind a single Engine::stats() call, the only read
+// path for them, with delta_since() to turn two snapshots into
 // per-interval rates; PolicyPatch is the one spelling for a bounded set of
 // *live* adjustments (commit window, gate slot counts, extent assignment)
 // applied race-free by Engine::update_policies(). ControlPlane abstracts
@@ -58,6 +57,10 @@ struct PolicyPatch {
            !transaction_slots.has_value() &&
            !itl_slots_per_table.has_value() && !extent_assignment.has_value();
   }
+  // Range checks both backends apply before touching anything: the first
+  // out-of-range field as kInvalidArgument, else OK. Backend-specific
+  // preconditions (an engine without ITL gates) stay with the backend.
+  Status validate() const;
   // "commit_window=2ms itl_slots=6" style rendering for traces and reports.
   std::string describe() const;
 };

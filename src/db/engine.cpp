@@ -75,8 +75,7 @@ Engine::Engine(Schema schema, EngineOptions options)
                                    options.policies.commit.max_group_commits,
                                    1),
                                options.policies.commit.durability}),
-      txn_gate_(std::make_unique<BlockingSlotGate>(
-          options.policies.concurrency.max_concurrent_transactions)),
+      txn_gate_(options.policies.concurrency.max_concurrent_transactions),
       snapshots_(static_cast<size_t>(schema_.table_count())) {
   tables_.reserve(static_cast<size_t>(schema_.table_count()));
   uint32_t next_file_id = 0;
@@ -101,7 +100,7 @@ Engine::Engine(Schema schema, EngineOptions options)
       // stream (seed salted with the table id) so stall draws are
       // deterministic per table regardless of load interleaving.
       const core::ConcurrencyPolicy& policy = options_.policies.concurrency;
-      table.set_itl_gate(std::make_unique<FairSlotGate>(
+      table.set_itl_gate(std::make_unique<SlotGate>(
           policy.itl_slots_per_table,
           GateStallModel{policy.stall_probability,
                                    policy.stall_duration,
@@ -159,7 +158,7 @@ Engine::Transaction* Engine::find_transaction(uint64_t txn_id) {
 uint64_t Engine::begin_transaction(OpCosts* costs) {
   // The gate is acquired before any engine lock so a session blocked on a
   // slot never holds latches other sessions need to finish and release.
-  const GateAcquire acquired = txn_gate_->acquire();
+  const GateAcquire acquired = txn_gate_.acquire(0);
   if (costs != nullptr) {
     costs->txn_slot_wait_ns += acquired.wait_ns;
     costs->lock_wait_ns += acquired.wait_ns;
@@ -188,11 +187,11 @@ Result<Engine::TableAdmission> Engine::admit_table(Transaction& txn,
   // Gate first, extent second: blocked admissions hold nothing, and a
   // least-loaded pick made after the wait sees the post-wait occupancy.
   if (SlotGate* gate = table.itl_gate(); gate != nullptr) {
-    // Owner-attributed acquire: before blocking, the gate consults the
+    // Acquired as the transaction: before blocking, the gate consults the
     // shared waits-for graph; a wait that would close a cycle is refused
     // and the requester becomes the deadlock victim (its transaction stays
     // live — the caller rolls back, releasing every slot it holds).
-    const GateAcquire acquired = gate->acquire_as(txn.id);
+    const GateAcquire acquired = gate->acquire(txn.id);
     if (acquired.deadlock) {
       return Status(ErrorCode::kDeadlockDetected,
                     "insert: waits-for cycle on ITL admission to table " +
@@ -270,10 +269,10 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
   // (reverse of the acquisition order).
   for (const TableAdmission& admission : admissions) {
     if (admission.gated) {
-      tables_[admission.table_id].itl_gate()->release_as(txn_id);
+      tables_[admission.table_id].itl_gate()->release(txn_id);
     }
   }
-  txn_gate_->release();
+  txn_gate_.release(0);
   return result;
 }
 
@@ -314,10 +313,10 @@ Status Engine::rollback(uint64_t txn_id) {
   // (and a deadlock victim's rollback unwedges the cycle's survivors).
   for (const TableAdmission& admission : admissions) {
     if (admission.gated) {
-      tables_[admission.table_id].itl_gate()->release_as(txn_id);
+      tables_[admission.table_id].itl_gate()->release(txn_id);
     }
   }
-  txn_gate_->release();
+  txn_gate_.release(0);
   return ok_status();
 }
 
@@ -1300,7 +1299,7 @@ Status index_unavailable_error(std::string_view index_name,
 EngineStats Engine::stats() const {
   EngineStats stats;
   stats.wal = wal_.stats();
-  stats.concurrency = concurrency_stats();
+  stats.concurrency.transaction_gate = txn_gate_.stats();
   stats.snapshots = snapshots_.stats();
   {
     const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
@@ -1314,8 +1313,8 @@ EngineStats Engine::stats() const {
   }
   {
     // Held across the call so a concurrent detach cannot destroy the source
-    // mid-invocation. The source (QueryScheduler::stats) takes only gate
-    // and snapshot-manager internal locks — leaves in the lock order.
+    // mid-invocation. The source (QueryScheduler::stats) takes only its
+    // lane gates' internal locks — leaves in the lock order.
     const std::scoped_lock hook_lock(query_stats_mu_);
     if (query_stats_source_) stats.query = query_stats_source_();
   }
@@ -1324,12 +1323,14 @@ EngineStats Engine::stats() const {
   const storage::WalOptions wal_options = wal_.wal_options();
   stats.policies.commit_window = wal_options.commit_window;
   stats.policies.max_group_commits = wal_options.max_group_commits;
-  stats.policies.transaction_slots = txn_gate_->slots();
+  stats.policies.transaction_slots = txn_gate_.slots();
+  // Table vector and gate pointers are fixed after construction; each
+  // gate's stats() takes its own internal lock, so no engine lock needed.
   int64_t itl_slots = 0;  // 0 = ITL gates disabled on this engine
   for (const Table& table : tables_) {
     if (const SlotGate* gate = table.itl_gate(); gate != nullptr) {
+      stats.concurrency.itl += gate->stats();
       itl_slots = gate->slots();
-      break;
     }
   }
   stats.policies.itl_slots_per_table = itl_slots;
@@ -1340,36 +1341,20 @@ EngineStats Engine::stats() const {
 
 Status Engine::update_policies(const PolicyPatch& patch) {
   // Validate the whole patch first; apply nothing on failure.
-  if (patch.commit_window.has_value() && *patch.commit_window < 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: commit_window must be >= 0");
-  }
-  if (patch.max_group_commits.has_value() && *patch.max_group_commits < 1) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: max_group_commits must be >= 1");
-  }
-  if (patch.transaction_slots.has_value() && *patch.transaction_slots < 1) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "update_policies: transaction_slots must be >= 1");
-  }
-  if (patch.itl_slots_per_table.has_value()) {
-    if (*patch.itl_slots_per_table < 1) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "update_policies: itl_slots_per_table must be >= 1");
-    }
-    if (!options_.policies.concurrency.itl_gated()) {
-      // Creating gates live would race the lock-free gate-pointer reads on
-      // the insert path; only existing gates can be resized.
-      return Status(ErrorCode::kFailedPrecondition,
-                    "update_policies: engine runs without ITL gates");
-    }
+  SKY_RETURN_IF_ERROR(patch.validate());
+  if (patch.itl_slots_per_table.has_value() &&
+      !options_.policies.concurrency.itl_gated()) {
+    // Creating gates live would race the lock-free gate-pointer reads on
+    // the insert path; only existing gates can be resized.
+    return Status(ErrorCode::kFailedPrecondition,
+                  "update_policies: engine runs without ITL gates");
   }
   const std::scoped_lock lock(policy_mu_);
   if (patch.commit_window.has_value() || patch.max_group_commits.has_value()) {
     wal_.set_commit_policy(patch.commit_window, patch.max_group_commits);
   }
   if (patch.transaction_slots.has_value()) {
-    txn_gate_->set_slots(*patch.transaction_slots);
+    txn_gate_.set_slots(*patch.transaction_slots);
   }
   if (patch.itl_slots_per_table.has_value()) {
     for (Table& table : tables_) {
@@ -1389,28 +1374,6 @@ void Engine::set_query_stats_source(
     std::function<core::QueryStats()> source) {
   const std::scoped_lock lock(query_stats_mu_);
   query_stats_source_ = std::move(source);
-}
-
-ConcurrencyStats Engine::concurrency_stats() const {
-  ConcurrencyStats stats;
-  stats.transaction_gate = txn_gate_->stats();
-  // Table vector and gate pointers are fixed after construction; each
-  // gate's stats() takes its own internal lock, so no engine lock needed.
-  for (const Table& table : tables_) {
-    if (const SlotGate* gate = table.itl_gate(); gate != nullptr) {
-      stats.itl += gate->stats();
-    }
-  }
-  return stats;
-}
-
-Result<std::vector<storage::ShardedHeap::ExtentStats>>
-Engine::heap_extent_stats(uint32_t tid) const {
-  const std::shared_lock<std::shared_mutex> engine_lock(engine_mu_);
-  if (tid >= tables_.size()) {
-    return Status(ErrorCode::kNotFound, "bad table id");
-  }
-  return tables_[tid].heap().extent_stats();
 }
 
 void Engine::set_insert_observer(

@@ -259,12 +259,6 @@ class Engine {
   // commit publishes copy-on-write chunks, so a pin sees every transaction
   // committed before it. A Snapshot must not outlive its engine.
   Snapshot pin_snapshot() const { return snapshots_.pin(); }
-  SnapshotStats snapshot_stats() const { return snapshots_.stats(); }
-  // Newest publication LSN a fresh pin would read (the snapshot analogue of
-  // wal_durable_lsn(): one tick per committed writing transaction).
-  uint64_t snapshot_published_lsn() const {
-    return snapshots_.published_lsn();
-  }
 
   int64_t total_rows() const;
   // Is the named secondary index currently enabled?
@@ -272,11 +266,10 @@ class Engine {
                              std::string_view index_name) const;
 
   // ----------------------------------------------------------- control plane
-  // The unified telemetry snapshot: every per-subsystem surface below plus
-  // the live policy values, in one EngineStats (db/control_plane.h). This
-  // is the public stats entry point; the per-subsystem getters in the
-  // telemetry block are its components, kept for callers that need just one
-  // surface.
+  // The unified telemetry snapshot, in one EngineStats
+  // (db/control_plane.h): WAL, admission gates, query lanes, snapshots
+  // (published LSN and pins included), per-table extents, and the live
+  // policy values. The one read path for every counter it carries.
   EngineStats stats() const;
   // Apply a bounded set of live policy adjustments (commit window, gate
   // slot counts, extent assignment) atomically with respect to concurrent
@@ -290,9 +283,9 @@ class Engine {
   void set_query_stats_source(std::function<core::QueryStats()> source);
 
   // -------------------------------------------------------------- telemetry
-  // All telemetry returns copied snapshots taken under the owning
-  // component's lock — never references into concurrently mutated state.
-  storage::WalStats wal_stats() const { return wal_.stats(); }
+  // Surfaces EngineStats does not carry. All return copied snapshots taken
+  // under the owning component's lock — never references into concurrently
+  // mutated state.
   std::vector<storage::WalRecord> wal_records() const {
     return wal_.records();
   }
@@ -309,14 +302,6 @@ class Engine {
   int64_t sync_wal() { return wal_.sync(); }
   storage::CacheEvents cache_events() const { return cache_.events(); }
   storage::IoTally io_tally() const { return global_io_.snapshot(); }
-  // Unified admission-gate snapshot: the transaction gate plus every
-  // per-table ITL gate summed (lock_manager.h). The sim server exposes the
-  // same shape, so reports read one schema in both execution modes.
-  ConcurrencyStats concurrency_stats() const;
-  // Per-extent heap occupancy for one table (rows / pages / bytes per
-  // extent) — how evenly a parallel load spread across append streams.
-  Result<std::vector<storage::ShardedHeap::ExtentStats>> heap_extent_stats(
-      uint32_t table_id) const;
   // Observer invoked (under the destination table's latch) after each
   // successful insert; tests use it to audit parent-before-child ordering.
   // Setting it quiesces the engine (engine-exclusive).
@@ -470,7 +455,7 @@ class Engine {
   std::vector<Table> tables_;
   storage::BufferCache cache_;
   storage::WriteAheadLog wal_;
-  std::unique_ptr<SlotGate> txn_gate_;
+  SlotGate txn_gate_;
   mutable std::mutex txn_mu_;  // guards transactions_ (the map, not entries)
   std::unordered_map<uint64_t, Transaction> transactions_;
   std::atomic<uint64_t> next_txn_id_{1};

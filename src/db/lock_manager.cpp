@@ -90,66 +90,7 @@ bool WaitGraph::reachable_locked(uint64_t from_owner,
   return false;
 }
 
-BlockingSlotGate::BlockingSlotGate(int64_t slots)
-    : slots_(slots), available_(slots) {
-  assert(slots > 0);
-}
-
-void BlockingSlotGate::set_slots(int64_t slots) {
-  assert(slots > 0);
-  {
-    const std::scoped_lock lock(mu_);
-    available_ += slots - slots_;  // shrink may drive available_ negative
-    slots_ = slots;
-  }
-  cv_.notify_all();
-}
-
-int64_t BlockingSlotGate::slots() const {
-  const std::scoped_lock lock(mu_);
-  return slots_;
-}
-
-GateAcquire BlockingSlotGate::acquire() {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.acquires;
-  GateAcquire result;
-  if (available_ > 0) {
-    --available_;
-    ++stats_.in_use;
-    return result;
-  }
-  ++stats_.waits;
-  result.contended = true;
-  const auto start = std::chrono::steady_clock::now();
-  cv_.wait(lock, [this] { return available_ > 0; });
-  --available_;
-  ++stats_.in_use;
-  const auto end = std::chrono::steady_clock::now();
-  result.wait_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-          .count();
-  stats_.total_wait += result.wait_ns;
-  if (result.wait_ns > stats_.max_wait) stats_.max_wait = result.wait_ns;
-  return result;
-}
-
-void BlockingSlotGate::release() {
-  {
-    const std::scoped_lock lock(mu_);
-    ++available_;
-    --stats_.in_use;
-  }
-  cv_.notify_one();
-}
-
-GateStats BlockingSlotGate::stats() const {
-  const std::scoped_lock lock(mu_);
-  return stats_;
-}
-
-FairSlotGate::FairSlotGate(int64_t slots, GateStallModel stall,
-                           WaitGraph* wait_graph)
+SlotGate::SlotGate(int64_t slots, GateStallModel stall, WaitGraph* wait_graph)
     : slots_(slots),
       stall_(stall),
       stall_rng_(stall.seed),
@@ -157,7 +98,7 @@ FairSlotGate::FairSlotGate(int64_t slots, GateStallModel stall,
   assert(slots > 0);
 }
 
-void FairSlotGate::set_slots(int64_t slots) {
+void SlotGate::set_slots(int64_t slots) {
   assert(slots > 0);
   {
     const std::scoped_lock lock(mu_);
@@ -166,22 +107,16 @@ void FairSlotGate::set_slots(int64_t slots) {
   cv_.notify_all();
 }
 
-int64_t FairSlotGate::slots() const {
+int64_t SlotGate::slots() const {
   const std::scoped_lock lock(mu_);
   return slots_;
 }
 
-GateAcquire FairSlotGate::acquire() { return acquire_impl(0, false); }
-
-GateAcquire FairSlotGate::acquire_as(uint64_t owner) {
-  return acquire_impl(owner, wait_graph_ != nullptr);
-}
-
-GateAcquire FairSlotGate::acquire_impl(uint64_t owner, bool track_owner) {
+GateAcquire SlotGate::acquire(uint64_t owner) {
   std::unique_lock<std::mutex> lock(mu_);
   GateAcquire result;
-  const bool would_wait = next_ticket_ != serving_ || in_use_ >= slots_;
-  if (track_owner && would_wait) {
+  const bool would_wait = next_ticket_ != serving_ || stats_.in_use >= slots_;
+  if (wait_graph_ != nullptr && would_wait) {
     // Check BEFORE taking a ticket: every issued ticket must be served in
     // order, so a refused admission must leave the FIFO protocol untouched.
     // add_wait atomically (under the graph mutex) either refuses the wait
@@ -197,12 +132,13 @@ GateAcquire FairSlotGate::acquire_impl(uint64_t owner, bool track_owner) {
   const uint64_t ticket = next_ticket_++;
   // Tickets in [serving_, ticket) are still queued for admission.
   result.queue_depth = static_cast<int64_t>(ticket - serving_);
-  if (ticket != serving_ || in_use_ >= slots_) {
+  if (ticket != serving_ || stats_.in_use >= slots_) {
     result.contended = true;
     ++stats_.waits;
     const auto start = std::chrono::steady_clock::now();
-    cv_.wait(lock,
-             [this, ticket] { return ticket == serving_ && in_use_ < slots_; });
+    cv_.wait(lock, [this, ticket] {
+      return ticket == serving_ && stats_.in_use < slots_;
+    });
     const auto end = std::chrono::steady_clock::now();
     result.wait_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
@@ -211,9 +147,8 @@ GateAcquire FairSlotGate::acquire_impl(uint64_t owner, bool track_owner) {
     if (result.wait_ns > stats_.max_wait) stats_.max_wait = result.wait_ns;
   }
   ++serving_;
-  ++in_use_;
   ++stats_.in_use;
-  if (track_owner) {
+  if (wait_graph_ != nullptr) {
     if (would_wait) {
       wait_graph_->grant(owner, this);
     } else {
@@ -241,21 +176,16 @@ GateAcquire FairSlotGate::acquire_impl(uint64_t owner, bool track_owner) {
   return result;
 }
 
-void FairSlotGate::release() {
+void SlotGate::release(uint64_t owner) {
+  if (wait_graph_ != nullptr) wait_graph_->remove_hold(owner, this);
   {
     const std::scoped_lock lock(mu_);
-    --in_use_;
     --stats_.in_use;
   }
   cv_.notify_all();
 }
 
-void FairSlotGate::release_as(uint64_t owner) {
-  if (wait_graph_ != nullptr) wait_graph_->remove_hold(owner, this);
-  release();
-}
-
-GateStats FairSlotGate::stats() const {
+GateStats SlotGate::stats() const {
   const std::scoped_lock lock(mu_);
   return stats_;
 }

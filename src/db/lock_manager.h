@@ -8,14 +8,19 @@
 // interested-transaction-list (ITL) gates acquired at a transaction's first
 // write to each table and held to commit/abort.
 //
+// One gate class, SlotGate, serves every admission point: the transaction
+// gate, the per-table ITL gates (which alone share a WaitGraph for deadlock
+// detection) and the QueryScheduler's two query lanes. It admits in FIFO
+// ticket order, resizes live, and optionally injects the bounded stall.
+//
 // Gate ordering (see DESIGN.md "Real-mode admission control"): transaction
 // gate -> per-table ITL gates (in first-write order, holding no latches) ->
 // engine rwlock -> table latches. A session blocked on any gate holds no
 // lock at all, so gate waits never wedge DDL or rollback.
 //
-// Every implementation reports the same GateStats snapshot, which is also
-// the shape the client layer derives from sim::Resource — one schema for
-// txn-slot vs. ITL wait breakdowns in both execution modes.
+// Every gate reports the same GateStats snapshot, which is also the shape
+// the client layer derives from sim::Resource — one schema for txn-slot
+// vs. ITL wait breakdowns in both execution modes.
 #pragma once
 
 #include <condition_variable>
@@ -47,7 +52,7 @@ struct GateStats {
   Nanos total_wait = 0;   // real or virtual, per implementation
   Nanos max_wait = 0;
   int64_t in_use = 0;     // slots currently held (0 once quiesced)
-  uint64_t stalls = 0;    // bounded-stall penalties injected (FairSlotGate)
+  uint64_t stalls = 0;    // bounded-stall penalties injected
   Nanos stall_time = 0;
 
   GateStats& operator+=(const GateStats& other) {
@@ -113,95 +118,56 @@ class WaitGraph {
   std::unordered_map<uint64_t, const void*> waiting_;
 };
 
-class SlotGate {
- public:
-  virtual ~SlotGate() = default;
-  virtual GateAcquire acquire() = 0;
-  virtual void release() = 0;
-  virtual GateStats stats() const = 0;
-
-  // Live policy surface (control plane). Default: fixed-capacity gate.
-  virtual void set_slots(int64_t /*slots*/) {}
-  virtual int64_t slots() const { return 0; }  // 0 = unbounded / not modeled
-
-  // Owner-attributed acquisition for deadlock detection. Gates that do not
-  // participate in a WaitGraph fall back to the anonymous protocol.
-  virtual GateAcquire acquire_as(uint64_t /*owner*/) { return acquire(); }
-  virtual void release_as(uint64_t /*owner*/) { release(); }
-};
-
 // Snapshot of every admission gate an engine (or sim server) runs:
 // the instance-wide transaction gate plus the per-table ITL gates summed.
-// Returned by Engine::concurrency_stats() and client::SimServer::
-// concurrency_stats() in identical shape.
+// Carried by EngineStats::concurrency; client::SimServer::
+// concurrency_stats() reports the same shape.
 struct ConcurrencyStats {
   GateStats transaction_gate;
   GateStats itl;  // aggregated across all per-table gates
 };
 
-// Real counting gate for multi-threaded runs (unfair: cv wakeup order).
-// Used for the instance-wide transaction gate.
-class BlockingSlotGate final : public SlotGate {
- public:
-  explicit BlockingSlotGate(int64_t slots);
-  GateAcquire acquire() override;
-  void release() override;
-  GateStats stats() const override;
-  void set_slots(int64_t slots) override;
-  int64_t slots() const override;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int64_t slots_;
-  int64_t available_;  // may go negative transiently after a shrink
-  GateStats stats_;
-};
-
-// Fair (FIFO-ticket) counting gate with a bounded-stall penalty, used for
-// per-table ITL admission. Fairness matters here: an unfair gate starves one
-// loader indefinitely under saturation, which shows up as a spurious
-// makespan tail instead of the paper's uniform slowdown.
-//
-// The stall model mirrors SimServer::draw_stall(): each *contended* admission
-// draws bernoulli(probability) from a deterministic per-gate stream and, on a
-// hit, sleeps `duration` before returning (the occasional long stall the
-// paper observed when the ITL is saturated). The draw happens only for
-// contended acquisitions, so uncontended workloads never pay it.
-// Bounded-stall model for FairSlotGate (namespace scope so it can be a
-// defaulted constructor argument).
+// Bounded-stall model (SimServer::draw_stall()'s real-mode twin): each
+// *contended* admission draws bernoulli(probability) from a deterministic
+// per-gate stream and, on a hit, sleeps `duration` before returning — the
+// occasional long stall the paper observed when the ITL is saturated.
+// Uncontended admissions never draw, so uncontended workloads never pay it.
 struct GateStallModel {
   double probability = 0.0;
   Nanos duration = 0;
   uint64_t seed = 0;
 };
 
-class FairSlotGate final : public SlotGate {
+// Fair (FIFO-ticket) counting gate. Fairness matters under saturation: an
+// unfair gate starves one acquirer indefinitely, which shows up as a
+// spurious makespan tail instead of the paper's uniform slowdown.
+//
+// acquire(owner) / release(owner) name the holder. The owner is consulted
+// only when the gate was built with a WaitGraph (the ITL gates, which pass
+// the transaction id): a blocked acquisition that would close a waits-for
+// cycle is refused with GateAcquire::deadlock *before* it takes a FIFO
+// ticket, so a refusal never wedges the ticket order. Gates without a graph
+// (the transaction gate, the query lanes) ignore the owner; callers pass 0.
+class SlotGate {
  public:
-  explicit FairSlotGate(int64_t slots, GateStallModel stall = {},
-                        WaitGraph* wait_graph = nullptr);
-  GateAcquire acquire() override;
-  void release() override;
-  GateStats stats() const override;
-  void set_slots(int64_t slots) override;
-  int64_t slots() const override;
+  explicit SlotGate(int64_t slots, GateStallModel stall = {},
+                    WaitGraph* wait_graph = nullptr);
+  GateAcquire acquire(uint64_t owner);
+  void release(uint64_t owner);
+  GateStats stats() const;
 
-  // Owner-attributed protocol: consults the WaitGraph *before* taking a
-  // FIFO ticket, so a refused (deadlocked) acquisition never leaves a
-  // ticket that would wedge serving_ order.
-  GateAcquire acquire_as(uint64_t owner) override;
-  void release_as(uint64_t owner) override;
+  // Live resize (control plane): growing admits queued acquirers now;
+  // shrinking bites as holders release.
+  void set_slots(int64_t slots);
+  int64_t slots() const;
 
  private:
-  GateAcquire acquire_impl(uint64_t owner, bool track_owner);
-
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  int64_t slots_;  // live-adjustable via set_slots
-  int64_t in_use_ = 0;
+  int64_t slots_;
   uint64_t next_ticket_ = 0;  // handed to arriving acquirers
   uint64_t serving_ = 0;      // tickets admitted so far
-  GateStats stats_;
+  GateStats stats_;  // stats_.in_use is the slots held right now
   const GateStallModel stall_;
   Rng stall_rng_;
   WaitGraph* const wait_graph_;  // not owned; nullptr = detection off

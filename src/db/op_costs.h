@@ -40,7 +40,7 @@ struct OpCosts {
   // Admission-gate breakdown (subsets of the wait story, same field names
   // the sim session reports): time blocked on the instance-wide
   // transaction-slot gate, time blocked on a per-table ITL gate, and
-  // injected long-stall time (lock_manager.h FairSlotGate stall model).
+  // injected long-stall time (lock_manager.h GateStallModel).
   int64_t txn_slot_wait_ns = 0;
   int64_t itl_wait_ns = 0;
   int64_t stall_ns = 0;

@@ -95,7 +95,7 @@ Admission QueryScheduler::admit(QueryLane lane, OpCosts* costs) {
       ++interactive_in_flight_;
     }
     interactive_waiting_.fetch_add(1, std::memory_order_relaxed);
-    interactive_gate_.acquire();
+    interactive_gate_.acquire(0);
     interactive_waiting_.fetch_sub(1, std::memory_order_relaxed);
   } else {
     batch_waiting_.fetch_add(1, std::memory_order_relaxed);
@@ -106,7 +106,7 @@ Admission QueryScheduler::admit(QueryLane lane, OpCosts* costs) {
         yield_cv_.wait(lock, [&] { return interactive_in_flight_ == 0; });
       }
     }
-    batch_gate_.acquire();
+    batch_gate_.acquire(0);
     batch_waiting_.fetch_sub(1, std::memory_order_relaxed);
   }
   const auto admitted = std::chrono::steady_clock::now();
@@ -129,7 +129,7 @@ void QueryScheduler::release(Admission& admission) {
                             .count();
   admission.snapshot_ = Snapshot();  // unpin before freeing the slot
   if (admission.lane_ == QueryLane::kInteractive) {
-    interactive_gate_.release();
+    interactive_gate_.release(0);
     {
       const std::scoped_lock lock(yield_mu_);
       if (--interactive_in_flight_ == 0) yield_cv_.notify_all();
@@ -137,7 +137,7 @@ void QueryScheduler::release(Admission& admission) {
     interactive_completed_.fetch_add(1, std::memory_order_relaxed);
     interactive_latency_.record(latency);
   } else {
-    batch_gate_.release();
+    batch_gate_.release(0);
     batch_completed_.fetch_add(1, std::memory_order_relaxed);
     batch_latency_.record(latency);
   }
@@ -159,10 +159,6 @@ QueryStats QueryScheduler::stats() const {
   stats.batch.p50_latency = batch_latency_.percentile(0.50);
   stats.batch.p99_latency = batch_latency_.percentile(0.99);
   stats.batch_yields = batch_yields_.load(std::memory_order_relaxed);
-  stats.read_lsn = engine_.snapshot_published_lsn();
-  const SnapshotStats snap = engine_.snapshot_stats();
-  stats.snapshot_pins = snap.active_pins;
-  stats.snapshot_pin_age = snap.oldest_pin_age;
   return stats;
 }
 

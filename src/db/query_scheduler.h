@@ -6,7 +6,7 @@
 // them through separate queues so batch work cannot bury interactive
 // latency while multi-terabyte loads run. This module is that split for the
 // embedded engine: a QueryScheduler with an interactive lane and a batch
-// lane, each a FairSlotGate (lock_manager.h) sized by core::QueryPolicy,
+// lane, each a FIFO SlotGate (lock_manager.h) sized by core::QueryPolicy,
 // with the batch lane *yielding* to interactive arrivals — a batch query
 // admits only when no interactive query is queued or in flight (when
 // QueryPolicy::batch_yields_to_interactive is set).
@@ -95,7 +95,7 @@ class Admission {
   Snapshot snapshot_;
 };
 
-// Two FairSlotGate lanes over one engine. Thread-safe; one scheduler is
+// Two SlotGate lanes over one engine. Thread-safe; one scheduler is
 // shared by every query client of an engine. Must not outlive the engine.
 class QueryScheduler {
  public:
@@ -119,8 +119,8 @@ class QueryScheduler {
 
   Engine& engine_;
   const core::QueryPolicy policy_;
-  FairSlotGate interactive_gate_;
-  FairSlotGate batch_gate_;
+  SlotGate interactive_gate_;
+  SlotGate batch_gate_;
 
   // Batch-yield handshake: interactive admissions count themselves in
   // *before* taking their gate, so batch arrivals also yield to interactive

@@ -253,7 +253,7 @@ uint64_t SnapshotManager::publish(
   uint64_t lsn = 0;
   {
     const std::scoped_lock lock(mu_);
-    lsn = published_lsn_.load(std::memory_order_relaxed) + 1;
+    lsn = published_lsn_ + 1;
     for (Link& link : links) {
       SnapshotNode& node = *link.node;
       const auto rows = static_cast<int64_t>(node.chunk->rows.size());
@@ -275,7 +275,7 @@ uint64_t SnapshotManager::publish(
     // while it copies them, so a pin sees every chunk up to read_lsn and
     // none beyond it. The mutex also orders the node contents — and the
     // heap row bytes written before the commit — before any pinned read.
-    published_lsn_.store(lsn, std::memory_order_release);
+    published_lsn_ = lsn;
     if (wake_merger) merge_pending_ = true;
   }
   if (wake_merger) merge_cv_.notify_one();
@@ -390,7 +390,7 @@ Snapshot SnapshotManager::pin() {
   snap.manager_ = this;
   pins_taken_.fetch_add(1, std::memory_order_relaxed);
   const std::scoped_lock lock(mu_);
-  snap.read_lsn_ = published_lsn_.load(std::memory_order_relaxed);
+  snap.read_lsn_ = published_lsn_;
   snap.heads_ = heads_;
   snap.pin_id_ = next_pin_id_++;
   pins_.emplace(snap.pin_id_, std::chrono::steady_clock::now());
@@ -404,11 +404,11 @@ void SnapshotManager::unpin(uint64_t pin_id) {
 
 SnapshotStats SnapshotManager::stats() const {
   SnapshotStats stats;
-  stats.published_lsn = published_lsn_.load(std::memory_order_acquire);
   stats.chunks_published = chunks_published_.load(std::memory_order_relaxed);
   stats.rows_published = rows_published_.load(std::memory_order_relaxed);
   stats.pins_taken = pins_taken_.load(std::memory_order_relaxed);
   const std::scoped_lock lock(mu_);
+  stats.published_lsn = published_lsn_;
   stats.merges = merges_;
   stats.runs = runs_;
   stats.key_bytes = key_bytes_;

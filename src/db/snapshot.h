@@ -18,7 +18,7 @@
 // already takes to register itself — so any pin sees a transactionally
 // consistent committed prefix.
 //
-// A Snapshot is a pin: it captures read_lsn = published_lsn() plus every
+// A Snapshot is a pin: it captures read_lsn = the published LSN plus every
 // chain head, and reads exactly the chains behind those heads. Reads
 // against a pinned snapshot touch nothing but immutable chunk data — no
 // engine rwlock, no table latch, no extent latch, no gate — which is what
@@ -213,9 +213,6 @@ class SnapshotManager {
   // nodes).
   Snapshot pin();
 
-  uint64_t published_lsn() const {
-    return published_lsn_.load(std::memory_order_acquire);
-  }
   SnapshotStats stats() const;
 
  private:
@@ -225,12 +222,11 @@ class SnapshotManager {
   // One tiering pass over one table's chain.
   void merge_table(size_t table_id);
 
-  // Guards heads_, the writes of published_lsn_, pins_, next_pin_id_, the
-  // chain gauges and the merger flags. published_lsn_ stays atomic so
-  // published_lsn() reads it lock-free.
+  // Guards heads_, published_lsn_, pins_, next_pin_id_, the chain gauges
+  // and the merger flags.
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<const SnapshotNode>> heads_;
-  std::atomic<uint64_t> published_lsn_{0};
+  uint64_t published_lsn_ = 0;
   uint64_t next_pin_id_ = 1;
   std::unordered_map<uint64_t, std::chrono::steady_clock::time_point> pins_;
   int64_t runs_ = 0;

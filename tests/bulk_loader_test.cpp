@@ -17,6 +17,7 @@
 #include "core/bulk_loader.h"
 #include "core/non_bulk_loader.h"
 #include "core/tuning.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 
 namespace sky::core {
@@ -224,7 +225,7 @@ TEST_F(BulkLoaderTest, CommitPolicyPerCycles) {
   EXPECT_GT(report->flush_cycles, 4);
   // Mid-file commits plus the end-of-file commit.
   EXPECT_GE(report->commits, report->flush_cycles / 2);
-  EXPECT_GT(engine_.wal_stats().flushes, 2);
+  EXPECT_GT(engine_.stats().wal.flushes, 2);
 }
 
 TEST_F(BulkLoaderTest, AuditRowWrittenPerFile) {

@@ -1,19 +1,26 @@
 // Controller unit battery: the closed feedback loop against a scripted
 // ControlPlane (convergence under steady load, hysteresis damping, bounded
-// clamping), WaitGraph cycle oracles, a real-engine deadlock-victim test,
-// and an update_policies-vs-load hammer. Runs in the `sanitizer` ctest
-// label (SKY_SANITIZE=address / thread).
+// clamping), WaitGraph cycle oracles, the admission gate's FIFO / resize /
+// stats / deadlock-refusal / stall contracts, PolicyPatch validation shared
+// by both control planes, a real-engine deadlock-victim test, and an
+// update_policies-vs-load hammer. Runs in the `sanitizer` ctest label
+// (SKY_SANITIZE=address / thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "client/sim_server.h"
 #include "core/controller.h"
 #include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/lock_manager.h"
 #include "db/op_costs.h"
+#include "sim/environment.h"
 
 namespace sky::core {
 namespace {
@@ -337,6 +344,163 @@ TEST(WaitGraphTest, MultisetHoldsSurviveSingleRelease) {
   EXPECT_TRUE(graph.add_wait(1, &gate_b));
 }
 
+// ------------------------------------------------------------ admission gate
+
+// Spin until `done()` holds; gate tests use it to wait for a thread to
+// reach a known point (queued, admitted) without sleeping.
+template <typename Done>
+void spin_until(const Done& done) {
+  while (!done()) std::this_thread::yield();
+}
+
+TEST(SlotGateTest, QueuedAcquirersAdmittedInArrivalOrder) {
+  db::SlotGate gate(1);
+  gate.acquire(0);
+  std::mutex order_mu;
+  std::vector<int> order;
+  std::vector<std::thread> threads;
+  for (int id = 0; id < 3; ++id) {
+    threads.emplace_back([&, id] {
+      gate.acquire(0);
+      {
+        const std::scoped_lock lock(order_mu);
+        order.push_back(id);
+      }
+      gate.release(0);
+    });
+    // The next thread starts only once this one holds its ticket.
+    const auto queued = static_cast<uint64_t>(id + 1);
+    spin_until([&] { return gate.stats().waits == queued; });
+  }
+  gate.release(0);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(gate.stats().in_use, 0);
+}
+
+TEST(SlotGateTest, SetSlotsGrowAdmitsWaitersAndShrinkHoldsNewcomers) {
+  db::SlotGate gate(1);
+  gate.acquire(0);
+  std::atomic<bool> release_holders{false};
+  std::vector<std::thread> holders;
+  for (int i = 0; i < 2; ++i) {
+    holders.emplace_back([&] {
+      gate.acquire(0);
+      spin_until([&] { return release_holders.load(); });
+      gate.release(0);
+    });
+  }
+  spin_until([&] { return gate.stats().waits == 2; });
+  gate.set_slots(3);  // grow: both queued waiters are admitted now
+  spin_until([&] { return gate.stats().in_use == 3; });
+  EXPECT_EQ(gate.slots(), 3);
+
+  gate.set_slots(1);  // shrink below in_use: holders keep their slots
+  EXPECT_EQ(gate.stats().in_use, 3);
+  std::atomic<bool> newcomer_admitted{false};
+  std::thread newcomer([&] {
+    gate.acquire(0);
+    newcomer_admitted.store(true);
+    gate.release(0);
+  });
+  spin_until([&] { return gate.stats().waits == 3; });
+  release_holders.store(true);
+  for (std::thread& holder : holders) holder.join();
+  // One holder is left (this thread) and the gate has one slot: the
+  // newcomer still waits.
+  EXPECT_EQ(gate.stats().in_use, 1);
+  EXPECT_FALSE(newcomer_admitted.load());
+  gate.release(0);
+  newcomer.join();
+  EXPECT_TRUE(newcomer_admitted.load());
+  EXPECT_EQ(gate.stats().in_use, 0);
+}
+
+TEST(SlotGateTest, StatsCountAcquiresWaitsAndInUse) {
+  db::SlotGate gate(1);
+  const db::GateAcquire first = gate.acquire(0);
+  EXPECT_FALSE(first.contended);
+  EXPECT_EQ(first.wait_ns, 0);
+  db::GateStats stats = gate.stats();
+  EXPECT_EQ(stats.acquires, 1u);
+  EXPECT_EQ(stats.waits, 0u);
+  EXPECT_EQ(stats.in_use, 1);
+
+  db::GateAcquire second;
+  std::thread waiter([&] {
+    second = gate.acquire(0);
+    gate.release(0);
+  });
+  spin_until([&] { return gate.stats().waits == 1; });
+  gate.release(0);
+  waiter.join();
+  EXPECT_TRUE(second.contended);
+  EXPECT_EQ(second.queue_depth, 0);  // nobody queued ahead, only a holder
+  stats = gate.stats();
+  EXPECT_EQ(stats.acquires, 2u);
+  EXPECT_EQ(stats.waits, 1u);
+  EXPECT_EQ(stats.in_use, 0);
+  EXPECT_EQ(stats.total_wait, second.wait_ns);
+  EXPECT_EQ(stats.max_wait, second.wait_ns);
+}
+
+// Owner 1 holds a and waits on b; owner 2 holds b and asks for a, which
+// would close the cycle. The refusal must take no ticket: owner 3, queued
+// on a after it, is admitted as soon as owner 1 lets go.
+TEST(SlotGateTest, DeadlockRefusalTakesNoTicket) {
+  db::WaitGraph graph;
+  db::SlotGate gate_a(1, {}, &graph);
+  db::SlotGate gate_b(1, {}, &graph);
+  gate_a.acquire(1);
+  gate_b.acquire(2);
+  std::thread owner1([&] {
+    gate_b.acquire(1);
+    gate_b.release(1);
+    gate_a.release(1);
+  });
+  spin_until([&] { return graph.waiting_count() == 1; });
+
+  const db::GateAcquire refused = gate_a.acquire(2);
+  EXPECT_TRUE(refused.deadlock);
+  EXPECT_EQ(gate_a.stats().acquires, 1u);
+  EXPECT_EQ(gate_a.stats().waits, 0u);
+
+  std::thread owner3([&] {
+    const db::GateAcquire admitted = gate_a.acquire(3);
+    EXPECT_FALSE(admitted.deadlock);
+    gate_a.release(3);
+  });
+  spin_until([&] { return graph.waiting_count() == 2; });
+  gate_b.release(2);  // owner 1 gets b, then frees a for owner 3
+  owner1.join();
+  owner3.join();
+  EXPECT_EQ(gate_a.stats().acquires, 2u);
+  EXPECT_EQ(gate_a.stats().in_use, 0);
+  EXPECT_EQ(graph.waiting_count(), 0u);
+}
+
+TEST(SlotGateTest, StallDrawnOnlyForContendedAcquires) {
+  db::SlotGate gate(1, db::GateStallModel{1.0, 0, 7});
+  const db::GateAcquire uncontended = gate.acquire(0);
+  EXPECT_EQ(uncontended.stall_ns, 0);
+  EXPECT_EQ(gate.stats().stalls, 0u);
+
+  std::thread waiter([&] {
+    const db::GateAcquire contended = gate.acquire(0);
+    EXPECT_TRUE(contended.contended);
+    gate.release(0);
+  });
+  spin_until([&] { return gate.stats().waits == 1; });
+  gate.release(0);
+  waiter.join();
+  EXPECT_EQ(gate.stats().stalls, 1u);
+
+  gate.acquire(0);  // uncontended again: no new stall
+  gate.release(0);
+  EXPECT_EQ(gate.stats().stalls, 1u);
+  EXPECT_EQ(gate.stats().stall_time, 0);
+}
+
 // ------------------------------------------------- real-engine deadlock oracle
 
 db::Schema two_table_schema() {
@@ -431,6 +595,54 @@ TEST(DeadlockDetectorTest, OrderedWritesNeverRefused) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(engine.total_rows(), 2 * 4 * 20);
   EXPECT_TRUE(engine.verify_integrity().is_ok());
+}
+
+// ------------------------------------------------------ PolicyPatch checks
+
+// Every out-of-range field is refused by both control planes with the same
+// code and message, and a refused patch applies none of its fields (the
+// valid extent_assignment riding along included).
+TEST(PolicyPatchTest, BothBackendsRefuseInvalidFieldsAlike) {
+  const db::Schema schema = two_table_schema();
+  db::EngineOptions options;
+  options.policies.concurrency.itl_slots_per_table = 2;
+  options.policies.concurrency.stall_probability = 0;
+  db::Engine engine(schema, options);
+  db::EngineControlPlane engine_plane(engine);
+  db::Engine sim_engine(schema);
+  sim::Environment env;
+  client::SimServer server(env, sim_engine, client::ServerConfig{});
+  client::SimControlPlane sim_plane(server);
+
+  // One out-of-range field per case, with the message both planes give.
+  std::vector<std::pair<db::PolicyPatch, std::string>> cases(4);
+  cases[0].first.commit_window = -1;
+  cases[0].second = "update_policies: commit_window must be >= 0";
+  cases[1].first.max_group_commits = 0;
+  cases[1].second = "update_policies: max_group_commits must be >= 1";
+  cases[2].first.transaction_slots = 0;
+  cases[2].second = "update_policies: transaction_slots must be >= 1";
+  cases[3].first.itl_slots_per_table = 0;
+  cases[3].second = "update_policies: itl_slots_per_table must be >= 1";
+
+  for (auto& [patch, message] : cases) {
+    SCOPED_TRACE(message);
+    patch.extent_assignment = db::ExtentAssignment::kLeastLoaded;
+    for (db::ControlPlane* plane :
+         {static_cast<db::ControlPlane*>(&engine_plane),
+          static_cast<db::ControlPlane*>(&sim_plane)}) {
+      const db::PolicyPatch before = plane->stats().policies;
+      const Status status = plane->apply(patch);
+      EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+      EXPECT_EQ(status.message(), message);
+      const db::PolicyPatch after = plane->stats().policies;
+      EXPECT_EQ(after.commit_window, before.commit_window);
+      EXPECT_EQ(after.max_group_commits, before.max_group_commits);
+      EXPECT_EQ(after.transaction_slots, before.transaction_slots);
+      EXPECT_EQ(after.itl_slots_per_table, before.itl_slots_per_table);
+      EXPECT_EQ(after.extent_assignment, before.extent_assignment);
+    }
+  }
 }
 
 // ---------------------------------------------- policies-vs-load hammer (TSan)

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 
 namespace sky::db {
@@ -213,7 +214,7 @@ TEST_F(EngineTest, CommitFlushesWal) {
   const auto commit = engine_.commit(txn);
   ASSERT_TRUE(commit.is_ok());
   EXPECT_GT(commit->costs.io.log_bytes_flushed, 0);
-  EXPECT_EQ(engine_.wal_stats().flushes, 1);
+  EXPECT_EQ(engine_.stats().wal.flushes, 1);
   // Unknown transaction errors.
   EXPECT_FALSE(engine_.commit(999).is_ok());
   EXPECT_FALSE(engine_.rollback(999).is_ok());
@@ -262,7 +263,7 @@ TEST_F(EngineTest, TransactionGateLimitsConcurrency) {
   ASSERT_TRUE(engine.commit(t1).is_ok());
   blocked.join();
   EXPECT_TRUE(third_started.load());
-  EXPECT_GE(engine.concurrency_stats().transaction_gate.waits, 1u);
+  EXPECT_GE(engine.stats().concurrency.transaction_gate.waits, 1u);
   ASSERT_TRUE(engine.commit(t2).is_ok());
 }
 
@@ -282,10 +283,11 @@ TEST_F(EngineTest, LeastLoadedExtentAssignmentBalancesSkew) {
     ASSERT_TRUE(engine.insert_row(txn, frames, frame_row(i), costs).is_ok());
     ASSERT_TRUE(engine.commit(txn).is_ok());
   }
-  const auto stats = engine.heap_extent_stats(frames);
-  ASSERT_TRUE(stats.is_ok());
-  ASSERT_EQ(stats->size(), 4u);
-  for (const auto& extent : *stats) {
+  const EngineStats engine_stats = engine.stats();
+  ASSERT_LT(frames, engine_stats.extents.size());
+  const auto& stats = engine_stats.extents[frames].extents;
+  ASSERT_EQ(stats.size(), 4u);
+  for (const auto& extent : stats) {
     EXPECT_EQ(extent.rows, 4) << "least-loaded should balance equal rows";
   }
   EXPECT_TRUE(engine.verify_integrity().is_ok());
@@ -307,10 +309,10 @@ TEST_F(EngineTest, LeastLoadedExtentAssignmentBalancesSkew) {
     ASSERT_TRUE(engine.insert_row(txn, frames, frame_row(i), costs).is_ok());
     ASSERT_TRUE(engine.commit(txn).is_ok());
   }
-  const auto after = engine.heap_extent_stats(frames);
-  ASSERT_TRUE(after.is_ok());
+  const EngineStats after = engine.stats();
+  ASSERT_LT(frames, after.extents.size());
   // Extent 0 held 44 rows before the six balanced inserts; none land there.
-  EXPECT_EQ((*after)[0].rows, 44);
+  EXPECT_EQ(after.extents[frames].extents[0].rows, 44);
 }
 
 TEST_F(EngineTest, SecondaryIndexRangeQuery) {

@@ -14,6 +14,7 @@
 #include "catalog/pq_schema.h"
 #include "client/session.h"
 #include "core/coordinator.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/query_scheduler.h"
 
@@ -169,7 +170,7 @@ TEST(EngineConcurrencyTest, MixedWritersReadersTelemetry) {
   threads.emplace_back([&] {
     size_t last_record_count = 0;
     while (!stop_readers.load()) {
-      const storage::WalStats wal = engine.wal_stats();
+      const storage::WalStats wal = engine.stats().wal;
       EXPECT_GE(wal.bytes_appended, wal.bytes_flushed);
       // records() is a snapshot of an append-only stream: monotonic.
       const auto records = engine.wal_records();
@@ -179,7 +180,7 @@ TEST(EngineConcurrencyTest, MixedWritersReadersTelemetry) {
       EXPECT_GE(cache.misses, 0);
       const storage::IoTally io = engine.io_tally();
       EXPECT_GE(io.log_bytes_flushed, 0);
-      (void)engine.concurrency_stats();
+      (void)engine.stats().concurrency;
       std::this_thread::yield();
     }
   });
@@ -293,8 +294,8 @@ TEST(EngineConcurrencyTest, ShardedSameTableAppendRollbackScanStress) {
   threads.emplace_back([&] {
     while (!stop_readers.load()) {
       (void)engine.live_view().scan_collect(tid, [](const db::Row&) { return true; });
-      const auto stats = engine.heap_extent_stats(tid);
-      EXPECT_TRUE(stats.is_ok());
+      const db::EngineStats stats = engine.stats();
+      EXPECT_LT(tid, stats.extents.size());
       std::this_thread::yield();
     }
   });
@@ -321,12 +322,13 @@ TEST(EngineConcurrencyTest, ShardedSameTableAppendRollbackScanStress) {
   // extents. 48 transactions round-robin over 8 extents and only 8 roll
   // back, so at most one extent can end up empty.
   EXPECT_EQ(engine.live_view().row_count(tid), committed_rows.load());
-  const auto stats = engine.heap_extent_stats(tid);
-  ASSERT_TRUE(stats.is_ok());
-  ASSERT_EQ(stats->size(), 8u);
+  const db::EngineStats engine_stats = engine.stats();
+  ASSERT_LT(tid, engine_stats.extents.size());
+  const auto& stats = engine_stats.extents[tid].extents;
+  ASSERT_EQ(stats.size(), 8u);
   int64_t extent_rows = 0;
   int populated = 0;
-  for (const auto& extent : *stats) {
+  for (const auto& extent : stats) {
     extent_rows += extent.rows;
     populated += extent.rows > 0 ? 1 : 0;
   }
@@ -443,10 +445,10 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
       EXPECT_EQ(engine.insert_batch(txn, tid, r3).rows_applied, 1);
       EXPECT_TRUE(engine.commit(txn).is_ok());
     });
-    while (engine.concurrency_stats().itl.waits < 1) {
+    while (engine.stats().concurrency.itl.waits < 1) {
       std::this_thread::yield();
     }
-    EXPECT_EQ(engine.concurrency_stats().itl.in_use, 2);
+    EXPECT_EQ(engine.stats().concurrency.itl.in_use, 2);
     EXPECT_TRUE(engine.rollback(h1).is_ok());  // abort path frees the slot
     EXPECT_TRUE(engine.commit(h2).is_ok());
     queued.join();
@@ -483,7 +485,7 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
   std::atomic<bool> stop_poller{false};
   threads.emplace_back([&] {
     while (!stop_poller.load()) {
-      const db::ConcurrencyStats stats = engine.concurrency_stats();
+      const db::ConcurrencyStats stats = engine.stats().concurrency;
       EXPECT_GE(stats.itl.in_use, 0);
       EXPECT_LE(stats.itl.in_use, 2);
       std::this_thread::yield();
@@ -493,7 +495,7 @@ TEST(EngineConcurrencyTest, ItlGateContentionWithAborts) {
   stop_poller.store(true);
   threads.back().join();
 
-  const db::ConcurrencyStats stats = engine.concurrency_stats();
+  const db::ConcurrencyStats stats = engine.stats().concurrency;
   // Six writers over two slots must actually have queued.
   EXPECT_GT(stats.itl.waits, 0u);
   EXPECT_GT(stats.itl.total_wait, 0);
@@ -591,7 +593,7 @@ TEST(EngineConcurrencyTest, BatchAdmissionYieldsToInteractiveInFlight) {
   EXPECT_GE(stats.batch_yields, 1);
   EXPECT_EQ(stats.batch.completed, 1);
   EXPECT_EQ(stats.interactive.completed, 1);
-  EXPECT_EQ(stats.snapshot_pins, 0);  // every admission unpinned
+  EXPECT_EQ(engine.stats().snapshots.active_pins, 0);  // all unpinned
 }
 
 // Scheduler stress for the sanitizer legs: six loaders append committed
@@ -706,7 +708,7 @@ TEST(EngineConcurrencyTest, QuerySchedulerMixedWorkloadStress) {
             static_cast<int64_t>(kInteractive) * kOpsPerInteractive);
   EXPECT_EQ(stats.batch.completed,
             static_cast<int64_t>(kBatchScanners) * kOpsPerBatch);
-  EXPECT_EQ(stats.snapshot_pins, 0);
+  EXPECT_EQ(engine.stats().snapshots.active_pins, 0);
   EXPECT_EQ(stats.interactive.queue_depth, 0);
   EXPECT_EQ(stats.batch.queue_depth, 0);
   // Everything committed is in the final snapshot.
@@ -744,7 +746,7 @@ TEST(EngineConcurrencyTest, GroupCommitAccounting) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  const storage::WalStats wal = engine.wal_stats();
+  const storage::WalStats wal = engine.stats().wal;
   EXPECT_EQ(wal.bytes_flushed, wal.bytes_appended);
   EXPECT_EQ(engine.live_view().row_count(tid), kThreads * 50);
   EXPECT_TRUE(engine.verify_integrity().is_ok());

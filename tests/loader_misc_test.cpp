@@ -13,6 +13,7 @@
 #include "core/bulk_loader.h"
 #include "core/non_bulk_loader.h"
 #include "core/tuning.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/table.h"
 
@@ -91,7 +92,7 @@ TEST(NonBulkLoaderTest, CommitEveryRows) {
   ASSERT_TRUE(report.is_ok());
   EXPECT_GE(report->commits, report->rows_loaded / 100);
   EXPECT_EQ(report->rows_loaded, file.data_lines);
-  EXPECT_GT(engine.wal_stats().flushes, 3);
+  EXPECT_GT(engine.stats().wal.flushes, 3);
 }
 
 TEST(LoadReportTest, MergeCountsAndSummary) {

@@ -21,6 +21,7 @@
 #include "catalog/pq_schema.h"
 #include "client/session.h"
 #include "core/bulk_loader.h"
+#include "db/control_plane.h"
 #include "db/recovery.h"
 #include "shard/sharded_repository.h"
 
@@ -372,11 +373,12 @@ TEST(RecoveryTest, ParallelSameTableCrashRoundTrip) {
   // The parallel load really spread one table across extents, and recovery
   // (asked for a single-extent engine) widened itself to hold them.
   const uint32_t objects = engine.table_id("objects").value();
-  const auto extents = (*recovered)->heap_extent_stats(objects);
-  ASSERT_TRUE(extents.is_ok());
-  ASSERT_EQ(extents->size(), 3u);
+  const EngineStats recovered_stats = (*recovered)->stats();
+  ASSERT_LT(objects, recovered_stats.extents.size());
+  const auto& extents = recovered_stats.extents[objects].extents;
+  ASSERT_EQ(extents.size(), 3u);
   int populated = 0;
-  for (const auto& extent : *extents) populated += extent.rows > 0 ? 1 : 0;
+  for (const auto& extent : extents) populated += extent.rows > 0 ? 1 : 0;
   EXPECT_GT(populated, 1);
 
   // Replay is deterministic: a second recovery of the same records yields a
@@ -515,7 +517,7 @@ TEST(RecoveryTest, CrashWhileBlockedOnItlSlotLeaksNothing) {
     ASSERT_TRUE(engine.commit(txn).is_ok());
   });
   // Wait until the writer is provably parked on the gate, then "crash".
-  while (engine.concurrency_stats().itl.waits < 1) {
+  while (engine.stats().concurrency.itl.waits < 1) {
     std::this_thread::yield();
   }
   const auto records = engine.wal_records();  // crash snapshot
@@ -535,14 +537,14 @@ TEST(RecoveryTest, CrashWhileBlockedOnItlSlotLeaksNothing) {
   EXPECT_FALSE((*recovered)->live_view().pk_lookup(0, {Value::i64(3)}).is_ok());
   EXPECT_EQ(stats.transactions_discarded, 1);
   // No leaked admissions: replay acquired and released its own slots.
-  const ConcurrencyStats gates = (*recovered)->concurrency_stats();
+  const ConcurrencyStats gates = (*recovered)->stats().concurrency;
   EXPECT_EQ(gates.itl.in_use, 0);
   EXPECT_EQ(gates.transaction_gate.in_use, 0);
   EXPECT_GE(gates.itl.acquires, 1u);
   EXPECT_TRUE((*recovered)->verify_integrity().is_ok());
 
   // The source engine drained cleanly too once the holder committed.
-  const ConcurrencyStats live = engine.concurrency_stats();
+  const ConcurrencyStats live = engine.stats().concurrency;
   EXPECT_EQ(live.itl.in_use, 0);
   EXPECT_EQ(live.transaction_gate.in_use, 0);
   EXPECT_EQ(engine.live_view().row_count(0), 3);
@@ -626,10 +628,10 @@ TEST(RecoveryTest, CrashDuringPinnedSnapshotScanReplaysClean) {
 
   // Nothing leaks: the pin was the only one, and dropping it empties the
   // registry while the published chain stays intact for future pins.
-  EXPECT_EQ(engine.snapshot_stats().active_pins, 1);
+  EXPECT_EQ(engine.stats().snapshots.active_pins, 1);
   { const Snapshot drop = std::move(pinned); }
-  EXPECT_EQ(engine.snapshot_stats().active_pins, 0);
-  EXPECT_EQ(engine.snapshot_published_lsn(), 3u);
+  EXPECT_EQ(engine.stats().snapshots.active_pins, 0);
+  EXPECT_EQ(engine.stats().snapshots.published_lsn, 3u);
   const Snapshot again = engine.pin_snapshot();
   EXPECT_EQ(engine.view_at(again).row_count(0), 12);
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "db/control_plane.h"
 #include "db/engine.h"
 #include "db/query_scheduler.h"
 #include "index/key_codec.h"
@@ -50,10 +51,10 @@ Row batch_row(int64_t pk, int64_t batch_id, int64_t seq, int64_t total) {
 SnapshotStats wait_for_runs(const Engine& engine, int64_t max_runs) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  SnapshotStats stats = engine.snapshot_stats();
+  SnapshotStats stats = engine.stats().snapshots;
   while (stats.runs > max_runs && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stats = engine.snapshot_stats();
+    stats = engine.stats().snapshots;
   }
   return stats;
 }
@@ -350,7 +351,7 @@ TEST_F(SnapshotTest, BulkLoadSortedPublishesOneChunk) {
     rows.push_back(batch_row(pk, pk % 4, pk, 32));
   }
   ASSERT_TRUE(engine_.bulk_load_sorted(table_, rows).is_ok());
-  const SnapshotStats stats = engine_.snapshot_stats();
+  const SnapshotStats stats = engine_.stats().snapshots;
   EXPECT_EQ(stats.chunks_published, 1);
   EXPECT_EQ(stats.rows_published, 32);
   const Snapshot snap = engine_.pin_snapshot();
@@ -742,7 +743,7 @@ TEST_F(SnapshotTest, ConcurrentLoadersSnapshotConsistencyProperty) {
       engine.live_view().scan_collect(table, [](const Row&) { return true; });
   EXPECT_EQ(all, live);
   EXPECT_TRUE(engine.verify_integrity().is_ok());
-  const SnapshotStats stats = engine.snapshot_stats();
+  const SnapshotStats stats = engine.stats().snapshots;
   EXPECT_EQ(stats.active_pins, 1);  // final_snap
   EXPECT_EQ(stats.rows_published, engine.live_view().row_count(table));
 }
