@@ -93,10 +93,18 @@ Result<SpatialTableSpec> resolve_spatial(const Engine& engine,
                 "table " + def.name + " has no HTM index");
 }
 
+Status check_cone_radius(double radius_deg) {
+  if (std::isfinite(radius_deg) && radius_deg >= 0) return Status::ok();
+  return Status(ErrorCode::kInvalidArgument,
+                "cone radius must be finite and non-negative, got " +
+                    std::to_string(radius_deg));
+}
+
 Result<std::vector<Row>> cone_search(const ReadView& view,
                                      const SpatialTableSpec& spec,
                                      double ra_deg, double dec_deg,
                                      double radius_deg, OpCosts* costs) {
+  SKY_RETURN_IF_ERROR(check_cone_radius(radius_deg));
   const htm::Vec3 center = htm::radec_to_vector(ra_deg, dec_deg);
   const std::vector<htm::IdRange> cover =
       htm::cone_cover(center, radius_deg, spec.htm_depth);

@@ -57,12 +57,17 @@ Result<SpatialTableSpec> resolve_spatial(const Engine& engine,
 // `costs` (optional) tallies zone_scan_rows (rows pulled from the index),
 // xmatch_candidates (exact tests), xmatch_pairs (rows returned). Fails
 // closed (kFailedPrecondition) when the index is unavailable in this view,
-// like any ReadView index read.
+// like any ReadView index read, and with kInvalidArgument when radius_deg
+// is NaN, infinite or negative.
 Result<std::vector<Row>> cone_search(const ReadView& view,
                                      const SpatialTableSpec& spec,
                                      double ra_deg, double dec_deg,
                                      double radius_deg,
                                      OpCosts* costs = nullptr);
+
+// The radius check of every cone search (this one and the sharded
+// repository's): kInvalidArgument unless radius_deg is finite and >= 0.
+Status check_cone_radius(double radius_deg);
 
 // The exact-distance post-filter of every cone search (this one and the
 // sharded repository's): moves the rows within radius_deg of `center` to

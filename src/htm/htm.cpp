@@ -217,116 +217,111 @@ double cap_solid_angle_sr(double radius_deg) {
 
 namespace {
 
-// Minimum angular distance (radians) from point c to the geodesic segment
-// a->b, considering only the arc interior (endpoints are handled as
-// vertices by the caller).
-double arc_interior_distance_rad(const Vec3& a, const Vec3& b, const Vec3& c) {
-  const Vec3 n_raw = a.cross(b);
-  const double n_len = n_raw.norm();
-  if (n_len < 1e-15) return kPi;  // degenerate edge
-  const Vec3 n = {n_raw.x / n_len, n_raw.y / n_len, n_raw.z / n_len};
-  // Closest point on the great circle.
-  const Vec3 proj = c - n * c.dot(n);
-  if (proj.norm() < 1e-15) return kPi / 2;  // c is the circle's pole
-  const Vec3 p = proj.normalized();
-  // Is p within the arc a->b? (both "a to p" and "p to b" turn the same way)
-  if (a.cross(p).dot(n) >= 0 && p.cross(b).dot(n) >= 0) {
-    return std::asin(std::clamp(std::abs(c.dot(n)), 0.0, 1.0));
-  }
-  return kPi;  // interior not closest; endpoints checked elsewhere
-}
+// Absolute slack on chords and edge sines: far above the rounding of
+// unit-vector arithmetic, far below any trixel, so thresholds err on the
+// covering side.
+constexpr double kCoverSlack = 1e-14;
+enum : uint8_t { kInside = 1, kStrictlyInside = 2 };
 
-enum class CapRelation { kDisjoint, kPartial, kFull };
+double squared(double x) { return x * x; }
 
-CapRelation classify(const Trixel& t, const Vec3& center, double radius_deg) {
-  int inside = 0;
-  for (const Vec3& v : t.v) {
-    if (angular_distance_deg(center, v) <= radius_deg) ++inside;
+// One cover's depth-first walk over a convex cap (see cone_cover).
+struct CoverWalk {
+  Vec3 c;                // cap center; the antipode when `wide`
+  bool wide;             // walking the complement of a cap wider than 90
+  int depth;
+  double chord2_inside;  // |c - v|^2 <= this: v inside
+  double chord2_strict;  // |c - v|^2 < this: v strictly inside
+  double sin2;           // (c.n)^2 > sin2 |n|^2: edge circle out of reach
+  std::vector<IdRange>& out;
+
+  uint8_t flags(const Vec3& v) const {
+    const Vec3 d = c - v;
+    const double chord2 = d.dot(d);
+    return static_cast<uint8_t>((chord2 <= chord2_inside ? kInside : 0) |
+                                (chord2 < chord2_strict ? kStrictlyInside : 0));
   }
-  if (inside == 3) return CapRelation::kFull;  // cap is convex (r <= 90)
-  if (inside > 0) return CapRelation::kPartial;
-  // No vertex inside. Cap center inside the trixel?
-  if (insideness(t.v, center) >= -kEpsilon) return CapRelation::kPartial;
-  // Cap boundary crossing an edge interior?
-  const double radius_rad = radius_deg * kDegToRad;
-  for (int e = 0; e < 3; ++e) {
-    const Vec3& a = t.v[static_cast<size_t>(e)];
-    const Vec3& b = t.v[static_cast<size_t>((e + 1) % 3)];
-    if (arc_interior_distance_rad(a, b, center) <= radius_rad) {
-      return CapRelation::kPartial;
+
+  // No vertex inside: the cap still meets the trixel if its center is
+  // inside, or if its rim crosses an edge whose great circle it reaches at
+  // a point between the edge's endpoints.
+  bool reaches(const std::array<Vec3, 3>& v) const {
+    std::array<Vec3, 3> n;
+    std::array<double, 3> side;
+    for (size_t e = 0; e < 3; ++e) {
+      n[e] = v[e].cross(v[(e + 1) % 3]);
+      side[e] = n[e].dot(c);
     }
-  }
-  return CapRelation::kDisjoint;
-}
-
-// Wide caps (radius > 90) are not convex, but their complement is: a cap of
-// radius 180 - r around the antipode. Classify against the complement and
-// invert. A trixel fully inside the closed complement touches the original
-// cap at most on the shared rim circle — kept as partial unless every
-// vertex is strictly interior, so exact-rim points are never dropped.
-CapRelation classify_wide(const Trixel& t, const Vec3& center,
-                          double radius_deg) {
-  const Vec3 anti = center * -1.0;
-  const double complement = 180.0 - radius_deg;
-  switch (classify(t, anti, complement)) {
-    case CapRelation::kDisjoint:
-      return CapRelation::kFull;
-    case CapRelation::kFull: {
-      int strictly_inside = 0;
-      for (const Vec3& v : t.v) {
-        if (angular_distance_deg(anti, v) < complement - 1e-12) {
-          ++strictly_inside;
-        }
+    if (std::min({side[0], side[1], side[2]}) >= -kEpsilon) return true;
+    for (size_t e = 0; e < 3; ++e) {
+      if (squared(side[e]) <= sin2 * n[e].dot(n[e]) &&
+          v[e].cross(c).dot(n[e]) >= 0 &&
+          c.cross(v[(e + 1) % 3]).dot(n[e]) >= 0) {
+        return true;
       }
-      return strictly_inside == 3 ? CapRelation::kDisjoint
-                                  : CapRelation::kPartial;
     }
-    case CapRelation::kPartial:
-      break;
+    return false;
   }
-  return CapRelation::kPartial;
-}
 
-void cover_recursive(const Trixel& t, int level, int depth, const Vec3& center,
-                     double radius_deg, std::vector<IdRange>& out) {
-  const CapRelation relation = radius_deg > 90.0
-                                   ? classify_wide(t, center, radius_deg)
-                                   : classify(t, center, radius_deg);
-  if (relation == CapRelation::kDisjoint) return;
-  const int remaining = depth - level;
-  if (relation == CapRelation::kFull || remaining == 0) {
-    const uint64_t width = 1ULL << (2 * remaining);
-    out.push_back(IdRange{t.id * width, (t.id + 1) * width});
-    return;
+  // Children are visited in id order, so ranges arrive sorted and are
+  // coalesced as they are emitted.
+  void visit(uint64_t id, const std::array<Vec3, 3>& v,
+             const std::array<uint8_t, 3>& f, int level) {
+    const int all = f[0] & f[1] & f[2];
+    bool full = (all & kInside) != 0;
+    bool partial = !full && (((f[0] | f[1] | f[2]) & kInside) || reaches(v));
+    if (wide) {  // inside the complement is outside the cap, bar its rim
+      partial = partial || (full && !(all & kStrictlyInside));
+      full = !full && !partial;
+    }
+    if (!full && !partial) return;
+    const int remaining = depth - level;
+    if (full || remaining == 0) {
+      const uint64_t width = 1ULL << (2 * remaining);
+      if (!out.empty() && out.back().last == id * width) {
+        out.back().last += width;
+      } else {
+        out.push_back(IdRange{id * width, (id + 1) * width});
+      }
+      return;
+    }
+    const Vec3 w0 = midpoint(v[1], v[2]);
+    const Vec3 w1 = midpoint(v[0], v[2]);
+    const Vec3 w2 = midpoint(v[0], v[1]);
+    const uint8_t g0 = flags(w0), g1 = flags(w1), g2 = flags(w2);
+    visit(id * 4 + 0, {v[0], w2, w1}, {f[0], g2, g1}, level + 1);
+    visit(id * 4 + 1, {v[1], w0, w2}, {f[1], g0, g2}, level + 1);
+    visit(id * 4 + 2, {v[2], w1, w0}, {f[2], g1, g0}, level + 1);
+    visit(id * 4 + 3, {w0, w1, w2}, {g0, g1, g2}, level + 1);
   }
-  for (const Trixel& child : children_of(t)) {
-    cover_recursive(child, level + 1, depth, center, radius_deg, out);
-  }
-}
+};
 
 }  // namespace
 
 std::vector<IdRange> cone_cover(const Vec3& center, double radius_deg,
                                 int depth) {
   assert(depth >= 0 && depth <= kMaxDepth);
-  const double clamped_radius = std::clamp(radius_deg, 0.0, 180.0);
-  const Vec3 c = center.normalized();
   std::vector<IdRange> ranges;
+  if (std::isnan(radius_deg)) return ranges;
+  const double radius = std::clamp(radius_deg, 0.0, 180.0);
+  const bool wide = radius > 90.0;
+  const double r = (wide ? 180.0 - radius : radius) * kDegToRad;
+  const double chord = 2.0 * std::sin(r / 2.0);
+  const Vec3 c = center.normalized();
+  CoverWalk walk{wide ? c * -1.0 : c,
+                 wide,
+                 depth,
+                 squared(chord + kCoverSlack),
+                 wide ? squared(std::max(chord - kCoverSlack, 0.0)) : -1.0,
+                 squared(std::sin(r) + kCoverSlack),
+                 ranges};
   for (const Trixel& root : root_trixels()) {
-    cover_recursive(root, 0, depth, c, clamped_radius, ranges);
+    walk.visit(root.id, root.v,
+               {walk.flags(root.v[0]), walk.flags(root.v[1]),
+                walk.flags(root.v[2])},
+               0);
   }
-  std::sort(ranges.begin(), ranges.end(),
-            [](const IdRange& a, const IdRange& b) { return a.first < b.first; });
-  // Coalesce adjacent / overlapping ranges.
-  std::vector<IdRange> merged;
-  for (const IdRange& range : ranges) {
-    if (!merged.empty() && range.first <= merged.back().last) {
-      merged.back().last = std::max(merged.back().last, range.last);
-    } else {
-      merged.push_back(range);
-    }
-  }
-  return merged;
+  return ranges;
 }
 
 }  // namespace sky::htm

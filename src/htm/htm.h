@@ -92,6 +92,11 @@ struct IdRange {
 // ranges at `depth`: every point inside the cap lies in some returned range;
 // ranges may include nearby outside points, so consumers post-filter by
 // exact angular distance. Ranges are sorted, disjoint, and coalesced.
+// A child-order walk emits them in id order; each split tests its three
+// edge midpoints once (|c - v|^2 <= (2 sin(r/2))^2, the chord form of
+// c.v >= cos r) and inherits the rest of its vertex flags. Identical to an
+// atan2 test of every vertex away from exact rim ties, which err toward
+// covering. A NaN radius covers nothing; others clamp to [0, 180].
 std::vector<IdRange> cone_cover(const Vec3& center, double radius_deg,
                                 int depth = kDefaultDepth);
 

@@ -205,6 +205,7 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
                                      double radius_deg, OpCosts* costs,
                                      int* shards_probed) {
   if (!view.valid()) return empty_view_error();
+  SKY_RETURN_IF_ERROR(spatial::check_cone_radius(radius_deg));
   const ShardRouter& router = view.repository().router();
   const htm::Vec3 center = htm::radec_to_vector(ra_deg, dec_deg);
   const std::vector<htm::IdRange> cover =

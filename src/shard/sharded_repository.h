@@ -249,7 +249,8 @@ namespace shard {
 // and the concatenation is byte-identical to the single-shard oracle; a
 // coarser index falls back to broadcasting each range and merging by
 // trixel key. `shards_probed` (optional) reports how many shards were
-// touched — the pruning the bench and tests assert on.
+// touched — the pruning the bench and tests assert on. A NaN, infinite or
+// negative radius fails with kInvalidArgument.
 Result<std::vector<Row>> cone_search(const ShardedReadView& view,
                                      const spatial::SpatialTableSpec& spec,
                                      double ra_deg, double dec_deg,

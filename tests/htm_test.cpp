@@ -2,8 +2,11 @@
 // ranges, round trips), containment, and cone-cover correctness properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "htm/htm.h"
@@ -434,6 +437,235 @@ TEST(ConeCoverTest, MatchesBruteForceTrixelOracle) {
       }
     }
   }
+}
+
+// ------------------------------------------------ reference cone cover ---
+//
+// The cone cover as first written: every child re-tests its three vertices
+// by atan2 angular distance, every edge is projected, and the ranges are
+// sorted and coalesced afterwards. The fast cover must reproduce it
+// exactly away from exact ties.
+namespace reference {
+
+constexpr double kPi = 3.14159265358979323846;
+constexpr double kDegToRad = kPi / 180.0;
+constexpr double kEpsilon = 1e-12;
+
+double insideness(const std::array<Vec3, 3>& v, const Vec3& p) {
+  const double d0 = v[0].cross(v[1]).dot(p);
+  const double d1 = v[1].cross(v[2]).dot(p);
+  const double d2 = v[2].cross(v[0]).dot(p);
+  return std::min({d0, d1, d2});
+}
+
+std::array<Trixel, 4> children_of(const Trixel& t) {
+  const Vec3 w0 = (t.v[1] + t.v[2]).normalized();
+  const Vec3 w1 = (t.v[0] + t.v[2]).normalized();
+  const Vec3 w2 = (t.v[0] + t.v[1]).normalized();
+  return {
+      Trixel{t.id * 4 + 0, {t.v[0], w2, w1}},
+      Trixel{t.id * 4 + 1, {t.v[1], w0, w2}},
+      Trixel{t.id * 4 + 2, {t.v[2], w1, w0}},
+      Trixel{t.id * 4 + 3, {w0, w1, w2}},
+  };
+}
+
+double arc_interior_distance_rad(const Vec3& a, const Vec3& b, const Vec3& c) {
+  const Vec3 n_raw = a.cross(b);
+  const double n_len = n_raw.norm();
+  if (n_len < 1e-15) return kPi;
+  const Vec3 n = {n_raw.x / n_len, n_raw.y / n_len, n_raw.z / n_len};
+  const Vec3 proj = c - n * c.dot(n);
+  if (proj.norm() < 1e-15) return kPi / 2;
+  const Vec3 p = proj.normalized();
+  if (a.cross(p).dot(n) >= 0 && p.cross(b).dot(n) >= 0) {
+    return std::asin(std::clamp(std::abs(c.dot(n)), 0.0, 1.0));
+  }
+  return kPi;
+}
+
+enum class CapRelation { kDisjoint, kPartial, kFull };
+
+CapRelation classify(const Trixel& t, const Vec3& center, double radius_deg) {
+  int inside = 0;
+  for (const Vec3& v : t.v) {
+    if (angular_distance_deg(center, v) <= radius_deg) ++inside;
+  }
+  if (inside == 3) return CapRelation::kFull;
+  if (inside > 0) return CapRelation::kPartial;
+  if (insideness(t.v, center) >= -kEpsilon) return CapRelation::kPartial;
+  const double radius_rad = radius_deg * kDegToRad;
+  for (int e = 0; e < 3; ++e) {
+    const Vec3& a = t.v[static_cast<size_t>(e)];
+    const Vec3& b = t.v[static_cast<size_t>((e + 1) % 3)];
+    if (arc_interior_distance_rad(a, b, center) <= radius_rad) {
+      return CapRelation::kPartial;
+    }
+  }
+  return CapRelation::kDisjoint;
+}
+
+CapRelation classify_wide(const Trixel& t, const Vec3& center,
+                          double radius_deg) {
+  const Vec3 anti = center * -1.0;
+  const double complement = 180.0 - radius_deg;
+  switch (classify(t, anti, complement)) {
+    case CapRelation::kDisjoint:
+      return CapRelation::kFull;
+    case CapRelation::kFull: {
+      int strictly_inside = 0;
+      for (const Vec3& v : t.v) {
+        if (angular_distance_deg(anti, v) < complement - 1e-12) {
+          ++strictly_inside;
+        }
+      }
+      return strictly_inside == 3 ? CapRelation::kDisjoint
+                                  : CapRelation::kPartial;
+    }
+    case CapRelation::kPartial:
+      break;
+  }
+  return CapRelation::kPartial;
+}
+
+void cover_recursive(const Trixel& t, int level, int depth, const Vec3& center,
+                     double radius_deg, std::vector<IdRange>& out) {
+  const CapRelation relation = radius_deg > 90.0
+                                   ? classify_wide(t, center, radius_deg)
+                                   : classify(t, center, radius_deg);
+  if (relation == CapRelation::kDisjoint) return;
+  const int remaining = depth - level;
+  if (relation == CapRelation::kFull || remaining == 0) {
+    const uint64_t width = 1ULL << (2 * remaining);
+    out.push_back(IdRange{t.id * width, (t.id + 1) * width});
+    return;
+  }
+  for (const Trixel& child : children_of(t)) {
+    cover_recursive(child, level + 1, depth, center, radius_deg, out);
+  }
+}
+
+std::vector<IdRange> cone_cover(const Vec3& center, double radius_deg,
+                                int depth) {
+  const double clamped_radius = std::clamp(radius_deg, 0.0, 180.0);
+  const Vec3 c = center.normalized();
+  std::vector<IdRange> ranges;
+  for (const Trixel& root : root_trixels()) {
+    cover_recursive(root, 0, depth, c, clamped_radius, ranges);
+  }
+  std::sort(
+      ranges.begin(), ranges.end(),
+      [](const IdRange& a, const IdRange& b) { return a.first < b.first; });
+  std::vector<IdRange> merged;
+  for (const IdRange& range : ranges) {
+    if (!merged.empty() && range.first <= merged.back().last) {
+      merged.back().last = std::max(merged.back().last, range.last);
+    } else {
+      merged.push_back(range);
+    }
+  }
+  return merged;
+}
+
+}  // namespace reference
+
+bool same_ranges(const std::vector<IdRange>& a, const std::vector<IdRange>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].first != b[i].first || a[i].last != b[i].last) return false;
+  }
+  return true;
+}
+
+TEST(ConeCoverTest, MatchesReferenceCover) {
+  // Every (radius, depth) pair whose cover stays small enough to compute
+  // with the reference quickly: about 2^depth * sin(min(r, 180 - r)) leaf
+  // trixels straddle the rim, so deep covers of wide caps are skipped.
+  struct Case {
+    double radius;
+    int depth;
+  };
+  std::vector<Case> cases;
+  for (const int depth : {0, 4, 8, 14, 20}) {
+    for (const double radius : {0.0, 1e-4, 0.2, 1.0, 10.0, 45.0, 89.9, 90.0,
+                                90.1, 120.0, 179.9, 180.0}) {
+      const double rim = std::sin(std::min(radius, 180.0 - radius) *
+                                  reference::kDegToRad);
+      if (std::ldexp(rim, depth) <= 300.0) cases.push_back({radius, depth});
+    }
+  }
+  ASSERT_GE(cases.size(), 40u);
+  Rng rng(2024);
+  const int centers = 10000;
+  int mismatches = 0;
+  for (int i = 0; i < centers; ++i) {
+    const Case& c = cases[static_cast<size_t>(i) % cases.size()];
+    const Vec3 center = random_direction(rng);
+    const auto fast = cone_cover(center, c.radius, c.depth);
+    const auto ref = reference::cone_cover(center, c.radius, c.depth);
+    if (!same_ranges(fast, ref) && ++mismatches <= 5) {
+      ADD_FAILURE() << "radius=" << c.radius << " depth=" << c.depth
+                    << " center=(" << center.x << ", " << center.y << ", "
+                    << center.z << ") fast=" << fast.size()
+                    << " ranges, reference=" << ref.size() << " ranges";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ConeCoverTest, TieCentersStayConservative) {
+  // Centers on root vertices, root edge midpoints and the poles put
+  // trixel vertices exactly on the rim at these radii. The cover may then
+  // differ from the reference, but only by covering more: every trixel
+  // holding a witness point inside the cap is still covered.
+  std::vector<Vec3> centers;
+  for (const Trixel& root : root_trixels()) {
+    for (size_t k = 0; k < 3; ++k) {
+      centers.push_back(root.v[k]);
+      centers.push_back((root.v[k] + root.v[(k + 1) % 3]).normalized());
+    }
+  }
+  centers.push_back(radec_to_vector(45.0, 0.0));
+  centers.push_back(radec_to_vector(0.0, 90.0));
+  centers.push_back(radec_to_vector(0.0, -90.0));
+  const int depth = 4;
+  const uint64_t lo = 8ULL << (2 * depth);
+  const uint64_t hi = 16ULL << (2 * depth);
+  for (const Vec3& center : centers) {
+    for (const double radius : {30.0, 45.0, 60.0, 90.0}) {
+      const auto ranges = cone_cover(center, radius, depth);
+      ASSERT_FALSE(ranges.empty());
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        EXPECT_LT(ranges[i].first, ranges[i].last);
+        if (i > 0) {
+          EXPECT_GT(ranges[i].first, ranges[i - 1].last);
+        }
+      }
+      for (uint64_t id = lo; id < hi; ++id) {
+        const Trixel trixel = *trixel_from_id(id);
+        std::vector<Vec3> witnesses = {
+            (trixel.v[0] + trixel.v[1] + trixel.v[2]).normalized()};
+        for (size_t k = 0; k < 3; ++k) {
+          witnesses.push_back(trixel.v[k]);
+          witnesses.push_back(
+              (trixel.v[k] + trixel.v[(k + 1) % 3]).normalized());
+        }
+        for (const Vec3& w : witnesses) {
+          if (angular_distance_deg(center, w) <= radius) {
+            EXPECT_TRUE(ranges_cover(ranges, id))
+                << "id=" << id << " radius=" << radius;
+            break;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConeCoverTest, NanRadiusCoversNothing) {
+  const Vec3 center = radec_to_vector(10, 20);
+  EXPECT_TRUE(cone_cover(center, std::nan(""), 14).empty());
+  EXPECT_TRUE(cone_cover(center, std::nan(""), 0).empty());
 }
 
 }  // namespace

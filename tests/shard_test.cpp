@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -349,6 +351,22 @@ TEST_F(ShardScatterGatherTest, ConeSearchByteIdenticalAndPruned) {
   }
   // Small cones inside one slice must not broadcast to every shard.
   EXPECT_GT(cones_pruned, 0);
+}
+
+TEST_F(ShardScatterGatherTest, ConeSearchRejectsInvalidRadius) {
+  load_both(obj_, object_rows({10.0}, {10.0}));
+  const auto spec = spatial::resolve_spatial(oracle_, obj_);
+  ASSERT_TRUE(spec.is_ok());
+  const ShardedReadView view = repo_.read_view();
+  for (const double radius :
+       {std::nan(""), std::numeric_limits<double>::infinity(), -0.5}) {
+    int shards_probed = -1;
+    const auto hits = shard::cone_search(view, *spec, 10.0, 10.0, radius,
+                                         nullptr, &shards_probed);
+    ASSERT_FALSE(hits.is_ok()) << "radius=" << radius;
+    EXPECT_EQ(hits.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(shards_probed, -1);
+  }
 }
 
 TEST_F(ShardScatterGatherTest, XmatchMatchesSingleEngineOracle) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 #include <utility>
@@ -247,6 +248,25 @@ TEST_F(SpatialEngineTest, ConeSearchMatchesScanOracle) {
       EXPECT_GE(costs.xmatch_candidates, costs.xmatch_pairs);
     }
   }
+}
+
+TEST_F(SpatialEngineTest, ConeSearchRejectsInvalidRadius) {
+  std::vector<double> ra = {10.0}, dec = {10.0};
+  load_rows(table_a_, 0, ra, dec);
+  const auto spec = resolve_spatial(engine_, table_a_);
+  ASSERT_TRUE(spec.is_ok());
+  for (const double radius :
+       {std::nan(""), std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -1e-9, -1.0}) {
+    const auto hits =
+        cone_search(engine_.live_view(), *spec, 10.0, 10.0, radius);
+    ASSERT_FALSE(hits.is_ok()) << "radius=" << radius;
+    EXPECT_EQ(hits.status().code(), ErrorCode::kInvalidArgument);
+  }
+  // A zero radius is valid and finds the row at the exact center.
+  const auto exact = cone_search(engine_.live_view(), *spec, 10.0, 10.0, 0.0);
+  ASSERT_TRUE(exact.is_ok());
+  EXPECT_EQ(exact->size(), 1u);
 }
 
 TEST_F(SpatialEngineTest, ConeSearchFailsClosedOnDisabledIndex) {

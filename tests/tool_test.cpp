@@ -7,7 +7,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "htm/htm.h"
 
 namespace {
 
@@ -88,6 +93,54 @@ TEST_F(ToolTest, GenerateLintVerifyLoadRoundTrip) {
                        std::istreambuf_iterator<char>());
   EXPECT_NE(contents.find("# Load report"), std::string::npos);
   EXPECT_NE(contents.find("| objects |"), std::string::npos);
+}
+
+TEST_F(ToolTest, ConeMatchesBruteForce) {
+  const auto generate = run_command(
+      tool_ + " generate --night 5 --megabytes 1 --seed 3 --out " +
+      dir_.string());
+  ASSERT_EQ(generate.exit_code, 0) << generate.output;
+  // Every object row of a clean night loads, so the oracle is a scan of
+  // the files' OBJ lines (object_id|frame_id|ra|dec|...).
+  std::vector<std::pair<double, double>> objects;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::ifstream in(entry.path());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("OBJ|", 0) != 0) continue;
+      std::vector<std::string> fields;
+      std::stringstream split(line);
+      for (std::string field; std::getline(split, field, '|');) {
+        fields.push_back(field);
+      }
+      ASSERT_GE(fields.size(), 5u) << line;
+      objects.emplace_back(std::stod(fields[3]), std::stod(fields[4]));
+    }
+  }
+  ASSERT_FALSE(objects.empty());
+  const auto [ra, dec] = objects.front();
+  for (const double radius : {0.1, 2.0}) {
+    const sky::htm::Vec3 center = sky::htm::radec_to_vector(ra, dec);
+    long long expected = 0;
+    for (const auto& [obj_ra, obj_dec] : objects) {
+      if (sky::htm::angular_distance_deg(
+              center, sky::htm::radec_to_vector(obj_ra, obj_dec)) <= radius) {
+        ++expected;
+      }
+    }
+    char args[128];
+    std::snprintf(args, sizeof(args),
+                  " cone --ra %.17g --dec %.17g --radius %g ", ra, dec, radius);
+    const auto cone = run_command(tool_ + args + (dir_ / "*.cat").string());
+    ASSERT_EQ(cone.exit_code, 0) << cone.output;
+    const size_t total = cone.output.find("total matches within");
+    ASSERT_NE(total, std::string::npos) << cone.output;
+    const size_t colon = cone.output.find(": ", total);
+    ASSERT_NE(colon, std::string::npos) << cone.output;
+    EXPECT_EQ(std::stoll(cone.output.substr(colon + 2)), expected)
+        << "radius=" << radius;
+    EXPECT_GT(expected, 0);
+  }
 }
 
 TEST_F(ToolTest, LintFlagsDirtyFile) {

@@ -41,8 +41,8 @@
 #include "db/engine.h"
 #include "db/query.h"
 #include "db/recovery.h"
+#include "db/spatial.h"
 #include "db/sql.h"
-#include "htm/htm.h"
 #include "storage/wal_file.h"
 
 using namespace sky;
@@ -304,34 +304,30 @@ int cmd_cone(const Args& args) {
                  report.status().to_string().c_str());
     return 1;
   }
-  const uint32_t objects = engine.table_id("objects").value();
-  const htm::Vec3 center = htm::radec_to_vector(ra, dec);
-  int64_t matches = 0;
-  for (const htm::IdRange& range :
-       htm::cone_cover(center, radius, catalog::CatalogParser::kHtmDepth)) {
-    const auto rows = engine.live_view().index_range(
-        objects, catalog::kIndexHtmid,
-        {db::Value::i64(static_cast<int64_t>(range.first))},
-        {db::Value::i64(static_cast<int64_t>(range.last))});
-    if (!rows.is_ok()) {
-      std::fprintf(stderr, "%s\n", rows.status().to_string().c_str());
-      return 1;
-    }
-    for (const db::Row& row : *rows) {
-      if (htm::angular_distance_deg(
-              center, htm::radec_to_vector(row[2].as_f64(),
-                                           row[3].as_f64())) <= radius) {
-        if (matches < 20) {
-          std::printf("object %s ra=%.5f dec=%.5f mag=%.2f\n",
-                      row[0].to_display().c_str(), row[2].as_f64(),
-                      row[3].as_f64(), row[4].as_f64());
-        }
-        ++matches;
-      }
-    }
+  // The catalog's htmid index is a plain int64 index over the computed
+  // htmid column, so the spatial spec is filled from the schema.
+  db::spatial::SpatialTableSpec spec;
+  spec.table_id = engine.table_id("objects").value();
+  const db::TableDef& def = engine.schema().table(spec.table_id);
+  spec.htm_index = std::string(catalog::kIndexHtmid);
+  spec.ra_column = def.column_index("ra");
+  spec.dec_column = def.column_index("dec");
+  spec.htm_depth = catalog::CatalogParser::kHtmDepth;
+  const auto rows =
+      db::spatial::cone_search(engine.live_view(), spec, ra, dec, radius);
+  if (!rows.is_ok()) {
+    std::fprintf(stderr, "%s\n", rows.status().to_string().c_str());
+    return 1;
+  }
+  const auto matches = static_cast<long long>(rows->size());
+  for (size_t i = 0; i < rows->size() && i < 20; ++i) {
+    const db::Row& row = (*rows)[i];
+    std::printf("object %s ra=%.5f dec=%.5f mag=%.2f\n",
+                row[0].to_display().c_str(), row[2].as_f64(),
+                row[3].as_f64(), row[4].as_f64());
   }
   std::printf("total matches within %.3f deg of (%.4f, %.4f): %lld\n", radius,
-              ra, dec, static_cast<long long>(matches));
+              ra, dec, matches);
   return 0;
 }
 
