@@ -717,7 +717,6 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     // Undo entries keep their own pk-key copies (the originals move into
     // the tree run next); secondary keys are filled in below.
     const size_t undo_base = txn.undo.size();
-    txn.undo.reserve(txn.undo.size() + limit);
     for (size_t i = 0; i < limit; ++i) {
       txn.undo.push_back(
           UndoEntry{tid, appended.slots[i], pk_keys[i], {}, appended.views[i]});

@@ -72,6 +72,10 @@ std::string encode_row(const Row& row) {
 Result<Row> decode_row(std::string_view bytes) {
   size_t pos = 0;
   SKY_ASSIGN_OR_RETURN(const uint64_t count, get_fixed(bytes, pos, 4));
+  // Every column takes at least its kind byte; check before reserving.
+  if (count > bytes.size() - pos) {
+    return Status(ErrorCode::kParseError, "row decode: column count overflow");
+  }
   Row row;
   row.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -200,21 +200,46 @@ const SnapshotNode* Snapshot::visible_head(uint32_t table_id) const {
 
 std::vector<SnapshotChunk::RowRef> Snapshot::rows_in_heap_order(
     uint32_t table_id) const {
+  using RowRef = SnapshotChunk::RowRef;
   // Each node's rows end at its rows_cumulative, so filling newest first
-  // lays the refs out in commit order: nearly sorted already.
-  std::vector<SnapshotChunk::RowRef> refs(
-      static_cast<size_t>(row_count(table_id)));
+  // lays the refs out in commit order.
+  std::vector<RowRef> refs(static_cast<size_t>(row_count(table_id)));
   for (const SnapshotNode* node = visible_head(table_id); node != nullptr;
        node = node->prev.get()) {
     std::copy(node->chunk->rows.begin(), node->chunk->rows.end(),
               refs.begin() + node->rows_cumulative -
                   static_cast<int64_t>(node->chunk->rows.size()));
   }
-  std::sort(refs.begin(), refs.end(),
-            [](const SnapshotChunk::RowRef& a, const SnapshotChunk::RowRef& b) {
-              return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
-                     std::tie(b.slot.extent, b.slot.page, b.slot.slot);
-            });
+  // Commit order is a concatenation of runs already in heap order (a
+  // chunk's rows were appended in slot order), so merging adjacent runs
+  // pairwise costs O(n log runs), not a full sort. Slots are unique, so no
+  // two refs compare equal and the order is the sort's.
+  const auto heap_less = [](const RowRef& a, const RowRef& b) {
+    return std::tie(a.slot.extent, a.slot.page, a.slot.slot) <
+           std::tie(b.slot.extent, b.slot.page, b.slot.slot);
+  };
+  std::vector<size_t> bounds{0};
+  for (size_t i = 1; i < refs.size(); ++i) {
+    if (heap_less(refs[i], refs[i - 1])) bounds.push_back(i);
+  }
+  bounds.push_back(refs.size());
+  std::vector<RowRef> merged;
+  while (bounds.size() > 2) {
+    merged.resize(refs.size());
+    const RowRef* from = refs.data();
+    const size_t runs = bounds.size() - 1;
+    std::vector<size_t> next{0};
+    for (size_t r = 0; r < runs; r += 2) {
+      const size_t lo = bounds[r];
+      const size_t mid = bounds[r + 1];
+      const size_t hi = r + 2 <= runs ? bounds[r + 2] : mid;
+      std::merge(from + lo, from + mid, from + mid, from + hi,
+                 merged.data() + lo, heap_less);
+      next.push_back(hi);
+    }
+    refs.swap(merged);
+    bounds = std::move(next);
+  }
   return refs;
 }
 

@@ -17,6 +17,11 @@ std::string_view column_type_name(ColumnType type) {
   return "UNKNOWN";
 }
 
+const std::string& Value::BoxedString::empty() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 Result<double> Value::numeric() const {
   if (is_i32()) return static_cast<double>(as_i32());
   if (is_i64()) return static_cast<double>(as_i64());

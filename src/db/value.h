@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -25,6 +26,10 @@ enum class ColumnType : uint8_t {
 
 std::string_view column_type_name(ColumnType type);
 
+// A value is 16 bytes: a one-byte kind tag beside an 8-byte payload. Strings
+// live in a heap box so that a decoded row of catalog columns stays small;
+// copying a Value deep-copies its string, and a moved-from string Value
+// reads as the empty string.
 class Value {
  public:
   Value() : data_(std::monostate{}) {}  // NULL
@@ -41,12 +46,14 @@ class Value {
   bool is_i32() const { return std::holds_alternative<int32_t>(data_); }
   bool is_i64() const { return std::holds_alternative<int64_t>(data_); }
   bool is_f64() const { return std::holds_alternative<double>(data_); }
-  bool is_str() const { return std::holds_alternative<std::string>(data_); }
+  bool is_str() const { return std::holds_alternative<BoxedString>(data_); }
 
   int32_t as_i32() const { return std::get<int32_t>(data_); }
   int64_t as_i64() const { return std::get<int64_t>(data_); }
   double as_f64() const { return std::get<double>(data_); }
-  const std::string& as_str() const { return std::get<std::string>(data_); }
+  const std::string& as_str() const {
+    return std::get<BoxedString>(data_).get();
+  }
 
   // Numeric view for check constraints (int32/int64/double); error for
   // strings and NULL.
@@ -68,12 +75,36 @@ class Value {
   static Result<Value> parse_as(ColumnType type, std::string_view text);
 
  private:
+  // One pointer wide; owns its string alone.
+  class BoxedString {
+   public:
+    explicit BoxedString(std::string s)
+        : s_(std::make_unique<std::string>(std::move(s))) {}
+    BoxedString(const BoxedString& other) : BoxedString(other.get()) {}
+    BoxedString(BoxedString&&) noexcept = default;
+    BoxedString& operator=(const BoxedString& other) {
+      if (this != &other) s_ = std::make_unique<std::string>(other.get());
+      return *this;
+    }
+    BoxedString& operator=(BoxedString&&) noexcept = default;
+
+    const std::string& get() const { return s_ != nullptr ? *s_ : empty(); }
+
+   private:
+    static const std::string& empty();
+
+    std::unique_ptr<std::string> s_;  // null only once moved from
+  };
+
   explicit Value(int32_t v) : data_(v) {}
   explicit Value(int64_t v) : data_(v) {}
   explicit Value(double v) : data_(v) {}
-  explicit Value(std::string v) : data_(std::move(v)) {}
+  explicit Value(std::string v)
+      : data_(std::in_place_type<BoxedString>, std::move(v)) {}
 
-  std::variant<std::monostate, int32_t, int64_t, double, std::string> data_;
+  std::variant<std::monostate, int32_t, int64_t, double, BoxedString> data_;
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag beside an 8-byte payload");
 
 }  // namespace sky::db

@@ -3,6 +3,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "common/rng.h"
 #include "db/row.h"
@@ -83,6 +86,100 @@ TEST(ValueTest, ParseErrors) {
   EXPECT_FALSE(Value::parse_as(ColumnType::kDouble, "nan").is_ok());
 }
 
+// One value of every kind, strings short, long (past any small-string
+// buffer), empty and with embedded NULs.
+std::vector<Value> every_kind() {
+  return {Value::null(),
+          Value::i32(-7),
+          Value::i64(1LL << 50),
+          Value::f64(-0.125),
+          Value::timestamp(1234567),
+          Value::str(""),
+          Value::str("palomar"),
+          Value::str(std::string(100, 'q')),
+          Value::str(std::string("a\0b\0", 4))};
+}
+
+// Same kind and same bytes (compare() alone equates 3 and 3.0).
+void expect_identical(const Value& got, const Value& want) {
+  ASSERT_EQ(got.is_null(), want.is_null());
+  ASSERT_EQ(got.is_i32(), want.is_i32());
+  ASSERT_EQ(got.is_i64(), want.is_i64());
+  ASSERT_EQ(got.is_f64(), want.is_f64());
+  ASSERT_EQ(got.is_str(), want.is_str());
+  if (want.is_str()) {
+    EXPECT_EQ(got.as_str(), want.as_str());
+  } else {
+    EXPECT_EQ(got.compare(want), 0);
+  }
+}
+
+TEST(ValueTest, CopyAndMoveEveryKind) {
+  for (const Value& want : every_kind()) {
+    const Value copied(want);
+    expect_identical(copied, want);
+    Value moved_from(want);
+    const Value moved(std::move(moved_from));
+    expect_identical(moved, want);
+    // Assignment onto a target of every kind, by copy and by move.
+    for (const Value& target : every_kind()) {
+      Value assigned = target;
+      assigned = want;
+      expect_identical(assigned, want);
+      Value move_assigned = target;
+      Value source = want;
+      move_assigned = std::move(source);
+      expect_identical(move_assigned, want);
+    }
+    Value self = want;
+    const Value& alias = self;
+    self = alias;
+    expect_identical(self, want);
+  }
+}
+
+TEST(ValueTest, CopiesAreIndependent) {
+  Value original = Value::str("first");
+  const Value copy = original;
+  original = Value::str("second");
+  EXPECT_EQ(copy.as_str(), "first");
+  EXPECT_EQ(original.as_str(), "second");
+}
+
+TEST(ValueTest, MovedFromStringIsSafe) {
+  Value from = Value::str(std::string(64, 'z'));
+  Value to = std::move(from);
+  EXPECT_EQ(to.as_str(), std::string(64, 'z'));
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the test.
+  EXPECT_TRUE(from.is_str());
+  EXPECT_TRUE(from.as_str().empty());
+  EXPECT_EQ(from.to_display(), "");
+  const Value copy = from;
+  EXPECT_TRUE(copy.as_str().empty());
+  const Value& alias = from;
+  from = alias;
+  EXPECT_TRUE(from.as_str().empty());
+  to = std::move(from);  // a husk moved onto a live string
+  EXPECT_TRUE(to.as_str().empty());
+  from = Value::str("again");
+  EXPECT_EQ(from.as_str(), "again");
+  Value husk = Value::str("x");
+  const Value sink = std::move(husk);
+  husk = Value::i64(3);
+  EXPECT_EQ(husk.as_i64(), 3);
+  // NOLINTEND(bugprone-use-after-move)
+}
+
+TEST(ValueTest, WrongKindAccessorThrows) {
+  EXPECT_THROW((void)Value::null().as_i64(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::i32(1).as_i64(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::i64(1).as_i32(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::i64(1).as_f64(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::f64(1).as_str(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::str("s").as_i32(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::str("s").as_f64(), std::bad_variant_access);
+}
+
 // ------------------------------------------------------------- row codec ---
 
 TEST(RowCodecTest, RoundTripAllKinds) {
@@ -112,6 +209,18 @@ TEST(RowCodecTest, RejectsCorruption) {
   bad_kind[4] = '\x7F';
   EXPECT_FALSE(decode_row(bad_kind).is_ok());
   EXPECT_FALSE(decode_row("").is_ok());
+}
+
+TEST(RowCodecTest, RejectsOversizedColumnCount) {
+  // A count no remaining byte could back is refused before any allocation.
+  const auto huge = decode_row("\xff\xff\xff\xff");
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_EQ(huge.status().code(), ErrorCode::kParseError);
+  std::string two_claimed = encode_row({Value::null()});
+  two_claimed[0] = '\x02';
+  const auto short_row = decode_row(two_claimed);
+  ASSERT_FALSE(short_row.is_ok());
+  EXPECT_EQ(short_row.status().code(), ErrorCode::kParseError);
 }
 
 TEST(RowCodecTest, PreservesDoubleBits) {
@@ -147,12 +256,22 @@ TEST_P(RowCodecFuzz, RandomRowsRoundTrip) {
               static_cast<size_t>(rng.uniform_int(0, 30)))));
       }
     }
-    const auto decoded = decode_row(encode_row(row));
+    auto decoded = decode_row(encode_row(row));
     ASSERT_TRUE(decoded.is_ok());
     ASSERT_EQ(decoded->size(), row.size());
     for (size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ((*decoded)[i].compare(row[i]), 0);
     }
+    // Copies of a decoded row own their strings: they outlive the decoded
+    // row and re-encode to the same bytes.
+    Row copy = *decoded;
+    Row assigned;
+    assigned = copy;
+    const Row moved = std::move(*decoded);
+    decoded = Row{};
+    EXPECT_EQ(encode_row(copy), encode_row(row));
+    EXPECT_EQ(encode_row(assigned), encode_row(row));
+    EXPECT_EQ(encode_row(moved), encode_row(row));
   }
 }
 

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -426,6 +427,81 @@ TEST_F(SnapshotTest, DeepChainStaysLogarithmic) {
   EXPECT_EQ(*live_ix, *snap_ix);
   const auto all = [](const Row&) { return true; };
   EXPECT_EQ(live.scan_collect(table_, all), pinned.scan_collect(table_, all));
+}
+
+// Transactions held open at once on distinct extents commit interleaved, so
+// commit order is a concatenation of short runs, each in heap order, and the
+// merger absorbs some of the chunks. A pinned heap scan still visits slots in
+// strictly ascending (extent, page, slot) order and collects what a live
+// scan does.
+TEST_F(SnapshotTest, HeapOrderScanMatchesLiveAcrossInterleavedExtents) {
+  constexpr size_t kExtents = 4;
+  constexpr int64_t kRounds = 40;
+  constexpr int64_t kRowsPerTxn = 3;
+  EngineOptions options;
+  options.heap_extents = kExtents;
+  Engine engine(batches_schema(), options);
+  const uint32_t table = engine.table_id("batches").value();
+  int64_t pk = 0;
+  for (int64_t round = 0; round < kRounds; ++round) {
+    // Round-robin assignment puts each open transaction on its own extent.
+    std::vector<uint64_t> txns;
+    for (size_t t = 0; t < kExtents; ++t) {
+      txns.push_back(engine.begin_transaction());
+    }
+    for (int64_t seq = 0; seq < kRowsPerTxn; ++seq) {
+      for (size_t t = 0; t < kExtents; ++t) {
+        const auto batch_id = static_cast<int64_t>(
+            static_cast<size_t>(round) * kExtents + t);
+        OpCosts costs;
+        ASSERT_TRUE(engine
+                        .insert_row(txns[t], table,
+                                    batch_row(pk++, batch_id, seq, kRowsPerTxn),
+                                    costs)
+                        .is_ok());
+      }
+    }
+    // Mostly descending extents, rotated each round.
+    for (size_t t = 0; t < kExtents; ++t) {
+      const size_t at = (3 * t + static_cast<size_t>(round)) % kExtents;
+      ASSERT_TRUE(engine.commit(txns[at]).is_ok());
+    }
+  }
+  const SnapshotStats stats = wait_for_runs(engine, 16);
+  EXPECT_GT(stats.merges, 0);
+  EXPECT_EQ(stats.chunks_published,
+            kRounds * static_cast<int64_t>(kExtents));
+
+  const Snapshot snap = engine.pin_snapshot();
+  const ReadView pinned = engine.view_at(snap);
+  const ReadView live = engine.live_view();
+  using Visit = std::pair<storage::SlotId, std::string>;
+  const auto heap_of = [&](const ReadView& view) {
+    std::vector<Visit> visits;
+    EXPECT_TRUE(view.scan_heap(table,
+                               [&](storage::SlotId slot,
+                                   std::string_view bytes) {
+                                 visits.emplace_back(slot, std::string(bytes));
+                               })
+                    .is_ok());
+    return visits;
+  };
+  const std::vector<Visit> pinned_heap = heap_of(pinned);
+  ASSERT_EQ(pinned_heap.size(), static_cast<size_t>(pk));
+  std::set<uint32_t> extents;
+  for (size_t i = 0; i < pinned_heap.size(); ++i) {
+    const storage::SlotId& slot = pinned_heap[i].first;
+    extents.insert(slot.extent);
+    if (i == 0) continue;
+    const storage::SlotId& prev = pinned_heap[i - 1].first;
+    EXPECT_LT(std::tie(prev.extent, prev.page, prev.slot),
+              std::tie(slot.extent, slot.page, slot.slot))
+        << i;
+  }
+  EXPECT_EQ(extents.size(), kExtents);
+  EXPECT_EQ(pinned_heap, heap_of(live));
+  const auto all = [](const Row&) { return true; };
+  EXPECT_EQ(pinned.scan_collect(table, all), live.scan_collect(table, all));
 }
 
 // Fail-closed survives merging: once the index-less chunk is absorbed into
