@@ -30,9 +30,9 @@ void bench_cache(benchmark::State& state) {
     state.SetIterationTime(seconds);
     g_figure.add("runtime", static_cast<double>(pages), seconds);
     state.counters["writer_scanned_frames"] = static_cast<double>(
-        repo.engine->cache_events().writer_scanned_frames);
+        repo.server->cache_events().writer_scanned_frames);
     state.counters["writer_wakes"] =
-        static_cast<double>(repo.engine->cache_events().writer_wakes);
+        static_cast<double>(repo.server->cache_events().writer_wakes);
   }
 }
 

@@ -186,17 +186,9 @@ int64_t run_stage_breakdown(const sky::core::CatalogFile& file,
     // wal before the heap consumes the encoded rows — the engine's publish
     // order, and it lets the heap take them by move.
     timer.start("wal");
-    std::string payload;
-    for (const std::string& row_bytes : encoded) {
-      const auto n = static_cast<uint32_t>(row_bytes.size());
-      const char header[4] = {
-          static_cast<char>(n >> 24), static_cast<char>(n >> 16),
-          static_cast<char>(n >> 8), static_cast<char>(n)};
-      payload.append(header, 4);
-      payload.append(row_bytes);
-    }
+    const std::vector<std::string_view> views(encoded.begin(), encoded.end());
     wal.append(sky::storage::WalRecordType::kInsertBatch, 1, table_id,
-               std::move(payload));
+               sky::storage::encode_insert_batch_payload(views));
     timer.stop("wal");
 
     timer.start("append");

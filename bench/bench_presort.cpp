@@ -80,9 +80,9 @@ void bench_presort(benchmark::State& state) {
     g_figure.add(presorted ? "presorted" : "unsorted",
                  static_cast<double>(db_gb), seconds);
     state.counters["cache_misses"] =
-        static_cast<double>(repo.engine->cache_events().misses);
+        static_cast<double>(repo.server->cache_events().misses);
     state.counters["dirty_evictions"] =
-        static_cast<double>(repo.engine->cache_events().dirty_evictions);
+        static_cast<double>(repo.server->cache_events().dirty_evictions);
   }
 }
 

@@ -59,7 +59,7 @@ double run_rac(int nodes, bool partitioned, double paper_mb) {
                          profile.engine_options());
   if (!profile.apply_index_policy(engine).is_ok()) std::abort();
   sky::sim::Environment env;
-  sky::client::ServerConfig config;
+  sky::client::ServerConfig config = profile.server_config();
   config.nodes = nodes;
   config.cpus = 8 * nodes;              // each node is a full host
   config.batch_gate_slots = 5 * nodes;  // per-instance lock capacity

@@ -136,7 +136,8 @@ double run_single(const db::Schema& schema, const std::string& text,
   db::Engine engine(schema,
                     core::TuningProfile::paper_2005().engine_options());
   sim::Environment env;
-  client::SimServer server(env, engine, client::ServerConfig{});
+  client::SimServer server(env, engine,
+                           core::TuningProfile::paper_2005().server_config());
   double seconds = 0;
   env.spawn("probe", [&] {
     client::SimSession session(server);
@@ -162,7 +163,8 @@ double run_parallel(const db::Schema& schema,
   db::Engine engine(schema,
                     core::TuningProfile::paper_2005().engine_options());
   sim::Environment env;
-  client::SimServer server(env, engine, client::ServerConfig{});
+  client::SimServer server(env, engine,
+                           core::TuningProfile::paper_2005().server_config());
   env.spawn("reference", [&] {
     client::SimSession session(server);
     core::BulkLoaderOptions options;

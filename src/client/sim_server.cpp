@@ -20,7 +20,8 @@ SimServer::SimServer(sim::Environment& env, db::Engine& engine,
     : env_(env),
       engine_(engine),
       config_(config),
-      stall_rng_(config.policies.concurrency.stall_seed) {
+      stall_rng_(config.policies.concurrency.stall_seed),
+      cache_(config.cache_pages, config.dirty_trigger) {
   const int nodes = std::max(1, config_.nodes);
   const int cpus_per_node = std::max(1, config_.cpus / nodes);
   for (int n = 0; n < nodes; ++n) {
@@ -51,7 +52,22 @@ SimServer::SimServer(sim::Environment& env, db::Engine& engine,
     devices_.push_back(std::make_unique<sim::Resource>(
         env_, 1, "raid-" + std::to_string(d)));
   }
+  cache_.set_io_hook([this](storage::CachePageId page,
+                            storage::BufferCache::IoKind kind) {
+    const storage::IoRole role = file_roles_[page.file_id];
+    kind == storage::BufferCache::IoKind::kRead ? io_.add_read(role)
+                                                : io_.add_write(role);
+  });
+  engine_.set_page_touch_observer([this](const db::PageTouch& touch) {
+    const uint32_t file = touch.page.file_id;
+    if (file >= file_roles_.size()) file_roles_.resize(file + 1);
+    file_roles_[file] = touch.role;
+    touch.write ? cache_.touch_write(touch.page)
+                : cache_.touch_read(touch.page);
+  });
 }
+
+SimServer::~SimServer() { engine_.set_page_touch_observer({}); }
 
 SimServer::LogGroupDecision SimServer::join_log_group() {
   LogGroupDecision decision;

@@ -8,6 +8,9 @@
 // queueing on these resources in virtual time is what produces the Fig. 7
 // parallelism curve — near-linear scaling while slots are free, lock waits
 // and occasional long stalls past the knee.
+// It also owns the data-cache/DBWR model (section 4.5.5), fed by the
+// engine's page-touch observer, and the page I/O per device role that model
+// implies; real mode runs no cache model.
 #pragma once
 
 #include <memory>
@@ -20,6 +23,7 @@
 #include "db/control_plane.h"
 #include "db/engine.h"
 #include "sim/environment.h"
+#include "storage/buffer_cache.h"
 
 namespace sky::client {
 
@@ -64,12 +68,20 @@ struct ServerConfig {
 
   storage::DeviceLayout device_layout =
       storage::DeviceLayout::separate_raids();
+  // Server data cache in 8 KiB pages (section 4.5.5 knob), and the DBWR
+  // dirty-page trigger (a fixed count, independent of the cache size).
+  int64_t cache_pages = 16384;
+  int64_t dirty_trigger = 256;
   CostModel costs;
 };
 
 class SimServer {
  public:
+  // Observes `engine`'s page touches until destroyed.
   SimServer(sim::Environment& env, db::Engine& engine, ServerConfig config);
+  ~SimServer();
+  SimServer(const SimServer&) = delete;
+  SimServer& operator=(const SimServer&) = delete;
 
   sim::Environment& env() { return env_; }
   db::Engine& engine() { return engine_; }
@@ -99,6 +111,10 @@ class SimServer {
   sim::Resource& device_for(storage::IoRole role) {
     return device(config_.device_layout.device_for(role));
   }
+
+  // Totals since construction, from every insert on the engine.
+  storage::CacheEvents cache_events() const { return cache_.events(); }
+  const storage::IoTally& io_tally() const { return io_; }
 
   // Deterministic stall decision (one shared stream; draws are ordered by
   // virtual time, which is itself deterministic).
@@ -166,6 +182,9 @@ class SimServer {
   Nanos log_group_close_ = -1;
   Nanos log_group_eta_ = 0;
   int64_t log_group_members_ = 0;
+  storage::BufferCache cache_;
+  std::vector<storage::IoRole> file_roles_;  // by PageTouch file id
+  storage::IoTally io_;  // sim processes run one at a time: plain counters
 };
 
 // ControlPlane over a SimServer: the controller that tunes a live engine

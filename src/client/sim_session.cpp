@@ -139,7 +139,13 @@ db::BatchResult SimSession::server_visit(
   cpus.acquire();
   stats_.server_time += env.now() - cpu_before;
 
-  const db::BatchResult result = engine_call(txn);
+  // The call's cache events and page I/O, read before anything yields
+  // virtual time, so no other process's touches land in this call's tally.
+  const storage::CacheEvents cache_before = server_.cache_events();
+  const storage::IoTally io_before = server_.io_tally();
+  db::BatchResult result = engine_call(txn);
+  result.costs.cache = server_.cache_events().since(cache_before);
+  result.costs.io = server_.io_tally().since(io_before);
 
   Nanos server_time = costs.server_call_overhead +
                       costs.server_cpu_time(result.costs);

@@ -56,9 +56,7 @@ Result<FileLoadReport> SdssStyleLoader::load_text(std::string_view file_name,
 
   // ---- Phase 2: bulk load CSVs into the task database, parent-first ---
   phase_start = session_.now();
-  db::EngineOptions task_options;
-  task_options.cache_pages = 2048;
-  db::Engine task_engine(schema_, task_options);
+  db::Engine task_engine(schema_);
   const uint64_t task_txn = task_engine.begin_transaction();
   // Seed the task database with the reference tables so nightly rows'
   // foreign keys resolve during validation. Seed rows are not re-published;

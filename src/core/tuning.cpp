@@ -50,8 +50,6 @@ Status TuningProfile::apply_index_policy(db::Engine& engine) const {
 
 db::EngineOptions TuningProfile::engine_options() const {
   db::EngineOptions options;
-  options.cache_pages = server_cache_pages;
-  options.device_layout = device_layout;
   // Simulation models the transaction and ITL limits in the server config;
   // keep the real gates permissive (64 slots, ITL off) so they never
   // double-count — and so no real gate can block inside a sim process,
@@ -71,6 +69,7 @@ db::EngineOptions TuningProfile::engine_options() const {
 client::ServerConfig TuningProfile::server_config() const {
   client::ServerConfig config;
   config.device_layout = device_layout;
+  config.cache_pages = server_cache_pages;
   config.policies.commit.commit_window = commit.commit_window;
   config.policies.commit.max_group_commits = commit.max_group_commits;
   return config;

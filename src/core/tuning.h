@@ -51,7 +51,7 @@ struct TuningProfile {
   bool maintain_htmid_index = true;
   bool maintain_composite_index = false;
 
-  // System layout and memory (sections 4.5.3, 4.5.5).
+  // System layout and memory (sections 4.5.3, 4.5.5); sim server only.
   storage::DeviceLayout device_layout =
       storage::DeviceLayout::separate_raids();
   int64_t server_cache_pages = 4096;

@@ -35,26 +35,6 @@ void count_index_columns(const TableDef& def,
   }
 }
 
-// The buffer cache's I/O hook fires from whichever thread touched the page;
-// per-call attribution goes through a thread-local so concurrent sessions
-// never write into each other's OpCosts.
-thread_local OpCosts* tl_active_costs = nullptr;
-
-class CostScope {
- public:
-  explicit CostScope(OpCosts* costs) : saved_(tl_active_costs) {
-    tl_active_costs = costs;
-  }
-  ~CostScope() { tl_active_costs = saved_; }
-  CostScope(const CostScope&) = delete;
-  CostScope& operator=(const CostScope&) = delete;
-
- private:
-  OpCosts* saved_;
-};
-}  // namespace
-
-namespace {
 EngineOptions normalize(EngineOptions options) {
   if (options.heap_extents < 1) options.heap_extents = 1;
   if (options.heap_extents > storage::kMaxHeapExtents) {
@@ -67,7 +47,6 @@ EngineOptions normalize(EngineOptions options) {
 Engine::Engine(Schema schema, EngineOptions options)
     : schema_(std::move(schema)),
       options_(normalize(options)),
-      cache_(options.cache_pages, options.dirty_trigger),
       wal_(storage::WalOptions{options.retain_wal_records,
                                options.latency.commit_log_flush,
                                options.policies.commit.commit_window,
@@ -83,13 +62,10 @@ Engine::Engine(Schema schema, EngineOptions options)
        ++id) {
     Table table(id, schema_.table(id), options_.heap_extents,
                 options_.latency.extent_append_write);
-    table.heap_cache_file_id = next_file_id++;
-    file_roles_.push_back(storage::IoRole::kData);
-    table.pk_cache_file_id = next_file_id++;
-    file_roles_.push_back(storage::IoRole::kIndex);
+    table.heap_page_file = next_file_id++;
+    table.pk_page_file = next_file_id++;
     for (SecondaryIndex& secondary : table.secondaries()) {
-      secondary.cache_file_id = next_file_id++;
-      file_roles_.push_back(storage::IoRole::kIndex);
+      secondary.page_file = next_file_id++;
     }
     table.fk_parent_ids.reserve(table.def().foreign_keys.size());
     for (const ForeignKey& fk : table.def().foreign_keys) {
@@ -112,22 +88,6 @@ Engine::Engine(Schema schema, EngineOptions options)
   }
   extent_assignment_.store(options_.extent_assignment,
                            std::memory_order_relaxed);
-  cache_.set_io_hook([this](storage::CachePageId page,
-                            storage::BufferCache::IoKind kind) {
-    const storage::IoRole role = role_of_file(page.file_id);
-    if (kind == storage::BufferCache::IoKind::kRead) {
-      if (tl_active_costs != nullptr) tl_active_costs->io.add_read(role);
-      global_io_.add_read(role);
-    } else {
-      if (tl_active_costs != nullptr) tl_active_costs->io.add_write(role);
-      global_io_.add_write(role);
-    }
-  });
-}
-
-storage::IoRole Engine::role_of_file(uint32_t file_id) const {
-  if (file_id < file_roles_.size()) return file_roles_[file_id];
-  return storage::IoRole::kData;
 }
 
 void Engine::pay_batch_latency(const OpCosts& costs, double escalation) const {
@@ -230,22 +190,18 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
     const std::scoped_lock txn_lock(txn_mu_);
     live_transactions = static_cast<int64_t>(transactions_.size());
   }
-  {
-    const CostScope scope(&result.costs);
-    wal_.append(storage::WalRecordType::kCommit, txn_id, 0, "");
-    // Group commit: may ride a flush already in flight, or lead one —
-    // holding the coalescing window open first — and pay the modeled
-    // log-device latency (with no engine latches held beyond the shared
-    // engine lock). Relaxed durability acks here without flushing.
-    const storage::WalFlushResult flush =
-        wal_.flush(/*expect_group=*/live_transactions > 1, live_transactions);
-    result.costs.wal_bytes += flush.bytes_flushed;
-    result.costs.io.log_bytes_flushed += flush.bytes_flushed;
-    result.costs.commit_flushes_led += flush.led ? 1 : 0;
-    result.costs.commit_piggybacks += flush.piggybacked ? 1 : 0;
-    result.costs.commit_leader_wait_ns += flush.leader_wait;
-    global_io_.add_log_bytes(flush.bytes_flushed);
-  }
+  wal_.append(storage::WalRecordType::kCommit, txn_id, 0, "");
+  // Group commit: may ride a flush already in flight, or lead one — holding
+  // the coalescing window open first — and pay the modeled log-device
+  // latency (with no engine latches held beyond the shared engine lock).
+  // Relaxed durability acks here without flushing.
+  const storage::WalFlushResult flush =
+      wal_.flush(/*expect_group=*/live_transactions > 1, live_transactions);
+  result.costs.wal_bytes += flush.bytes_flushed;
+  result.costs.io.log_bytes_flushed += flush.bytes_flushed;
+  result.costs.commit_flushes_led += flush.led ? 1 : 0;
+  result.costs.commit_piggybacks += flush.piggybacked ? 1 : 0;
+  result.costs.commit_leader_wait_ns += flush.leader_wait;
   std::vector<TableAdmission> admissions;
   std::vector<UndoEntry> undo;
   {
@@ -346,25 +302,16 @@ std::optional<BatchError> Engine::admitted_insert(uint64_t txn_id,
     return BatchError{0, admitted.status()};
   }
   const TableAdmission admission = *admitted;
-  std::optional<BatchError> error;
   costs.lock_wait_ns += lock_shared_timed(engine_mu_);
   std::shared_lock<std::shared_mutex> engine_lock(engine_mu_, std::adopt_lock);
-  {
-    const CostScope scope(&costs);
-    // Cache deltas are exact when calls don't overlap (single-threaded and
-    // simulation runs); under real concurrency a call may absorb events
-    // from neighbours — fine for the aggregate telemetry they feed.
-    const storage::CacheEvents cache_before = cache_.events();
-    error = body(*txn, admission.extent);
-    if (error.has_value()) {
-      // JDBC semantics: earlier rows stay, this row failed, the remainder
-      // of the call is discarded.
-      ++costs.constraint_failures;
-      costs.rows_applied += static_cast<int64_t>(error->row_index);
-    } else {
-      costs.rows_applied += static_cast<int64_t>(count);
-    }
-    costs.cache += cache_.events().since(cache_before);
+  std::optional<BatchError> error = body(*txn, admission.extent);
+  if (error.has_value()) {
+    // JDBC semantics: earlier rows stay, this row failed, the remainder of
+    // the call is discarded.
+    ++costs.constraint_failures;
+    costs.rows_applied += static_cast<int64_t>(error->row_index);
+  } else {
+    costs.rows_applied += static_cast<int64_t>(count);
   }
   engine_lock.unlock();
   const double escalation =
@@ -623,7 +570,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
         encoder.clear();
         if (verified.count(probe) > 0) continue;  // memoized success
         if (parent_has_key(parent, /*self_reference=*/false, probe, costs,
-                           /*touch_cache=*/true)) {
+                           /*report_touch=*/true)) {
           verified.insert(std::move(probe));
           continue;
         }
@@ -681,20 +628,8 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   // Publish the surviving prefix: one WAL record, one latched heap publish,
   // one sorted-run merge per tree.
   if (limit > 0) {
-    std::string wal_payload;
-    size_t encoded_bytes = 0;
-    for (const std::string_view bytes : appended.views) {
-      encoded_bytes += bytes.size();
-    }
-    wal_payload.reserve(encoded_bytes + 4 * limit);
-    for (const std::string_view bytes : appended.views) {
-      const uint32_t len = static_cast<uint32_t>(bytes.size());
-      const char header[4] = {
-          static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-          static_cast<char>(len >> 8), static_cast<char>(len)};
-      wal_payload.append(header, sizeof(header));
-      wal_payload.append(bytes);
-    }
+    std::string wal_payload =
+        storage::encode_insert_batch_payload(appended.views);
     costs.wal_bytes += static_cast<int64_t>(wal_payload.size());
     wal_.append(storage::WalRecordType::kInsertBatch, txn.id, tid,
                 std::move(wal_payload), extent);
@@ -707,10 +642,10 @@ std::optional<BatchError> Engine::insert_column_run_latched(
       const storage::SlotId slot = appended.slots[i];
       row_ids[i] = make_row_id(tid, slot);
       // Slots come back page-ordered, so one touch per distinct heap page
-      // covers the run without hitting the cache once per row.
+      // covers the run instead of one per row.
       if (i == 0 || slot.page != appended.slots[i - 1].page ||
           slot.extent != appended.slots[i - 1].extent) {
-        cache_.touch_write({table.heap_cache_file_id, slot.page, slot.extent});
+        touch_page({{table.heap_page_file, slot.page, slot.extent}});
       }
     }
 
@@ -725,7 +660,6 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     std::vector<std::pair<std::string, uint64_t>> pk_run;
     pk_run.reserve(limit);
     for (size_t i = 0; i < limit; ++i) {
-      costs.index_key_bytes += static_cast<int64_t>(pk_keys[i].size());
       count_index_columns(def, table.pk_column_indices(), costs);
       pk_run.emplace_back(std::move(pk_keys[i]), row_ids[i]);
     }
@@ -739,7 +673,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     costs.index_node_visits += pk_touch.nodes_visited;
     costs.index_leaf_splits += pk_touch.leaf_splits;
     for (const uint32_t leaf : pk_touch.touched_leaf_ids) {
-      cache_.touch_write({table.pk_cache_file_id, leaf});
+      touch_page({{table.pk_page_file, leaf}, storage::IoRole::kIndex});
     }
 
     for (size_t s = 0; s < table.secondaries().size(); ++s) {
@@ -773,7 +707,6 @@ std::optional<BatchError> Engine::insert_column_run_latched(
         encoder.append_int64(static_cast<int64_t>(row_ids[i]));
         std::string key = encoder.take();
         encoder.clear();
-        costs.index_key_bytes += static_cast<int64_t>(key.size());
         txn.undo[undo_base + i].secondary_keys.emplace_back(s, key);
         run.emplace_back(std::move(key), row_ids[i]);
       }
@@ -787,7 +720,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
       costs.index_node_visits += touch.nodes_visited;
       costs.index_leaf_splits += touch.leaf_splits;
       for (const uint32_t leaf : touch.touched_leaf_ids) {
-        cache_.touch_write({secondary.cache_file_id, leaf});
+        touch_page({{secondary.page_file, leaf}, storage::IoRole::kIndex});
       }
     }
 
@@ -852,7 +785,7 @@ Status Engine::validate_row(const Table& table, const Row& row,
 
 bool Engine::parent_has_key(const Table& parent, bool self_reference,
                             const std::string& key, OpCosts& costs,
-                            bool touch_cache) {
+                            bool report_touch) {
   index::BPlusTree::TouchInfo touch;
   bool found = false;
   if (self_reference) {
@@ -865,8 +798,9 @@ bool Engine::parent_has_key(const Table& parent, bool self_reference,
     found = parent.pk_tree().lookup_with_touch(key, &touch).has_value();
   }
   costs.fk_node_visits += touch.nodes_visited;
-  if (found && touch_cache) {
-    cache_.touch_read({parent.pk_cache_file_id, touch.leaf_page_id});
+  if (found && report_touch) {
+    touch_page({{parent.pk_page_file, touch.leaf_page_id},
+                storage::IoRole::kIndex, /*write=*/false});
   }
   return found;
 }
@@ -900,7 +834,7 @@ Status Engine::check_constraints(const Table& table, uint32_t tid,
     ++tally.fk_checks;
     if (!probe.has_value()) continue;  // NULL FK passes
     if (!parent_has_key(tables_[parent_id], parent_id == tid, *probe, tally,
-                        /*touch_cache=*/costs != nullptr)) {
+                        /*report_touch=*/costs != nullptr)) {
       return Status(ErrorCode::kConstraintForeignKey,
                     table.def().name + ": no parent row in " +
                         table.def().foreign_keys[f].parent_table + " for " +
@@ -957,8 +891,8 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   const auto appended = table.heap().append_pending(extent, row_bytes);
   costs.lock_wait_ns += appended.latch_wait_ns;
   if (appended.opened_new_page) ++costs.heap_pages_opened;
-  cache_.touch_write(
-      {table.heap_cache_file_id, appended.slot.page, appended.slot.extent});
+  touch_page(
+      {{table.heap_page_file, appended.slot.page, appended.slot.extent}});
 
   // Phase 3 — re-check the race-sensitive constraints (PK, unique) under
   // the index latch *exclusive*, then log, publish, and index the row. The
@@ -1007,10 +941,10 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   ++table.key_publishes;
   costs.index_updates += 1;
   costs.index_node_visits += pk_touch.nodes_visited;
-  costs.index_key_bytes += static_cast<int64_t>(pk_key.size());
   count_index_columns(table.def(), table.pk_column_indices(), costs);
   if (pk_touch.leaf_split) ++costs.index_leaf_splits;
-  cache_.touch_write({table.pk_cache_file_id, pk_touch.leaf_page_id});
+  touch_page(
+      {{table.pk_page_file, pk_touch.leaf_page_id}, storage::IoRole::kIndex});
 
   UndoEntry undo{tid, appended.slot, pk_key, {}, appended.bytes};
   for (size_t s = 0; s < table.secondaries().size(); ++s) {
@@ -1025,14 +959,14 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     (void)index_status;
     costs.index_updates += 1;
     costs.index_node_visits += touch.nodes_visited;
-    costs.index_key_bytes += static_cast<int64_t>(key.size());
     if (secondary.def.htm.has_value()) {
       ++costs.index_int_columns;  // key is one trixel id, not raw ra/dec
     } else {
       count_index_columns(table.def(), secondary.column_indices, costs);
     }
     if (touch.leaf_split) ++costs.index_leaf_splits;
-    cache_.touch_write({secondary.cache_file_id, touch.leaf_page_id});
+    touch_page({{secondary.page_file, touch.leaf_page_id},
+                storage::IoRole::kIndex});
     undo.secondary_keys.emplace_back(s, key);
   }
   if (insert_observer_) insert_observer_(tid, row_id);
@@ -1379,6 +1313,12 @@ void Engine::set_insert_observer(
     std::function<void(uint32_t, uint64_t)> observer) {
   const std::unique_lock<std::shared_mutex> engine_lock(engine_mu_);
   insert_observer_ = std::move(observer);
+}
+
+void Engine::set_page_touch_observer(
+    std::function<void(const PageTouch&)> observer) {
+  const std::unique_lock<std::shared_mutex> engine_lock(engine_mu_);
+  page_touch_observer_ = std::move(observer);
 }
 
 Status Engine::verify_integrity() const {

@@ -4,8 +4,8 @@
 // append-only catalog loading plus read-only science queries. Enforces
 // primary-key, foreign-key, NOT NULL, and range-check constraints on every
 // insert; maintains a B+tree per primary key and per enabled secondary
-// index; writes redo to a WAL; tracks page residency in a buffer-cache
-// model; tallies physical I/O per device role.
+// index; writes redo to a WAL; reports each page an insert touches to an
+// optional observer (the sim server's cache model, client/sim_server.h).
 //
 // Batch semantics mirror the JDBC core API the paper used (section 4.3):
 // executeBatch applies rows in order and stops at the first failure — rows
@@ -22,12 +22,12 @@
 // heap's own extent latches (storage/sharded_heap.h), so sessions loading
 // the *same* table append in parallel and only serialize on the short
 // index-latch window that checks constraints and updates the B+trees. The
-// buffer cache, WAL, transaction map, and I/O tally are internally
-// thread-safe. Only DDL-like operations (set_index_enabled, rebuild_index,
-// bulk_load_sorted, verify_integrity, rollback, set_insert_observer) take
-// the engine rwlock exclusive and stop the world. Parallel loaders
-// therefore make genuinely parallel progress; the configured gates — not
-// an implementation mutex — are the modeled RDBMS concurrency limit.
+// WAL and the transaction map are internally thread-safe. Only DDL-like
+// operations (set_index_enabled, rebuild_index, bulk_load_sorted,
+// verify_integrity, rollback, the set_*_observer calls) take the engine
+// rwlock exclusive and stop the world. Parallel loaders therefore make
+// genuinely parallel progress; the configured gates — not an
+// implementation mutex — are the modeled RDBMS concurrency limit.
 //
 // Admission gates sit *outside* every lock (order: transaction gate ->
 // per-table ITL gates -> engine rwlock -> table latches). A transaction's
@@ -114,10 +114,6 @@ enum class ExtentAssignment {
 };
 
 struct EngineOptions {
-  // Server data cache in 8 KiB pages (section 4.5.5 knob).
-  int64_t cache_pages = 16384;
-  // DBWR dirty-page trigger (fixed count, independent of cache size).
-  int64_t dirty_trigger = 256;
   // Every shared policy in one aggregate (core/engine_policies.h): commit
   // cadence/durability, admission limits, query lanes, and the spatial
   // subsystem's knobs — the same aggregate client::ServerConfig embeds, so
@@ -131,7 +127,6 @@ struct EngineOptions {
   // table spread across min(N, heap_extents) append streams.
   uint32_t heap_extents = 1;
   ExtentAssignment extent_assignment = ExtentAssignment::kRoundRobin;
-  storage::DeviceLayout device_layout = storage::DeviceLayout::separate_raids();
   // Keep full WAL records in memory for replay verification (tests only).
   bool retain_wal_records = false;
   // Probe foreign keys on insert (and audit FK closure in
@@ -176,6 +171,14 @@ struct CommitResult {
   OpCosts costs;
 };
 
+// One page an insert touched (`page.file_id` names the heap or index
+// segment, `role` the device role its pages live on).
+struct PageTouch {
+  storage::CachePageId page;
+  storage::IoRole role = storage::IoRole::kData;
+  bool write = true;  // false: an FK probe read the parent's leaf
+};
+
 class Engine {
  public:
   explicit Engine(Schema schema, EngineOptions options = {});
@@ -198,10 +201,10 @@ class Engine {
   // ---------------------------------------------------------------- inserts
   // The three insert calls are thin wrappers over one private admission
   // envelope (admitted_insert): transaction lookup, table-id check, ITL
-  // admission before the engine rwlock, cost attribution, the cache-event
-  // delta and the modeled device sleep are written once. All three have
-  // JDBC executeBatch semantics (see file header), and every error status
-  // they report comes from the row rules (validate_row, check_constraints).
+  // admission before the engine rwlock, cost attribution and the modeled
+  // device sleep are written once. All three have JDBC executeBatch
+  // semantics (see file header), and every error status they report comes
+  // from the row rules (validate_row, check_constraints).
   BatchResult insert_batch(uint64_t txn_id, uint32_t table_id,
                            std::span<const Row> rows);
   // Columnar batch insert — the batch ingest hot path. Applies rows
@@ -238,9 +241,10 @@ class Engine {
   // "recreate secondary indices after the catch-up load" path.
   Status rebuild_index(uint32_t table_id, std::string_view index_name);
 
-  // Preload an empty table from PK-sorted rows, bypassing WAL/cache (fast
-  // fixture path for database-size experiments, Fig. 9). Constraints are
-  // still validated structurally (types, arity, strict PK order).
+  // Preload an empty table from PK-sorted rows, bypassing the WAL and the
+  // page-touch observer (fast fixture path for database-size experiments,
+  // Fig. 9). Constraints are still validated structurally (types, arity,
+  // strict PK order).
   Status bulk_load_sorted(uint32_t table_id, const std::vector<Row>& rows);
 
   // -------------------------------------------------------------- read views
@@ -300,12 +304,16 @@ class Engine {
   // Force pending redo to the device regardless of durability mode (the
   // relaxed-mode checkpoint); returns bytes written by this call.
   int64_t sync_wal() { return wal_.sync(); }
-  storage::CacheEvents cache_events() const { return cache_.events(); }
-  storage::IoTally io_tally() const { return global_io_.snapshot(); }
   // Observer invoked (under the destination table's latch) after each
   // successful insert; tests use it to audit parent-before-child ordering.
   // Setting it quiesces the engine (engine-exclusive).
   void set_insert_observer(std::function<void(uint32_t, uint64_t)> observer);
+  // Observer of each page an insert touches: the parent PK leaf of each FK
+  // probe that found its parent, then the heap page, the PK leaf and the
+  // secondary-index leaves. Called from the inserting thread under table
+  // latches; it must not call back into the engine. Setting it quiesces
+  // the engine (engine-exclusive); an empty function detaches it.
+  void set_page_touch_observer(std::function<void(const PageTouch&)> observer);
 
   // Deep integrity audit (tests): heap/PK agreement, FK closure, secondary
   // index completeness, row decodability. Engine-exclusive.
@@ -368,13 +376,12 @@ class Engine {
                                      OpCosts& costs);
   // The one admission envelope of every insert call: look up the
   // transaction, check the table id, admit the transaction to the table
-  // (ITL gate before the engine rwlock), then — rwlock shared, I/O
-  // attributed to `costs` through a CostScope — run `body(txn, extent)` on
-  // the admitted heap extent and record the call's cache-event delta.
-  // Last, with no lock held, pay the modeled device sleep, inflated by the
-  // lock-escalation factor when admission was contended. `body` returns
-  // the failure that stopped the call; rows before its index stay applied.
-  // Tallies rows_applied (all `count` rows when nothing failed) and
+  // (ITL gate before the engine rwlock), then — rwlock shared — run
+  // `body(txn, extent)` on the admitted heap extent. Last, with no lock
+  // held, pay the modeled device sleep, inflated by the lock-escalation
+  // factor when admission was contended. `body` returns the failure that
+  // stopped the call; rows before its index stay applied. Tallies
+  // rows_applied (all `count` rows when nothing failed) and
   // constraint_failures into `costs` and returns the failure.
   template <typename Body>  // std::optional<BatchError>(Transaction&, uint32_t)
   std::optional<BatchError> admitted_insert(uint64_t txn_id, uint32_t table_id,
@@ -416,17 +423,20 @@ class Engine {
   // Caller holds the table's index latch (shared or exclusive); parents'
   // index latches are taken shared inside. Returns the first violation.
   // `costs == nullptr` is the status-only form: nothing is charged and no
-  // cache page is touched (the columnar run's status source and the
+  // page touch is reported (the columnar run's status source and the
   // lost-race re-check, which must not move the tallies the sim prices).
   Status check_constraints(const Table& table, uint32_t tid, const Row& row,
                            const std::string& pk_key, OpCosts* costs);
   // Does `parent`'s primary key hold `key`? Takes the parent's index latch
   // shared for the probe (not for a self-reference: the caller's latch on
   // that index covers it), charges latch wait and node visits to `costs`,
-  // and on a hit touches the parent leaf page in the cache if `touch_cache`.
+  // and on a hit reports the parent leaf page read if `report_touch`.
   bool parent_has_key(const Table& parent, bool self_reference,
                       const std::string& key, OpCosts& costs,
-                      bool touch_cache);
+                      bool report_touch);
+  void touch_page(const PageTouch& touch) const {
+    if (page_touch_observer_) page_touch_observer_(touch);
+  }
   Status validate_row(const Table& table, const Row& row,
                       OpCosts& costs) const;
   // Modeled device sleep for a completed call (no locks held).
@@ -438,7 +448,6 @@ class Engine {
   // chunks and publish them (every commit that wrote rows). Called with
   // the engine rwlock held shared.
   void publish_snapshot_chunks(std::vector<UndoEntry> undo);
-  storage::IoRole role_of_file(uint32_t file_id) const;
   Result<Row> row_at(const Table& table, uint64_t row_id) const;
   std::string encode_tuple_key(const TableDef& def,
                                const std::vector<int>& column_indices,
@@ -453,7 +462,6 @@ class Engine {
   // the gates' back-pointers outlive them on destruction).
   WaitGraph itl_wait_graph_;
   std::vector<Table> tables_;
-  storage::BufferCache cache_;
   storage::WriteAheadLog wal_;
   SlotGate txn_gate_;
   mutable std::mutex txn_mu_;  // guards transactions_ (the map, not entries)
@@ -471,11 +479,10 @@ class Engine {
   // Query-lane stats source folded into stats() (set by QueryScheduler).
   mutable std::mutex query_stats_mu_;
   std::function<core::QueryStats()> query_stats_source_;
-  std::vector<storage::IoRole> file_roles_;  // cache file id -> device role
-  storage::SharedIoTally global_io_;
   // Mutable: pinning is logically const (a read) but registers the pin.
   mutable SnapshotManager snapshots_;
   std::function<void(uint32_t, uint64_t)> insert_observer_;
+  std::function<void(const PageTouch&)> page_touch_observer_;
 };
 
 }  // namespace sky::db

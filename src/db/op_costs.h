@@ -1,10 +1,10 @@
 // Per-call cost accounting.
 //
 // Every engine call tallies the mechanical work it performed — index descents,
-// pages dirtied, redo bytes, cache misses, device I/O by role. Real-time mode
-// treats these as diagnostics; simulation mode prices them through the client
-// CostModel to produce virtual server time. This is how the paper's
-// figure-level effects (index maintenance cost, commit cost, cache-size
+// pages dirtied, redo bytes; SimSession adds cache misses and device I/O by
+// role. Real-time mode treats these as diagnostics; simulation mode prices
+// them through the client CostModel to produce virtual server time. This is
+// how the paper's figure-level effects (index maintenance cost, commit cost, cache-size
 // effects, device contention) emerge from mechanism rather than curve fit.
 #pragma once
 
@@ -20,7 +20,6 @@ struct OpCosts {
   int64_t index_updates = 0;       // entries inserted across all B+trees
   int64_t index_node_visits = 0;   // descent steps (CPU)
   int64_t index_leaf_splits = 0;
-  int64_t index_key_bytes = 0;
   // Indexed-column counts by type across inserted entries (float keys are
   // costlier to bind and compare — the paper's Fig. 8 contrast).
   int64_t index_int_columns = 0;
@@ -62,15 +61,14 @@ struct OpCosts {
   int64_t zone_scan_rows = 0;
   int64_t xmatch_candidates = 0;
   int64_t xmatch_pairs = 0;
-  storage::CacheEvents cache;      // delta attributable to this call
-  storage::IoTally io;             // physical I/O by device role
+  storage::CacheEvents cache;  // sim server's delta for this call
+  storage::IoTally io;         // same; log_bytes_flushed from the engine
 
   OpCosts& operator+=(const OpCosts& other) {
     rows_applied += other.rows_applied;
     index_updates += other.index_updates;
     index_node_visits += other.index_node_visits;
     index_leaf_splits += other.index_leaf_splits;
-    index_key_bytes += other.index_key_bytes;
     index_int_columns += other.index_int_columns;
     index_float_columns += other.index_float_columns;
     index_string_columns += other.index_string_columns;

@@ -67,37 +67,18 @@ Result<std::unique_ptr<Engine>> recover_from_wal(
       }
       SKY_RETURN_IF_ERROR(replay_row(record, record.payload));
     } else if (record.type == storage::WalRecordType::kInsertBatch) {
-      // One record covering a whole columnar run: a sequence of
-      // [u32 big-endian length][encoded row] entries, all in record.extent.
-      // Replaying them one by one into that extent reproduces the exact
+      // One record covering a whole columnar run, all in record.extent.
+      // Replaying its rows one by one into that extent reproduces the exact
       // page/slot layout the batch append produced (see wal.h).
-      const std::string& payload = record.payload;
-      size_t pos = 0;
-      while (pos < payload.size()) {
-        if (payload.size() - pos < 4) {
-          return Status(ErrorCode::kInternal,
-                        "WAL replay: truncated batch record header");
-        }
-        const uint32_t len =
-            (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos])) << 24) |
-            (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 1]))
-             << 16) |
-            (static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 2]))
-             << 8) |
-            static_cast<uint32_t>(static_cast<uint8_t>(payload[pos + 3]));
-        pos += 4;
-        if (payload.size() - pos < len) {
-          return Status(ErrorCode::kInternal,
-                        "WAL replay: truncated batch record row");
-        }
-        if (committed.count(record.txn_id) == 0) {
-          ++local.rows_discarded;
-        } else {
-          SKY_RETURN_IF_ERROR(replay_row(
-              record, std::string_view(payload.data() + pos, len)));
-        }
-        pos += len;
-      }
+      const bool replay = committed.count(record.txn_id) > 0;
+      SKY_RETURN_IF_ERROR(storage::for_each_insert_batch_row(
+          record.payload, [&](std::string_view bytes) -> Status {
+            if (!replay) {
+              ++local.rows_discarded;
+              return ok_status();
+            }
+            return replay_row(record, bytes);
+          }));
     }
   }
   SKY_RETURN_IF_ERROR(engine->commit(txn).status());

@@ -57,7 +57,7 @@ struct SecondaryIndex {
   std::vector<int> column_indices;
   index::BPlusTree tree;
   bool enabled = true;
-  uint32_t cache_file_id = 0;
+  uint32_t page_file = 0;  // segment id in reported page touches
 };
 
 class Table {
@@ -118,8 +118,9 @@ class Table {
     itl_gate_ = std::move(gate);
   }
 
-  uint32_t heap_cache_file_id = 0;
-  uint32_t pk_cache_file_id = 0;
+  // Segment ids in reported page touches (Engine::set_page_touch_observer).
+  uint32_t heap_page_file = 0;
+  uint32_t pk_page_file = 0;
   // PK-tree publishes by inserts, bumped under the index latch exclusive
   // (read under it shared or exclusive). A columnar run skips its
   // exclusive-phase primary-key re-check when the count has not moved since

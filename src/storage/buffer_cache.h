@@ -22,8 +22,8 @@
 // real server. Small caches (below one page per would-be shard group) use a
 // single shard, preserving the seed's exact global-LRU accounting for the
 // unit tests and the cache-size ablation. set_io_hook() must be called
-// before the cache is shared across threads (the engine does so in its
-// constructor).
+// before the cache is shared across threads (client::SimServer does so in
+// its constructor).
 #pragma once
 
 #include <atomic>

@@ -2,13 +2,12 @@
 //
 // The paper reduces I/O contention by placing (1) data and temporary files,
 // (2) indices, and (3) logs on three separate RAID devices (section 4.5.3).
-// The engine tags every page I/O with a role; the layout maps roles onto
+// The engine tags every page it touches with a role; the layout maps roles to
 // physical devices, and simulation mode gives each physical device its own
 // queueing resource so co-located roles genuinely contend.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -42,8 +41,8 @@ struct DeviceLayout {
   }
 };
 
-// Per-call I/O tally, per role (filled in by the engine, priced by the
-// client cost model, queued on per-device resources in simulation).
+// I/O tally per role (pages from the sim server's cache model, log bytes
+// from engine commits), priced and queued per device in simulation.
 struct IoTally {
   std::array<int64_t, kIoRoleCount> pages_written{0, 0, 0};
   std::array<int64_t, kIoRoleCount> pages_read{0, 0, 0};
@@ -63,36 +62,15 @@ struct IoTally {
     log_bytes_flushed += other.log_bytes_flushed;
     return *this;
   }
-};
-
-// Engine-wide I/O tally fed from concurrent sessions (the buffer-cache I/O
-// hook fires from whichever thread caused the physical I/O). Relaxed atomics:
-// the counters are independent monotone sums; snapshot() is a telemetry
-// read, not a synchronization point.
-struct SharedIoTally {
-  std::array<std::atomic<int64_t>, kIoRoleCount> pages_written{};
-  std::array<std::atomic<int64_t>, kIoRoleCount> pages_read{};
-  std::atomic<int64_t> log_bytes_flushed{0};
-
-  void add_write(IoRole role, int64_t pages = 1) {
-    pages_written[static_cast<size_t>(role)].fetch_add(
-        pages, std::memory_order_relaxed);
-  }
-  void add_read(IoRole role, int64_t pages = 1) {
-    pages_read[static_cast<size_t>(role)].fetch_add(
-        pages, std::memory_order_relaxed);
-  }
-  void add_log_bytes(int64_t bytes) {
-    log_bytes_flushed.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  IoTally snapshot() const {
-    IoTally tally;
+  // Difference since an earlier snapshot.
+  IoTally since(const IoTally& baseline) const {
+    IoTally delta = *this;
     for (size_t i = 0; i < kIoRoleCount; ++i) {
-      tally.pages_written[i] = pages_written[i].load(std::memory_order_relaxed);
-      tally.pages_read[i] = pages_read[i].load(std::memory_order_relaxed);
+      delta.pages_written[i] -= baseline.pages_written[i];
+      delta.pages_read[i] -= baseline.pages_read[i];
     }
-    tally.log_bytes_flushed = log_bytes_flushed.load(std::memory_order_relaxed);
-    return tally;
+    delta.log_bytes_flushed -= baseline.log_bytes_flushed;
+    return delta;
   }
 };
 

@@ -17,6 +17,45 @@ Nanos steady_now() {
 }
 }  // namespace
 
+std::string encode_insert_batch_payload(
+    std::span<const std::string_view> rows) {
+  size_t bytes = 4 * rows.size();
+  for (const std::string_view row : rows) bytes += row.size();
+  std::string payload;
+  payload.reserve(bytes);
+  for (const std::string_view row : rows) {
+    const auto len = static_cast<uint32_t>(row.size());
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      payload.push_back(static_cast<char>(len >> shift));
+    }
+    payload.append(row);
+  }
+  return payload;
+}
+
+Status for_each_insert_batch_row(
+    std::string_view payload,
+    const std::function<Status(std::string_view)>& visit) {
+  while (!payload.empty()) {
+    if (payload.size() < 4) {
+      return Status(ErrorCode::kInternal,
+                    "WAL replay: truncated batch record header");
+    }
+    uint32_t len = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      len = (len << 8) | static_cast<uint8_t>(payload[i]);
+    }
+    payload.remove_prefix(4);
+    if (payload.size() < len) {
+      return Status(ErrorCode::kInternal,
+                    "WAL replay: truncated batch record row");
+    }
+    SKY_RETURN_IF_ERROR(visit(payload.substr(0, len)));
+    payload.remove_prefix(len);
+  }
+  return ok_status();
+}
+
 void WriteAheadLog::set_commit_policy(
     std::optional<Nanos> commit_window,
     std::optional<int64_t> max_group_commits) {

@@ -43,8 +43,10 @@
 #include <array>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,13 +60,21 @@ enum class WalRecordType : uint8_t {
   kRollbackInsert = 2,
   kCommit = 3,
   // One redo record covering a whole columnar batch append (the batch
-  // ingest hot path): the payload is a sequence of
-  // [u32 big-endian row length][encoded row bytes] entries, all appended to
-  // the same heap extent in payload order. Recovery replays the rows one by
-  // one into that extent, so a recovered repository is extent-identical to
-  // the original whether the load used per-row or batch redo.
+  // ingest hot path): the payload (encode_insert_batch_payload below) holds
+  // every row, all appended to the same heap extent in payload order.
+  // Recovery replays the rows one by one into that extent, so a recovered
+  // repository is extent-identical to the original whether the load used
+  // per-row or batch redo.
   kInsertBatch = 4,
 };
+
+// The kInsertBatch payload: one [u32 big-endian length][row bytes] per row.
+std::string encode_insert_batch_payload(std::span<const std::string_view> rows);
+// Visits each row in order; stops at the first error `visit` returns, or
+// with kInternal "truncated batch record header|row" at a cut entry.
+Status for_each_insert_batch_row(
+    std::string_view payload,
+    const std::function<Status(std::string_view)>& visit);
 
 struct WalRecord {
   WalRecordType type;

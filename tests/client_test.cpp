@@ -3,10 +3,12 @@
 // accounting in simulation mode.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "client/session.h"
 #include "client/sim_session.h"
+#include "common/rng.h"
 #include "core/bulk_loader.h"
 #include "db/engine.h"
 #include "sim/environment.h"
@@ -375,19 +377,87 @@ TEST(SimSessionTest, ClusterSharedTableSlowerThanSingleNodeOnlyWhenAlternating) 
   EXPECT_GT(run_nodes(2), run_nodes(1));
 }
 
+TEST(SimServerTest, CacheModelFiguresArePinned) {
+  // Two seeded loaders through one SimServer whose 48-page cache evicts
+  // clean and dirty pages and wakes DBWR: presorted object runs take the
+  // column path, shuffled ones the row path, every object probes its frame
+  // (an FK parent-leaf read), and a secondary index adds leaf writes. The
+  // expected values were captured when the cache model still lived inside
+  // db::Engine; the sim figures depend on every one of them, and on each
+  // call's delta being priced (the final virtual time).
+  db::Schema schema = two_table_schema();
+  db::TableDef objects = schema.table(1);
+  db::Schema indexed;
+  ASSERT_TRUE(indexed.add_table(schema.table(0)).is_ok());
+  objects.col("mag", db::ColumnType::kDouble, false);
+  objects.indexes.push_back(db::IndexDef{"idx_mag", {"mag"}, false, {}});
+  ASSERT_TRUE(indexed.add_table(objects).is_ok());
+  db::Engine engine(indexed);
+  sim::Environment env;
+  ServerConfig config;
+  config.cache_pages = 48;
+  config.dirty_trigger = 47;
+  SimServer server(env, engine, config);
+  for (int w = 0; w < 2; ++w) {
+    env.spawn("w" + std::to_string(w), [&, w] {
+      SimSession session(server);
+      Rng rng(31 + static_cast<uint64_t>(w));
+      const uint32_t frames = session.prepare_insert("frames").value();
+      const uint32_t object_table = session.prepare_insert("objects").value();
+      for (int round = 0; round < 12; ++round) {
+        const int64_t frame_base = w * 1'000'000 + round * 20;
+        std::vector<db::Row> frame_rows;
+        for (int i = 0; i < 20; ++i) {
+          frame_rows.push_back(frame(frame_base + i));
+        }
+        session.execute_batch(frames, frame_rows);
+        const int64_t object_base = (w * 100 + round) * 1'000;
+        std::vector<int64_t> ids;
+        for (int64_t i = 0; i < 400; ++i) ids.push_back(object_base + i);
+        if (round % 2 == 1) {
+          for (size_t i = ids.size() - 1; i > 0; --i) {
+            std::swap(ids[i], ids[static_cast<size_t>(rng.uniform_int(
+                                  0, static_cast<int64_t>(i)))]);
+          }
+        }
+        db::ColumnBatch batch(objects);
+        for (const int64_t id : ids) {
+          batch.push_i64(0, id);
+          batch.push_i64(1, frame_base + rng.uniform_int(0, 19));
+          batch.push_f64(2, rng.uniform_range(10.0, 25.0));
+        }
+        session.execute_column_batch(object_table, batch, 0, batch.size());
+        ASSERT_TRUE(session.commit().is_ok());
+      }
+    });
+  }
+  env.run();
+  EXPECT_EQ(engine.live_view().row_count(1), 2 * 12 * 400);
+
+  const storage::CacheEvents cache = server.cache_events();
+  EXPECT_EQ(cache.hits, 17668);
+  EXPECT_EQ(cache.misses, 3994);
+  EXPECT_EQ(cache.clean_evictions, 3787);
+  EXPECT_EQ(cache.dirty_evictions, 159);
+  EXPECT_EQ(cache.writer_wakes, 106);
+  EXPECT_EQ(cache.writer_scanned_frames, 5088);
+  EXPECT_EQ(cache.writer_flushed_pages, 4982);
+  const storage::IoTally io = server.io_tally();
+  EXPECT_EQ(io.pages_written, (std::array<int64_t, 3>{136, 5005, 0}));
+  EXPECT_EQ(io.pages_read, (std::array<int64_t, 3>{58, 3936, 0}));
+  EXPECT_EQ(env.now(), 2'775'470'508);
+}
+
 TEST(SimSessionTest, SingleDeviceLayoutSlowerThanSeparate) {
   // The section 4.5.3 mechanism: with everything on one RAID, log flushes
   // queue behind data/index writes.
   auto run_layout = [](storage::DeviceLayout layout) {
-    db::Schema schema = two_table_schema();
-    db::EngineOptions engine_options;
-    engine_options.device_layout = layout;
-    engine_options.dirty_trigger = 16;  // flush often to stress devices
-    engine_options.cache_pages = 64;
-    db::Engine engine(std::move(schema), engine_options);
+    db::Engine engine(two_table_schema());
     sim::Environment env;
     ServerConfig config;
     config.device_layout = layout;
+    config.dirty_trigger = 16;  // flush often to stress devices
+    config.cache_pages = 64;
     SimServer server(env, engine, config);
     for (int w = 0; w < 3; ++w) {
       env.spawn("w" + std::to_string(w), [&, w] {

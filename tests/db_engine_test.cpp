@@ -36,7 +36,7 @@ Schema frames_objects_schema() {
   objects.col("mag", ColumnType::kDouble);
   objects.primary_key = {"object_id"};
   objects.foreign_keys.push_back(ForeignKey{{"frame_id"}, "frames"});
-  objects.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false});
+  objects.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false, {}});
   objects.checks.push_back(CheckConstraint{"ra", 0.0, 360.0});
   objects.checks.push_back(CheckConstraint{"dec", -90.0, 90.0});
   EXPECT_TRUE(schema.add_table(objects).is_ok());

@@ -368,18 +368,18 @@ TEST(SchemaTest, IndexAndCheckValidation) {
   Schema schema;
   TableDef def = simple_table("t");
   def.col("mag", ColumnType::kDouble);
-  def.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false});
+  def.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false, {}});
   def.checks.push_back(CheckConstraint{"mag", -5.0, 40.0});
   ASSERT_TRUE(schema.add_table(def).is_ok());
 
   TableDef bad_index = simple_table("u");
-  bad_index.indexes.push_back(IndexDef{"idx", {"ghost"}, false});
+  bad_index.indexes.push_back(IndexDef{"idx", {"ghost"}, false, {}});
   EXPECT_FALSE(schema.add_table(bad_index).is_ok());
 
   TableDef dup_index = simple_table("v");
   dup_index.col("m", ColumnType::kDouble);
-  dup_index.indexes.push_back(IndexDef{"i", {"m"}, false});
-  dup_index.indexes.push_back(IndexDef{"i", {"m"}, false});
+  dup_index.indexes.push_back(IndexDef{"i", {"m"}, false, {}});
+  dup_index.indexes.push_back(IndexDef{"i", {"m"}, false, {}});
   EXPECT_FALSE(schema.add_table(dup_index).is_ok());
 
   TableDef string_check = simple_table("w");

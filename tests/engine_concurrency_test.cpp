@@ -176,10 +176,6 @@ TEST(EngineConcurrencyTest, MixedWritersReadersTelemetry) {
       const auto records = engine.wal_records();
       EXPECT_GE(records.size(), last_record_count);
       last_record_count = records.size();
-      const storage::CacheEvents cache = engine.cache_events();
-      EXPECT_GE(cache.misses, 0);
-      const storage::IoTally io = engine.io_tally();
-      EXPECT_GE(io.log_bytes_flushed, 0);
       (void)engine.stats().concurrency;
       std::this_thread::yield();
     }

@@ -148,9 +148,9 @@ TEST(LoadReportTest, MarkdownRendering) {
 
 TEST(TuningProfileTest, OptionMappings) {
   const TuningProfile production = TuningProfile::production();
-  const auto engine_options = production.engine_options();
-  EXPECT_EQ(engine_options.cache_pages, production.server_cache_pages);
-  EXPECT_EQ(engine_options.device_layout.physical_devices, 3);
+  const auto server_config = production.server_config();
+  EXPECT_EQ(server_config.cache_pages, production.server_cache_pages);
+  EXPECT_EQ(server_config.device_layout.physical_devices, 3);
   const auto bulk = production.bulk_options();
   EXPECT_EQ(bulk.batch_size, 4000);
   EXPECT_EQ(bulk.array_config.default_rows, 4000);

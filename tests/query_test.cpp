@@ -20,7 +20,8 @@ Schema stars_schema() {
   stars.col("color", ColumnType::kDouble);
   stars.col("name", ColumnType::kString);
   stars.primary_key = {"star_id"};
-  stars.indexes.push_back(IndexDef{"idx_field_mag", {"field", "mag"}, false});
+  stars.indexes.push_back(
+      IndexDef{"idx_field_mag", {"field", "mag"}, false, {}});
   EXPECT_TRUE(schema.add_table(stars).is_ok());
   return schema;
 }

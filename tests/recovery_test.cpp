@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -124,6 +125,55 @@ TEST(RecoveryTest, EmptyLogRecoversEmptyEngine) {
   const auto recovered = recover_from_wal(schema, {});
   ASSERT_TRUE(recovered.is_ok());
   EXPECT_EQ((*recovered)->total_rows(), 0);
+}
+
+TEST(RecoveryTest, TruncatedBatchRecordIsRejected) {
+  // One committed three-row columnar run logs one kInsertBatch record. Cut
+  // its payload inside the second row's length header, then inside the
+  // second row's bytes: replay must stop with the matching error.
+  const Schema schema = pair_schema();
+  Engine engine(schema, retain_options());
+  const uint64_t txn = engine.begin_transaction();
+  ColumnBatch batch(schema.table(0));
+  for (int64_t id = 1; id <= 3; ++id) {
+    batch.push_i64(0, id);
+    batch.push_str(1, "row" + std::to_string(id));
+  }
+  const BatchResult inserted = engine.insert_column_batch(txn, 0, batch);
+  ASSERT_EQ(inserted.rows_applied, 3);
+  ASSERT_TRUE(engine.commit(txn).is_ok());
+  std::vector<storage::WalRecord> records = engine.wal_records();
+  const auto batch_record =
+      std::find_if(records.begin(), records.end(), [](const auto& record) {
+        return record.type == storage::WalRecordType::kInsertBatch;
+      });
+  ASSERT_NE(batch_record, records.end());
+  const std::string payload = batch_record->payload;
+  std::string first_row;
+  batch.encode_row_to(0, first_row);
+  const size_t first_entry = 4 + first_row.size();
+  ASSERT_GT(payload.size(), first_entry + 5);
+
+  const auto recover_cut = [&](size_t keep) {
+    batch_record->payload = payload.substr(0, keep);
+    return recover_from_wal(schema, records);
+  };
+  const auto header_cut = recover_cut(first_entry + 2);
+  ASSERT_FALSE(header_cut.is_ok());
+  EXPECT_EQ(header_cut.status().code(), ErrorCode::kInternal);
+  EXPECT_NE(header_cut.status().message().find(
+                "truncated batch record header"),
+            std::string::npos)
+      << header_cut.status().to_string();
+  const auto row_cut = recover_cut(first_entry + 5);
+  ASSERT_FALSE(row_cut.is_ok());
+  EXPECT_EQ(row_cut.status().code(), ErrorCode::kInternal);
+  EXPECT_NE(row_cut.status().message().find("truncated batch record row"),
+            std::string::npos)
+      << row_cut.status().to_string();
+  const auto whole = recover_cut(payload.size());
+  ASSERT_TRUE(whole.is_ok());
+  EXPECT_TRUE(engines_equivalent(engine, **whole).is_ok());
 }
 
 TEST(RecoveryTest, FullLoaderRunRoundTrips) {

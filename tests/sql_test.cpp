@@ -19,7 +19,8 @@ Schema stars_schema() {
   stars.col("name", ColumnType::kString);
   stars.col("seen_at", ColumnType::kTimestamp);
   stars.primary_key = {"star_id"};
-  stars.indexes.push_back(IndexDef{"idx_field_mag", {"field", "mag"}, false});
+  stars.indexes.push_back(
+      IndexDef{"idx_field_mag", {"field", "mag"}, false, {}});
   EXPECT_TRUE(schema.add_table(stars).is_ok());
   return schema;
 }
