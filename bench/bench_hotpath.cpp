@@ -177,23 +177,23 @@ int64_t run_stage_breakdown(const sky::core::CatalogFile& file,
     }
 
     timer.start("append");
-    std::vector<std::string> encoded(batch.size());
+    sky::storage::PackedRows encoded;
+    encoded.ends.reserve(batch.size());
     for (size_t r = 0; r < batch.size(); ++r) {
-      batch.encode_row_to(r, encoded[r]);
+      batch.encode_row_to(r, encoded.bytes);
+      encoded.end_row();
     }
+    const sky::storage::ShardedHeap::BatchAppendResult appended =
+        heap.append_batch(0, encoded);
     timer.stop("append");
 
-    // wal before the heap consumes the encoded rows — the engine's publish
-    // order, and it lets the heap take them by move.
+    // wal from the stored row views, then publish — the engine's order.
     timer.start("wal");
-    const std::vector<std::string_view> views(encoded.begin(), encoded.end());
     wal.append(sky::storage::WalRecordType::kInsertBatch, 1, table_id,
-               sky::storage::encode_insert_batch_payload(views));
+               sky::storage::encode_insert_batch_payload(appended.views));
     timer.stop("wal");
 
     timer.start("append");
-    const sky::storage::ShardedHeap::BatchAppendResult appended =
-        heap.append_batch(0, std::move(encoded));
     if (!heap.publish_batch(appended.slots).is_ok()) std::abort();
     timer.stop("append");
 

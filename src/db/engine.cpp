@@ -16,21 +16,23 @@
 namespace sky::db {
 
 namespace {
-// Tally the types of the columns behind one inserted index entry (cost-model
-// input: float keys are priced higher than integer keys).
+// Tally the types of the columns behind `keys` inserted index entries over
+// the same columns (cost-model input: float keys are priced higher than
+// integer keys). The counts depend only on the schema, so a run is tallied
+// once, multiplied by its length.
 void count_index_columns(const TableDef& def,
-                         const std::vector<int>& column_indices,
+                         const std::vector<int>& column_indices, int64_t keys,
                          OpCosts& costs) {
   for (const int idx : column_indices) {
     switch (def.columns[static_cast<size_t>(idx)].type) {
       case ColumnType::kDouble:
-        ++costs.index_float_columns;
+        costs.index_float_columns += keys;
         break;
       case ColumnType::kString:
-        ++costs.index_string_columns;
+        costs.index_string_columns += keys;
         break;
       default:
-        ++costs.index_int_columns;
+        costs.index_int_columns += keys;
     }
   }
 }
@@ -594,12 +596,15 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   // parallel.
   storage::ShardedHeap::BatchAppendResult appended;
   if (limit > 0) {
-    std::vector<std::string> row_bytes(limit);
+    // One packed encode of the whole prefix: no allocation per row.
+    storage::PackedRows rows;
+    rows.ends.reserve(limit);
     for (size_t i = 0; i < limit; ++i) {
-      batch.encode_row_to(first + i, row_bytes[i]);
-      costs.heap_bytes += static_cast<int64_t>(row_bytes[i].size());
+      batch.encode_row_to(first + i, rows.bytes);
+      rows.end_row();
     }
-    appended = table.heap().append_batch(extent, std::move(row_bytes));
+    costs.heap_bytes += static_cast<int64_t>(rows.bytes.size());
+    appended = table.heap().append_batch(extent, rows);
     costs.lock_wait_ns += appended.latch_wait_ns;
     costs.heap_pages_opened += appended.pages_opened;
 
@@ -659,8 +664,9 @@ std::optional<BatchError> Engine::insert_column_run_latched(
 
     std::vector<std::pair<std::string, uint64_t>> pk_run;
     pk_run.reserve(limit);
+    count_index_columns(def, table.pk_column_indices(),
+                        static_cast<int64_t>(limit), costs);
     for (size_t i = 0; i < limit; ++i) {
-      count_index_columns(def, table.pk_column_indices(), costs);
       pk_run.emplace_back(std::move(pk_keys[i]), row_ids[i]);
     }
     index::BPlusTree::RunTouch pk_touch;
@@ -683,6 +689,12 @@ std::optional<BatchError> Engine::insert_column_run_latched(
       // carries the row-id suffix — unique and disjoint by construction.
       std::vector<std::pair<std::string, uint64_t>> run;
       run.reserve(limit);
+      const auto key_rows = static_cast<int64_t>(limit);
+      if (secondary.def.htm.has_value()) {
+        costs.index_int_columns += key_rows;  // one trixel id per key
+      } else {
+        count_index_columns(def, secondary.column_indices, key_rows, costs);
+      }
       index::KeyEncoder encoder;
       for (size_t i = 0; i < limit; ++i) {
         if (secondary.def.htm.has_value()) {
@@ -696,13 +708,11 @@ std::optional<BatchError> Engine::insert_column_run_latched(
               batch.f64_at(r,
                            static_cast<size_t>(secondary.column_indices[1])),
               secondary.def.htm->depth)));
-          ++costs.index_int_columns;
         } else {
           for (const int idx : secondary.column_indices) {
             batch.append_cell_to_key(encoder, first + i,
                                      static_cast<size_t>(idx));
           }
-          count_index_columns(def, secondary.column_indices, costs);
         }
         encoder.append_int64(static_cast<int64_t>(row_ids[i]));
         std::string key = encoder.take();
@@ -941,7 +951,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   ++table.key_publishes;
   costs.index_updates += 1;
   costs.index_node_visits += pk_touch.nodes_visited;
-  count_index_columns(table.def(), table.pk_column_indices(), costs);
+  count_index_columns(table.def(), table.pk_column_indices(), 1, costs);
   if (pk_touch.leaf_split) ++costs.index_leaf_splits;
   touch_page(
       {{table.pk_page_file, pk_touch.leaf_page_id}, storage::IoRole::kIndex});
@@ -962,7 +972,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     if (secondary.def.htm.has_value()) {
       ++costs.index_int_columns;  // key is one trixel id, not raw ra/dec
     } else {
-      count_index_columns(table.def(), secondary.column_indices, costs);
+      count_index_columns(table.def(), secondary.column_indices, 1, costs);
     }
     if (touch.leaf_split) ++costs.index_leaf_splits;
     touch_page({{secondary.page_file, touch.leaf_page_id},

@@ -1,5 +1,6 @@
 #include "db/row.h"
 
+#include <bit>
 #include <cstring>
 
 namespace sky::db {
@@ -26,15 +27,24 @@ void put_u64(std::string& out, uint64_t v) {
   }
 }
 
-Result<uint64_t> get_fixed(std::string_view data, size_t& pos, int bytes) {
-  if (pos + static_cast<size_t>(bytes) > data.size()) {
-    return Status(ErrorCode::kParseError, "row decode: truncated");
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(data[pos++]);
+// Big-endian fixed-width field at `at`; the caller has checked the bounds.
+template <typename T>
+T load_be(const char* at) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  T v;
+  std::memcpy(&v, at, sizeof(T));
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(T) == 4) {
+      v = __builtin_bswap32(v);
+    } else {
+      v = __builtin_bswap64(v);
+    }
   }
   return v;
+}
+
+Status truncated() {
+  return Status(ErrorCode::kParseError, "row decode: truncated");
 }
 
 }  // namespace
@@ -70,47 +80,55 @@ std::string encode_row(const Row& row) {
 }
 
 Result<Row> decode_row(std::string_view bytes) {
-  size_t pos = 0;
-  SKY_ASSIGN_OR_RETURN(const uint64_t count, get_fixed(bytes, pos, 4));
+  const char* const data = bytes.data();
+  const size_t size = bytes.size();
+  if (size < 4) return truncated();
+  const uint32_t count = load_be<uint32_t>(data);
+  size_t pos = 4;
   // Every column takes at least its kind byte; check before reserving.
-  if (count > bytes.size() - pos) {
+  if (count > size - pos) {
     return Status(ErrorCode::kParseError, "row decode: column count overflow");
   }
   Row row;
   row.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (pos >= bytes.size()) {
+  for (uint32_t i = 0; i < count; ++i) {
+    if (pos >= size) {
       return Status(ErrorCode::kParseError, "row decode: truncated kind");
     }
-    const auto kind = static_cast<Kind>(bytes[pos++]);
+    const auto kind = static_cast<Kind>(data[pos++]);
     switch (kind) {
       case Kind::kNull:
         row.push_back(Value::null());
         break;
-      case Kind::kInt32: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t v, get_fixed(bytes, pos, 4));
-        row.push_back(Value::i32(static_cast<int32_t>(
-            static_cast<uint32_t>(v))));
+      case Kind::kInt32:
+        if (size - pos < 4) return truncated();
+        row.push_back(
+            Value::i32(static_cast<int32_t>(load_be<uint32_t>(data + pos))));
+        pos += 4;
         break;
-      }
-      case Kind::kInt64: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t v, get_fixed(bytes, pos, 8));
-        row.push_back(Value::i64(static_cast<int64_t>(v)));
+      case Kind::kInt64:
+        if (size - pos < 8) return truncated();
+        row.push_back(
+            Value::i64(static_cast<int64_t>(load_be<uint64_t>(data + pos))));
+        pos += 8;
         break;
-      }
       case Kind::kDouble: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t bits, get_fixed(bytes, pos, 8));
+        if (size - pos < 8) return truncated();
+        const uint64_t bits = load_be<uint64_t>(data + pos);
+        pos += 8;
         double d;
         std::memcpy(&d, &bits, sizeof(d));
         row.push_back(Value::f64(d));
         break;
       }
       case Kind::kString: {
-        SKY_ASSIGN_OR_RETURN(const uint64_t len, get_fixed(bytes, pos, 4));
-        if (pos + len > bytes.size()) {
+        if (size - pos < 4) return truncated();
+        const uint32_t len = load_be<uint32_t>(data + pos);
+        pos += 4;
+        if (len > size - pos) {
           return Status(ErrorCode::kParseError, "row decode: truncated string");
         }
-        row.push_back(Value::str(std::string(bytes.substr(pos, len))));
+        row.push_back(Value::str(std::string(data + pos, len)));
         pos += len;
         break;
       }
@@ -118,7 +136,7 @@ Result<Row> decode_row(std::string_view bytes) {
         return Status(ErrorCode::kParseError, "row decode: bad kind byte");
     }
   }
-  if (pos != bytes.size()) {
+  if (pos != size) {
     return Status(ErrorCode::kParseError, "row decode: trailing bytes");
   }
   return row;

@@ -111,21 +111,77 @@ uint64_t htm_id(const Vec3& direction, int depth) {
       current = &root;
     }
   }
-  Trixel node = *current;
+  // Each level picks the child with the largest insideness (the first on a
+  // tie, in child order 0..3) — the same choice as scoring all four
+  // children_of() with insideness(), bit for bit, but from at most 9 cross
+  // products and usually 3 or 5. Child 3 = {w0, w1, w2} has the inner-edge
+  // dots a, b, c; each corner child has one inner edge reversed, and in
+  // IEEE arithmetic (no fused multiply-add: see CMakeLists.txt)
+  // y×x == −(x×y) and (−n)·p == −(n·p) exactly, so its dot is −a, −b or
+  // −c. Every corner child scores <= the negation of its inner dot, and
+  // child 3 scores <= min(a, b, c), which settles the two shortcuts.
+  uint64_t id = current->id;
+  Vec3 v0 = current->v[0];
+  Vec3 v1 = current->v[1];
+  Vec3 v2 = current->v[2];
   for (int level = 0; level < depth; ++level) {
-    const auto kids = children_of(node);
-    int best_child = 0;
-    double best_score = -2.0;
-    for (int k = 0; k < 4; ++k) {
-      const double score = insideness(kids[static_cast<size_t>(k)].v, p);
-      if (score > best_score) {
-        best_score = score;
-        best_child = k;
-      }
+    const Vec3 w0 = midpoint(v1, v2);
+    const Vec3 w1 = midpoint(v0, v2);
+    const Vec3 w2 = midpoint(v0, v1);
+    const double a = w0.cross(w1).dot(p);
+    const double b = w1.cross(w2).dot(p);
+    const double c = w2.cross(w0).dot(p);
+    int child = -1;
+    if (a > 0 && b > 0 && c > 0) {
+      child = 3;  // every corner child scores < 0
+    } else if (b < 0 && a >= 0 && c >= 0) {
+      // Only child 0 can score > 0; it wins if it does.
+      if (std::min(v0.cross(w2).dot(p), w1.cross(v0).dot(p)) > 0) child = 0;
+    } else if (c < 0 && a >= 0 && b >= 0) {
+      if (std::min(v1.cross(w0).dot(p), w2.cross(v1).dot(p)) > 0) child = 1;
+    } else if (a < 0 && b >= 0 && c >= 0) {
+      if (std::min(v2.cross(w1).dot(p), w0.cross(v2).dot(p)) > 0) child = 2;
     }
-    node = kids[static_cast<size_t>(best_child)];
+    if (child < 0) {
+      // Near an edge: score all four, in insideness()'s edge order.
+      const double scores[4] = {
+          std::min({v0.cross(w2).dot(p), -b, w1.cross(v0).dot(p)}),
+          std::min({v1.cross(w0).dot(p), -c, w2.cross(v1).dot(p)}),
+          std::min({v2.cross(w1).dot(p), -a, w0.cross(v2).dot(p)}),
+          std::min({a, b, c}),
+      };
+      double best_score = -2.0;
+      for (int k = 0; k < 4; ++k) {
+        if (scores[k] > best_score) {
+          best_score = scores[k];
+          child = k;
+        }
+      }
+      if (child < 0) child = 0;  // NaN direction: as children_of()[0]
+    }
+    switch (child) {
+      case 0:
+        v1 = w2;
+        v2 = w1;
+        break;
+      case 1:
+        v0 = v1;
+        v1 = w0;
+        v2 = w2;
+        break;
+      case 2:
+        v0 = v2;
+        v1 = w1;
+        v2 = w0;
+        break;
+      default:
+        v0 = w0;
+        v1 = w1;
+        v2 = w2;
+    }
+    id = id * 4 + static_cast<uint64_t>(child);
   }
-  return node.id;
+  return id;
 }
 
 uint64_t htm_id_radec(double ra_deg, double dec_deg, int depth) {

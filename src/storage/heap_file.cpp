@@ -1,37 +1,45 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <limits>
+
 namespace sky::storage {
 
-HeapFile::AppendResult HeapFile::append_with_state(std::string row_bytes,
+HeapFile::AppendResult HeapFile::append_with_state(std::string_view row,
                                                    RowState state) {
-  const int64_t row_size = static_cast<int64_t>(row_bytes.size());
+  assert(row.size() <= std::numeric_limits<uint32_t>::max());
+  const auto row_size = static_cast<uint32_t>(row.size());
   bool opened_new_page = false;
   if (pages_.empty() ||
-      pages_.back().bytes_used + row_size > kPageSize) {
-    pages_.emplace_back();
+      pages_.back().bytes_used() + int64_t{row_size} > kPageSize) {
+    Page& page = pages_.emplace_back();
+    page.bytes = std::make_unique_for_overwrite<char[]>(
+        std::max<size_t>(static_cast<size_t>(kPageSize), row_size));
     opened_new_page = true;
   }
   Page& page = pages_.back();
-  page.bytes_used += row_size;
-  page.rows.push_back(std::move(row_bytes));
+  const uint32_t begin = page.bytes_used();
+  if (row_size > 0) std::memcpy(page.bytes.get() + begin, row.data(), row_size);
+  page.row_ends.push_back(begin + row_size);
   page.states.push_back(state);
   if (state == RowState::kLive) {
     ++live_rows_;
     total_bytes_ += row_size;
   }
-  const SlotId slot{extent_id_,
-                    static_cast<uint32_t>(pages_.size() - 1),
-                    static_cast<uint32_t>(page.rows.size() - 1)};
-  return AppendResult{slot, opened_new_page,
-                      std::string_view(page.rows.back())};
+  const auto slot_index = static_cast<uint32_t>(page.states.size() - 1);
+  const SlotId slot{extent_id_, static_cast<uint32_t>(pages_.size() - 1),
+                    slot_index};
+  return AppendResult{slot, opened_new_page, page.row(slot_index)};
 }
 
-HeapFile::AppendResult HeapFile::append(std::string row_bytes) {
-  return append_with_state(std::move(row_bytes), RowState::kLive);
+HeapFile::AppendResult HeapFile::append(std::string_view row) {
+  return append_with_state(row, RowState::kLive);
 }
 
-HeapFile::AppendResult HeapFile::append_pending(std::string row_bytes) {
-  return append_with_state(std::move(row_bytes), RowState::kPending);
+HeapFile::AppendResult HeapFile::append_pending(std::string_view row) {
+  return append_with_state(row, RowState::kPending);
 }
 
 Result<HeapFile::Page*> HeapFile::page_for(SlotId slot) {
@@ -42,7 +50,7 @@ Result<HeapFile::Page*> HeapFile::page_for(SlotId slot) {
     return Status(ErrorCode::kNotFound, "heap page out of range");
   }
   Page& page = pages_[slot.page];
-  if (slot.slot >= page.rows.size()) {
+  if (slot.slot >= page.states.size()) {
     return Status(ErrorCode::kNotFound, "heap slot out of range");
   }
   return &page;
@@ -62,7 +70,7 @@ Result<std::string_view> HeapFile::read(SlotId slot) const {
   if (page->states[slot.slot] == RowState::kDead) {
     return Status(ErrorCode::kNotFound, "heap slot tombstoned");
   }
-  return std::string_view(page->rows[slot.slot]);
+  return page->row(slot.slot);
 }
 
 Status HeapFile::publish(SlotId slot) {
@@ -72,7 +80,7 @@ Status HeapFile::publish(SlotId slot) {
   }
   page->states[slot.slot] = RowState::kLive;
   ++live_rows_;
-  total_bytes_ += static_cast<int64_t>(page->rows[slot.slot].size());
+  total_bytes_ += static_cast<int64_t>(page->row(slot.slot).size());
   return ok_status();
 }
 
@@ -92,7 +100,7 @@ Status HeapFile::mark_deleted(SlotId slot) {
   }
   page->states[slot.slot] = RowState::kDead;
   --live_rows_;
-  total_bytes_ -= static_cast<int64_t>(page->rows[slot.slot].size());
+  total_bytes_ -= static_cast<int64_t>(page->row(slot.slot).size());
   return ok_status();
 }
 

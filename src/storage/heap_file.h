@@ -11,12 +11,23 @@
 // HeapFile is extent 0 of a one-extent heap. Slot addresses are therefore
 // three-dimensional: {extent, page, slot}.
 //
-// Storage stability contract: row bytes never move once appended. Pages and
-// rows live in deques (chunk-stable, no reallocation of existing elements),
-// so a string_view returned by read() remains valid for the heap's lifetime
-// even while later appends grow the file. (The seed kept pages in a
-// std::vector, so a concurrent append could reallocate the page array and
-// dangle outstanding views; sharded_heap_test has the regression test.)
+// Page layout: each page owns one byte buffer of kPageSize bytes, allocated
+// when the page opens; rows are copied in end to end. Beside the buffer sit
+// the per-slot row-end offsets (uint32) and row states (one byte each), so a
+// row costs its encoded bytes plus 5 bytes of slot directory. A row larger
+// than kPageSize gets a page of its own, sized to fit it. The fill rule is
+// "bytes_used + size > kPageSize opens a page", so the slot/page sequence
+// (and every page-count cost input) depends only on the sequence of row
+// sizes.
+//
+// Storage stability contract: row bytes never move once appended. A page's
+// buffer is allocated once at its final size and never grows or moves (the
+// page records that own it may be relocated as the page array grows; the
+// buffers they point to are not), so a string_view returned by append(),
+// read() or scan() remains valid for the heap's lifetime even while later
+// appends grow the file. Snapshot chunks and undo entries rely on this to
+// hold row views without a later latched read; sharded_heap_test and
+// storage_test have the regression tests.
 //
 // Rows support two-phase insertion: append() makes a row live immediately,
 // while append_pending() hides it from read()/scan()/counters until
@@ -27,8 +38,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -53,20 +63,20 @@ class HeapFile {
 
   uint32_t extent_id() const { return extent_id_; }
 
-  // Append a serialized row. Returns its slot, whether a fresh page was
-  // opened to hold it (cost-model signal: one more dirty page), and a view
-  // of the stored bytes — valid for the heap's lifetime per the stability
-  // contract, so callers (snapshot chunks) can reference the row without a
-  // later latched read.
+  // Copy a serialized row into the heap. Returns its slot, whether a fresh
+  // page was opened to hold it (cost-model signal: one more dirty page), and
+  // a view of the stored bytes — valid for the heap's lifetime per the
+  // stability contract, so callers (snapshot chunks) can reference the row
+  // without a later latched read.
   struct AppendResult {
     SlotId slot;
     bool opened_new_page;
     std::string_view bytes;
   };
-  AppendResult append(std::string row_bytes);
+  AppendResult append(std::string_view row);
   // Append a hidden row: invisible to read()/scan() and excluded from
   // row_count()/total_bytes() until publish(). It still occupies page space.
-  AppendResult append_pending(std::string row_bytes);
+  AppendResult append_pending(std::string_view row);
   // Make a pending row live. Errors if the slot is not pending.
   Status publish(SlotId slot);
   // Drop a pending row that failed its constraint checks; the slot stays
@@ -91,9 +101,9 @@ class HeapFile {
   void scan(Fn&& fn) const {
     for (uint32_t p = 0; p < pages_.size(); ++p) {
       const Page& page = pages_[p];
-      for (uint32_t s = 0; s < page.rows.size(); ++s) {
+      for (uint32_t s = 0; s < page.states.size(); ++s) {
         if (page.states[s] == RowState::kLive) {
-          fn(SlotId{extent_id_, p, s}, std::string_view(page.rows[s]));
+          fn(SlotId{extent_id_, p, s}, page.row(s));
         }
       }
     }
@@ -103,20 +113,29 @@ class HeapFile {
   enum class RowState : uint8_t { kPending, kLive, kDead };
 
   struct Page {
-    // Deque: row bytes never move as the page fills (stability contract).
-    std::deque<std::string> rows;
-    std::vector<RowState> states;
-    int64_t bytes_used = 0;
+    // Fixed at open (kPageSize, or the one oversized row's size); never
+    // reallocated (stability contract).
+    std::unique_ptr<char[]> bytes;
+    std::vector<uint32_t> row_ends;  // per slot: offset one past its bytes
+    std::vector<RowState> states;    // per slot
+
+    uint32_t bytes_used() const {
+      return row_ends.empty() ? 0 : row_ends.back();
+    }
+    std::string_view row(uint32_t s) const {
+      const uint32_t begin = s == 0 ? 0 : row_ends[s - 1];
+      return {bytes.get() + begin, row_ends[s] - begin};
+    }
   };
 
-  AppendResult append_with_state(std::string row_bytes, RowState state);
+  AppendResult append_with_state(std::string_view row, RowState state);
   // Locate a slot's page, validating extent/page/slot bounds.
   Result<Page*> page_for(SlotId slot);
   Result<const Page*> page_for(SlotId slot) const;
 
   uint32_t extent_id_;
-  // Deque: pages never move as the file grows (stability contract).
-  std::deque<Page> pages_;
+  // Page records may move as this grows; their buffers do not.
+  std::vector<Page> pages_;
   int64_t live_rows_ = 0;
   int64_t total_bytes_ = 0;
 };

@@ -37,18 +37,17 @@ ShardedHeap::ShardedHeap(uint32_t extent_count, Nanos append_write_latency)
 }
 
 ShardedHeap::AppendResult ShardedHeap::append_with(uint32_t extent,
-                                                   std::string row_bytes,
+                                                   std::string_view row,
                                                    bool pending) {
   const uint32_t e = extent % extent_count();
   Extent& target = *extents_[e];
-  const int64_t row_size = static_cast<int64_t>(row_bytes.size());
+  const auto row_size = static_cast<int64_t>(row.size());
   AppendResult result;
   result.latch_wait_ns = lock_extent_timed(target.latch);
   const std::unique_lock<std::shared_mutex> latch(target.latch,
                                                   std::adopt_lock);
   const HeapFile::AppendResult appended =
-      pending ? target.file.append_pending(std::move(row_bytes))
-              : target.file.append(std::move(row_bytes));
+      pending ? target.file.append_pending(row) : target.file.append(row);
   result.slot = appended.slot;
   result.opened_new_page = appended.opened_new_page;
   result.bytes = appended.bytes;
@@ -70,37 +69,36 @@ ShardedHeap::AppendResult ShardedHeap::append_with(uint32_t extent,
 }
 
 ShardedHeap::AppendResult ShardedHeap::append(uint32_t extent,
-                                              std::string row_bytes) {
-  return append_with(extent, std::move(row_bytes), /*pending=*/false);
+                                              std::string_view row) {
+  return append_with(extent, row, /*pending=*/false);
 }
 
 ShardedHeap::AppendResult ShardedHeap::append_pending(uint32_t extent,
-                                                      std::string row_bytes) {
-  return append_with(extent, std::move(row_bytes), /*pending=*/true);
+                                                      std::string_view row) {
+  return append_with(extent, row, /*pending=*/true);
 }
 
 ShardedHeap::BatchAppendResult ShardedHeap::append_batch(
-    uint32_t extent, std::vector<std::string> rows) {
+    uint32_t extent, const PackedRows& rows) {
   BatchAppendResult result;
-  if (rows.empty()) return result;
+  if (rows.size() == 0) return result;
   const uint32_t e = extent % extent_count();
   Extent& target = *extents_[e];
-  int64_t batch_bytes = 0;
   result.slots.reserve(rows.size());
   result.views.reserve(rows.size());
   result.latch_wait_ns = lock_extent_timed(target.latch);
   const std::unique_lock<std::shared_mutex> latch(target.latch,
                                                   std::adopt_lock);
-  for (std::string& row_bytes : rows) {
-    batch_bytes += static_cast<int64_t>(row_bytes.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
     const HeapFile::AppendResult appended =
-        target.file.append_pending(std::move(row_bytes));
+        target.file.append_pending(rows.row(i));
     result.slots.push_back(appended.slot);
     result.views.push_back(appended.bytes);
     if (appended.opened_new_page) ++result.pages_opened;
   }
   pages_.fetch_add(result.pages_opened, std::memory_order_relaxed);
-  target.appended_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
+  target.appended_bytes.fetch_add(int64_t{rows.ends.back()},
+                                  std::memory_order_relaxed);
   if (append_write_latency_ > 0) {
     // One modeled device write per row, paid as a single sleep under the
     // extent latch (same total as the row path, one syscall).

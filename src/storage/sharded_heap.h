@@ -35,6 +35,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -45,6 +46,22 @@ namespace sky::storage {
 
 // Extent count ceiling fixed by row-id packing (db/table.h: 8 extent bits).
 constexpr uint32_t kMaxHeapExtents = 256;
+
+// A run of serialized rows packed end to end in one buffer: `ends[i]` is the
+// offset one past row i. The columnar insert path encodes a run once into
+// this (no allocation per row); append_batch() copies it into heap pages.
+struct PackedRows {
+  std::string bytes;
+  std::vector<uint32_t> ends;
+
+  size_t size() const { return ends.size(); }
+  // Close the row just written to the end of `bytes`.
+  void end_row() { ends.push_back(static_cast<uint32_t>(bytes.size())); }
+  std::string_view row(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return {bytes.data() + begin, ends[i] - begin};
+  }
+};
 
 class ShardedHeap {
  public:
@@ -66,21 +83,21 @@ class ShardedHeap {
     // View of the stored row bytes (stable for the heap's lifetime).
     std::string_view bytes;
   };
-  // Append a live row to the given extent (clamped into range).
-  AppendResult append(uint32_t extent, std::string row_bytes);
+  // Copy a live row into the given extent (clamped into range).
+  AppendResult append(uint32_t extent, std::string_view row);
   // Two-phase insert support (see heap_file.h): append hidden, then
   // publish() once constraints are settled, or discard() on failure.
-  AppendResult append_pending(uint32_t extent, std::string row_bytes);
+  AppendResult append_pending(uint32_t extent, std::string_view row);
   Status publish(SlotId slot);
   Status discard(SlotId slot);
 
-  // Batch append for the columnar insert path: every row lands pending in
-  // the given extent under ONE latch acquisition, hidden until
-  // publish_batch() (discard() drops one). Slot layout is identical to the
-  // same rows appended one by one; the modeled per-append device write is
-  // slept once for the whole batch (rows.size() x append_write_latency)
-  // under the latch, preserving the one-write-stream-per-extent contention
-  // model.
+  // Batch append for the columnar insert path: every row of the packed run
+  // lands pending in the given extent under ONE latch acquisition, hidden
+  // until publish_batch() (discard() drops one). Slot layout is identical
+  // to the same rows appended one by one; the modeled per-append device
+  // write is slept once for the whole batch (rows.size() x
+  // append_write_latency) under the latch, preserving the
+  // one-write-stream-per-extent contention model.
   struct BatchAppendResult {
     std::vector<SlotId> slots;   // one per row, in submission order
     // Views of the stored rows, aligned with `slots` (stable views).
@@ -88,8 +105,7 @@ class ShardedHeap {
     int64_t pages_opened = 0;
     Nanos latch_wait_ns = 0;
   };
-  BatchAppendResult append_batch(uint32_t extent,
-                                 std::vector<std::string> rows);
+  BatchAppendResult append_batch(uint32_t extent, const PackedRows& rows);
   // Make pending rows live, taking each slot's extent latch once per run of
   // same-extent slots. Errors if a slot is not pending.
   Status publish_batch(std::span<const SlotId> slots);
@@ -145,7 +161,7 @@ class ShardedHeap {
     std::atomic<int64_t> appended_bytes{0};
   };
 
-  AppendResult append_with(uint32_t extent, std::string row_bytes,
+  AppendResult append_with(uint32_t extent, std::string_view row,
                            bool pending);
   Extent& extent_for(SlotId slot) const;
 

@@ -161,6 +161,104 @@ TEST(HtmIdTest, EveryRootClaimsItsCenter) {
   }
 }
 
+// The descent htm_id() replaced, kept verbatim as the oracle: score all four
+// children with the min of their three edge-plane dots and take the first
+// maximum.
+double reference_insideness(const std::array<Vec3, 3>& v, const Vec3& p) {
+  const double d0 = v[0].cross(v[1]).dot(p);
+  const double d1 = v[1].cross(v[2]).dot(p);
+  const double d2 = v[2].cross(v[0]).dot(p);
+  return std::min({d0, d1, d2});
+}
+
+std::array<Trixel, 4> reference_children(const Trixel& t) {
+  const Vec3 w0 = (t.v[1] + t.v[2]).normalized();
+  const Vec3 w1 = (t.v[0] + t.v[2]).normalized();
+  const Vec3 w2 = (t.v[0] + t.v[1]).normalized();
+  return {
+      Trixel{t.id * 4 + 0, {t.v[0], w2, w1}},
+      Trixel{t.id * 4 + 1, {t.v[1], w0, w2}},
+      Trixel{t.id * 4 + 2, {t.v[2], w1, w0}},
+      Trixel{t.id * 4 + 3, {w0, w1, w2}},
+  };
+}
+
+uint64_t reference_htm_id(const Vec3& direction, int depth) {
+  const Vec3 p = direction.normalized();
+  const Trixel* current = &root_trixels()[0];
+  double best = -2.0;
+  for (const Trixel& root : root_trixels()) {
+    const double score = reference_insideness(root.v, p);
+    if (score > best) {
+      best = score;
+      current = &root;
+    }
+  }
+  Trixel node = *current;
+  for (int level = 0; level < depth; ++level) {
+    const auto kids = reference_children(node);
+    int best_child = 0;
+    double best_score = -2.0;
+    for (int k = 0; k < 4; ++k) {
+      const double score =
+          reference_insideness(kids[static_cast<size_t>(k)].v, p);
+      if (score > best_score) {
+        best_score = score;
+        best_child = k;
+      }
+    }
+    node = kids[static_cast<size_t>(best_child)];
+  }
+  return node.id;
+}
+
+// An id at depth d is the depth-d prefix of the same point's deeper id (one
+// descent), so comparing at a deep level checks every shallower one too.
+constexpr int kOracleDepth = 24;
+
+TEST(HtmIdTest, MatchesReferenceOnRandomDirections) {
+  Rng rng(20260);
+  int mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const Vec3 p = random_direction(rng);
+    if (htm_id(p, kOracleDepth) != reference_htm_id(p, kOracleDepth)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(HtmIdTest, MatchesReferenceOnTrixelVerticesAndEdgeMidpoints) {
+  // Points exactly on trixel edges are where the children's scores tie.
+  std::vector<Vec3> points;
+  for (const Trixel& root : root_trixels()) {
+    for (size_t e = 0; e < 3; ++e) {
+      points.push_back(root.v[e]);
+      points.push_back(root.v[e] * -1.0);
+      points.push_back((root.v[e] + root.v[(e + 1) % 3]).normalized());
+    }
+  }
+  Rng rng(614);
+  for (const int depth : {6, 10, 14, 20}) {
+    for (int i = 0; i < 4000; ++i) {
+      const Trixel t =
+          trixel_from_id(htm_id(random_direction(rng), depth)).value();
+      for (size_t e = 0; e < 3; ++e) {
+        points.push_back(t.v[e]);
+        points.push_back((t.v[e] + t.v[(e + 1) % 3]).normalized());
+      }
+    }
+  }
+  ASSERT_GE(points.size(), 96000u);
+  int mismatches = 0;
+  for (const Vec3& p : points) {
+    if (htm_id(p, kOracleDepth) != reference_htm_id(p, kOracleDepth)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 // -------------------------------------------------------------- cone cover ---
 
 bool ranges_cover(const std::vector<IdRange>& ranges, uint64_t id) {

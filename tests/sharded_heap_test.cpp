@@ -296,7 +296,7 @@ TEST(ShardedHeapConcurrencyTest, SharedExtentAppendsStaySequential) {
 TEST(ShardedHeapConcurrencyTest, ViewsSurviveConcurrentAppends) {
   // Regression for the dangling-string_view bug: a view returned by read()
   // must stay valid while other threads grow every extent past many page
-  // boundaries (chunk-stable storage, no reallocation of row bytes).
+  // boundaries (page buffers never move or grow).
   ShardedHeap heap(4);
   const auto anchor = heap.append(3, "anchor-row");
   const std::string_view view = heap.read(anchor.slot).value();
@@ -313,6 +313,131 @@ TEST(ShardedHeapConcurrencyTest, ViewsSurviveConcurrentAppends) {
   ASSERT_GT(heap.page_count(), 100);
   EXPECT_EQ(view, "anchor-row");
   EXPECT_EQ(heap.read(anchor.slot).value().data(), anchor_data);
+}
+
+// ------------------------------------------------------ packed batch runs ---
+
+PackedRows pack(const std::vector<std::string>& rows) {
+  PackedRows packed;
+  for (const std::string& row : rows) {
+    packed.bytes += row;
+    packed.end_row();
+  }
+  return packed;
+}
+
+TEST(ShardedHeapBatchTest, PackedRunMatchesRowByRowLayout) {
+  Rng rng(77);
+  std::vector<std::string> rows;
+  for (int i = 0; i < 600; ++i) {
+    rows.push_back(rng.ident(static_cast<size_t>(rng.uniform_int(0, 300))));
+  }
+  rows[100] = std::string(static_cast<size_t>(kPageSize) + 5, 'o');
+  rows[200] = std::string(static_cast<size_t>(kPageSize), 'f');
+  ShardedHeap heap(2);
+  HeapFile oracle(1);
+  const auto appended = heap.append_batch(1, pack(rows));
+  ASSERT_EQ(appended.slots.size(), rows.size());
+  int64_t oracle_pages = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto o = oracle.append_pending(rows[i]);
+    if (o.opened_new_page) ++oracle_pages;
+    EXPECT_EQ(appended.slots[i], o.slot) << "row " << i;
+    EXPECT_EQ(appended.views[i], rows[i]) << "row " << i;
+  }
+  EXPECT_EQ(appended.pages_opened, oracle_pages);
+  EXPECT_EQ(heap.page_count(), oracle.page_count());
+}
+
+TEST(ShardedHeapBatchTest, LostTailIsDiscardedAndOnlyThePrefixPublished) {
+  // The columnar insert path appends a packed run pending, then re-checks
+  // primary keys; rows from the first lost race on are discarded and only
+  // the surviving prefix is published.
+  ShardedHeap heap(3);
+  heap.append(2, "earlier");
+  std::vector<std::string> rows;
+  for (int i = 0; i < 10; ++i) {
+    rows.push_back("row-" + std::to_string(i) + std::string(40, 'x'));
+  }
+  auto appended = heap.append_batch(2, pack(rows));
+  ASSERT_EQ(appended.slots.size(), 10u);
+  EXPECT_EQ(heap.row_count(), 1);  // the whole run is still hidden
+  constexpr size_t kSurvivors = 6;
+  for (size_t i = kSurvivors; i < rows.size(); ++i) {
+    ASSERT_TRUE(heap.discard(appended.slots[i]).is_ok());
+  }
+  appended.slots.resize(kSurvivors);
+  ASSERT_TRUE(heap.publish_batch(appended.slots).is_ok());
+
+  EXPECT_EQ(heap.row_count(), 1 + static_cast<int64_t>(kSurvivors));
+  int64_t prefix_bytes = 7;  // "earlier"
+  for (size_t i = 0; i < kSurvivors; ++i) {
+    prefix_bytes += static_cast<int64_t>(rows[i].size());
+    EXPECT_EQ(heap.read(appended.slots[i]).value(), rows[i]);
+  }
+  EXPECT_EQ(heap.total_bytes(), prefix_bytes);
+  std::vector<std::string> scanned;
+  heap.scan([&](SlotId, std::string_view row) { scanned.emplace_back(row); });
+  ASSERT_EQ(scanned.size(), 1 + kSurvivors);
+  EXPECT_EQ(scanned.front(), "earlier");
+  EXPECT_EQ(scanned.back(), rows[kSurvivors - 1]);
+  // The discarded tail stays dead: unreadable, unpublishable, and its
+  // bytes still occupy the page, so the next row lands after it.
+  const SlotId last_discarded{2, 0, static_cast<uint32_t>(rows.size())};
+  EXPECT_FALSE(heap.read(last_discarded).is_ok());
+  EXPECT_FALSE(heap.publish(last_discarded).is_ok());
+  const auto next = heap.append(2, "next");
+  EXPECT_EQ(next.slot.page, 0u);
+  EXPECT_EQ(next.slot.slot, static_cast<uint32_t>(rows.size()) + 1);
+}
+
+TEST(ShardedHeapBatchTest, ViewsStayValidAcrossTenThousandAppends) {
+  // Views handed out by append(), append_batch() and read() point into page
+  // buffers; 10k further appends (new pages, oversized rows, packed runs)
+  // must leave every one of them reading its own bytes (ASan flags any
+  // dangling read).
+  Rng rng(4242);
+  ShardedHeap heap(2);
+  std::vector<std::pair<std::string_view, std::string>> held;
+  std::vector<std::string> run;
+  for (int i = 0; i < 50; ++i) {
+    run.push_back(rng.ident(static_cast<size_t>(rng.uniform_int(1, 120))));
+  }
+  const auto batch = heap.append_batch(0, pack(run));
+  ASSERT_TRUE(heap.publish_batch(batch.slots).is_ok());
+  for (size_t i = 0; i < run.size(); ++i) {
+    held.emplace_back(batch.views[i], run[i]);
+  }
+  for (int i = 0; i < 50; ++i) {
+    std::string row = rng.ident(static_cast<size_t>(rng.uniform_int(1, 120)));
+    const auto r = heap.append(1, row);
+    held.emplace_back(r.bytes, row);
+    held.emplace_back(heap.read(r.slot).value(), std::move(row));
+  }
+
+  int appended = 0;
+  while (appended < 10000) {
+    const auto extent = static_cast<uint32_t>(rng.uniform_int(0, 1));
+    if (rng.bernoulli(0.1)) {
+      std::vector<std::string> more(
+          static_cast<size_t>(rng.uniform_int(1, 200)));
+      for (std::string& row : more) {
+        row = rng.ident(static_cast<size_t>(rng.uniform_int(1, 200)));
+      }
+      ASSERT_TRUE(
+          heap.publish_batch(heap.append_batch(extent, pack(more)).slots)
+              .is_ok());
+      appended += static_cast<int>(more.size());
+    } else {
+      const size_t size = rng.bernoulli(0.01)
+                              ? static_cast<size_t>(kPageSize) + 17
+                              : static_cast<size_t>(rng.uniform_int(1, 200));
+      heap.append(extent, std::string(size, 'g'));
+      ++appended;
+    }
+  }
+  ASSERT_GT(heap.page_count(), 100);
+  for (const auto& [view, expected] : held) EXPECT_EQ(view, expected);
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(HeapFileTest, DiscardAbandonsPendingRow) {
 TEST(HeapFileTest, ViewsStayValidAcrossPageGrowth) {
   // Regression: read() returns a view into row storage; appending enough
   // rows to open many new pages must not invalidate previously returned
-  // views (pages and rows live in chunk-stable deques).
+  // views (page buffers never move or grow, even when the page array does).
   HeapFile heap;
   const auto first = heap.append("stable-row-zero");
   const std::string_view view = heap.read(first.slot).value();
@@ -92,6 +92,98 @@ TEST(HeapFileTest, ViewsStayValidAcrossPageGrowth) {
   ASSERT_GT(heap.page_count(), 100);
   EXPECT_EQ(view, "stable-row-zero");
   EXPECT_EQ(heap.read(first.slot).value().data(), view.data());
+}
+
+TEST(HeapFileTest, OversizedRowGetsAPageOfItsOwn) {
+  HeapFile heap;
+  const auto before = heap.append("small");
+  std::string big(static_cast<size_t>(kPageSize) * 2 + 123, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
+  const auto r = heap.append(big);
+  EXPECT_TRUE(r.opened_new_page);
+  EXPECT_EQ(r.slot.page, before.slot.page + 1);
+  EXPECT_EQ(r.slot.slot, 0u);
+  EXPECT_EQ(r.bytes, big);
+  // Even a one-byte row does not share the oversized page.
+  const auto after = heap.append("z");
+  EXPECT_TRUE(after.opened_new_page);
+  EXPECT_EQ(after.slot.page, r.slot.page + 1);
+  EXPECT_EQ(heap.read(r.slot).value(), big);
+  EXPECT_EQ(heap.read(before.slot).value(), "small");
+  EXPECT_EQ(heap.read(after.slot).value(), "z");
+  EXPECT_EQ(heap.page_count(), 3);
+}
+
+TEST(HeapFileTest, RowThatExactlyFillsAPage) {
+  HeapFile heap;
+  const std::string head(100, 'h');
+  const std::string rest(static_cast<size_t>(kPageSize) - head.size(), 'r');
+  const auto a = heap.append(head);
+  const auto b = heap.append(rest);  // bytes_used + size == kPageSize: fits
+  EXPECT_FALSE(b.opened_new_page);
+  EXPECT_EQ(b.slot.page, a.slot.page);
+  const std::string full(static_cast<size_t>(kPageSize), 'f');
+  const auto c = heap.append(full);  // a whole page on its own
+  EXPECT_TRUE(c.opened_new_page);
+  EXPECT_EQ(c.slot.page, 1u);
+  const auto d = heap.append("");  // an empty row still fits a full page
+  EXPECT_FALSE(d.opened_new_page);
+  EXPECT_EQ(d.slot.page, 1u);
+  EXPECT_TRUE(heap.append("x").opened_new_page);
+  EXPECT_EQ(heap.read(a.slot).value(), head);
+  EXPECT_EQ(heap.read(b.slot).value(), rest);
+  EXPECT_EQ(heap.read(c.slot).value(), full);
+  EXPECT_EQ(heap.read(d.slot).value(), "");
+  EXPECT_EQ(heap.total_bytes(), 2 * kPageSize + 1);
+}
+
+TEST(HeapFileTest, SlotSequenceIsAFunctionOfRowSizes) {
+  // The page fill rule (bytes_used + size > kPageSize opens a page) fixes
+  // every slot, page and pages-opened count from the row sizes alone; page
+  // costs, WAL records and recovery layout all depend on it. The figures
+  // below were captured from the earlier per-row-string page layout and
+  // must not drift.
+  Rng rng(20261019);
+  HeapFile heap;
+  uint64_t fingerprint = 1469598103934665603ull;  // FNV-1a over the slots
+  const auto mix = [&](uint64_t v) {
+    fingerprint = (fingerprint ^ v) * 1099511628211ull;
+  };
+  int64_t opened = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const double u = rng.uniform();
+    int64_t size = 0;
+    if (u < 0.02) {
+      size = rng.uniform_int(kPageSize + 1, 3 * kPageSize);
+    } else if (u < 0.04) {
+      size = kPageSize;
+    } else if (u < 0.06) {
+      size = 0;
+    } else if (u < 0.30) {
+      size = 512 * rng.uniform_int(1, 4);  // exact page fills are common
+    } else {
+      size = rng.uniform_int(1, 400);
+    }
+    const std::string row(static_cast<size_t>(size),
+                          static_cast<char>('a' + i % 26));
+    const bool pending = rng.bernoulli(0.3);
+    const auto r = pending ? heap.append_pending(row) : heap.append(row);
+    ASSERT_EQ(r.bytes, row);
+    if (pending && rng.bernoulli(0.5)) {
+      ASSERT_TRUE(heap.discard(r.slot).is_ok());
+    }
+    if (r.opened_new_page) ++opened;
+    mix(r.slot.page);
+    mix(r.slot.slot);
+    mix(r.opened_new_page ? 1 : 0);
+  }
+  EXPECT_EQ(fingerprint, 10643736227235887471ull);
+  EXPECT_EQ(heap.page_count(), 464);
+  EXPECT_EQ(opened, 464);
+  EXPECT_EQ(heap.row_count(), 2813);
+  EXPECT_EQ(heap.total_bytes(), 2708659);
 }
 
 TEST(HeapFileTest, TombstoneHidesRow) {
