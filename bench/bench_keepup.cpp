@@ -63,7 +63,7 @@ sky::db::Schema make_objects_schema() {
       .col("dec", sky::db::ColumnType::kDouble)
       .col("mag", sky::db::ColumnType::kDouble);
   objects.primary_key = {"objid"};
-  objects.indexes.push_back({"ix_htmid", {"htmid"}, /*unique=*/false, {}});
+  objects.indexes.push_back({"ix_htmid", {"htmid"}, {}});
   if (!schema.add_table(std::move(objects)).is_ok()) std::abort();
   return schema;
 }

@@ -246,9 +246,9 @@ db::Schema make_pq_schema() {
     t.primary_key = {"object_id"};
     t.foreign_keys.push_back(ForeignKey{{"frame_id"}, "ccd_frames"});
     t.indexes.push_back(
-        IndexDef{std::string(kIndexHtmid), {"htmid"}, false, {}});
+        IndexDef{std::string(kIndexHtmid), {"htmid"}, {}});
     t.indexes.push_back(IndexDef{std::string(kIndexRaDecMag),
-                                 {"ra", "dec", "mag"}, false, {}});
+                                 {"ra", "dec", "mag"}, {}});
     t.checks.push_back(CheckConstraint{"ra", 0.0, 360.0});
     t.checks.push_back(CheckConstraint{"dec", -90.0, 90.0});
     t.checks.push_back(CheckConstraint{"mag", -5.0, 40.0});

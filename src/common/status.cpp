@@ -10,7 +10,6 @@ std::string_view error_code_name(ErrorCode code) {
     case ErrorCode::kAlreadyExists: return "ALREADY_EXISTS";
     case ErrorCode::kConstraintPrimaryKey: return "PRIMARY_KEY_VIOLATION";
     case ErrorCode::kConstraintForeignKey: return "FOREIGN_KEY_VIOLATION";
-    case ErrorCode::kConstraintUnique: return "UNIQUE_VIOLATION";
     case ErrorCode::kConstraintCheck: return "CHECK_VIOLATION";
     case ErrorCode::kConstraintNotNull: return "NOT_NULL_VIOLATION";
     case ErrorCode::kTypeMismatch: return "TYPE_MISMATCH";

@@ -20,10 +20,9 @@ enum class ErrorCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,          // duplicate primary key / unique violation
+  kAlreadyExists,          // duplicate primary key
   kConstraintPrimaryKey,   // explicit PK violation
   kConstraintForeignKey,   // referenced parent row missing
-  kConstraintUnique,
   kConstraintCheck,        // value out of declared range
   kConstraintNotNull,
   kTypeMismatch,
@@ -50,7 +49,6 @@ constexpr bool is_constraint_error(ErrorCode code) {
     case ErrorCode::kAlreadyExists:
     case ErrorCode::kConstraintPrimaryKey:
     case ErrorCode::kConstraintForeignKey:
-    case ErrorCode::kConstraintUnique:
     case ErrorCode::kConstraintCheck:
     case ErrorCode::kConstraintNotNull:
     case ErrorCode::kTypeMismatch:

@@ -10,12 +10,14 @@
 
 #include "common/strings.h"
 #include "db/control_plane.h"
-#include "htm/htm.h"
 #include "index/key_codec.h"
 
 namespace sky::db {
 
 namespace {
+// (key, row id) entries of one B+tree, as its bulk builds take them.
+using IndexEntries = std::vector<std::pair<std::string, uint64_t>>;
+
 // Tally the types of the columns behind `keys` inserted index entries over
 // the same columns (cost-model input: float keys are priced higher than
 // integer keys). The counts depend only on the schema, so a run is tallied
@@ -126,15 +128,24 @@ uint64_t Engine::begin_transaction(OpCosts* costs) {
     costs->lock_wait_ns += acquired.wait_ns;
   }
   const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  // Round-robin extent assignment: concurrent sessions land on distinct
-  // heap append streams (modulo heap_extents, so 1 extent means extent 0
-  // for everyone — the pre-sharding behaviour).
-  const uint32_t extent =
-      next_extent_.fetch_add(1, std::memory_order_relaxed) %
-      options_.heap_extents;
+  const uint32_t extent = choose_extent(nullptr, std::nullopt);
   const std::scoped_lock lock(txn_mu_);
   transactions_.emplace(id, Transaction{id, extent, {}, {}});
   return id;
+}
+
+uint32_t Engine::choose_extent(const Table* table,
+                               std::optional<uint32_t> assigned) {
+  if (table != nullptr && extent_assignment_.load(std::memory_order_relaxed) ==
+                              ExtentAssignment::kLeastLoaded) {
+    return table->heap().least_loaded_extent();
+  }
+  if (assigned.has_value()) return *assigned;
+  // Round-robin: concurrent sessions land on distinct heap append streams
+  // (modulo heap_extents, so 1 extent means extent 0 for everyone — the
+  // pre-sharding behaviour).
+  return next_extent_.fetch_add(1, std::memory_order_relaxed) %
+         options_.heap_extents;
 }
 
 Result<Engine::TableAdmission> Engine::admit_table(Transaction& txn,
@@ -167,10 +178,7 @@ Result<Engine::TableAdmission> Engine::admit_table(Transaction& txn,
     costs.lock_wait_ns += acquired.wait_ns;
     costs.stall_ns += acquired.stall_ns;
   }
-  admission.extent = extent_assignment_.load(std::memory_order_relaxed) ==
-                             ExtentAssignment::kLeastLoaded
-                         ? table.heap().least_loaded_extent()
-                         : txn.extent;
+  admission.extent = choose_extent(&table, txn.extent);
   txn.admissions.push_back(admission);
   return admission;
 }
@@ -394,32 +402,21 @@ std::vector<std::string> Engine::column_run_keys(const Table& table,
                                                  const ColumnBatch& batch,
                                                  size_t first,
                                                  size_t count) const {
-  // A batch whose column layout matches the table, whose primary keys
-  // arrive strictly increasing, and whose table has no enabled unique
-  // secondary index can settle every constraint up front in one run.
-  // Self-referential FKs also stay on the row path: a run row may parent a
-  // later run row, which needs interleaved insert-then-check.
+  // A batch whose column layout matches the table and whose primary keys
+  // arrive strictly increasing can settle every constraint up front in one
+  // run (a row never parents another row of its own table: Schema rejects
+  // self-referential FKs).
   bool eligible =
       count > 0 && batch.num_columns() == table.def().columns.size();
   for (size_t c = 0; eligible && c < batch.num_columns(); ++c) {
     eligible = batch.column_type(c) == table.def().columns[c].type;
   }
-  for (const SecondaryIndex& secondary : table.secondaries()) {
-    if (secondary.enabled && secondary.def.unique) eligible = false;
-  }
-  for (const uint32_t parent_id : table.fk_parent_ids) {
-    if (parent_id == table.id()) eligible = false;
-  }
   std::vector<std::string> pk_keys;
   if (!eligible) return pk_keys;
   pk_keys.reserve(count);
-  index::KeyEncoder encoder;
   for (size_t i = 0; i < count; ++i) {
-    for (const int idx : table.pk_column_indices()) {
-      batch.append_cell_to_key(encoder, first + i, static_cast<size_t>(idx));
-    }
-    pk_keys.push_back(encoder.take());
-    encoder.clear();
+    pk_keys.push_back(
+        encode_key(table.pk_column_indices(), BatchCells(batch, first + i)));
     if (i > 0 && pk_keys[i - 1] >= pk_keys[i]) return {};  // not presorted
   }
   return pk_keys;
@@ -458,7 +455,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   // Row i failed a PK check under the index latch: check_constraints,
   // status-only, names the violation.
   const auto fail_constraint_at = [&](size_t i) {
-    Status status = check_constraints(table, tid, batch.row(first + i),
+    Status status = check_constraints(table, batch.row(first + i),
                                       pk_keys[i], nullptr);
     failure = BatchError{
         i, status.is_ok()
@@ -554,33 +551,23 @@ std::optional<BatchError> Engine::insert_column_run_latched(
         options_.enforce_foreign_keys ? def.foreign_keys.size() : 0;
     for (size_t f = 0; f < fk_count && limit > 0; ++f) {
       const Table& parent = tables_[table.fk_parent_ids[f]];
-      const std::vector<int>& fk_columns = table.fk_columns[f];
-      index::KeyEncoder encoder;
       std::unordered_set<std::string> verified;
       for (size_t i = 0; i < limit; ++i) {
         const size_t r = first + i;
         ++costs.fk_checks;
-        if (std::any_of(fk_columns.begin(), fk_columns.end(), [&](int c) {
-              return batch.is_null(r, static_cast<size_t>(c));
-            })) {
-          continue;  // MATCH SIMPLE: NULL FK passes
-        }
-        for (const int c : fk_columns) {
-          batch.append_cell_to_key(encoder, r, static_cast<size_t>(c));
-        }
-        std::string probe = encoder.take();
-        encoder.clear();
-        if (verified.count(probe) > 0) continue;  // memoized success
-        if (parent_has_key(parent, /*self_reference=*/false, probe, costs,
-                           /*report_touch=*/true)) {
-          verified.insert(std::move(probe));
+        std::optional<std::string> probe =
+            encode_fk_probe(table.fk_columns[f], BatchCells(batch, r));
+        if (!probe.has_value()) continue;  // MATCH SIMPLE: NULL FK passes
+        if (verified.count(*probe) > 0) continue;  // memoized success
+        if (parent_has_key(parent, *probe, costs, /*report_touch=*/true)) {
+          verified.insert(std::move(*probe));
           continue;
         }
         // The status-only check re-probes every FK of the row; it passes
         // only if another session published the parent since the probe
         // above, and then the row may stay.
         Status status =
-            check_constraints(table, tid, batch.row(r), pk_keys[i], nullptr);
+            check_constraints(table, batch.row(r), pk_keys[i], nullptr);
         if (!status.is_ok()) {
           failure = BatchError{i, std::move(status)};
           limit = i;
@@ -662,7 +649,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
           UndoEntry{tid, appended.slots[i], pk_keys[i], {}, appended.views[i]});
     }
 
-    std::vector<std::pair<std::string, uint64_t>> pk_run;
+    IndexEntries pk_run;
     pk_run.reserve(limit);
     count_index_columns(def, table.pk_column_indices(),
                         static_cast<int64_t>(limit), costs);
@@ -685,9 +672,9 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     for (size_t s = 0; s < table.secondaries().size(); ++s) {
       SecondaryIndex& secondary = table.secondaries()[s];
       if (!secondary.enabled) continue;
-      // Eligibility excluded enabled unique secondaries, so every key here
-      // carries the row-id suffix — unique and disjoint by construction.
-      std::vector<std::pair<std::string, uint64_t>> run;
+      // Every key carries the row-id suffix: unique and disjoint by
+      // construction.
+      IndexEntries run;
       run.reserve(limit);
       const auto key_rows = static_cast<int64_t>(limit);
       if (secondary.def.htm.has_value()) {
@@ -695,28 +682,10 @@ std::optional<BatchError> Engine::insert_column_run_latched(
       } else {
         count_index_columns(def, secondary.column_indices, key_rows, costs);
       }
-      index::KeyEncoder encoder;
       for (size_t i = 0; i < limit; ++i) {
-        if (secondary.def.htm.has_value()) {
-          // HTM key: trixel id of (ra, dec), one int64. Both columns are
-          // NOT NULL by schema validation, and rows past `limit` (which
-          // failed constraints) never reach this loop.
-          const size_t r = first + i;
-          encoder.append_int64(static_cast<int64_t>(htm::htm_id_radec(
-              batch.f64_at(r,
-                           static_cast<size_t>(secondary.column_indices[0])),
-              batch.f64_at(r,
-                           static_cast<size_t>(secondary.column_indices[1])),
-              secondary.def.htm->depth)));
-        } else {
-          for (const int idx : secondary.column_indices) {
-            batch.append_cell_to_key(encoder, first + i,
-                                     static_cast<size_t>(idx));
-          }
-        }
-        encoder.append_int64(static_cast<int64_t>(row_ids[i]));
-        std::string key = encoder.take();
-        encoder.clear();
+        std::string key =
+            encode_index_key(secondary.def, secondary.column_indices,
+                             BatchCells(batch, first + i), row_ids[i]);
         txn.undo[undo_base + i].secondary_keys.emplace_back(s, key);
         run.emplace_back(std::move(key), row_ids[i]);
       }
@@ -793,20 +762,14 @@ Status Engine::validate_row(const Table& table, const Row& row,
   return ok_status();
 }
 
-bool Engine::parent_has_key(const Table& parent, bool self_reference,
-                            const std::string& key, OpCosts& costs,
-                            bool report_touch) {
+bool Engine::parent_has_key(const Table& parent, const std::string& key,
+                            OpCosts& costs, bool report_touch) {
   index::BPlusTree::TouchInfo touch;
-  bool found = false;
-  if (self_reference) {
-    // The caller's latch on this very index already covers the probe.
-    found = parent.pk_tree().lookup_with_touch(key, &touch).has_value();
-  } else {
-    costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
-    const std::shared_lock<std::shared_mutex> parent_latch(
-        parent.index_latch(), std::adopt_lock);
-    found = parent.pk_tree().lookup_with_touch(key, &touch).has_value();
-  }
+  costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
+  const std::shared_lock<std::shared_mutex> parent_latch(parent.index_latch(),
+                                                         std::adopt_lock);
+  const bool found =
+      parent.pk_tree().lookup_with_touch(key, &touch).has_value();
   costs.fk_node_visits += touch.nodes_visited;
   if (found && report_touch) {
     touch_page({{parent.pk_page_file, touch.leaf_page_id},
@@ -815,9 +778,8 @@ bool Engine::parent_has_key(const Table& parent, bool self_reference,
   return found;
 }
 
-Status Engine::check_constraints(const Table& table, uint32_t tid,
-                                 const Row& row, const std::string& pk_key,
-                                 OpCosts* costs) {
+Status Engine::check_constraints(const Table& table, const Row& row,
+                                 const std::string& pk_key, OpCosts* costs) {
   OpCosts scratch;
   OpCosts& tally = costs != nullptr ? *costs : scratch;
   // Primary key uniqueness.
@@ -839,29 +801,16 @@ Status Engine::check_constraints(const Table& table, uint32_t tid,
   const size_t fk_count =
       options_.enforce_foreign_keys ? table.def().foreign_keys.size() : 0;
   for (size_t f = 0; f < fk_count; ++f) {
-    const uint32_t parent_id = table.fk_parent_ids[f];
-    const auto probe = encode_fk_probe(table.def(), table.fk_columns[f], row);
+    const auto probe =
+        encode_fk_probe(table.fk_columns[f], RowCells(table.def(), row));
     ++tally.fk_checks;
     if (!probe.has_value()) continue;  // NULL FK passes
-    if (!parent_has_key(tables_[parent_id], parent_id == tid, *probe, tally,
+    if (!parent_has_key(tables_[table.fk_parent_ids[f]], *probe, tally,
                         /*report_touch=*/costs != nullptr)) {
       return Status(ErrorCode::kConstraintForeignKey,
                     table.def().name + ": no parent row in " +
                         table.def().foreign_keys[f].parent_table + " for " +
                         row_to_display(row));
-    }
-  }
-
-  // Unique secondary indexes (enforced only while the index is enabled,
-  // mirroring "constraint enforced via index").
-  for (const SecondaryIndex& secondary : table.secondaries()) {
-    if (!secondary.enabled || !secondary.def.unique) continue;
-    const std::string key =
-        table.encode_index_key(secondary, row, std::nullopt);
-    if (secondary.tree.contains(key)) {
-      return Status(ErrorCode::kConstraintUnique,
-                    table.def().name + ": unique index " +
-                        secondary.def.name + " violated");
     }
   }
   return ok_status();
@@ -874,7 +823,8 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
 
   // Validation and PK encoding read only immutable schema — no latch yet.
   SKY_RETURN_IF_ERROR(validate_row(table, row, costs));
-  const std::string pk_key = table.encode_pk_key(row);
+  const RowCells cells(table.def(), row);
+  const std::string pk_key = encode_key(table.pk_column_indices(), cells);
 
   // Metadata latch shared for the whole row: row traffic only excludes
   // structural maintenance, never other rows.
@@ -889,7 +839,7 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     costs.lock_wait_ns += lock_shared_timed(table.index_latch());
     const std::shared_lock<std::shared_mutex> index_latch(table.index_latch(),
                                                           std::adopt_lock);
-    SKY_RETURN_IF_ERROR(check_constraints(table, tid, row, pk_key, &costs));
+    SKY_RETURN_IF_ERROR(check_constraints(table, row, pk_key, &costs));
   }
 
   // Phase 2 — append to the admitted extent as a hidden pending row.
@@ -904,32 +854,22 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   touch_page(
       {{table.heap_page_file, appended.slot.page, appended.slot.extent}});
 
-  // Phase 3 — re-check the race-sensitive constraints (PK, unique) under
-  // the index latch *exclusive*, then log, publish, and index the row. The
-  // re-check costs nothing in the common case and is charged to a scratch
-  // tally: it is an artifact of the split latch, not modeled server work.
+  // Phase 3 — re-check the race-sensitive constraint (the primary key)
+  // under the index latch *exclusive*, then log, publish, and index the
+  // row. The re-check costs nothing in the common case and is charged to a
+  // scratch tally: it is an artifact of the split latch, not modeled
+  // server work.
   costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
   const std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
                                                         std::adopt_lock);
-  bool lost_race = table.pk_tree().lookup(pk_key).has_value();
-  if (!lost_race) {
-    for (const SecondaryIndex& secondary : table.secondaries()) {
-      if (!secondary.enabled || !secondary.def.unique) continue;
-      if (secondary.tree.contains(
-              table.encode_index_key(secondary, row, std::nullopt))) {
-        lost_race = true;
-        break;
-      }
-    }
-  }
-  if (lost_race) {
+  if (table.pk_tree().lookup(pk_key).has_value()) {
     // Another session published a conflicting row between the phases. The
     // pending slot is abandoned (a hole in the page, as after a rollback);
     // re-run the full check, status-only, to produce the exact error.
     const Status discarded = table.heap().discard(appended.slot);
     assert(discarded.is_ok());
     (void)discarded;
-    const Status failure = check_constraints(table, tid, row, pk_key, nullptr);
+    const Status failure = check_constraints(table, row, pk_key, nullptr);
     if (failure.is_ok()) {
       return Status(ErrorCode::kInternal,
                     table.def().name + ": insert race re-check mismatch");
@@ -960,9 +900,8 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   for (size_t s = 0; s < table.secondaries().size(); ++s) {
     SecondaryIndex& secondary = table.secondaries()[s];
     if (!secondary.enabled) continue;
-    const std::string key = table.encode_index_key(
-        secondary, row, secondary.def.unique ? std::nullopt
-                                             : std::optional<uint64_t>(row_id));
+    const std::string key = encode_index_key(
+        secondary.def, secondary.column_indices, cells, row_id);
     index::BPlusTree::TouchInfo touch;
     const Status index_status = secondary.tree.insert(key, row_id, &touch);
     assert(index_status.is_ok());
@@ -986,6 +925,34 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
 }
 
 // ------------------------------------------------------------- maintenance
+
+namespace {
+
+// Every heap row's (key, row id) entry of `secondary`, in heap-scan order;
+// the first row that fails to decode fails the build.
+Result<IndexEntries> index_entries_from_heap(const Table& table,
+                                             const SecondaryIndex& secondary) {
+  IndexEntries entries;
+  entries.reserve(static_cast<size_t>(table.heap().row_count()));
+  Status decode_status = ok_status();
+  table.heap().scan([&](storage::SlotId slot, std::string_view bytes) {
+    if (!decode_status.is_ok()) return;
+    const auto row = decode_row(bytes);
+    if (!row.is_ok()) {
+      decode_status = row.status();
+      return;
+    }
+    const uint64_t row_id = make_row_id(table.id(), slot);
+    entries.emplace_back(
+        encode_index_key(secondary.def, secondary.column_indices,
+                         RowCells(table.def(), *row), row_id),
+        row_id);
+  });
+  SKY_RETURN_IF_ERROR(decode_status);
+  return entries;
+}
+
+}  // namespace
 
 Status Engine::set_index_enabled(uint32_t tid, std::string_view index_name,
                                  bool enabled) {
@@ -1018,35 +985,9 @@ Status Engine::rebuild_index(uint32_t tid, std::string_view index_name) {
   const std::unique_lock<std::shared_mutex> table_latch(table.latch());
   for (SecondaryIndex& secondary : table.secondaries()) {
     if (secondary.def.name != index_name) continue;
-    std::vector<std::pair<std::string, uint64_t>> entries;
-    entries.reserve(static_cast<size_t>(table.heap().row_count()));
-    Status decode_status = ok_status();
-    table.heap().scan([&](storage::SlotId slot, std::string_view bytes) {
-      if (!decode_status.is_ok()) return;
-      const auto row = decode_row(bytes);
-      if (!row.is_ok()) {
-        decode_status = row.status();
-        return;
-      }
-      const uint64_t row_id = make_row_id(tid, slot);
-      entries.emplace_back(
-          table.encode_index_key(secondary, *row,
-                                 secondary.def.unique
-                                     ? std::nullopt
-                                     : std::optional<uint64_t>(row_id)),
-          row_id);
-    });
-    SKY_RETURN_IF_ERROR(decode_status);
+    SKY_ASSIGN_OR_RETURN(IndexEntries entries,
+                         index_entries_from_heap(table, secondary));
     std::sort(entries.begin(), entries.end());
-    if (secondary.def.unique) {
-      for (size_t i = 1; i < entries.size(); ++i) {
-        if (entries[i - 1].first == entries[i].first) {
-          return Status(ErrorCode::kConstraintUnique,
-                        "rebuild found duplicate keys in unique index " +
-                            std::string(index_name));
-        }
-      }
-    }
     secondary.enabled = true;
     return secondary.tree.bulk_build(std::move(entries));
   }
@@ -1066,19 +1007,12 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
                   "bulk_load_sorted requires an empty table");
   }
   OpCosts scratch;
-  std::vector<std::pair<std::string, uint64_t>> pk_entries;
+  IndexEntries pk_entries;
   pk_entries.reserve(rows.size());
-  // One extent per preload: round-robin (the same assignment a transaction
-  // gets in begin_transaction(), so the preload stays one dense append
-  // stream and is extent 0 whenever heap_extents is 1) or, under
-  // kLeastLoaded, whichever extent of this heap currently holds the fewest
-  // bytes — successive preloads balance instead of merely alternating.
-  const uint32_t extent =
-      extent_assignment_.load(std::memory_order_relaxed) ==
-              ExtentAssignment::kLeastLoaded
-          ? table.heap().least_loaded_extent()
-          : next_extent_.fetch_add(1, std::memory_order_relaxed) %
-                options_.heap_extents;
+  // One extent per preload, chosen like a transaction's: the preload stays
+  // one dense append stream (extent 0 whenever heap_extents is 1), and
+  // under kLeastLoaded successive preloads balance instead of alternating.
+  const uint32_t extent = choose_extent(&table, std::nullopt);
   // A preload is one logical commit: published to snapshot readers as a
   // single chunk (slots and byte views collected as the rows land; chunk
   // row index = input position).
@@ -1087,13 +1021,13 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
   for (const Row& row : rows) {
     SKY_RETURN_IF_ERROR(validate_row(table, row, scratch));
     const auto appended = table.heap().append(extent, encode_row(row));
-    pk_entries.emplace_back(table.encode_pk_key(row),
-                            make_row_id(tid, appended.slot));
+    pk_entries.emplace_back(
+        encode_key(table.pk_column_indices(), RowCells(table.def(), row)),
+        make_row_id(tid, appended.slot));
     chunk.rows.push_back({appended.slot, appended.bytes});
   }
   // Pack each key run before its tree build consumes the keys it views.
-  const auto pack = [](const std::vector<std::pair<std::string, uint64_t>>&
-                           entries) {
+  const auto pack = [](const IndexEntries& entries) {
     KeyRun::Entries views;
     views.reserve(entries.size());
     for (size_t i = 0; i < entries.size(); ++i) {
@@ -1111,18 +1045,8 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
     // Rebuild from heap so preloaded data is indexed too. The table was
     // empty, so the scan visits exactly the rows just appended, in append
     // order — scan position = chunk row index.
-    std::vector<std::pair<std::string, uint64_t>> entries;
-    entries.reserve(rows.size());
-    table.heap().scan([&](storage::SlotId slot, std::string_view bytes) {
-      const auto row = decode_row(bytes);
-      const uint64_t row_id = make_row_id(tid, slot);
-      entries.emplace_back(
-          table.encode_index_key(secondary, *row,
-                                 secondary.def.unique
-                                     ? std::nullopt
-                                     : std::optional<uint64_t>(row_id)),
-          row_id);
-    });
+    SKY_ASSIGN_OR_RETURN(IndexEntries entries,
+                         index_entries_from_heap(table, secondary));
     chunk.secondaries[s] = pack(entries);
     std::sort(entries.begin(), entries.end());
     SKY_RETURN_IF_ERROR(secondary.tree.bulk_build(std::move(entries)));
@@ -1345,8 +1269,9 @@ Status Engine::verify_integrity() const {
         failure = row.status();
         return;
       }
-      const std::string pk_key = table.encode_pk_key(*row);
-      const auto row_id = table.pk_tree().lookup(pk_key);
+      const RowCells cells(table.def(), *row);
+      const auto row_id =
+          table.pk_tree().lookup(encode_key(table.pk_column_indices(), cells));
       if (!row_id.has_value() ||
           *row_id != make_row_id(table.id(), slot)) {
         failure = Status(ErrorCode::kInternal,
@@ -1358,8 +1283,7 @@ Status Engine::verify_integrity() const {
       // ShardedRepository::reconcile_foreign_keys instead.
       if (options_.enforce_foreign_keys) {
         for (size_t f = 0; f < table.fk_columns.size(); ++f) {
-          const auto probe =
-              encode_fk_probe(table.def(), table.fk_columns[f], *row);
+          const auto probe = encode_fk_probe(table.fk_columns[f], cells);
           if (probe.has_value() &&
               !tables_[table.fk_parent_ids[f]].pk_tree().contains(*probe)) {
             failure = Status(ErrorCode::kInternal,

@@ -134,7 +134,7 @@ struct EngineOptions {
   // this off: a child row's parent may live on another shard, so per-engine
   // FK probes would spuriously reject valid rows — the repository defers FK
   // checking to its cross-shard reconciliation pass
-  // (ShardedRepository::reconcile_foreign_keys). PK/NOT NULL/range/unique
+  // (ShardedRepository::reconcile_foreign_keys). PK/NOT NULL/range
   // constraints are unaffected.
   bool enforce_foreign_keys = true;
   ModeledDeviceLatency latency;
@@ -209,10 +209,10 @@ class Engine {
                            std::span<const Row> rows);
   // Columnar batch insert — the batch ingest hot path. Applies rows
   // [first, first + count) of `batch` with exactly insert_batch's results
-  // and final state: when the rows' primary keys arrive strictly
-  // increasing (presorted catalog blocks) and the table has no enabled
-  // unique secondary index, the run takes the row path's three phases once
-  // for all its rows: constraints settled under the shared index latch, one
+  // and final state: when the batch's column layout matches the table and
+  // the rows' primary keys arrive strictly increasing (presorted catalog
+  // blocks), the run takes the row path's three phases once for all its
+  // rows: constraints settled under the shared index latch, one
   // pending heap append under one extent-latch acquisition
   // (ShardedHeap::append_batch), then under the exclusive index latch a
   // primary-key re-check, one kInsertBatch WAL record, one heap publish and
@@ -374,6 +374,13 @@ class Engine {
   // victim; its transaction stays live so the caller can roll back).
   Result<TableAdmission> admit_table(Transaction& txn, uint32_t table_id,
                                      OpCosts& costs);
+  // The heap extent a new append stream lands on: under kLeastLoaded the
+  // extent of `table`'s heap holding the fewest bytes (when a table is
+  // given); otherwise `assigned`, or the next round-robin extent when there
+  // is none. begin_transaction draws (nullptr, nullopt), a transaction's
+  // first write to a table (&table, its extent), a preload (&table,
+  // nullopt).
+  uint32_t choose_extent(const Table* table, std::optional<uint32_t> assigned);
   // The one admission envelope of every insert call: look up the
   // transaction, check the table id, admit the transaction to the table
   // (ITL gate before the engine rwlock), then — rwlock shared — run
@@ -402,8 +409,8 @@ class Engine {
   Status insert_row_latched(Transaction& txn, uint32_t table_id,
                             const Row& row, OpCosts& costs, uint32_t extent);
   // The encoded primary key of every row of the slice when it can take the
-  // columnar run (layout matches the table, keys strictly increasing, no
-  // enabled unique secondary, no self-referential FK); empty otherwise.
+  // columnar run (column layout matches the table, keys strictly
+  // increasing); empty otherwise.
   std::vector<std::string> column_run_keys(const Table& table,
                                            const ColumnBatch& batch,
                                            size_t first, size_t count) const;
@@ -419,21 +426,20 @@ class Engine {
       Transaction& txn, uint32_t table_id, const ColumnBatch& batch,
       size_t first, size_t count, std::vector<std::string> pk_keys,
       uint32_t extent, OpCosts& costs);
-  // Constraint checks against the current trees (PK, FK, unique secondary).
+  // Constraint checks against the current trees (PK, then FKs).
   // Caller holds the table's index latch (shared or exclusive); parents'
   // index latches are taken shared inside. Returns the first violation.
   // `costs == nullptr` is the status-only form: nothing is charged and no
   // page touch is reported (the columnar run's status source and the
   // lost-race re-check, which must not move the tallies the sim prices).
-  Status check_constraints(const Table& table, uint32_t tid, const Row& row,
+  Status check_constraints(const Table& table, const Row& row,
                            const std::string& pk_key, OpCosts* costs);
   // Does `parent`'s primary key hold `key`? Takes the parent's index latch
-  // shared for the probe (not for a self-reference: the caller's latch on
-  // that index covers it), charges latch wait and node visits to `costs`,
-  // and on a hit reports the parent leaf page read if `report_touch`.
-  bool parent_has_key(const Table& parent, bool self_reference,
-                      const std::string& key, OpCosts& costs,
-                      bool report_touch);
+  // shared for the probe (a parent is always another, earlier table),
+  // charges latch wait and node visits to `costs`, and on a hit reports the
+  // parent leaf page read if `report_touch`.
+  bool parent_has_key(const Table& parent, const std::string& key,
+                      OpCosts& costs, bool report_touch);
   void touch_page(const PageTouch& touch) const {
     if (page_touch_observer_) page_touch_observer_(touch);
   }

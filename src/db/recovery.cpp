@@ -104,10 +104,7 @@ Status engines_equivalent(const Engine& a, const Engine& b) {
     }
     // Every row of a must exist identically in b (counts equal => bijection
     // because primary keys are unique).
-    std::vector<int> pk_columns;
-    for (const std::string& pk : def.primary_key) {
-      pk_columns.push_back(def.column_index(pk));
-    }
+    const std::vector<int> pk_columns = column_indices(def, def.primary_key);
     const std::vector<Row> rows_a =
         view_a.scan_collect(tid, [](const Row&) { return true; });
     for (const Row& row : rows_a) {

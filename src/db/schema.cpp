@@ -10,18 +10,13 @@ namespace sky::db {
 namespace {
 
 // An HTM index keys rows by trixel id computed from two position columns.
-// Requirements: non-unique (trixels are shared), both columns declared
-// kDouble NOT NULL (a row without a position cannot be placed on the mesh),
-// depth within the id space htm/htm.h supports. On success the IndexDef's
-// column list is auto-filled to {ra, dec} so the rest of the engine (column
-// resolution, rebuilds, column-batch key builders) treats it like any other
-// secondary index.
+// Requirements: both columns declared kDouble NOT NULL (a row without a
+// position cannot be placed on the mesh), depth within the id space
+// htm/htm.h supports. On success the IndexDef's column list is auto-filled
+// to {ra, dec} so the rest of the engine (column resolution, the row-key
+// encoder) treats it like any other secondary index.
 Status validate_htm_index(const TableDef& table, IndexDef& index) {
   const HtmIndexSpec& spec = *index.htm;
-  if (index.unique) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "HTM index " + index.name + " cannot be unique");
-  }
   if (spec.depth < 0 || spec.depth > htm::kMaxDepth) {
     return Status(ErrorCode::kInvalidArgument,
                   str_format("HTM index %s depth %d out of range [0, %d]",

@@ -41,7 +41,7 @@ struct ForeignKey {
 // index stores that single int64 id. Because every trixel's descendants
 // occupy one contiguous id range, a cone search becomes a handful of index
 // range probes (htm::cone_cover). The spec's columns must be NOT NULL
-// doubles; the index cannot be unique (many rows share a trixel).
+// doubles.
 struct HtmIndexSpec {
   std::string ra_column;
   std::string dec_column;
@@ -51,7 +51,6 @@ struct HtmIndexSpec {
 struct IndexDef {
   std::string name;
   std::vector<std::string> columns;
-  bool unique = false;
   // When set, this is an HTM spatial index: `columns` is auto-filled to
   // {ra_column, dec_column} by Schema::add_table and keys are trixel ids
   // computed from those columns, not their raw values.
@@ -83,8 +82,8 @@ class Schema {
   // Validates the definition against the tables already added: unique table
   // name, unique column names, PK columns exist and are NOT NULL-able
   // implicitly, FK parents already added (so declaration order is a valid
-  // topological order), FK column types match the parent PK, index and check
-  // columns exist.
+  // topological order and no table references itself), FK column types
+  // match the parent PK, index and check columns exist.
   Status add_table(TableDef def);
 
   int table_count() const { return static_cast<int>(tables_.size()); }

@@ -9,9 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "db/column_batch.h"
 #include "db/lock_manager.h"
 #include "db/row.h"
 #include "db/schema.h"
+#include "htm/htm.h"
 #include "index/bptree.h"
 #include "index/key_codec.h"
 #include "storage/sharded_heap.h"
@@ -37,20 +39,100 @@ constexpr storage::SlotId row_id_slot(uint64_t row_id) {
                          static_cast<uint32_t>(row_id & 0xFFFFFu)};
 }
 
-// Encode one value into a key (shared by PK, FK probes, and secondary keys).
+// Encode one value into a key (the row-key encoders below and the query
+// planner's tuple keys share it).
 void append_value_to_key(index::KeyEncoder& encoder, const Value& value,
                          ColumnType type);
 
-// Child column indices of one foreign key, in FK column order.
-std::vector<int> fk_column_indices(const TableDef& child_def,
-                                   const ForeignKey& fk);
-// Key a child row uses to probe its FK parent's PK, from the FK's child
-// column indices; nullopt if any referencing value is NULL (SQL MATCH
-// SIMPLE: NULL FK passes). Encoded with the child columns' types, which
-// Schema::add_table requires to equal the parent key columns' types.
-std::optional<std::string> encode_fk_probe(const TableDef& child_def,
-                                           const std::vector<int>& fk_columns,
-                                           const Row& child_row);
+// Indices of the named columns in `def`'s layout, in the given order (PK,
+// FK and index column lists; every name is validated by Schema::add_table).
+std::vector<int> column_indices(const TableDef& def,
+                                const std::vector<std::string>& names);
+
+// ------------------------------------------------------------- row keys
+// The one encoder of the index-key layout. A primary key or FK probe is the
+// encoded values of its columns. A secondary-index key is the trixel id of
+// the row's (ra, dec) on an HTM index (IndexDef::htm; both columns are NOT
+// NULL doubles), otherwise the indexed columns' values; a stored entry
+// appends the row id, which keeps entries of equal values distinct.
+//
+// Every encoder reads one row through a cell source: RowCells over a
+// materialized Row, or BatchCells over one row of a ColumnBatch laid out
+// like the table (cells go straight from the column vectors into the key,
+// byte-identical to the Row path).
+class RowCells {
+ public:
+  RowCells(const TableDef& def, const Row& row) : def_(def), row_(row) {}
+  bool is_null(int col) const { return cell(col).is_null(); }
+  double f64(int col) const { return cell(col).as_f64(); }
+  void append(index::KeyEncoder& encoder, int col) const {
+    append_value_to_key(encoder, cell(col),
+                        def_.columns[static_cast<size_t>(col)].type);
+  }
+
+ private:
+  const Value& cell(int col) const { return row_[static_cast<size_t>(col)]; }
+  const TableDef& def_;
+  const Row& row_;
+};
+
+class BatchCells {
+ public:
+  BatchCells(const ColumnBatch& batch, size_t row) : batch_(batch), row_(row) {}
+  bool is_null(int col) const {
+    return batch_.is_null(row_, static_cast<size_t>(col));
+  }
+  double f64(int col) const {
+    return batch_.f64_at(row_, static_cast<size_t>(col));
+  }
+  void append(index::KeyEncoder& encoder, int col) const {
+    batch_.append_cell_to_key(encoder, row_, static_cast<size_t>(col));
+  }
+
+ private:
+  const ColumnBatch& batch_;
+  size_t row_;
+};
+
+// Key of the given columns' values (a primary key).
+template <typename Cells>
+std::string encode_key(const std::vector<int>& columns, const Cells& cells) {
+  index::KeyEncoder encoder;
+  for (const int col : columns) cells.append(encoder, col);
+  return encoder.take();
+}
+
+// Key a child row uses to probe its FK parent's primary key; nullopt if any
+// referencing value is NULL (SQL MATCH SIMPLE: a NULL FK passes). Encoded
+// with the child columns' types, which Schema::add_table requires to equal
+// the parent key columns' types.
+template <typename Cells>
+std::optional<std::string> encode_fk_probe(const std::vector<int>& fk_columns,
+                                           const Cells& cells) {
+  for (const int col : fk_columns) {
+    if (cells.is_null(col)) return std::nullopt;
+  }
+  return encode_key(fk_columns, cells);
+}
+
+// Key of the index `def` (its key columns resolved to `columns`), followed
+// by `row_id` when given. Stored entries carry the row id; merges across
+// engines whose row ids are not comparable order by the value part alone.
+template <typename Cells>
+std::string encode_index_key(const IndexDef& def,
+                             const std::vector<int>& columns,
+                             const Cells& cells,
+                             std::optional<uint64_t> row_id) {
+  index::KeyEncoder encoder;
+  if (def.htm.has_value()) {
+    encoder.append_int64(static_cast<int64_t>(htm::htm_id_radec(
+        cells.f64(columns[0]), cells.f64(columns[1]), def.htm->depth)));
+  } else {
+    for (const int col : columns) cells.append(encoder, col);
+  }
+  if (row_id.has_value()) encoder.append_int64(static_cast<int64_t>(*row_id));
+  return encoder.take();
+}
 
 struct SecondaryIndex {
   IndexDef def;
@@ -71,13 +153,6 @@ class Table {
 
   uint32_t id() const { return id_; }
   const TableDef& def() const { return def_; }
-
-  std::string encode_pk_key(const Row& row) const;
-  // Key for a secondary index; non-unique indexes get the row id appended to
-  // disambiguate. Returns nullopt when any indexed column is NULL on a
-  // unique index probe? — NULLs participate normally (they encode as NULL).
-  std::string encode_index_key(const SecondaryIndex& index, const Row& row,
-                               std::optional<uint64_t> row_id_suffix) const;
 
   storage::ShardedHeap& heap() { return heap_; }
   const storage::ShardedHeap& heap() const { return heap_; }

@@ -15,40 +15,6 @@ Status empty_view_error() {
                 "query on an empty ShardedReadView");
 }
 
-// Re-encode a row's primary key from the table definition (the comparison
-// key the engine's PK tree ordered each shard's run by).
-std::string encode_pk_of(const TableDef& def, const Row& row) {
-  index::KeyEncoder encoder;
-  for (const std::string& column : def.primary_key) {
-    const int c = def.column_index(column);
-    append_value_to_key(encoder, row[static_cast<size_t>(c)],
-                        def.columns[static_cast<size_t>(c)].type);
-  }
-  return encoder.take();
-}
-
-// Re-encode a row's indexed-value key (no row-id suffix — per-shard row ids
-// are not comparable across shards, so merges order by value only).
-std::string encode_index_value_of(const TableDef& def, const IndexDef& index,
-                                  const Row& row) {
-  index::KeyEncoder encoder;
-  if (index.htm.has_value()) {
-    const int ra = def.column_index(index.htm->ra_column);
-    const int dec = def.column_index(index.htm->dec_column);
-    encoder.append_int64(static_cast<int64_t>(
-        htm::htm_id_radec(row[static_cast<size_t>(ra)].as_f64(),
-                          row[static_cast<size_t>(dec)].as_f64(),
-                          index.htm->depth)));
-  } else {
-    for (const std::string& column : index.columns) {
-      const int c = def.column_index(column);
-      append_value_to_key(encoder, row[static_cast<size_t>(c)],
-                          def.columns[static_cast<size_t>(c)].type);
-    }
-  }
-  return encoder.take();
-}
-
 const IndexDef* find_index(const TableDef& def, std::string_view name) {
   for (const IndexDef& index : def.indexes) {
     if (index.name == name) return &index;
@@ -128,10 +94,14 @@ Result<std::vector<Row>> ShardedReadView::scatter_merge(
     SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, read(view));
     per_shard.push_back(std::move(rows));
   }
+  // Merge keys are re-encoded from each row: the PK key each shard's PK
+  // tree ordered its run by, or the index key without its row-id suffix
+  // (per-shard row ids are not comparable, so merges order by value only).
   const TableDef& def = repo_->schema().table(table_id);
   if (!index_name.has_value()) {
-    return merge_by_key(std::move(per_shard), [&def](const Row& row) {
-      return encode_pk_of(def, row);
+    const std::vector<int> pk_columns = column_indices(def, def.primary_key);
+    return merge_by_key(std::move(per_shard), [&](const Row& row) {
+      return encode_key(pk_columns, RowCells(def, row));
     });
   }
   const IndexDef* index = find_index(def, *index_name);
@@ -139,8 +109,9 @@ Result<std::vector<Row>> ShardedReadView::scatter_merge(
     return Status(ErrorCode::kNotFound, "no index named " +
                                             std::string(*index_name));
   }
-  return merge_by_key(std::move(per_shard), [&def, index](const Row& row) {
-    return encode_index_value_of(def, *index, row);
+  const std::vector<int> columns = column_indices(def, index->columns);
+  return merge_by_key(std::move(per_shard), [&](const Row& row) {
+    return encode_index_key(*index, columns, RowCells(def, row), std::nullopt);
   });
 }
 
@@ -213,6 +184,12 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
   // At index depth >= policy depth every trixel's rows live on exactly one
   // shard, so the segment walk is exact and already key-ascending.
   const bool exact = spec.htm_depth >= router.policy().htm_depth;
+  // Merge key of a row when the walk is not exact: its trixel id at the
+  // cover's depth, laid out as an HTM index keys it.
+  const Schema& schema = view.repository().schema();
+  IndexDef trixel_key;
+  trixel_key.htm = HtmIndexSpec{"", "", spec.htm_depth};
+  const std::vector<int> position{spec.ra_column, spec.dec_column};
   std::vector<char> touched(static_cast<size_t>(view.shard_count()), 0);
   std::vector<Row> out;
   const auto probe = [&](const ShardRouter::Segment& seg) {
@@ -241,13 +218,11 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
       std::vector<std::pair<std::string, Row>> keyed;
       for (const ShardRouter::Segment& seg : segments) {
         SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, probe(seg));
+        const TableDef& def = schema.table(spec.table_id);  // probe resolved it
         for (Row& row : rows) {
-          index::KeyEncoder key;
-          key.append_int64(static_cast<int64_t>(htm::htm_id_radec(
-              row[static_cast<size_t>(spec.ra_column)].as_f64(),
-              row[static_cast<size_t>(spec.dec_column)].as_f64(),
-              spec.htm_depth)));
-          keyed.emplace_back(key.take(), std::move(row));
+          std::string key = encode_index_key(trixel_key, position,
+                                             RowCells(def, row), std::nullopt);
+          keyed.emplace_back(std::move(key), std::move(row));
         }
       }
       std::stable_sort(keyed.begin(), keyed.end(),

@@ -97,7 +97,7 @@ Result<FkReconcileReport> ShardedRepository::reconcile_foreign_keys() const {
     for (const ForeignKey& fk : child_def.foreign_keys) {
       auto parent_id = schema_.table_id(fk.parent_table);
       if (!parent_id.is_ok()) return parent_id.status();
-      const std::vector<int> fk_columns = fk_column_indices(child_def, fk);
+      const std::vector<int> fk_columns = column_indices(child_def, fk.columns);
       ++report.edges_checked;
       for (int home = 0; home < shard_count(); ++home) {
         const std::vector<Row> children = view.shard_view(home).scan_collect(
@@ -105,7 +105,7 @@ Result<FkReconcileReport> ShardedRepository::reconcile_foreign_keys() const {
         for (const Row& child : children) {
           ++report.rows_checked;
           const std::optional<std::string> probe =
-              encode_fk_probe(child_def, fk_columns, child);
+              encode_fk_probe(fk_columns, RowCells(child_def, child));
           if (!probe.has_value()) {
             ++report.null_skipped;
             continue;

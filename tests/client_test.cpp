@@ -390,7 +390,7 @@ TEST(SimServerTest, CacheModelFiguresArePinned) {
   db::Schema indexed;
   ASSERT_TRUE(indexed.add_table(schema.table(0)).is_ok());
   objects.col("mag", db::ColumnType::kDouble, false);
-  objects.indexes.push_back(db::IndexDef{"idx_mag", {"mag"}, false, {}});
+  objects.indexes.push_back(db::IndexDef{"idx_mag", {"mag"}, {}});
   ASSERT_TRUE(indexed.add_table(objects).is_ok());
   db::Engine engine(indexed);
   sim::Environment env;

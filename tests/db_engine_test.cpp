@@ -36,7 +36,7 @@ Schema frames_objects_schema() {
   objects.col("mag", ColumnType::kDouble);
   objects.primary_key = {"object_id"};
   objects.foreign_keys.push_back(ForeignKey{{"frame_id"}, "frames"});
-  objects.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false, {}});
+  objects.indexes.push_back(IndexDef{"idx_mag", {"mag"}, {}});
   objects.checks.push_back(CheckConstraint{"ra", 0.0, 360.0});
   objects.checks.push_back(CheckConstraint{"dec", -90.0, 90.0});
   EXPECT_TRUE(schema.add_table(objects).is_ok());
@@ -537,7 +537,34 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
       EXPECT_EQ(a, b) << "table " << tid;
     }
   };
-  const Schema schema = frames_objects_schema();
+  // Identical secondary indexes: a full-range read of every index returns
+  // the same rows in the same order (keys and row-id suffixes agree).
+  const auto expect_same_indexes = [](const Engine& a_engine,
+                                      const Engine& b_engine, uint32_t tid) {
+    for (const IndexDef& index : a_engine.schema().table(tid).indexes) {
+      const auto a = a_engine.live_view().index_range(tid, index.name, {}, {});
+      const auto b = b_engine.live_view().index_range(tid, index.name, {}, {});
+      ASSERT_TRUE(a.is_ok()) << index.name;
+      ASSERT_TRUE(b.is_ok()) << index.name;
+      EXPECT_EQ(static_cast<int64_t>(a->size()),
+                a_engine.live_view().row_count(tid))
+          << index.name;
+      EXPECT_TRUE(*a == *b) << index.name;
+    }
+  };
+  // The fixture schema plus an HTM index on objects, so the trixel-key path
+  // is compared too (its position columns must be NOT NULL).
+  Schema schema;
+  {
+    const Schema fixture = frames_objects_schema();
+    ASSERT_TRUE(schema.add_table(fixture.table(0)).is_ok());
+    TableDef objects_def = fixture.table(1);
+    objects_def.columns[2].nullable = false;  // ra
+    objects_def.columns[3].nullable = false;  // dec
+    objects_def.indexes.push_back(
+        IndexDef{"ix_htm", {}, HtmIndexSpec{"ra", "dec", 12}});
+    ASSERT_TRUE(schema.add_table(objects_def).is_ok());
+  }
   Engine row_engine(schema);
   Engine col_engine(schema);
   const uint32_t frames = row_engine.table_id("frames").value();
@@ -552,12 +579,13 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
     frame_cols.push_f64(1, i * 1.5);
   }
   for (int i = 0; i < 500; ++i) {
-    object_rows.push_back(object_row(i, i % 200, 10.0 + i * 0.01, -5.0, 19.0));
+    const double mag = 19.0 - (i % 7) * 0.25;  // repeats: equal keys too
+    object_rows.push_back(object_row(i, i % 200, 10.0 + i * 0.01, -5.0, mag));
     object_cols.push_i64(0, i);
     object_cols.push_i64(1, i % 200);
     object_cols.push_f64(2, 10.0 + i * 0.01);
     object_cols.push_f64(3, -5.0);
-    object_cols.push_f64(4, 19.0);
+    object_cols.push_f64(4, mag);
   }
 
   const uint64_t row_txn = row_engine.begin_transaction();
@@ -582,21 +610,7 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
   EXPECT_TRUE(col_engine.verify_integrity().is_ok());
 
   expect_same_heaps(row_engine, col_engine, {frames, objects});
-
-  // Identical secondary-index contents (same rows, same iteration order).
-  const auto row_mag = row_engine.live_view().index_range(
-      objects, "idx_mag", {Value::f64(18.0)}, {Value::f64(20.0)});
-  const auto col_mag = col_engine.live_view().index_range(
-      objects, "idx_mag", {Value::f64(18.0)}, {Value::f64(20.0)});
-  ASSERT_TRUE(row_mag.is_ok());
-  ASSERT_TRUE(col_mag.is_ok());
-  ASSERT_EQ(row_mag->size(), col_mag->size());
-  for (size_t i = 0; i < row_mag->size(); ++i) {
-    ASSERT_EQ((*row_mag)[i].size(), (*col_mag)[i].size());
-    for (size_t c = 0; c < (*row_mag)[i].size(); ++c) {
-      EXPECT_EQ((*row_mag)[i][c], (*col_mag)[i][c]) << i << "," << c;
-    }
-  }
+  expect_same_indexes(row_engine, col_engine, objects);
 
   // Dirty input, resumed after each error the way BulkLoader::batch_columns
   // does (skip the failing row, resend from the next). This objects variant
@@ -697,6 +711,7 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
   EXPECT_TRUE(dirty_row_engine.verify_integrity().is_ok());
   EXPECT_TRUE(dirty_col_engine.verify_integrity().is_ok());
   expect_same_heaps(dirty_row_engine, dirty_col_engine, {frames, objects});
+  expect_same_indexes(dirty_row_engine, dirty_col_engine, objects);
 }
 
 TEST_F(EngineTest, ColumnBatchStopsAtFirstErrorJdbcSemantics) {

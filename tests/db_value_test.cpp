@@ -350,6 +350,15 @@ TEST(SchemaTest, FkValidation) {
   orphan.foreign_keys.push_back(ForeignKey{{"missing_id"}, "nonexistent"});
   EXPECT_FALSE(schema.add_table(orphan).is_ok());
 
+  // A self-referential FK fails: a table cannot name itself before it is
+  // declared. The engine's insert paths rely on every FK parent being
+  // another, earlier table.
+  TableDef self = simple_table("self");
+  self.col("parent_id", ColumnType::kInt64);
+  self.foreign_keys.push_back(ForeignKey{{"parent_id"}, "self"});
+  EXPECT_FALSE(schema.add_table(self).is_ok());
+  EXPECT_FALSE(schema.has_table("self"));
+
   // FK type mismatch fails.
   TableDef mismatched = simple_table("mismatched");
   mismatched.col("parent_id", ColumnType::kInt32);
@@ -368,18 +377,18 @@ TEST(SchemaTest, IndexAndCheckValidation) {
   Schema schema;
   TableDef def = simple_table("t");
   def.col("mag", ColumnType::kDouble);
-  def.indexes.push_back(IndexDef{"idx_mag", {"mag"}, false, {}});
+  def.indexes.push_back(IndexDef{"idx_mag", {"mag"}, {}});
   def.checks.push_back(CheckConstraint{"mag", -5.0, 40.0});
   ASSERT_TRUE(schema.add_table(def).is_ok());
 
   TableDef bad_index = simple_table("u");
-  bad_index.indexes.push_back(IndexDef{"idx", {"ghost"}, false, {}});
+  bad_index.indexes.push_back(IndexDef{"idx", {"ghost"}, {}});
   EXPECT_FALSE(schema.add_table(bad_index).is_ok());
 
   TableDef dup_index = simple_table("v");
   dup_index.col("m", ColumnType::kDouble);
-  dup_index.indexes.push_back(IndexDef{"i", {"m"}, false, {}});
-  dup_index.indexes.push_back(IndexDef{"i", {"m"}, false, {}});
+  dup_index.indexes.push_back(IndexDef{"i", {"m"}, {}});
+  dup_index.indexes.push_back(IndexDef{"i", {"m"}, {}});
   EXPECT_FALSE(schema.add_table(dup_index).is_ok());
 
   TableDef string_check = simple_table("w");

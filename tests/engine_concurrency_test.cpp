@@ -605,7 +605,7 @@ TEST(EngineConcurrencyTest, QuerySchedulerMixedWorkloadStress) {
   objects.col("objid", db::ColumnType::kInt64, false);
   objects.col("htmid", db::ColumnType::kInt64, false);
   objects.primary_key = {"objid"};
-  objects.indexes.push_back(db::IndexDef{"ix_htmid", {"htmid"}, false, {}});
+  objects.indexes.push_back(db::IndexDef{"ix_htmid", {"htmid"}, {}});
   ASSERT_TRUE(schema.add_table(objects).is_ok());
   db::EngineOptions options;
   options.heap_extents = 4;

@@ -21,7 +21,7 @@ Schema stars_schema() {
   stars.col("name", ColumnType::kString);
   stars.primary_key = {"star_id"};
   stars.indexes.push_back(
-      IndexDef{"idx_field_mag", {"field", "mag"}, false, {}});
+      IndexDef{"idx_field_mag", {"field", "mag"}, {}});
   EXPECT_TRUE(schema.add_table(stars).is_ok());
   return schema;
 }

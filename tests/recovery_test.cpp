@@ -704,7 +704,7 @@ TEST(RecoveryTest, ShardedCrashReplaysEveryShardExtentIdentical) {
   obj.col("dec", ColumnType::kDouble, false);
   obj.primary_key = {"id"};
   obj.indexes.push_back(
-      IndexDef{"ix_htm", {}, false, HtmIndexSpec{"ra", "dec", 12}});
+      IndexDef{"ix_htm", {}, HtmIndexSpec{"ra", "dec", 12}});
   ASSERT_TRUE(schema.add_table(obj).is_ok());
   TableDef det;
   det.name = "det";
@@ -831,7 +831,7 @@ TEST(RecoveryTest, ShardedWalDirectoryRoundTrips) {
   obj.col("dec", ColumnType::kDouble, false);
   obj.primary_key = {"id"};
   obj.indexes.push_back(
-      IndexDef{"ix_htm", {}, false, HtmIndexSpec{"ra", "dec", 12}});
+      IndexDef{"ix_htm", {}, HtmIndexSpec{"ra", "dec", 12}});
   ASSERT_TRUE(schema.add_table(obj).is_ok());
 
   EngineOptions options = retain_options();

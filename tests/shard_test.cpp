@@ -38,8 +38,8 @@ Schema test_schema() {
   obj.col("dec", ColumnType::kDouble, false);
   obj.primary_key = {"id"};
   obj.indexes.push_back(
-      IndexDef{"ix_htm", {}, false, HtmIndexSpec{"ra", "dec", kIndexDepth}});
-  obj.indexes.push_back(IndexDef{"ix_dec", {"dec"}, false, {}});
+      IndexDef{"ix_htm", {}, HtmIndexSpec{"ra", "dec", kIndexDepth}});
+  obj.indexes.push_back(IndexDef{"ix_dec", {"dec"}, {}});
   EXPECT_TRUE(schema.add_table(obj).is_ok());
   TableDef det;
   det.name = "det";
@@ -351,6 +351,43 @@ TEST_F(ShardScatterGatherTest, ConeSearchByteIdenticalAndPruned) {
   }
   // Small cones inside one slice must not broadcast to every shard.
   EXPECT_GT(cones_pruned, 0);
+}
+
+TEST(ShardConeTest, IndexCoarserThanShardLayoutMergesByTrixel) {
+  // Shard trixels finer than the index's: an index trixel can straddle
+  // shards, so the sharded cone broadcasts each range and merges the rows
+  // by trixel key. The result must equal the single-engine cone.
+  const Schema schema = test_schema();
+  EngineOptions options = sharded_options(3);
+  options.policies.shard.htm_depth = kIndexDepth + 2;
+  ShardedRepository repo(schema, options);
+  Engine oracle(schema);
+  const uint32_t obj = repo.schema().table_id("obj").value();
+  Rng rng(0x5AD0009);
+  std::vector<double> ra, dec;
+  band_catalog(rng, 600, &ra, &dec);
+  const std::vector<Row> rows = object_rows(ra, dec);
+  auto session = repo.make_session();
+  ASSERT_FALSE(session->execute_batch(obj, rows).error.has_value());
+  ASSERT_TRUE(session->commit().is_ok());
+  const uint64_t txn = oracle.begin_transaction();
+  ASSERT_FALSE(oracle.insert_batch(txn, obj, rows).error.has_value());
+  ASSERT_TRUE(oracle.commit(txn).is_ok());
+
+  const auto spec = spatial::resolve_spatial(oracle, obj);
+  ASSERT_TRUE(spec.is_ok());
+  for (int probe = 0; probe < 12; ++probe) {
+    const double center_ra = rng.uniform_range(0.0, 315.0);
+    const double center_dec = rng.uniform_range(-18.0, 18.0);
+    const double radius = rng.uniform_range(0.2, 2.0);
+    const auto sharded = shard::cone_search(repo.read_view(), *spec,
+                                            center_ra, center_dec, radius);
+    const auto single = spatial::cone_search(oracle.live_view(), *spec,
+                                             center_ra, center_dec, radius);
+    ASSERT_TRUE(sharded.is_ok());
+    ASSERT_TRUE(single.is_ok());
+    expect_rows_identical(*sharded, *single);
+  }
 }
 
 TEST_F(ShardScatterGatherTest, ConeSearchRejectsInvalidRadius) {

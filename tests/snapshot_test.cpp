@@ -36,7 +36,7 @@ Schema batches_schema() {
   batches.col("batch_seq", ColumnType::kInt64, false);
   batches.col("batch_total", ColumnType::kInt64, false);
   batches.primary_key = {"pk"};
-  batches.indexes.push_back(IndexDef{"ix_batch", {"batch_id"}, false, {}});
+  batches.indexes.push_back(IndexDef{"ix_batch", {"batch_id"}, {}});
   EXPECT_TRUE(schema.add_table(batches).is_ok());
   return schema;
 }

@@ -166,7 +166,7 @@ Schema sky_schema() {
     table.col("dec", ColumnType::kDouble, false);
     table.primary_key = {"pk"};
     // Columns auto-fill to {ra, dec} from the HTM spec.
-    table.indexes.push_back(IndexDef{"ix_htm", {}, false,
+    table.indexes.push_back(IndexDef{"ix_htm", {},
                                      HtmIndexSpec{"ra", "dec", 12}});
     EXPECT_TRUE(schema.add_table(table).is_ok());
   }

@@ -20,7 +20,7 @@ Schema stars_schema() {
   stars.col("seen_at", ColumnType::kTimestamp);
   stars.primary_key = {"star_id"};
   stars.indexes.push_back(
-      IndexDef{"idx_field_mag", {"field", "mag"}, false, {}});
+      IndexDef{"idx_field_mag", {"field", "mag"}, {}});
   EXPECT_TRUE(schema.add_table(stars).is_ok());
   return schema;
 }
