@@ -187,10 +187,14 @@ int64_t run_stage_breakdown(const sky::core::CatalogFile& file,
         heap.append_batch(0, encoded);
     timer.stop("append");
 
-    // wal from the stored row views, then publish — the engine's order.
+    // wal, then publish — the engine's order: the payload is encoded from
+    // the stored row views before the exclusive index latch, and the
+    // record appended under it, ahead of the publish.
     timer.start("wal");
+    std::string payload =
+        sky::storage::encode_insert_batch_payload(appended.views);
     wal.append(sky::storage::WalRecordType::kInsertBatch, 1, table_id,
-               sky::storage::encode_insert_batch_payload(appended.views));
+               std::move(payload));
     timer.stop("wal");
 
     timer.start("append");

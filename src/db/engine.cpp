@@ -213,7 +213,7 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
   result.costs.commit_piggybacks += flush.piggybacked ? 1 : 0;
   result.costs.commit_leader_wait_ns += flush.leader_wait;
   std::vector<TableAdmission> admissions;
-  std::vector<UndoEntry> undo;
+  std::vector<UndoRun> undo;
   {
     const std::scoped_lock lock(txn_mu_);
     const auto it = transactions_.find(txn_id);
@@ -224,7 +224,7 @@ Result<CommitResult> Engine::commit(uint64_t txn_id) {
     }
   }
   // The commit is durable and the transaction gone from the live map —
-  // recycle its undo log into snapshot chunks so pinned readers gain this
+  // turn its undo records into snapshot chunks so pinned readers gain this
   // commit as one atomic publication. Still under the shared engine lock
   // (publication must not interleave with a DDL world-stop).
   if (!undo.empty()) {
@@ -256,20 +256,42 @@ Status Engine::rollback(uint64_t txn_id) {
       return Status(ErrorCode::kNotFound, "rollback: unknown transaction");
     }
     Transaction& txn = it->second;
-    for (auto undo_it = txn.undo.rbegin(); undo_it != txn.undo.rend();
-         ++undo_it) {
-      Table& table = tables_[undo_it->table_id];
-      const Status heap_status = table.heap().mark_deleted(undo_it->slot);
-      assert(heap_status.is_ok());
-      (void)heap_status;
-      const bool pk_erased = table.pk_tree().erase(undo_it->pk_key);
-      assert(pk_erased);
-      (void)pk_erased;
-      for (const auto& [secondary_idx, key] : undo_it->secondary_keys) {
-        table.secondaries()[secondary_idx].tree.erase(key);
+    // Entry position of each row in a sorted key run.
+    const auto entry_of_row = [](const KeyRun& keys) {
+      std::vector<uint32_t> entry(keys.size());
+      for (size_t e = 0; e < keys.size(); ++e) {
+        entry[keys.row(e)] = static_cast<uint32_t>(e);
       }
-      wal_.append(storage::WalRecordType::kRollbackInsert, txn_id,
-                  undo_it->table_id, "");
+      return entry;
+    };
+    // Newest record first, each record's rows newest first: the reverse of
+    // the insert order, one kRollbackInsert per row.
+    for (auto run = txn.undo.rbegin(); run != txn.undo.rend(); ++run) {
+      Table& table = tables_[run->table_id];
+      const std::vector<uint32_t> pk_entry = entry_of_row(run->pk);
+      std::vector<std::vector<uint32_t>> secondary_entry(
+          run->secondaries.size());
+      for (size_t s = 0; s < run->secondaries.size(); ++s) {
+        if (run->secondaries[s].has_value()) {
+          secondary_entry[s] = entry_of_row(*run->secondaries[s]);
+        }
+      }
+      for (size_t r = run->rows.size(); r-- > 0;) {
+        const Status heap_status = table.heap().mark_deleted(run->rows[r].slot);
+        assert(heap_status.is_ok());
+        (void)heap_status;
+        const bool pk_erased = table.pk_tree().erase(run->pk.key(pk_entry[r]));
+        assert(pk_erased);
+        (void)pk_erased;
+        for (size_t s = 0; s < run->secondaries.size(); ++s) {
+          if (run->secondaries[s].has_value()) {
+            table.secondaries()[s].tree.erase(
+                run->secondaries[s]->key(secondary_entry[s][r]));
+          }
+        }
+        wal_.append(storage::WalRecordType::kRollbackInsert, txn_id,
+                    run->table_id, "");
+      }
     }
     admissions = std::move(txn.admissions);
     transactions_.erase(it);
@@ -340,11 +362,34 @@ std::optional<BatchError> Engine::insert_rows_latched(Transaction& txn,
                                                       const RowAt& row_at,
                                                       OpCosts& costs,
                                                       uint32_t extent) {
+  AppliedRows applied;
+  applied.secondary_keys.resize(tables_[tid].secondaries().size());
+  std::optional<BatchError> failure;
   for (size_t i = 0; i < count; ++i) {
-    Status status = insert_row_latched(txn, tid, row_at(i), costs, extent);
-    if (!status.is_ok()) return BatchError{i, std::move(status)};
+    Status status =
+        insert_row_latched(txn, tid, row_at(i), costs, extent, applied);
+    if (!status.is_ok()) {
+      failure = BatchError{i, std::move(status)};
+      break;
+    }
   }
-  return std::nullopt;
+  if (applied.rows.empty()) return failure;
+  // One record for the call: each key run sorted once, here.
+  const auto sorted_run = [](const std::vector<std::string>& keys) {
+    KeyRun::Entries entries;
+    entries.reserve(keys.size());
+    for (size_t r = 0; r < keys.size(); ++r) {
+      entries.emplace_back(keys[r], static_cast<uint32_t>(r));
+    }
+    return KeyRun::sorted(std::move(entries));
+  };
+  UndoRun undo{tid, std::move(applied.rows), sorted_run(applied.pk_keys), {}};
+  for (const std::vector<std::string>& keys : applied.secondary_keys) {
+    undo.secondaries.push_back(
+        keys.empty() ? std::nullopt : std::optional<KeyRun>(sorted_run(keys)));
+  }
+  txn.undo.push_back(std::move(undo));
+  return failure;
 }
 
 BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
@@ -533,8 +578,6 @@ std::optional<BatchError> Engine::insert_column_run_latched(
 
   // Phase 1 — settle PK and FK constraints under the index latch *shared*,
   // so a failing row stops the run before anything touches the heap.
-  std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
-                                                  std::defer_lock);
   uint64_t checked_publishes = 0;
   costs.lock_wait_ns += lock_shared_timed(table.index_latch());
   {
@@ -581,8 +624,9 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   // pending rows. Only the extent latch is held (inside the heap): sessions
   // on distinct extents run this — including the modeled device write — in
   // parallel.
+  if (limit == 0) return failure;
   storage::ShardedHeap::BatchAppendResult appended;
-  if (limit > 0) {
+  {
     // One packed encode of the whole prefix: no allocation per row.
     storage::PackedRows rows;
     rows.ends.reserve(limit);
@@ -594,14 +638,71 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     appended = table.heap().append_batch(extent, rows);
     costs.lock_wait_ns += appended.latch_wait_ns;
     costs.heap_pages_opened += appended.pages_opened;
+  }
 
-    // Phase 3 — re-check primary keys under the index latch *exclusive*
-    // (another session may have published a conflicting key between the
-    // phases), then log, publish, and index the prefix. Rows from a lost
-    // race on are discarded: their slots stay dead, as after a rollback.
+  // What derives from the appended slots alone is built before the
+  // exclusive latch, for the first `n` rows: row ids, the call's undo
+  // record, each enabled secondary index's sorted key run (row indices
+  // until the record is packed, row ids after) and the WAL payload. The
+  // PK run needs no sort: column_run_keys admitted only increasing keys.
+  std::vector<uint64_t> row_ids;
+  UndoRun undo;
+  std::vector<IndexEntries> secondary_runs(table.secondaries().size());
+  std::string wal_payload;
+  const auto prepare = [&](size_t n) {
+    row_ids.resize(n);
+    undo = UndoRun{tid, {}, {}, {}};
+    undo.rows.reserve(n);
+    size_t pk_bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      row_ids[i] = make_row_id(tid, appended.slots[i]);
+      undo.rows.push_back({appended.slots[i], appended.views[i]});
+      pk_bytes += pk_keys[i].size();
+    }
+    undo.pk.reserve(n, pk_bytes);
+    for (size_t i = 0; i < n; ++i) {
+      undo.pk.push_back(pk_keys[i], static_cast<uint32_t>(i));
+    }
+    undo.secondaries.resize(table.secondaries().size());
+    for (size_t s = 0; s < table.secondaries().size(); ++s) {
+      const SecondaryIndex& secondary = table.secondaries()[s];
+      IndexEntries& run = secondary_runs[s];
+      run.clear();
+      // The enabled flags change only under the exclusive engine lock.
+      if (!secondary.enabled) continue;
+      run.reserve(n);
+      size_t key_bytes = 0;
+      for (size_t i = 0; i < n; ++i) {
+        run.emplace_back(
+            encode_index_key(secondary.def, secondary.column_indices,
+                             BatchCells(batch, first + i), row_ids[i]),
+            i);
+        key_bytes += run.back().first.size();
+      }
+      // Every key carries the row-id suffix: unique and disjoint by
+      // construction.
+      std::sort(run.begin(), run.end());
+      KeyRun& keys = undo.secondaries[s].emplace();
+      keys.reserve(n, key_bytes);
+      for (auto& [key, row] : run) {
+        keys.push_back(key, static_cast<uint32_t>(row));
+        row = row_ids[row];
+      }
+    }
+    wal_payload = storage::encode_insert_batch_payload(
+        std::span<const std::string_view>(appended.views).first(n));
+  };
+  prepare(limit);
+
+  // Phase 3 — re-check primary keys under the index latch *exclusive*
+  // (another session may have published a conflicting key between the
+  // phases), then log, publish, and index the prefix: one WAL record, one
+  // latched heap publish, one sorted-run merge per tree. Rows from a lost
+  // race on are discarded: their slots stay dead, as after a rollback.
+  {
     costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
-    index_latch = std::unique_lock<std::shared_mutex>(table.index_latch(),
-                                                      std::adopt_lock);
+    const std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
+                                                          std::adopt_lock);
     const size_t lost = table.key_publishes == checked_publishes
                             ? limit
                             : first_duplicate_pk(table, pk_keys, limit);
@@ -612,41 +713,25 @@ std::optional<BatchError> Engine::insert_column_run_latched(
         (void)discarded;
       }
       fail_constraint_at(lost);
-      appended.slots.resize(limit);
-      appended.views.resize(limit);
+      if (limit == 0) return failure;
+      prepare(limit);
     }
-  }
 
-  // Publish the surviving prefix: one WAL record, one latched heap publish,
-  // one sorted-run merge per tree.
-  if (limit > 0) {
-    std::string wal_payload =
-        storage::encode_insert_batch_payload(appended.views);
     costs.wal_bytes += static_cast<int64_t>(wal_payload.size());
     wal_.append(storage::WalRecordType::kInsertBatch, txn.id, tid,
                 std::move(wal_payload), extent);
-    const Status published = table.heap().publish_batch(appended.slots);
+    const Status published = table.heap().publish_batch(
+        std::span<const storage::SlotId>(appended.slots).first(limit));
     assert(published.is_ok());
     (void)published;
-
-    std::vector<uint64_t> row_ids(limit);
+    // Slots come back page-ordered, so one touch per distinct heap page
+    // covers the run instead of one per row.
     for (size_t i = 0; i < limit; ++i) {
       const storage::SlotId slot = appended.slots[i];
-      row_ids[i] = make_row_id(tid, slot);
-      // Slots come back page-ordered, so one touch per distinct heap page
-      // covers the run instead of one per row.
       if (i == 0 || slot.page != appended.slots[i - 1].page ||
           slot.extent != appended.slots[i - 1].extent) {
         touch_page({{table.heap_page_file, slot.page, slot.extent}});
       }
-    }
-
-    // Undo entries keep their own pk-key copies (the originals move into
-    // the tree run next); secondary keys are filled in below.
-    const size_t undo_base = txn.undo.size();
-    for (size_t i = 0; i < limit; ++i) {
-      txn.undo.push_back(
-          UndoEntry{tid, appended.slots[i], pk_keys[i], {}, appended.views[i]});
     }
 
     IndexEntries pk_run;
@@ -672,30 +757,18 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     for (size_t s = 0; s < table.secondaries().size(); ++s) {
       SecondaryIndex& secondary = table.secondaries()[s];
       if (!secondary.enabled) continue;
-      // Every key carries the row-id suffix: unique and disjoint by
-      // construction.
-      IndexEntries run;
-      run.reserve(limit);
       const auto key_rows = static_cast<int64_t>(limit);
       if (secondary.def.htm.has_value()) {
         costs.index_int_columns += key_rows;  // one trixel id per key
       } else {
         count_index_columns(def, secondary.column_indices, key_rows, costs);
       }
-      for (size_t i = 0; i < limit; ++i) {
-        std::string key =
-            encode_index_key(secondary.def, secondary.column_indices,
-                             BatchCells(batch, first + i), row_ids[i]);
-        txn.undo[undo_base + i].secondary_keys.emplace_back(s, key);
-        run.emplace_back(std::move(key), row_ids[i]);
-      }
-      std::sort(run.begin(), run.end());
       index::BPlusTree::RunTouch touch;
-      const Status index_status =
-          secondary.tree.insert_sorted_run(std::move(run), &touch);
+      const Status index_status = secondary.tree.insert_sorted_run(
+          std::move(secondary_runs[s]), &touch);
       assert(index_status.is_ok());
       (void)index_status;
-      costs.index_updates += static_cast<int64_t>(limit);
+      costs.index_updates += key_rows;
       costs.index_node_visits += touch.nodes_visited;
       costs.index_leaf_splits += touch.leaf_splits;
       for (const uint32_t leaf : touch.touched_leaf_ids) {
@@ -707,6 +780,8 @@ std::optional<BatchError> Engine::insert_column_run_latched(
       for (size_t i = 0; i < limit; ++i) insert_observer_(tid, row_ids[i]);
     }
   }
+  // The undo log belongs to this session's transaction alone.
+  txn.undo.push_back(std::move(undo));
   return failure;
 }
 
@@ -818,13 +893,13 @@ Status Engine::check_constraints(const Table& table, const Row& row,
 
 Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
                                   const Row& row, OpCosts& costs,
-                                  uint32_t extent) {
+                                  uint32_t extent, AppliedRows& applied) {
   Table& table = tables_[tid];
 
   // Validation and PK encoding read only immutable schema — no latch yet.
   SKY_RETURN_IF_ERROR(validate_row(table, row, costs));
   const RowCells cells(table.def(), row);
-  const std::string pk_key = encode_key(table.pk_column_indices(), cells);
+  std::string pk_key = encode_key(table.pk_column_indices(), cells);
 
   // Metadata latch shared for the whole row: row traffic only excludes
   // structural maintenance, never other rows.
@@ -896,11 +971,12 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
   touch_page(
       {{table.pk_page_file, pk_touch.leaf_page_id}, storage::IoRole::kIndex});
 
-  UndoEntry undo{tid, appended.slot, pk_key, {}, appended.bytes};
+  applied.rows.push_back({appended.slot, appended.bytes});
+  applied.pk_keys.push_back(std::move(pk_key));
   for (size_t s = 0; s < table.secondaries().size(); ++s) {
     SecondaryIndex& secondary = table.secondaries()[s];
     if (!secondary.enabled) continue;
-    const std::string key = encode_index_key(
+    std::string key = encode_index_key(
         secondary.def, secondary.column_indices, cells, row_id);
     index::BPlusTree::TouchInfo touch;
     const Status index_status = secondary.tree.insert(key, row_id, &touch);
@@ -916,11 +992,9 @@ Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
     if (touch.leaf_split) ++costs.index_leaf_splits;
     touch_page({{secondary.page_file, touch.leaf_page_id},
                 storage::IoRole::kIndex});
-    undo.secondary_keys.emplace_back(s, key);
+    applied.secondary_keys[s].push_back(std::move(key));
   }
   if (insert_observer_) insert_observer_(tid, row_id);
-  // The undo log belongs to this session's transaction alone.
-  txn.undo.push_back(std::move(undo));
   return ok_status();
 }
 
@@ -1101,34 +1175,44 @@ Result<bool> Engine::index_enabled(uint32_t tid,
                 "no such index: " + std::string(index_name));
 }
 
-void Engine::publish_snapshot_chunks(std::vector<UndoEntry> undo) {
-  // Group the undo log into one chunk per table, preserving insert order
-  // within each table (chunk row index = per-table insert sequence). Key
-  // runs are gathered as views into the undo log, then sorted and packed.
+void Engine::publish_snapshot_chunks(std::vector<UndoRun> undo) {
+  // One chunk per table: its records' rows concatenate in insert order
+  // (chunk row index = per-table insert sequence), and each index's sorted
+  // record runs merge, shifted by the rows of the records before them.
   struct Draft {
     uint32_t table_id = 0;
     SnapshotChunk chunk;
-    KeyRun::Entries pk;
-    std::vector<KeyRun::Entries> secondaries;
+    KeyRunMerger pk;
+    // nullopt once a record lacks the index's run: a chunk missing rows
+    // that committed while the index was disabled cannot serve reads over
+    // it.
+    std::vector<std::optional<KeyRunMerger>> secondaries;
   };
+  std::vector<size_t> table_rows(tables_.size(), 0);
+  for (const UndoRun& run : undo) table_rows[run.table_id] += run.rows.size();
   std::vector<int> draft_of(tables_.size(), -1);
   std::vector<Draft> drafts;
-  for (const UndoEntry& entry : undo) {
-    if (entry.table_id >= tables_.size()) continue;
-    int& slot = draft_of[entry.table_id];
+  for (UndoRun& run : undo) {
+    int& slot = draft_of[run.table_id];
     if (slot < 0) {
       slot = static_cast<int>(drafts.size());
-      drafts.emplace_back().table_id = entry.table_id;
-      drafts.back().secondaries.resize(
-          tables_[entry.table_id].secondaries().size());
+      Draft& draft = drafts.emplace_back();
+      draft.table_id = run.table_id;
+      draft.chunk.rows.reserve(table_rows[run.table_id]);
+      draft.secondaries.assign(run.secondaries.size(), KeyRunMerger());
     }
     Draft& draft = drafts[static_cast<size_t>(slot)];
-    const auto row_idx = static_cast<uint32_t>(draft.chunk.rows.size());
-    draft.chunk.rows.push_back({entry.slot, entry.bytes});
-    draft.pk.emplace_back(entry.pk_key, row_idx);
-    for (const auto& [s, key] : entry.secondary_keys) {
-      if (s < draft.secondaries.size()) {
-        draft.secondaries[s].emplace_back(key, row_idx);
+    const auto row_offset = static_cast<uint32_t>(draft.chunk.rows.size());
+    // Taken from the record so it is freed as soon as it is copied.
+    const std::vector<SnapshotChunk::RowRef> rows = std::move(run.rows);
+    draft.chunk.rows.insert(draft.chunk.rows.end(), rows.begin(), rows.end());
+    draft.pk.push(std::move(run.pk), row_offset);
+    for (size_t s = 0; s < run.secondaries.size(); ++s) {
+      std::optional<KeyRunMerger>& merger = draft.secondaries[s];
+      if (!run.secondaries[s].has_value()) {
+        merger.reset();
+      } else if (merger.has_value()) {
+        merger->push(std::move(*run.secondaries[s]), row_offset);
       }
     }
   }
@@ -1136,14 +1220,11 @@ void Engine::publish_snapshot_chunks(std::vector<UndoEntry> undo) {
   chunks.reserve(drafts.size());
   for (Draft& draft : drafts) {
     SnapshotChunk& chunk = draft.chunk;
-    chunk.pk = KeyRun::sorted(std::move(draft.pk));
-    for (KeyRun::Entries& entries : draft.secondaries) {
-      // A run missing rows that committed while its index was disabled
-      // cannot serve reads over that index: leave it nullopt.
+    chunk.pk = draft.pk.finish();
+    for (std::optional<KeyRunMerger>& merger : draft.secondaries) {
       chunk.secondaries.push_back(
-          entries.size() == chunk.rows.size()
-              ? std::optional<KeyRun>(KeyRun::sorted(std::move(entries)))
-              : std::nullopt);
+          merger.has_value() ? std::optional<KeyRun>(merger->finish())
+                             : std::nullopt);
     }
     chunks.emplace_back(draft.table_id, std::move(chunk));
   }

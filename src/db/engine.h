@@ -325,16 +325,19 @@ class Engine {
   // internals (latches for live reads, pinned chunks for snapshot reads).
   friend class ReadView;
 
-  struct UndoEntry {
-    uint32_t table_id;
-    storage::SlotId slot;
-    std::string pk_key;
-    std::vector<std::pair<size_t, std::string>> secondary_keys;
-    // View of the stored heap row (stable per the storage contract). At
-    // commit the undo log is recycled into the table's snapshot chunk:
-    // slots + views become the chunk rows, pk/secondary keys its sorted
-    // runs (db/snapshot.h).
-    std::string_view bytes;
+  // One insert call's undo record: the rows it applied and their keys.
+  // Rollback walks the records newest-first, each record's rows
+  // newest-first. At commit a table's records become its snapshot chunk:
+  // the rows concatenate and the key runs merge (KeyRunMerger), so no key
+  // is sorted twice (db/snapshot.h).
+  struct UndoRun {
+    uint32_t table_id = 0;
+    // Slot and stored-bytes view of each applied row, in insert order.
+    std::vector<SnapshotChunk::RowRef> rows;
+    KeyRun pk;  // encoded PK key -> index into rows
+    // Aligned with Table::secondaries(); nullopt when the index was
+    // disabled during the call.
+    std::vector<std::optional<KeyRun>> secondaries;
   };
   // Per-(transaction, table) admission record, created at the transaction's
   // first write to the table: the ITL gate held (if any), what acquiring it
@@ -354,7 +357,7 @@ class Engine {
     uint32_t extent = 0;
     // Mutated only by the owning session's thread (map lookup is locked;
     // the entry itself needs no lock).
-    std::vector<UndoEntry> undo;
+    std::vector<UndoRun> undo;
     // Tables admitted so far, in first-write order (= release order at
     // commit/abort). Same single-owner contract as `undo`.
     std::vector<TableAdmission> admissions;
@@ -394,8 +397,19 @@ class Engine {
   std::optional<BatchError> admitted_insert(uint64_t txn_id, uint32_t table_id,
                                             size_t count, OpCosts& costs,
                                             const Body& body);
+  // The rows a row-path call has applied so far and their keys, kept until
+  // the call ends and packs them into one UndoRun.
+  struct AppliedRows {
+    std::vector<SnapshotChunk::RowRef> rows;
+    std::vector<std::string> pk_keys;
+    // Per secondary index, aligned with Table::secondaries(); empty for a
+    // disabled index.
+    std::vector<std::vector<std::string>> secondary_keys;
+  };
   // Row-at-a-time body: insert_row_latched on row_at(0 .. count-1) in
-  // order, stopping at the first failure.
+  // order, stopping at the first failure. The applied rows, the prefix
+  // before a failure included, leave one UndoRun with each key run sorted
+  // once.
   template <typename RowAt>  // Row or const Row& (size_t i)
   std::optional<BatchError> insert_rows_latched(Transaction& txn,
                                                 uint32_t table_id, size_t count,
@@ -405,9 +419,11 @@ class Engine {
   // One row, three phases: pre-check constraints (index latch shared),
   // append to the admitted heap extent as a hidden pending row (extent
   // latch only — parallel across extents), then re-check and publish (index
-  // latch exclusive). See DESIGN.md "Heap extent sharding".
+  // latch exclusive). See DESIGN.md "Heap extent sharding". A published row
+  // and its keys are added to `applied`.
   Status insert_row_latched(Transaction& txn, uint32_t table_id,
-                            const Row& row, OpCosts& costs, uint32_t extent);
+                            const Row& row, OpCosts& costs, uint32_t extent,
+                            AppliedRows& applied);
   // The encoded primary key of every row of the slice when it can take the
   // columnar run (column layout matches the table, keys strictly
   // increasing); empty otherwise.
@@ -416,8 +432,10 @@ class Engine {
                                            size_t first, size_t count) const;
   // The columnar run of insert_column_batch: settle constraints for the
   // whole run under the shared index latch, append the surviving prefix to
-  // the heap as one pending batch (extent latch only), then under the
-  // exclusive index latch re-check primary keys, log one kInsertBatch
+  // the heap as one pending batch (extent latch only), build what derives
+  // from the appended slots alone (row ids, the UndoRun, the sorted
+  // secondary key runs, the WAL payload) with no index latch, then under
+  // the exclusive index latch re-check primary keys, log one kInsertBatch
   // record, publish, and merge each tree's sorted run. `pk_keys` is
   // column_run_keys' output. The run only locates the first failing row;
   // validate_row or check_constraints (status-only) on that row gives the
@@ -450,10 +468,11 @@ class Engine {
   // ITL admission was contended — the sim server's lock-escalation model
   // applied to real time.
   void pay_batch_latency(const OpCosts& costs, double escalation = 0.0) const;
-  // Recycle a committed transaction's undo log into per-table snapshot
-  // chunks and publish them (every commit that wrote rows). Called with
-  // the engine rwlock held shared.
-  void publish_snapshot_chunks(std::vector<UndoEntry> undo);
+  // Turn a committed transaction's undo records into one snapshot chunk
+  // per table — rows concatenated, key runs merged — and publish them
+  // (every commit that wrote rows). Called with the engine rwlock held
+  // shared.
+  void publish_snapshot_chunks(std::vector<UndoRun> undo);
   Result<Row> row_at(const Table& table, uint64_t row_id) const;
   std::string encode_tuple_key(const TableDef& def,
                                const std::vector<int>& column_indices,

@@ -158,6 +158,36 @@ void KeyRun::push_back(std::string_view key, uint32_t row) {
   rows_.push_back(row);
 }
 
+void KeyRunMerger::push(KeyRun run, uint32_t row_offset) {
+  levels_.push_back({std::move(run), row_offset, 1});
+  while (levels_.size() >= 2 &&
+         levels_[levels_.size() - 2].pushed == levels_.back().pushed) {
+    merge_top();
+  }
+}
+
+KeyRun KeyRunMerger::finish() {
+  while (levels_.size() >= 2) merge_top();
+  KeyRun run;
+  if (!levels_.empty()) {
+    const Level& bottom = levels_.front();
+    run = bottom.row_offset == 0
+              ? std::move(levels_.front().run)
+              : KeyRun::merge(KeyRun(), bottom.run, bottom.row_offset);
+  }
+  levels_.clear();
+  return run;
+}
+
+void KeyRunMerger::merge_top() {
+  Level newer = std::move(levels_.back());
+  levels_.pop_back();
+  Level& older = levels_.back();
+  older.run = KeyRun::merge(older.run, newer.run,
+                            newer.row_offset - older.row_offset);
+  older.pushed += newer.pushed;
+}
+
 int64_t SnapshotChunk::key_run_bytes() const {
   int64_t bytes = pk.memory_bytes();
   for (const auto& run : secondaries) {

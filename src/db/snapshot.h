@@ -7,16 +7,18 @@
 // loader's publish window and vice versa. This module adds the read path
 // that never blocks ingest.
 //
-// Mechanism: per-table chains of immutable chunks. At commit the engine
-// turns the transaction's undo log into one SnapshotChunk per written table:
-// the committed rows' slots and byte views (valid forever by the heap's
-// storage-stability contract — row bytes never move), plus packed sorted key
-// runs for the PK and every enabled secondary index, built from the very
-// keys the insert path already encoded. Chunks are linked newest-first into
-// per-table chains of std::shared_ptr<const SnapshotNode>; the chain heads
-// and published_lsn_ change together under one mutex — the one a pin
-// already takes to register itself — so any pin sees a transactionally
-// consistent committed prefix.
+// Mechanism: per-table chains of immutable chunks. Each insert call leaves
+// one undo record (Engine::UndoRun): the call's rows in insert order, plus
+// a packed sorted KeyRun for the PK and each enabled secondary index, built
+// from the very keys the insert path already encoded and sorted for its
+// tree merge. At commit the engine turns a table's records into one
+// SnapshotChunk: the rows concatenate (slots and byte views, valid forever
+// by the heap's storage-stability contract — row bytes never move) and the
+// key runs merge through a KeyRunMerger, so no key is sorted twice. Chunks
+// are linked newest-first into per-table chains of
+// std::shared_ptr<const SnapshotNode>; the chain heads and published_lsn_
+// change together under one mutex — the one a pin already takes to register
+// itself — so any pin sees a transactionally consistent committed prefix.
 //
 // A Snapshot is a pin: it captures read_lsn = the published LSN plus every
 // chain head, and reads exactly the chains behind those heads. Reads
@@ -38,8 +40,9 @@
 // Costs and limits (see DESIGN.md "Snapshot reads and the query scheduler"):
 // chunks duplicate the index keys' bytes, roughly doubling index-key memory
 // for snapshot-visible data (SnapshotStats::key_bytes reports it). A chunk
-// whose table had a secondary index disabled at commit carries no key run
-// for it, nor does any merged chunk that absorbed it; snapshot index reads
+// whose table had a secondary index disabled during one of the commit's
+// insert calls carries no key run for it, nor does any merged chunk that
+// absorbed it; snapshot index reads
 // over a chain containing such a chunk fail with kFailedPrecondition rather
 // than silently missing rows. Snapshots must not outlive their engine.
 #pragma once
@@ -76,6 +79,11 @@ class KeyRun {
   static KeyRun merge(const KeyRun& older, const KeyRun& newer,
                       uint32_t row_offset);
 
+  // Build a run from entries that arrive in ascending key order: reserve,
+  // then push_back each entry.
+  void reserve(size_t entries, size_t key_bytes);
+  void push_back(std::string_view key, uint32_t row);
+
   size_t size() const { return rows_.size(); }
   std::string_view key(size_t i) const {
     const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
@@ -89,14 +97,37 @@ class KeyRun {
   int64_t memory_bytes() const;
 
  private:
-  void reserve(size_t entries, size_t key_bytes);
-  void push_back(std::string_view key, uint32_t row);
   // Append entries [begin, size()) of `from`, shifting their row indices.
   void append(const KeyRun& from, size_t begin, uint32_t row_offset);
 
   std::string keys_;
   std::vector<uint32_t> ends_;  // ends_[i] = end offset of key(i) in keys_
   std::vector<uint32_t> rows_;
+};
+
+// Merges sorted runs pushed in row order into one run, as a binary
+// counter: a pushed run merges with the run below it while both stand for
+// the same number of pushed runs, so n runs cost O(keys * log n) key copies.
+// Runs whose keys do not interleave (presorted primary keys) concatenate
+// with no key comparison per key.
+class KeyRunMerger {
+ public:
+  // `run`'s row indices shift by `row_offset`; offsets must not decrease
+  // from one push to the next.
+  void push(KeyRun run, uint32_t row_offset);
+  // The merged run (empty when nothing was pushed). Leaves the merger empty.
+  KeyRun finish();
+
+ private:
+  struct Level {
+    KeyRun run;
+    uint32_t row_offset = 0;  // added to run's row indices
+    size_t pushed = 0;        // pushed runs merged into this level
+  };
+  // Merge the top level into the one below it.
+  void merge_top();
+
+  std::vector<Level> levels_;
 };
 
 // The rows of one or more consecutive commits for one table. Immutable once

@@ -181,58 +181,32 @@ Result<std::vector<Row>> cone_search(const ShardedReadView& view,
   const htm::Vec3 center = htm::radec_to_vector(ra_deg, dec_deg);
   const std::vector<htm::IdRange> cover =
       htm::cone_cover(center, radius_deg, spec.htm_depth);
-  // At index depth >= policy depth every trixel's rows live on exactly one
-  // shard, so the segment walk is exact and already key-ascending.
-  const bool exact = spec.htm_depth >= router.policy().htm_depth;
-  // Merge key of a row when the walk is not exact: its trixel id at the
-  // cover's depth, laid out as an HTM index keys it.
-  const Schema& schema = view.repository().schema();
-  IndexDef trixel_key;
-  trixel_key.htm = HtmIndexSpec{"", "", spec.htm_depth};
-  const std::vector<int> position{spec.ra_column, spec.dec_column};
+  // One pass in cover order is already key-ascending, whatever the index
+  // depth. Segments come in ascending shard order; each shard owns one
+  // contiguous slice of policy-depth trixels, ascending with the shard
+  // index; and the table routes each row by its position's policy-depth
+  // trixel (ShardRouter rule 1, on the same first HTM index
+  // resolve_spatial picks). A trixel id at the index depth is the bit
+  // prefix of the row's policy-depth id (htm_id descends one path), so no
+  // row on a shard has a smaller index key than a row on an earlier shard.
+  // At index depth >= policy depth the segments are disjoint; for a coarser
+  // index, segments_for_range repeats the range on every candidate shard,
+  // and a trixel straddling two shards yields the lower shard's rows first.
   std::vector<char> touched(static_cast<size_t>(view.shard_count()), 0);
   std::vector<Row> out;
-  const auto probe = [&](const ShardRouter::Segment& seg) {
-    touched[static_cast<size_t>(seg.shard)] = 1;
-    index::KeyEncoder lo;
-    index::KeyEncoder hi;
-    lo.append_int64(static_cast<int64_t>(seg.first));
-    hi.append_int64(static_cast<int64_t>(seg.last));
-    return view.shard_view(seg.shard).index_encoded_range(
-        spec.table_id, spec.htm_index, lo.take(), hi.take());
-  };
   for (const htm::IdRange& range : cover) {
-    const std::vector<ShardRouter::Segment> segments =
-        router.segments_for_range(range.first, range.last, spec.htm_depth);
-    if (exact) {
-      for (const ShardRouter::Segment& seg : segments) {
-        SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, probe(seg));
-        spatial::filter_cone(std::move(rows), spec, center, radius_deg, costs,
-                             out);
-      }
-    } else {
-      // Index coarser than the shard layout: a trixel can straddle shards,
-      // so broadcast the range to every candidate shard and merge by
-      // trixel key before filtering (keeps the cover-range-major,
-      // key-ascending order of the single-shard path).
-      std::vector<std::pair<std::string, Row>> keyed;
-      for (const ShardRouter::Segment& seg : segments) {
-        SKY_ASSIGN_OR_RETURN(std::vector<Row> rows, probe(seg));
-        const TableDef& def = schema.table(spec.table_id);  // probe resolved it
-        for (Row& row : rows) {
-          std::string key = encode_index_key(trixel_key, position,
-                                             RowCells(def, row), std::nullopt);
-          keyed.emplace_back(std::move(key), std::move(row));
-        }
-      }
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      std::vector<Row> merged;
-      merged.reserve(keyed.size());
-      for (auto& [key, row] : keyed) merged.push_back(std::move(row));
-      spatial::filter_cone(std::move(merged), spec, center, radius_deg, costs,
+    for (const ShardRouter::Segment& seg :
+         router.segments_for_range(range.first, range.last, spec.htm_depth)) {
+      touched[static_cast<size_t>(seg.shard)] = 1;
+      index::KeyEncoder lo;
+      index::KeyEncoder hi;
+      lo.append_int64(static_cast<int64_t>(seg.first));
+      hi.append_int64(static_cast<int64_t>(seg.last));
+      SKY_ASSIGN_OR_RETURN(
+          std::vector<Row> rows,
+          view.shard_view(seg.shard).index_encoded_range(
+              spec.table_id, spec.htm_index, lo.take(), hi.take()));
+      spatial::filter_cone(std::move(rows), spec, center, radius_deg, costs,
                            out);
     }
   }

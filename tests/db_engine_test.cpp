@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "common/rng.h"
 #include "db/control_plane.h"
@@ -776,6 +777,122 @@ TEST_F(EngineTest, ColumnBatchRollbackUndoesTheRun) {
   EXPECT_EQ(engine_.live_view().row_count(frames_), 0);
   EXPECT_FALSE(engine_.live_view().pk_lookup(frames_, {Value::i64(2)}).is_ok());
   EXPECT_TRUE(engine_.verify_integrity().is_ok());
+}
+
+// A rolled-back transaction of column and row calls over two indexed
+// tables leaves the heaps and every tree as they were before it, and logs
+// one kRollbackInsert per applied row, newest row first.
+TEST_F(EngineTest, RollbackAfterMixedCallsRestoresState) {
+  Schema schema;
+  {
+    const Schema base = frames_objects_schema();
+    TableDef frames = base.table(base.table_id("frames").value());
+    frames.indexes.push_back(IndexDef{"idx_exposure", {"exposure"}, {}});
+    ASSERT_TRUE(schema.add_table(frames).is_ok());
+    ASSERT_TRUE(
+        schema.add_table(base.table(base.table_id("objects").value())).is_ok());
+  }
+  EngineOptions options;
+  options.retain_wal_records = true;
+  Engine engine(schema, options);
+  const uint32_t frames = engine.table_id("frames").value();
+  const uint32_t objects = engine.table_id("objects").value();
+  OpCosts costs;
+  const auto frame_batch = [&](std::initializer_list<int64_t> ids) {
+    ColumnBatch batch(schema.table(frames));
+    for (const int64_t id : ids) {
+      batch.push_i64(0, id);
+      batch.push_f64(1, static_cast<double>(id % 7) * 10.0);
+    }
+    return batch;
+  };
+  const auto object_batch = [&](std::initializer_list<int64_t> ids) {
+    ColumnBatch batch(schema.table(objects));
+    for (const int64_t id : ids) {
+      batch.push_i64(0, id);
+      batch.push_i64(1, 1 + id % 3);
+      batch.push_f64(2, 10.0);
+      batch.push_f64(3, 5.0);
+      batch.push_f64(4, static_cast<double>(id % 11) + 12.5);
+    }
+    return batch;
+  };
+
+  const uint64_t setup = engine.begin_transaction();
+  for (int64_t id = 1; id <= 4; ++id) {
+    const double exposure = 5.0 * static_cast<double>(id);
+    ASSERT_TRUE(
+        engine.insert_row(setup, frames, frame_row(id, exposure), costs)
+            .is_ok());
+  }
+  ASSERT_FALSE(engine
+                   .insert_column_batch(setup, objects,
+                                        object_batch({100, 101, 102, 103}))
+                   .error.has_value());
+  ASSERT_TRUE(engine.commit(setup).is_ok());
+
+  // Every row the live trees and heaps serve, in their orders.
+  const auto state = [&] {
+    std::vector<std::vector<Row>> reads;
+    std::vector<std::tuple<uint32_t, uint32_t, uint32_t, std::string>> heap;
+    const ReadView live = engine.live_view();
+    for (const uint32_t table : {frames, objects}) {
+      reads.push_back(live.pk_range(table, {}, {}).value());
+      for (const IndexDef& index : schema.table(table).indexes) {
+        reads.push_back(live.index_range(table, index.name, {}, {}).value());
+      }
+      EXPECT_TRUE(live.scan_heap(table,
+                                 [&](storage::SlotId slot,
+                                     std::string_view bytes) {
+                                   heap.emplace_back(slot.extent, slot.page,
+                                                     slot.slot,
+                                                     std::string(bytes));
+                                 })
+                      .is_ok());
+    }
+    return std::make_pair(reads, heap);
+  };
+  const auto before = state();
+
+  const uint64_t doomed = engine.begin_transaction();
+  // 1: a column run on frames.
+  ASSERT_FALSE(
+      engine.insert_column_batch(doomed, frames, frame_batch({10, 11, 12}))
+          .error.has_value());
+  // 2: a row-path call on objects whose middle row has no parent.
+  const std::vector<Row> rows = {object_row(200, 10), object_row(201, 99),
+                                 object_row(202, 11)};
+  const BatchResult failing = engine.insert_batch(doomed, objects, rows);
+  ASSERT_TRUE(failing.error.has_value());
+  EXPECT_EQ(failing.rows_applied, 1);
+  // 3: a column run on objects.
+  ASSERT_FALSE(engine
+                   .insert_column_batch(doomed, objects,
+                                        object_batch({300, 301, 302, 303}))
+                   .error.has_value());
+  // 4: a single-row insert on frames.
+  ASSERT_TRUE(engine.insert_row(doomed, frames, frame_row(13), costs).is_ok());
+  // 5: unsorted keys, which take the row path.
+  ASSERT_FALSE(
+      engine.insert_column_batch(doomed, objects, object_batch({402, 401}))
+          .error.has_value());
+  EXPECT_NE(state(), before);
+  ASSERT_TRUE(engine.rollback(doomed).is_ok());
+
+  EXPECT_EQ(state(), before);
+  EXPECT_TRUE(engine.verify_integrity().is_ok());
+  std::vector<uint32_t> undone;
+  for (const storage::WalRecord& record : engine.wal_records()) {
+    if (record.type == storage::WalRecordType::kRollbackInsert) {
+      EXPECT_EQ(record.txn_id, doomed);
+      undone.push_back(record.table_id);
+    }
+  }
+  // Calls 5, 4, 3, 2, 1; within each call, rows newest first.
+  const std::vector<uint32_t> want = {objects, objects, frames,  objects,
+                                      objects, objects, objects, objects,
+                                      frames,  frames,  frames};
+  EXPECT_EQ(undone, want);
 }
 
 TEST_F(EngineTest, ColumnBatchForeignKeyViolationReported) {

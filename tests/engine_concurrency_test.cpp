@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "catalog/generator.h"
@@ -339,7 +340,8 @@ TEST(EngineConcurrencyTest, ShardedSameTableAppendRollbackScanStress) {
 // publish another writer can publish a conflicting key. The loser must
 // discard its pending rows from the conflict on and report a primary-key
 // error at that index. Afterwards every key exists exactly once, nothing
-// pending is visible, and the engine audits clean.
+// pending is visible, the engine audits clean, and a pinned snapshot
+// reads exactly what the live trees and heap hold.
 TEST(EngineConcurrencyTest, ColumnBatchKeyRaceDiscardsLosers) {
   db::Schema schema;
   db::TableDef hot;
@@ -347,6 +349,7 @@ TEST(EngineConcurrencyTest, ColumnBatchKeyRaceDiscardsLosers) {
   hot.col("id", db::ColumnType::kInt64, false);
   hot.col("payload", db::ColumnType::kString);
   hot.primary_key = {"id"};
+  hot.indexes.push_back(db::IndexDef{"ix_payload", {"payload"}, {}});
   ASSERT_TRUE(schema.add_table(hot).is_ok());
   db::EngineOptions options;
   options.heap_extents = 4;
@@ -362,10 +365,17 @@ TEST(EngineConcurrencyTest, ColumnBatchKeyRaceDiscardsLosers) {
     threads.emplace_back([&, w] {
       const uint64_t txn = engine.begin_transaction();
       int64_t mine = 0;
+      // Odd writers' batches straddle two of the even writers' batches, so
+      // a race can be lost partway through a run (the survivors are its
+      // prefix). Even writers submit [0, kBatches * kRows), odd writers the
+      // same range from kRows / 2 on, their last batch cut at its end.
+      const int64_t shift = (w % 2) * (kRows / 2);
       for (int64_t b = 0; b < kBatches; ++b) {
         db::ColumnBatch batch(engine.schema().table(tid));
-        for (int64_t j = 0; j < kRows; ++j) {
-          batch.push_i64(0, b * kRows + j);
+        const int64_t end =
+            std::min((b + 1) * kRows + shift, kBatches * kRows);
+        for (int64_t id = b * kRows + shift; id < end; ++id) {
+          batch.push_i64(0, id);
           batch.push_str(1, "w" + std::to_string(w));
         }
         const db::BatchResult result =
@@ -400,6 +410,36 @@ TEST(EngineConcurrencyTest, ColumnBatchKeyRaceDiscardsLosers) {
     EXPECT_EQ(ids[static_cast<size_t>(i)], i);
   }
   EXPECT_TRUE(engine.verify_integrity().is_ok());
+
+  // The committed chunks hold exactly the surviving rows: the pinned PK and
+  // secondary reads equal the live ones, and the pinned heap visit sees
+  // the live slots — no slot a lost race discarded.
+  const db::Snapshot snap = engine.pin_snapshot();
+  const db::ReadView pinned = engine.view_at(snap);
+  const db::ReadView live = engine.live_view();
+  EXPECT_EQ(pinned.row_count(tid), kBatches * kRows);
+  const auto live_pk = live.pk_range(tid, {}, {});
+  const auto snap_pk = pinned.pk_range(tid, {}, {});
+  ASSERT_TRUE(live_pk.is_ok());
+  ASSERT_TRUE(snap_pk.is_ok());
+  EXPECT_EQ(*live_pk, *snap_pk);
+  const auto live_ix = live.index_range(tid, "ix_payload", {}, {});
+  const auto snap_ix = pinned.index_range(tid, "ix_payload", {}, {});
+  ASSERT_TRUE(live_ix.is_ok());
+  ASSERT_TRUE(snap_ix.is_ok());
+  EXPECT_EQ(static_cast<int64_t>(live_ix->size()), kBatches * kRows);
+  EXPECT_EQ(*live_ix, *snap_ix);
+  const auto slots_of = [&](const db::ReadView& view) {
+    std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> slots;
+    EXPECT_TRUE(view.scan_heap(tid,
+                               [&](storage::SlotId slot, std::string_view) {
+                                 slots.emplace_back(slot.extent, slot.page,
+                                                    slot.slot);
+                               })
+                    .is_ok());
+    return slots;
+  };
+  EXPECT_EQ(slots_of(live), slots_of(pinned));
 }
 
 // ITL admission: six writers hammer one table gated at two slots, with

@@ -824,5 +824,185 @@ TEST_F(SnapshotTest, ConcurrentLoadersSnapshotConsistencyProperty) {
   EXPECT_EQ(stats.rows_published, engine.live_view().row_count(table));
 }
 
+// Parent "fields" (secondary index on name) and child "stars" with an HTM
+// index and a two-column secondary index: every key-run shape a chunk
+// carries.
+Schema fields_stars_schema() {
+  Schema schema;
+  TableDef fields;
+  fields.name = "fields";
+  fields.col("field_id", ColumnType::kInt64, false);
+  fields.col("name", ColumnType::kString);
+  fields.primary_key = {"field_id"};
+  fields.indexes.push_back(IndexDef{"ix_name", {"name"}, {}});
+  EXPECT_TRUE(schema.add_table(fields).is_ok());
+
+  TableDef stars;
+  stars.name = "stars";
+  stars.col("star_id", ColumnType::kInt64, false);
+  stars.col("field_id", ColumnType::kInt64, false);
+  stars.col("ra", ColumnType::kDouble, false);
+  stars.col("dec", ColumnType::kDouble, false);
+  stars.col("mag", ColumnType::kDouble);
+  stars.primary_key = {"star_id"};
+  stars.foreign_keys.push_back(ForeignKey{{"field_id"}, "fields"});
+  stars.indexes.push_back(
+      IndexDef{"ix_htm", {}, HtmIndexSpec{"ra", "dec", 12}});
+  stars.indexes.push_back(IndexDef{"ix_field_mag", {"field_id", "mag"}, {}});
+  stars.checks.push_back(CheckConstraint{"mag", 0.0, 30.0});
+  EXPECT_TRUE(schema.add_table(stars).is_ok());
+  return schema;
+}
+
+Row star_row(int64_t id, int64_t field, double ra, double dec, double mag) {
+  return {Value::i64(id), Value::i64(field), Value::f64(ra), Value::f64(dec),
+          Value::f64(mag)};
+}
+
+// Stars [first, first + count) on fields 1..3, positions and magnitudes
+// drawn from `rng` (so two such runs interleave on both secondary indexes).
+ColumnBatch star_batch(const Schema& schema, int64_t first, int64_t count,
+                       Rng& rng) {
+  ColumnBatch batch(schema.table(schema.table_id("stars").value()));
+  for (int64_t id = first; id < first + count; ++id) {
+    batch.push_i64(0, id);
+    batch.push_i64(1, 1 + id % 3);
+    batch.push_f64(2, rng.uniform_range(10.0, 12.0));
+    batch.push_f64(3, rng.uniform_range(-1.0, 1.0));
+    batch.push_f64(4, rng.uniform_range(14.0, 22.0));
+  }
+  return batch;
+}
+
+// One transaction mixes every insert form over two tables; the chunk its
+// commit publishes serves the same rows, in the same order, as the live
+// trees for a full-range read of the PK and of every secondary index.
+TEST_F(SnapshotTest, MixedCallsChunkMatchesLiveReads) {
+  const Schema schema = fields_stars_schema();
+  Engine engine(schema);
+  const uint32_t fields = engine.table_id("fields").value();
+  const uint32_t stars = engine.table_id("stars").value();
+  Rng rng(0xC0FFEE);
+  OpCosts costs;
+
+  const uint64_t txn = engine.begin_transaction();
+  // Single-row inserts whose names do not arrive in key order.
+  for (const auto& [id, name] :
+       {std::pair<int64_t, const char*>{1, "c"}, {2, "a"}, {3, "b"}}) {
+    ASSERT_TRUE(engine
+                    .insert_row(txn, fields,
+                                {Value::i64(id), Value::str(name)}, costs)
+                    .is_ok());
+  }
+  // A column run.
+  const BatchResult first_run =
+      engine.insert_column_batch(txn, stars, star_batch(schema, 0, 40, rng));
+  ASSERT_FALSE(first_run.error.has_value());
+  // A row-path call whose middle row has no parent: its first row stays.
+  const std::vector<Row> row_call = {star_row(1000, 2, 11.5, 0.5, 17.0),
+                                     star_row(1001, 77, 11.0, 0.0, 16.0),
+                                     star_row(1002, 1, 10.5, -0.5, 15.0)};
+  const BatchResult row_result = engine.insert_batch(txn, stars, row_call);
+  ASSERT_TRUE(row_result.error.has_value());
+  EXPECT_EQ(row_result.error->row_index, 1u);
+  EXPECT_EQ(row_result.rows_applied, 1);
+  // Single-row inserts, keys below the column runs' (one a duplicate).
+  EXPECT_EQ(engine.insert_row(txn, stars, star_row(30, 3, 11.2, 0.1, 19.5),
+                              costs)
+                .code(),
+            ErrorCode::kConstraintPrimaryKey);
+  ASSERT_TRUE(
+      engine.insert_row(txn, stars, star_row(-5, 3, 11.2, 0.1, 19.5), costs)
+          .is_ok());
+  ASSERT_TRUE(
+      engine.insert_row(txn, stars, star_row(-4, 1, 10.1, 0.9, 14.5), costs)
+          .is_ok());
+  // A second column run whose secondary keys interleave with the first's.
+  const BatchResult second_run =
+      engine.insert_column_batch(txn, stars, star_batch(schema, 40, 40, rng));
+  ASSERT_FALSE(second_run.error.has_value());
+  // A row-path call on the parent table.
+  const std::vector<Row> more_fields = {{Value::i64(5), Value::str("aa")},
+                                        {Value::i64(4), Value::str("d")}};
+  ASSERT_FALSE(engine.insert_batch(txn, fields, more_fields).error.has_value());
+  ASSERT_TRUE(engine.commit(txn).is_ok());
+
+  const Snapshot snap = engine.pin_snapshot();
+  const ReadView pinned = engine.view_at(snap);
+  const ReadView live = engine.live_view();
+  EXPECT_EQ(pinned.row_count(fields), 5);
+  EXPECT_EQ(pinned.row_count(stars), 83);
+  for (const uint32_t table : {fields, stars}) {
+    EXPECT_EQ(pinned.row_count(table), live.row_count(table));
+    const auto live_pk = live.pk_range(table, {}, {});
+    const auto snap_pk = pinned.pk_range(table, {}, {});
+    ASSERT_TRUE(live_pk.is_ok());
+    ASSERT_TRUE(snap_pk.is_ok());
+    EXPECT_EQ(static_cast<int64_t>(live_pk->size()), live.row_count(table));
+    EXPECT_EQ(*live_pk, *snap_pk);
+    for (const IndexDef& index : schema.table(table).indexes) {
+      const auto live_ix = live.index_range(table, index.name, {}, {});
+      const auto snap_ix = pinned.index_range(table, index.name, {}, {});
+      ASSERT_TRUE(live_ix.is_ok()) << index.name;
+      ASSERT_TRUE(snap_ix.is_ok()) << index.name;
+      EXPECT_EQ(static_cast<int64_t>(live_ix->size()), live.row_count(table))
+          << index.name;
+      EXPECT_EQ(*live_ix, *snap_ix) << index.name;
+    }
+  }
+}
+
+// Sorted runs pushed through a KeyRunMerger with their row offsets give
+// the run KeyRun::sorted builds over the union, whether the runs'
+// keys interleave or arrive presorted.
+TEST(KeyRunTest, MergerMatchesSortedUnion) {
+  Rng rng(0x5EED5);
+  for (const bool presorted : {false, true}) {
+    for (size_t runs = 1; runs <= 9; ++runs) {
+      std::vector<std::string> keys;
+      std::vector<size_t> bounds{0};
+      for (size_t r = 0; r < runs; ++r) {
+        const int64_t size = rng.uniform_int(0, 40);
+        for (int64_t k = 0; k < size; ++k) {
+          index::KeyEncoder enc;
+          enc.append_int64(presorted ? static_cast<int64_t>(keys.size())
+                                     : rng.uniform_int(0, 1000000));
+          enc.append_int64(static_cast<int64_t>(keys.size()));  // unique
+          keys.push_back(enc.take());
+        }
+        bounds.push_back(keys.size());
+      }
+      KeyRunMerger merger;
+      KeyRun::Entries all;
+      for (size_t r = 0; r < runs; ++r) {
+        KeyRun::Entries part;
+        for (size_t i = bounds[r]; i < bounds[r + 1]; ++i) {
+          part.emplace_back(keys[i], static_cast<uint32_t>(i - bounds[r]));
+          all.emplace_back(keys[i], static_cast<uint32_t>(i));
+        }
+        merger.push(KeyRun::sorted(std::move(part)),
+                    static_cast<uint32_t>(bounds[r]));
+      }
+      const KeyRun merged = merger.finish();
+      const KeyRun want = KeyRun::sorted(std::move(all));
+      ASSERT_EQ(merged.size(), want.size()) << runs;
+      EXPECT_EQ(merged.key_bytes(), want.key_bytes());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(merged.key(i), want.key(i)) << runs << " entry " << i;
+        EXPECT_EQ(merged.row(i), want.row(i)) << runs << " entry " << i;
+      }
+    }
+  }
+  // A first push with a non-zero offset still shifts its rows.
+  KeyRunMerger shifted;
+  shifted.push(KeyRun::sorted({{"b", 0}, {"a", 1}}), 5);
+  const KeyRun run = shifted.finish();
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run.key(0), "a");
+  EXPECT_EQ(run.row(0), 6u);
+  EXPECT_EQ(run.row(1), 5u);
+  EXPECT_EQ(shifted.finish().size(), 0u);
+}
+
 }  // namespace
 }  // namespace sky::db
