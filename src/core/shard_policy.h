@@ -22,19 +22,6 @@
 
 namespace sky::core {
 
-// How rows are routed to shards.
-enum class ShardRouting {
-  // Spatial tables (an HTM index, or ra/dec/htmid columns) partition by HTM
-  // trixel range at `htm_depth`; non-spatial tables go block-cyclic on their
-  // first integer primary-key column. The production layout: cone searches
-  // and cross-matches prune to the owning shards.
-  kHtmRange,
-  // Baseline for ablation: every table goes block-cyclic on its primary
-  // key, ignoring sky position. Balances perfectly but spatial queries must
-  // scatter to every shard.
-  kPkCyclic,
-};
-
 struct ShardPolicy {
   // Number of independent engine instances (1 = the unsharded repository;
   // ShardedRepository degenerates to a pass-through).
@@ -44,7 +31,6 @@ struct ShardPolicy {
   // >= this maps each index key to exactly one shard). Depth 6 trixels are
   // ~1.4 degrees — a few thousand atoms to lay out across shards.
   int htm_depth = 6;
-  ShardRouting routing = ShardRouting::kHtmRange;
   // Optional explicit partition boundaries: ascending trixel ids at
   // `htm_depth`, size shard_count - 1; shard s owns [boundaries[s-1],
   // boundaries[s]) with the first/last shard unbounded below/above. Empty =
@@ -67,12 +53,10 @@ struct ShardPolicy {
     return p;
   }
 
-  // e.g. "shards=4, htm-depth=6, routing=htm-range".
+  // e.g. "shards=4, htm-depth=6".
   std::string describe() const {
     std::string out = "shards=" + std::to_string(shard_count);
     out += ", htm-depth=" + std::to_string(htm_depth);
-    out += ", routing=";
-    out += routing == ShardRouting::kHtmRange ? "htm-range" : "pk-cyclic";
     if (!boundaries.empty()) {
       out += ", boundaries=" + std::to_string(boundaries.size());
     }

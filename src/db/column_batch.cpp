@@ -205,6 +205,31 @@ void ColumnBatch::clear() {
   }
 }
 
+size_t ColumnBatch::append_rows(std::span<const Row> rows) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    if (row.size() != columns_.size()) return r;
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (!row[c].matches(columns_[c].type)) return r;
+    }
+    for (size_t c = 0; c < row.size(); ++c) {
+      const Value& value = row[c];
+      if (value.is_null()) {
+        push_null(c);
+      } else if (value.is_i32()) {
+        push_i64(c, value.as_i32());
+      } else if (value.is_i64()) {
+        push_i64(c, value.as_i64());
+      } else if (value.is_f64()) {
+        push_f64(c, value.as_f64());
+      } else {
+        push_str(c, value.as_str());
+      }
+    }
+  }
+  return rows.size();
+}
+
 void ColumnBatch::reserve(size_t rows, size_t string_bytes_hint) {
   for (Column& c : columns_) {
     c.nulls.reserve(rows);

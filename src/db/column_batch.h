@@ -8,19 +8,20 @@
 // (catalog::CatalogParser::parse_block) appends cells column-at-a-time with
 // no per-row Row/Value materialization; the engine's batch insert
 // (Engine::insert_column_batch) reads cells straight out of the vectors,
-// encodes heap bytes and index keys without intermediate Values, and only
-// falls back to row() materialization on the slow path.
+// encodes heap bytes and index keys without intermediate Values; row input
+// (Engine::insert_batch) is copied in with append_rows.
 //
 // Encoding parity contract: encode_row_to(i, out) must produce exactly the
 // bytes encode_row(row(i)) would — the differential tests and WAL recovery
 // depend on the two paths being byte-identical. This holds because every
 // stored cell's runtime kind is determined by its declared column type
-// (the same invariant Engine::validate_row enforces on the row path).
+// (append_rows admits a Row's cell only when its kind matches).
 //
 // Not thread-safe; a batch belongs to one loader thread at a time.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,6 +70,12 @@ class ColumnBatch {
   // Append every row of `other` (same column types) — the array-set merges
   // parser blocks into its per-table buffer with this.
   void append_from(const ColumnBatch& other);
+
+  // Append `rows` in order up to the first one that does not fit the layout
+  // (wrong arity, or a non-NULL cell whose kind does not store into its
+  // column's type); returns how many were appended. An appended row reads
+  // back as an equal Row and encodes to the same bytes.
+  size_t append_rows(std::span<const Row> rows);
 
   // Drop all rows, keep column layout and buffer capacity (arena reuse
   // across parser blocks).

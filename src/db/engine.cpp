@@ -355,53 +355,15 @@ std::optional<BatchError> Engine::admitted_insert(uint64_t txn_id,
   return error;
 }
 
-template <typename RowAt>
-std::optional<BatchError> Engine::insert_rows_latched(Transaction& txn,
-                                                      uint32_t tid,
-                                                      size_t count,
-                                                      const RowAt& row_at,
-                                                      OpCosts& costs,
-                                                      uint32_t extent) {
-  AppliedRows applied;
-  applied.secondary_keys.resize(tables_[tid].secondaries().size());
-  std::optional<BatchError> failure;
-  for (size_t i = 0; i < count; ++i) {
-    Status status =
-        insert_row_latched(txn, tid, row_at(i), costs, extent, applied);
-    if (!status.is_ok()) {
-      failure = BatchError{i, std::move(status)};
-      break;
-    }
-  }
-  if (applied.rows.empty()) return failure;
-  // One record for the call: each key run sorted once, here.
-  const auto sorted_run = [](const std::vector<std::string>& keys) {
-    KeyRun::Entries entries;
-    entries.reserve(keys.size());
-    for (size_t r = 0; r < keys.size(); ++r) {
-      entries.emplace_back(keys[r], static_cast<uint32_t>(r));
-    }
-    return KeyRun::sorted(std::move(entries));
-  };
-  UndoRun undo{tid, std::move(applied.rows), sorted_run(applied.pk_keys), {}};
-  for (const std::vector<std::string>& keys : applied.secondary_keys) {
-    undo.secondaries.push_back(
-        keys.empty() ? std::nullopt : std::optional<KeyRun>(sorted_run(keys)));
-  }
-  txn.undo.push_back(std::move(undo));
-  return failure;
-}
-
 BatchResult Engine::insert_batch(uint64_t txn_id, uint32_t tid,
-                                 std::span<const Row> rows) {
+                                 std::span<const Row> rows,
+                                 std::optional<uint32_t> extent) {
   BatchResult result;
   result.error = admitted_insert(
       txn_id, tid, rows.size(), result.costs,
-      [&](Transaction& txn, uint32_t extent) {
-        return insert_rows_latched(
-            txn, tid, rows.size(),
-            [&](size_t i) -> const Row& { return rows[i]; }, result.costs,
-            extent);
+      [&](Transaction& txn, uint32_t admitted) {
+        return insert_rows(txn, tid, rows, extent.value_or(admitted),
+                           result.costs);
       });
   result.rows_applied = result.costs.rows_applied;
   return result;
@@ -415,54 +377,86 @@ BatchResult Engine::insert_column_batch(uint64_t txn_id, uint32_t tid,
   BatchResult result;
   result.error = admitted_insert(
       txn_id, tid, count, result.costs, [&](Transaction& txn, uint32_t extent) {
-        std::vector<std::string> pk_keys =
-            column_run_keys(tables_[tid], batch, first, count);
-        if (!pk_keys.empty()) {
-          return insert_column_run_latched(txn, tid, batch, first, count,
-                                           std::move(pk_keys), extent,
-                                           result.costs);
+        const TableDef& def = tables_[tid].def();
+        bool laid_out = batch.num_columns() == def.columns.size();
+        for (size_t c = 0; laid_out && c < def.columns.size(); ++c) {
+          laid_out = batch.column_type(c) == def.columns[c].type;
         }
-        return insert_rows_latched(
-            txn, tid, count,
-            [&](size_t i) { return batch.row(first + i); }, result.costs,
-            extent);
+        if (laid_out) {
+          return insert_runs(txn, tid, batch, first, count, extent,
+                             result.costs);
+        }
+        std::vector<Row> rows;
+        rows.reserve(count);
+        for (size_t i = 0; i < count; ++i) rows.push_back(batch.row(first + i));
+        return insert_rows(txn, tid, rows, extent, result.costs);
       });
   result.rows_applied = result.costs.rows_applied;
   return result;
 }
 
 Status Engine::insert_row(uint64_t txn_id, uint32_t tid, const Row& row,
-                          OpCosts& costs,
-                          std::optional<uint32_t> extent_override) {
-  std::optional<BatchError> error = admitted_insert(
-      txn_id, tid, 1, costs, [&](Transaction& txn, uint32_t extent) {
-        return insert_rows_latched(
-            txn, tid, 1, [&](size_t) -> const Row& { return row; }, costs,
-            extent_override.value_or(extent));
-      });
-  return error.has_value() ? std::move(error->status) : ok_status();
+                          OpCosts& costs) {
+  BatchResult result =
+      insert_batch(txn_id, tid, std::span<const Row>(&row, 1));
+  costs += result.costs;
+  return result.error.has_value() ? std::move(result.error->status)
+                                  : ok_status();
+}
+
+std::optional<BatchError> Engine::insert_rows(Transaction& txn, uint32_t tid,
+                                              std::span<const Row> rows,
+                                              uint32_t extent,
+                                              OpCosts& costs) {
+  const Table& table = tables_[tid];
+  ColumnBatch batch(table.def());
+  batch.reserve(rows.size());
+  const size_t fit = batch.append_rows(rows);
+  std::optional<BatchError> failure =
+      insert_runs(txn, tid, batch, 0, fit, extent, costs);
+  if (failure.has_value() || fit == rows.size()) return failure;
+  const Status status = validate_row(table, rows[fit]);
+  return BatchError{
+      fit, status.is_ok() ? Status(ErrorCode::kInternal,
+                                   table.def().name + ": row adapter mismatch")
+                          : status};
+}
+
+std::optional<BatchError> Engine::insert_runs(Transaction& txn, uint32_t tid,
+                                              const ColumnBatch& batch,
+                                              size_t first, size_t count,
+                                              uint32_t extent,
+                                              OpCosts& costs) {
+  for (size_t done = 0; done < count;) {
+    std::vector<std::string> pk_keys =
+        column_run_keys(tables_[tid], batch, first + done, count - done);
+    const size_t run = pk_keys.size();
+    std::optional<BatchError> failure = insert_column_run_latched(
+        txn, tid, batch, first + done, run, std::move(pk_keys), extent, costs);
+    if (failure.has_value()) {
+      failure->row_index += done;
+      return failure;
+    }
+    done += run;
+  }
+  return std::nullopt;
 }
 
 std::vector<std::string> Engine::column_run_keys(const Table& table,
                                                  const ColumnBatch& batch,
                                                  size_t first,
                                                  size_t count) const {
-  // A batch whose column layout matches the table and whose primary keys
-  // arrive strictly increasing can settle every constraint up front in one
-  // run (a row never parents another row of its own table: Schema rejects
-  // self-referential FKs).
-  bool eligible =
-      count > 0 && batch.num_columns() == table.def().columns.size();
-  for (size_t c = 0; eligible && c < batch.num_columns(); ++c) {
-    eligible = batch.column_type(c) == table.def().columns[c].type;
-  }
+  // Keys arriving strictly increasing can settle every constraint up front
+  // in one run (a row never parents another row of its own table: Schema
+  // rejects self-referential FKs). A key not above its predecessor starts
+  // the next run.
   std::vector<std::string> pk_keys;
-  if (!eligible) return pk_keys;
   pk_keys.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    pk_keys.push_back(
-        encode_key(table.pk_column_indices(), BatchCells(batch, first + i)));
-    if (i > 0 && pk_keys[i - 1] >= pk_keys[i]) return {};  // not presorted
+    std::string key =
+        encode_key(table.pk_column_indices(), BatchCells(batch, first + i));
+    if (i > 0 && key <= pk_keys.back()) break;
+    pk_keys.push_back(std::move(key));
   }
   return pk_keys;
 }
@@ -493,15 +487,15 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   Table& table = tables_[tid];
   const TableDef& def = table.def();
   // The run only locates the first failing row; its status always comes
-  // from the row path's own rules on that one materialized row, so messages
-  // and rule order match insert_row_latched bit for bit.
+  // from the row rules (validate_row, then check_constraints) on that one
+  // materialized row, so messages and rule order are the per-row ones.
   size_t limit = count;
   std::optional<BatchError> failure;
   // Row i failed a PK check under the index latch: check_constraints,
   // status-only, names the violation.
   const auto fail_constraint_at = [&](size_t i) {
-    Status status = check_constraints(table, batch.row(first + i),
-                                      pk_keys[i], nullptr);
+    Status status =
+        check_constraints(table, batch.row(first + i), pk_keys[i]);
     failure = BatchError{
         i, status.is_ok()
                ? Status(ErrorCode::kInternal,
@@ -556,9 +550,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     }
   }
   if (bad_row < count) {
-    OpCosts scratch;
-    const Status status = validate_row(table, batch.row(first + bad_row),
-                                       scratch);
+    const Status status = validate_row(table, batch.row(first + bad_row));
     failure = BatchError{
         bad_row, status.is_ok()
                      ? Status(ErrorCode::kInternal,
@@ -587,7 +579,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     const size_t duplicate = first_duplicate_pk(table, pk_keys, limit);
     if (duplicate < limit) fail_constraint_at(duplicate);
     // Foreign keys, one FK at a time over the run: each probe memoized on
-    // every key already verified this call (catalog blocks repeat parents
+    // every key already verified this run (catalog blocks repeat parents
     // heavily, but not always on adjacent rows). Skipped entirely when the
     // engine runs FK-deferred (shard instances: parents may be remote).
     const size_t fk_count =
@@ -602,15 +594,14 @@ std::optional<BatchError> Engine::insert_column_run_latched(
             encode_fk_probe(table.fk_columns[f], BatchCells(batch, r));
         if (!probe.has_value()) continue;  // MATCH SIMPLE: NULL FK passes
         if (verified.count(*probe) > 0) continue;  // memoized success
-        if (parent_has_key(parent, *probe, costs, /*report_touch=*/true)) {
+        if (parent_has_key(parent, *probe, &costs)) {
           verified.insert(std::move(*probe));
           continue;
         }
         // The status-only check re-probes every FK of the row; it passes
         // only if another session published the parent since the probe
         // above, and then the row may stay.
-        Status status =
-            check_constraints(table, batch.row(r), pk_keys[i], nullptr);
+        Status status = check_constraints(table, batch.row(r), pk_keys[i]);
         if (!status.is_ok()) {
           failure = BatchError{i, std::move(status)};
           limit = i;
@@ -641,7 +632,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   }
 
   // What derives from the appended slots alone is built before the
-  // exclusive latch, for the first `n` rows: row ids, the call's undo
+  // exclusive latch, for the first `n` rows: row ids, the run's undo
   // record, each enabled secondary index's sorted key run (row indices
   // until the record is packed, row ids after) and the WAL payload. The
   // PK run needs no sort: column_run_keys admitted only increasing keys.
@@ -785,8 +776,7 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   return failure;
 }
 
-Status Engine::validate_row(const Table& table, const Row& row,
-                            OpCosts& costs) const {
+Status Engine::validate_row(const Table& table, const Row& row) const {
   const TableDef& def = table.def();
   if (row.size() != def.columns.size()) {
     return Status(ErrorCode::kInvalidArgument,
@@ -796,7 +786,6 @@ Status Engine::validate_row(const Table& table, const Row& row,
   }
   for (size_t i = 0; i < row.size(); ++i) {
     const ColumnDef& column = def.columns[i];
-    ++costs.check_evals;
     if (row[i].is_null()) {
       if (!column.nullable) {
         return Status(ErrorCode::kConstraintNotNull,
@@ -817,7 +806,6 @@ Status Engine::validate_row(const Table& table, const Row& row,
   for (const CheckConstraint& check : def.checks) {
     const int idx = def.column_index(check.column);
     const Value& value = row[static_cast<size_t>(idx)];
-    ++costs.check_evals;
     if (value.is_null()) continue;
     const auto numeric = value.numeric();
     if (!numeric.is_ok()) {
@@ -838,15 +826,17 @@ Status Engine::validate_row(const Table& table, const Row& row,
 }
 
 bool Engine::parent_has_key(const Table& parent, const std::string& key,
-                            OpCosts& costs, bool report_touch) {
+                            OpCosts* costs) {
   index::BPlusTree::TouchInfo touch;
-  costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
+  const int64_t wait_ns = lock_shared_timed(parent.index_latch());
   const std::shared_lock<std::shared_mutex> parent_latch(parent.index_latch(),
                                                          std::adopt_lock);
   const bool found =
       parent.pk_tree().lookup_with_touch(key, &touch).has_value();
-  costs.fk_node_visits += touch.nodes_visited;
-  if (found && report_touch) {
+  if (costs == nullptr) return found;
+  costs->lock_wait_ns += wait_ns;
+  costs->fk_node_visits += touch.nodes_visited;
+  if (found) {
     touch_page({{parent.pk_page_file, touch.leaf_page_id},
                 storage::IoRole::kIndex, /*write=*/false});
   }
@@ -854,20 +844,12 @@ bool Engine::parent_has_key(const Table& parent, const std::string& key,
 }
 
 Status Engine::check_constraints(const Table& table, const Row& row,
-                                 const std::string& pk_key, OpCosts* costs) {
-  OpCosts scratch;
-  OpCosts& tally = costs != nullptr ? *costs : scratch;
-  // Primary key uniqueness.
-  index::BPlusTree::TouchInfo pk_probe;
-  const bool duplicate =
-      table.pk_tree().lookup_with_touch(pk_key, &pk_probe).has_value();
-  tally.index_node_visits += pk_probe.nodes_visited;
-  if (duplicate) {
+                                 const std::string& pk_key) {
+  if (table.pk_tree().contains(pk_key)) {
     return Status(ErrorCode::kConstraintPrimaryKey,
                   table.def().name + ": duplicate primary key " +
                       row_to_display(row));
   }
-
   // Foreign keys: shared index latch on each parent, held only for the
   // probe. Nested order is child index latch -> parent index latch, i.e.
   // descending table id (FKs only reference earlier tables), so the
@@ -878,123 +860,14 @@ Status Engine::check_constraints(const Table& table, const Row& row,
   for (size_t f = 0; f < fk_count; ++f) {
     const auto probe =
         encode_fk_probe(table.fk_columns[f], RowCells(table.def(), row));
-    ++tally.fk_checks;
     if (!probe.has_value()) continue;  // NULL FK passes
-    if (!parent_has_key(tables_[table.fk_parent_ids[f]], *probe, tally,
-                        /*report_touch=*/costs != nullptr)) {
+    if (!parent_has_key(tables_[table.fk_parent_ids[f]], *probe, nullptr)) {
       return Status(ErrorCode::kConstraintForeignKey,
                     table.def().name + ": no parent row in " +
                         table.def().foreign_keys[f].parent_table + " for " +
                         row_to_display(row));
     }
   }
-  return ok_status();
-}
-
-Status Engine::insert_row_latched(Transaction& txn, uint32_t tid,
-                                  const Row& row, OpCosts& costs,
-                                  uint32_t extent, AppliedRows& applied) {
-  Table& table = tables_[tid];
-
-  // Validation and PK encoding read only immutable schema — no latch yet.
-  SKY_RETURN_IF_ERROR(validate_row(table, row, costs));
-  const RowCells cells(table.def(), row);
-  std::string pk_key = encode_key(table.pk_column_indices(), cells);
-
-  // Metadata latch shared for the whole row: row traffic only excludes
-  // structural maintenance, never other rows.
-  costs.lock_wait_ns += lock_shared_timed(table.latch());
-  const std::shared_lock<std::shared_mutex> table_latch(table.latch(),
-                                                        std::adopt_lock);
-
-  // Phase 1 — pre-check constraints under the index latch *shared*, so a
-  // row that cannot possibly apply fails before touching the heap (same
-  // page packing as the single-latch engine for failing rows).
-  {
-    costs.lock_wait_ns += lock_shared_timed(table.index_latch());
-    const std::shared_lock<std::shared_mutex> index_latch(table.index_latch(),
-                                                          std::adopt_lock);
-    SKY_RETURN_IF_ERROR(check_constraints(table, row, pk_key, &costs));
-  }
-
-  // Phase 2 — append to the admitted extent as a hidden pending row.
-  // Only the extent latch is held (inside the heap): sessions on distinct
-  // extents run this — including the modeled device write — in parallel.
-  std::string row_bytes = encode_row(row);
-  costs.heap_bytes += static_cast<int64_t>(row_bytes.size());
-  costs.wal_bytes += static_cast<int64_t>(row_bytes.size());
-  const auto appended = table.heap().append_pending(extent, row_bytes);
-  costs.lock_wait_ns += appended.latch_wait_ns;
-  if (appended.opened_new_page) ++costs.heap_pages_opened;
-  touch_page(
-      {{table.heap_page_file, appended.slot.page, appended.slot.extent}});
-
-  // Phase 3 — re-check the race-sensitive constraint (the primary key)
-  // under the index latch *exclusive*, then log, publish, and index the
-  // row. The re-check costs nothing in the common case and is charged to a
-  // scratch tally: it is an artifact of the split latch, not modeled
-  // server work.
-  costs.lock_wait_ns += lock_exclusive_timed(table.index_latch());
-  const std::unique_lock<std::shared_mutex> index_latch(table.index_latch(),
-                                                        std::adopt_lock);
-  if (table.pk_tree().lookup(pk_key).has_value()) {
-    // Another session published a conflicting row between the phases. The
-    // pending slot is abandoned (a hole in the page, as after a rollback);
-    // re-run the full check, status-only, to produce the exact error.
-    const Status discarded = table.heap().discard(appended.slot);
-    assert(discarded.is_ok());
-    (void)discarded;
-    const Status failure = check_constraints(table, row, pk_key, nullptr);
-    if (failure.is_ok()) {
-      return Status(ErrorCode::kInternal,
-                    table.def().name + ": insert race re-check mismatch");
-    }
-    return failure;
-  }
-
-  wal_.append(storage::WalRecordType::kInsert, txn.id, tid,
-              std::move(row_bytes), extent);
-  const Status published = table.heap().publish(appended.slot);
-  assert(published.is_ok());
-  (void)published;
-  const uint64_t row_id = make_row_id(tid, appended.slot);
-
-  index::BPlusTree::TouchInfo pk_touch;
-  const Status pk_status = table.pk_tree().insert(pk_key, row_id, &pk_touch);
-  assert(pk_status.is_ok());  // pre-checked above
-  (void)pk_status;
-  ++table.key_publishes;
-  costs.index_updates += 1;
-  costs.index_node_visits += pk_touch.nodes_visited;
-  count_index_columns(table.def(), table.pk_column_indices(), 1, costs);
-  if (pk_touch.leaf_split) ++costs.index_leaf_splits;
-  touch_page(
-      {{table.pk_page_file, pk_touch.leaf_page_id}, storage::IoRole::kIndex});
-
-  applied.rows.push_back({appended.slot, appended.bytes});
-  applied.pk_keys.push_back(std::move(pk_key));
-  for (size_t s = 0; s < table.secondaries().size(); ++s) {
-    SecondaryIndex& secondary = table.secondaries()[s];
-    if (!secondary.enabled) continue;
-    std::string key = encode_index_key(
-        secondary.def, secondary.column_indices, cells, row_id);
-    index::BPlusTree::TouchInfo touch;
-    const Status index_status = secondary.tree.insert(key, row_id, &touch);
-    assert(index_status.is_ok());
-    (void)index_status;
-    costs.index_updates += 1;
-    costs.index_node_visits += touch.nodes_visited;
-    if (secondary.def.htm.has_value()) {
-      ++costs.index_int_columns;  // key is one trixel id, not raw ra/dec
-    } else {
-      count_index_columns(table.def(), secondary.column_indices, 1, costs);
-    }
-    if (touch.leaf_split) ++costs.index_leaf_splits;
-    touch_page({{secondary.page_file, touch.leaf_page_id},
-                storage::IoRole::kIndex});
-    applied.secondary_keys[s].push_back(std::move(key));
-  }
-  if (insert_observer_) insert_observer_(tid, row_id);
   return ok_status();
 }
 
@@ -1080,7 +953,6 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
     return Status(ErrorCode::kFailedPrecondition,
                   "bulk_load_sorted requires an empty table");
   }
-  OpCosts scratch;
   IndexEntries pk_entries;
   pk_entries.reserve(rows.size());
   // One extent per preload, chosen like a transaction's: the preload stays
@@ -1093,7 +965,7 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
   SnapshotChunk chunk;
   chunk.rows.reserve(rows.size());
   for (const Row& row : rows) {
-    SKY_RETURN_IF_ERROR(validate_row(table, row, scratch));
+    SKY_RETURN_IF_ERROR(validate_row(table, row));
     const auto appended = table.heap().append(extent, encode_row(row));
     pk_entries.emplace_back(
         encode_key(table.pk_column_indices(), RowCells(table.def(), row)),

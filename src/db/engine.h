@@ -199,37 +199,39 @@ class Engine {
   Status rollback(uint64_t txn_id);
 
   // ---------------------------------------------------------------- inserts
-  // The three insert calls are thin wrappers over one private admission
-  // envelope (admitted_insert): transaction lookup, table-id check, ITL
-  // admission before the engine rwlock, cost attribution and the modeled
-  // device sleep are written once. All three have JDBC executeBatch
+  // Every insert call runs one body inside one admission envelope
+  // (admitted_insert): transaction lookup, table-id check, ITL admission
+  // before the engine rwlock, cost attribution and the modeled device sleep
+  // are written once. The call is cut into maximal runs of strictly
+  // increasing primary key, and each run goes through the column run
+  // (insert_column_run_latched) in order: constraints settled under the
+  // shared index latch, one pending heap append under one extent-latch
+  // acquisition (ShardedHeap::append_batch), then under the exclusive index
+  // latch a primary-key re-check, one kInsertBatch WAL record, one heap
+  // publish and one sorted-run merge per B+tree (insert_sorted_run). A key
+  // equal to its predecessor starts a new run whose first row then fails
+  // against the just-published prefix. All calls have JDBC executeBatch
   // semantics (see file header), and every error status they report comes
-  // from the row rules (validate_row, check_constraints).
+  // from the row rules (validate_row, check_constraints) on the failing row.
+  //
+  // Row input: the rows are copied into a ColumnBatch of the table's layout
+  // up to the first row whose arity or cell kinds do not fit; once that
+  // prefix has run, the row fails with validate_row's status. `extent` pins
+  // the heap extent instead of the transaction's assigned one — WAL replay
+  // puts each logged record back into its original extent.
   BatchResult insert_batch(uint64_t txn_id, uint32_t table_id,
-                           std::span<const Row> rows);
+                           std::span<const Row> rows,
+                           std::optional<uint32_t> extent = std::nullopt);
   // Columnar batch insert — the batch ingest hot path. Applies rows
-  // [first, first + count) of `batch` with exactly insert_batch's results
-  // and final state: when the batch's column layout matches the table and
-  // the rows' primary keys arrive strictly increasing (presorted catalog
-  // blocks), the run takes the row path's three phases once for all its
-  // rows: constraints settled under the shared index latch, one
-  // pending heap append under one extent-latch acquisition
-  // (ShardedHeap::append_batch), then under the exclusive index latch a
-  // primary-key re-check, one kInsertBatch WAL record, one heap publish and
-  // one sorted-run merge per B+tree (insert_sorted_run) instead of count
-  // root-to-leaf descents. The run only locates its first failing row; the
-  // status is the row path's own, computed on that one row. Otherwise the
-  // rows fall back to the row-at-a-time path (identical semantics, no
-  // speedup).
+  // [first, first + count) of `batch`; a batch whose column layout does not
+  // match the table goes through insert_batch's row adapter.
   BatchResult insert_column_batch(uint64_t txn_id, uint32_t table_id,
                                   const ColumnBatch& batch, size_t first = 0,
                                   size_t count = static_cast<size_t>(-1));
-  // Single-row insert (the non-bulk baseline path). `extent_override` pins
-  // the heap extent instead of using the transaction's assigned one —
-  // recovery uses it to replay each row into its original extent.
+  // A one-row insert_batch (the non-bulk baseline's call); its costs are
+  // added to `costs`.
   Status insert_row(uint64_t txn_id, uint32_t table_id, const Row& row,
-                    OpCosts& costs,
-                    std::optional<uint32_t> extent_override = std::nullopt);
+                    OpCosts& costs);
 
   // ------------------------------------------------------------ maintenance
   // DDL-like operations: engine-exclusive (quiesce all sessions).
@@ -325,7 +327,7 @@ class Engine {
   // internals (latches for live reads, pinned chunks for snapshot reads).
   friend class ReadView;
 
-  // One insert call's undo record: the rows it applied and their keys.
+  // One column run's undo record: the rows it applied and their keys.
   // Rollback walks the records newest-first, each record's rows
   // newest-first. At commit a table's records become its snapshot chunk:
   // the rows concatenate and the key runs merge (KeyRunMerger), so no key
@@ -397,72 +399,56 @@ class Engine {
   std::optional<BatchError> admitted_insert(uint64_t txn_id, uint32_t table_id,
                                             size_t count, OpCosts& costs,
                                             const Body& body);
-  // The rows a row-path call has applied so far and their keys, kept until
-  // the call ends and packs them into one UndoRun.
-  struct AppliedRows {
-    std::vector<SnapshotChunk::RowRef> rows;
-    std::vector<std::string> pk_keys;
-    // Per secondary index, aligned with Table::secondaries(); empty for a
-    // disabled index.
-    std::vector<std::vector<std::string>> secondary_keys;
-  };
-  // Row-at-a-time body: insert_row_latched on row_at(0 .. count-1) in
-  // order, stopping at the first failure. The applied rows, the prefix
-  // before a failure included, leave one UndoRun with each key run sorted
-  // once.
-  template <typename RowAt>  // Row or const Row& (size_t i)
-  std::optional<BatchError> insert_rows_latched(Transaction& txn,
-                                                uint32_t table_id, size_t count,
-                                                const RowAt& row_at,
-                                                OpCosts& costs,
-                                                uint32_t extent);
-  // One row, three phases: pre-check constraints (index latch shared),
-  // append to the admitted heap extent as a hidden pending row (extent
-  // latch only — parallel across extents), then re-check and publish (index
-  // latch exclusive). See DESIGN.md "Heap extent sharding". A published row
-  // and its keys are added to `applied`.
-  Status insert_row_latched(Transaction& txn, uint32_t table_id,
-                            const Row& row, OpCosts& costs, uint32_t extent,
-                            AppliedRows& applied);
-  // The encoded primary key of every row of the slice when it can take the
-  // columnar run (column layout matches the table, keys strictly
-  // increasing); empty otherwise.
+  // insert_batch's row adapter (see "inserts" above): the rows that fit
+  // the table's layout run through insert_runs, and the first row that
+  // does not fails with validate_row's status.
+  std::optional<BatchError> insert_rows(Transaction& txn, uint32_t table_id,
+                                        std::span<const Row> rows,
+                                        uint32_t extent, OpCosts& costs);
+  // The one insert body: rows [first, first + count) of `batch`, laid out
+  // like the table, as consecutive column runs cut by column_run_keys,
+  // stopping at the first failing row (its index relative to `first`).
+  std::optional<BatchError> insert_runs(Transaction& txn, uint32_t table_id,
+                                        const ColumnBatch& batch, size_t first,
+                                        size_t count, uint32_t extent,
+                                        OpCosts& costs);
+  // The encoded primary keys of the slice's longest strictly increasing
+  // prefix (at least one key when count > 0): the next run.
   std::vector<std::string> column_run_keys(const Table& table,
                                            const ColumnBatch& batch,
                                            size_t first, size_t count) const;
-  // The columnar run of insert_column_batch: settle constraints for the
-  // whole run under the shared index latch, append the surviving prefix to
-  // the heap as one pending batch (extent latch only), build what derives
-  // from the appended slots alone (row ids, the UndoRun, the sorted
-  // secondary key runs, the WAL payload) with no index latch, then under
-  // the exclusive index latch re-check primary keys, log one kInsertBatch
-  // record, publish, and merge each tree's sorted run. `pk_keys` is
-  // column_run_keys' output. The run only locates the first failing row;
-  // validate_row or check_constraints (status-only) on that row gives the
-  // status. Returns that failure, if any.
+  // One column run: settle constraints for the whole run under the shared
+  // index latch, append the surviving prefix to the heap as one pending
+  // batch (extent latch only), build what derives from the appended slots
+  // alone (row ids, the UndoRun, the sorted secondary key runs, the WAL
+  // payload) with no index latch, then under the exclusive index latch
+  // re-check primary keys, log one kInsertBatch record, publish, and merge
+  // each tree's sorted run. `pk_keys` is column_run_keys' output. The run
+  // only locates the first failing row; validate_row or check_constraints
+  // on that row gives the status. Returns that failure, if any.
   std::optional<BatchError> insert_column_run_latched(
       Transaction& txn, uint32_t table_id, const ColumnBatch& batch,
       size_t first, size_t count, std::vector<std::string> pk_keys,
       uint32_t extent, OpCosts& costs);
-  // Constraint checks against the current trees (PK, then FKs).
-  // Caller holds the table's index latch (shared or exclusive); parents'
-  // index latches are taken shared inside. Returns the first violation.
-  // `costs == nullptr` is the status-only form: nothing is charged and no
-  // page touch is reported (the columnar run's status source and the
-  // lost-race re-check, which must not move the tallies the sim prices).
+  // The row's first PK or FK violation against the current trees. Caller
+  // holds the table's index latch (shared or exclusive); parents' index
+  // latches are taken shared inside. Charges nothing and reports no page
+  // touch: it only names a failure the run has already located (or that a
+  // lost race re-check found), which must not move the tallies the sim
+  // prices.
   Status check_constraints(const Table& table, const Row& row,
-                           const std::string& pk_key, OpCosts* costs);
+                           const std::string& pk_key);
   // Does `parent`'s primary key hold `key`? Takes the parent's index latch
-  // shared for the probe (a parent is always another, earlier table),
-  // charges latch wait and node visits to `costs`, and on a hit reports the
-  // parent leaf page read if `report_touch`.
+  // shared for the probe (a parent is always another, earlier table). With
+  // `costs`, charges latch wait and node visits and reports the parent leaf
+  // page read on a hit; without, charges and reports nothing.
   bool parent_has_key(const Table& parent, const std::string& key,
-                      OpCosts& costs, bool report_touch);
+                      OpCosts* costs);
   void touch_page(const PageTouch& touch) const {
     if (page_touch_observer_) page_touch_observer_(touch);
   }
-  Status validate_row(const Table& table, const Row& row,
-                      OpCosts& costs) const;
+  // Arity, type, NOT NULL, NaN and CHECK rules, in that order.
+  Status validate_row(const Table& table, const Row& row) const;
   // Modeled device sleep for a completed call (no locks held).
   // `escalation` inflates the sleep (factor >= 0) for transactions whose
   // ITL admission was contended — the sim server's lock-escalation model

@@ -40,46 +40,43 @@ Result<std::unique_ptr<Engine>> recover_from_wal(
   // commit record, so it is already excluded by pass 1.
   auto engine = std::make_unique<Engine>(schema, options);
   const uint64_t txn = engine->begin_transaction();
-  // Replay one encoded row into its original extent.
-  const auto replay_row =
-      [&](const storage::WalRecord& record, std::string_view bytes) -> Status {
-    SKY_ASSIGN_OR_RETURN(const Row row, decode_row(bytes));
+  std::vector<Row> rows;
+  for (const storage::WalRecord& record : records) {
+    // A kInsertBatch record is one column run's rows, all in record.extent;
+    // kInsert (one row) is the record older logs hold. The whole record is
+    // decoded before anything is replayed.
+    rows.clear();
+    if (record.type == storage::WalRecordType::kInsert) {
+      SKY_ASSIGN_OR_RETURN(Row row, decode_row(record.payload));
+      rows.push_back(std::move(row));
+    } else if (record.type == storage::WalRecordType::kInsertBatch) {
+      SKY_RETURN_IF_ERROR(storage::for_each_insert_batch_row(
+          record.payload, [&](std::string_view bytes) -> Status {
+            SKY_ASSIGN_OR_RETURN(Row row, decode_row(bytes));
+            rows.push_back(std::move(row));
+            return ok_status();
+          }));
+    } else {
+      continue;
+    }
+    if (committed.count(record.txn_id) == 0) {
+      local.rows_discarded += static_cast<int64_t>(rows.size());
+      continue;
+    }
     if (record.table_id >= static_cast<uint32_t>(schema.table_count())) {
       return Status(ErrorCode::kInternal,
                     "WAL replay: record references unknown table");
     }
-    OpCosts scratch;
-    const Status status =
-        engine->insert_row(txn, record.table_id, row, scratch, record.extent);
-    if (!status.is_ok()) {
+    // One insert call per record, into the record's extent: the same
+    // rows in one run reproduce the page/slot layout the load produced.
+    const BatchResult replayed =
+        engine->insert_batch(txn, record.table_id, rows, record.extent);
+    if (replayed.error.has_value()) {
       return Status(ErrorCode::kInternal,
                     "WAL replay: committed insert failed to re-apply: " +
-                        status.to_string());
+                        replayed.error->status.to_string());
     }
-    ++local.rows_replayed;
-    return ok_status();
-  };
-  for (const storage::WalRecord& record : records) {
-    if (record.type == storage::WalRecordType::kInsert) {
-      if (committed.count(record.txn_id) == 0) {
-        ++local.rows_discarded;
-        continue;
-      }
-      SKY_RETURN_IF_ERROR(replay_row(record, record.payload));
-    } else if (record.type == storage::WalRecordType::kInsertBatch) {
-      // One record covering a whole columnar run, all in record.extent.
-      // Replaying its rows one by one into that extent reproduces the exact
-      // page/slot layout the batch append produced (see wal.h).
-      const bool replay = committed.count(record.txn_id) > 0;
-      SKY_RETURN_IF_ERROR(storage::for_each_insert_batch_row(
-          record.payload, [&](std::string_view bytes) -> Status {
-            if (!replay) {
-              ++local.rows_discarded;
-              return ok_status();
-            }
-            return replay_row(record, bytes);
-          }));
-    }
+    local.rows_replayed += replayed.rows_applied;
   }
   SKY_RETURN_IF_ERROR(engine->commit(txn).status());
   if (stats != nullptr) *stats = local;

@@ -168,7 +168,7 @@ class Table {
 
   // Per-table metadata latch. Guards table-level structure changes (index
   // enable/disable, rebuilds, bulk loads) against concurrent row traffic:
-  // row-at-a-time writers and readers hold it *shared*; only structural
+  // row writers and readers hold it *shared*; only structural
   // operations take it exclusive. Row-level coordination lives one level
   // down in index_latch() and the heap's internal extent latches.
   std::shared_mutex& latch() const { return *latch_; }

@@ -79,39 +79,37 @@ ShardRouter::ShardRouter(const Schema& schema,
   for (uint32_t tid = 0; tid < routes_.size(); ++tid) {
     const TableDef& def = schema.table(tid);
     TableRoute route;
-    // Rules 1-3 (spatial), unless the policy forces block-cyclic.
-    if (policy_.routing == core::ShardRouting::kHtmRange) {
-      for (const IndexDef& index : def.indexes) {
-        if (!index.htm.has_value()) continue;
+    // Rules 1-3 (spatial).
+    for (const IndexDef& index : def.indexes) {
+      if (!index.htm.has_value()) continue;
+      route.kind = Kind::kPosition;
+      route.ra_column = def.column_index(index.htm->ra_column);
+      route.dec_column = def.column_index(index.htm->dec_column);
+      break;
+    }
+    if (route.kind != Kind::kPosition) {
+      const int ra = def.column_index("ra");
+      const int dec = def.column_index("dec");
+      const auto usable = [&def](int col) {
+        return col >= 0 &&
+               def.columns[static_cast<size_t>(col)].type ==
+                   ColumnType::kDouble &&
+               !def.columns[static_cast<size_t>(col)].nullable;
+      };
+      if (usable(ra) && usable(dec)) {
         route.kind = Kind::kPosition;
-        route.ra_column = def.column_index(index.htm->ra_column);
-        route.dec_column = def.column_index(index.htm->dec_column);
-        break;
+        route.ra_column = ra;
+        route.dec_column = dec;
       }
-      if (route.kind != Kind::kPosition) {
-        const int ra = def.column_index("ra");
-        const int dec = def.column_index("dec");
-        const auto usable = [&def](int col) {
-          return col >= 0 &&
-                 def.columns[static_cast<size_t>(col)].type ==
-                     ColumnType::kDouble &&
-                 !def.columns[static_cast<size_t>(col)].nullable;
-        };
-        if (usable(ra) && usable(dec)) {
-          route.kind = Kind::kPosition;
-          route.ra_column = ra;
-          route.dec_column = dec;
-        }
-      }
-      if (route.kind != Kind::kPosition) {
-        const int htmid = def.column_index("htmid");
-        if (htmid >= 0 &&
-            def.columns[static_cast<size_t>(htmid)].type ==
-                ColumnType::kInt64 &&
-            !def.columns[static_cast<size_t>(htmid)].nullable) {
-          route.kind = Kind::kHtmColumn;
-          route.htm_column = htmid;
-        }
+    }
+    if (route.kind != Kind::kPosition) {
+      const int htmid = def.column_index("htmid");
+      if (htmid >= 0 &&
+          def.columns[static_cast<size_t>(htmid)].type ==
+              ColumnType::kInt64 &&
+          !def.columns[static_cast<size_t>(htmid)].nullable) {
+        route.kind = Kind::kHtmColumn;
+        route.htm_column = htmid;
       }
     }
     // Rule 4: block-cyclic on the first integer PK column; FNV of the

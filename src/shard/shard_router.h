@@ -9,7 +9,7 @@
 // by ancestor — which is what lets scatter-gather cone searches split an
 // index probe range into per-shard segments instead of broadcasting.
 //
-// Per-table routing resolution (ShardRouting::kHtmRange):
+// Per-table routing resolution:
 //   1. a declared HTM index (IndexDef::htm)      -> by (ra, dec) position
 //   2. NOT NULL double columns named "ra"/"dec"  -> by (ra, dec) position
 //   3. a NOT NULL int64 column named "htmid"     -> by trixel ancestor
@@ -19,8 +19,6 @@
 //      batches into long same-shard runs) while unit-prefixed id spaces
 //      still spread evenly. PKs with no integer column take an FNV hash of
 //      the encoded first PK column.
-// ShardRouting::kPkCyclic forces rule 4 for every table (the balance-only
-// baseline: spatial queries must broadcast).
 //
 // Boundaries default to equal slices of the trixel id space;
 // plan_boundaries() derives equal-frequency boundaries from a position

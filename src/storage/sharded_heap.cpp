@@ -36,9 +36,8 @@ ShardedHeap::ShardedHeap(uint32_t extent_count, Nanos append_write_latency)
   }
 }
 
-ShardedHeap::AppendResult ShardedHeap::append_with(uint32_t extent,
-                                                   std::string_view row,
-                                                   bool pending) {
+ShardedHeap::AppendResult ShardedHeap::append(uint32_t extent,
+                                              std::string_view row) {
   const uint32_t e = extent % extent_count();
   Extent& target = *extents_[e];
   const auto row_size = static_cast<int64_t>(row.size());
@@ -46,8 +45,7 @@ ShardedHeap::AppendResult ShardedHeap::append_with(uint32_t extent,
   result.latch_wait_ns = lock_extent_timed(target.latch);
   const std::unique_lock<std::shared_mutex> latch(target.latch,
                                                   std::adopt_lock);
-  const HeapFile::AppendResult appended =
-      pending ? target.file.append_pending(row) : target.file.append(row);
+  const HeapFile::AppendResult appended = target.file.append(row);
   result.slot = appended.slot;
   result.opened_new_page = appended.opened_new_page;
   result.bytes = appended.bytes;
@@ -55,10 +53,8 @@ ShardedHeap::AppendResult ShardedHeap::append_with(uint32_t extent,
     pages_.fetch_add(1, std::memory_order_relaxed);
   }
   target.appended_bytes.fetch_add(row_size, std::memory_order_relaxed);
-  if (!pending) {
-    live_rows_.fetch_add(1, std::memory_order_relaxed);
-    total_bytes_.fetch_add(row_size, std::memory_order_relaxed);
-  }
+  live_rows_.fetch_add(1, std::memory_order_relaxed);
+  total_bytes_.fetch_add(row_size, std::memory_order_relaxed);
   if (append_write_latency_ > 0) {
     // Modeled synchronous write to this extent's storage unit: slept under
     // the extent latch so same-extent appends queue, distinct ones overlap.
@@ -66,16 +62,6 @@ ShardedHeap::AppendResult ShardedHeap::append_with(uint32_t extent,
         std::chrono::nanoseconds(append_write_latency_));
   }
   return result;
-}
-
-ShardedHeap::AppendResult ShardedHeap::append(uint32_t extent,
-                                              std::string_view row) {
-  return append_with(extent, row, /*pending=*/false);
-}
-
-ShardedHeap::AppendResult ShardedHeap::append_pending(uint32_t extent,
-                                                      std::string_view row) {
-  return append_with(extent, row, /*pending=*/true);
 }
 
 ShardedHeap::BatchAppendResult ShardedHeap::append_batch(
@@ -101,26 +87,11 @@ ShardedHeap::BatchAppendResult ShardedHeap::append_batch(
                                   std::memory_order_relaxed);
   if (append_write_latency_ > 0) {
     // One modeled device write per row, paid as a single sleep under the
-    // extent latch (same total as the row path, one syscall).
+    // extent latch (same total as row-by-row appends, one syscall).
     std::this_thread::sleep_for(std::chrono::nanoseconds(
         append_write_latency_ * static_cast<Nanos>(rows.size())));
   }
   return result;
-}
-
-Status ShardedHeap::publish(SlotId slot) {
-  if (slot.extent >= extent_count()) {
-    return Status(ErrorCode::kNotFound, "heap extent out of range");
-  }
-  Extent& extent = *extents_[slot.extent];
-  const std::unique_lock<std::shared_mutex> latch(extent.latch);
-  SKY_RETURN_IF_ERROR(extent.file.publish(slot));
-  live_rows_.fetch_add(1, std::memory_order_relaxed);
-  const auto bytes = extent.file.read(slot);
-  total_bytes_.fetch_add(
-      bytes.is_ok() ? static_cast<int64_t>(bytes->size()) : 0,
-      std::memory_order_relaxed);
-  return ok_status();
 }
 
 Status ShardedHeap::publish_batch(std::span<const SlotId> slots) {

@@ -85,10 +85,8 @@ class ShardedHeap {
   };
   // Copy a live row into the given extent (clamped into range).
   AppendResult append(uint32_t extent, std::string_view row);
-  // Two-phase insert support (see heap_file.h): append hidden, then
-  // publish() once constraints are settled, or discard() on failure.
-  AppendResult append_pending(uint32_t extent, std::string_view row);
-  Status publish(SlotId slot);
+  // Drop one pending row of append_batch (see heap_file.h); its slot stays
+  // dead.
   Status discard(SlotId slot);
 
   // Batch append for the columnar insert path: every row of the packed run
@@ -161,8 +159,6 @@ class ShardedHeap {
     std::atomic<int64_t> appended_bytes{0};
   };
 
-  AppendResult append_with(uint32_t extent, std::string_view row,
-                           bool pending);
   Extent& extent_for(SlotId slot) const;
 
   // unique_ptr elements: the extent array never moves and Extent itself

@@ -56,15 +56,16 @@
 namespace sky::storage {
 
 enum class WalRecordType : uint8_t {
+  // One encoded row, as older logs hold it: recovery reads it, the engine
+  // writes kInsertBatch.
   kInsert = 1,
   kRollbackInsert = 2,
   kCommit = 3,
-  // One redo record covering a whole columnar batch append (the batch
-  // ingest hot path): the payload (encode_insert_batch_payload below) holds
-  // every row, all appended to the same heap extent in payload order.
-  // Recovery replays the rows one by one into that extent, so a recovered
-  // repository is extent-identical to the original whether the load used
-  // per-row or batch redo.
+  // One redo record covering one insert run (db::Engine): the payload
+  // (encode_insert_batch_payload below) holds every row, all appended to
+  // the same heap extent in payload order. Recovery replays the record as
+  // one insert call into that extent, so a recovered repository is
+  // extent-identical to the original.
   kInsertBatch = 4,
 };
 

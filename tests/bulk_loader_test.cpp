@@ -4,6 +4,7 @@
 // completeness properties over randomized inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -12,6 +13,7 @@
 
 #include "catalog/generator.h"
 #include "catalog/pq_schema.h"
+#include "common/strings.h"
 #include "client/session.h"
 #include "client/sim_session.h"
 #include "core/bulk_loader.h"
@@ -401,15 +403,10 @@ INSTANTIATE_TEST_SUITE_P(
 // per-table column buffers, parent-first batches, skip-and-repack) at the
 // production sizes must leave a byte-identical repository on the same
 // corrupted input (extent/page/slot and encoded bytes per table), with the
-// same report counters and the same parser line and row counts.
-TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
+// same report counters, the same error messages and the same parser line
+// and row counts.
+void expect_bulk_matches_non_bulk(const std::string& text) {
   const db::Schema schema = catalog::make_pq_schema();
-  catalog::FileSpec spec;
-  spec.seed = 71;
-  spec.unit_id = 33;
-  spec.target_bytes = 96 * 1024;
-  spec.error_rate = 0.05;
-  const auto file = catalog::CatalogGenerator::generate(spec);
   const std::string reference =
       catalog::CatalogGenerator::reference_file().text;
 
@@ -420,6 +417,10 @@ TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
     std::map<std::string,
              std::vector<std::tuple<uint32_t, uint32_t, uint32_t, std::string>>>
         heap;
+    // (stage, table, line, message) of every skipped row, sorted: the
+    // non-bulk loader reports in file order, the bulk loader per batch, and
+    // only parse errors carry a line number in both.
+    std::vector<std::tuple<int, std::string, int64_t, std::string>> errors;
   };
   auto load_with = [&](bool bulk) {
     db::Engine engine(schema);
@@ -433,14 +434,17 @@ TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
     if (bulk) {
       BulkLoaderOptions options = TuningProfile::production().bulk_options();
       options.write_audit_row = false;
+      options.max_error_details = 1 << 20;
       BulkLoader loader(session, schema, options);
-      const auto report = loader.load_text("diff.cat", file.text);
+      const auto report = loader.load_text("diff.cat", text);
       EXPECT_TRUE(report.is_ok());
       snap.report = *report;
       snap.stats = loader.parser_stats();
     } else {
-      NonBulkLoader loader(session, schema);
-      const auto report = loader.load_text("diff.cat", file.text);
+      NonBulkLoaderOptions options;
+      options.max_error_details = 1 << 20;
+      NonBulkLoader loader(session, schema, options);
+      const auto report = loader.load_text("diff.cat", text);
       EXPECT_TRUE(report.is_ok());
       snap.report = *report;
       snap.stats = loader.parser_stats();
@@ -459,6 +463,13 @@ TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
                                  })
                       .is_ok());
     }
+    for (const LoadError& error : snap.report.errors) {
+      snap.errors.emplace_back(
+          static_cast<int>(error.stage), error.table,
+          error.stage == LoadError::Stage::kParse ? error.line_number : 0,
+          error.status.to_string());
+    }
+    std::sort(snap.errors.begin(), snap.errors.end());
     return snap;
   };
 
@@ -475,6 +486,7 @@ TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
             reference_load.report.loaded_per_table);
   EXPECT_GT(bulk.report.rows_skipped_server, 0);  // errors exercised
   EXPECT_GT(bulk.report.parse_errors, 0);
+  EXPECT_EQ(bulk.errors, reference_load.errors);
 
   // The block parser saw the same file the line parser did.
   EXPECT_EQ(bulk.stats.lines, reference_load.stats.lines);
@@ -486,6 +498,54 @@ TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
   // Physically identical heaps: same extent, page, slot, and bytes.
   for (const auto& [table, expected] : reference_load.heap) {
     EXPECT_EQ(bulk.heap.at(table), expected) << table;
+  }
+}
+
+TEST(LoaderEquivalenceTest, BulkMatchesNonBulkExactly) {
+  catalog::FileSpec spec;
+  spec.seed = 71;
+  spec.unit_id = 33;
+  spec.target_bytes = 96 * 1024;
+  spec.error_rate = 0.05;
+  {
+    SCOPED_TRACE("generated detail-row errors");
+    expect_bulk_matches_non_bulk(catalog::CatalogGenerator::generate(spec).text);
+  }
+
+  // Dirtier: every generator error kind on every table (structural rows
+  // too), scrambled object ids, so each object batch holds many descending
+  // runs, and each 40th OBJ line repeated, once on the next line (an
+  // adjacent in-batch duplicate key) and once 300 lines on (a far one).
+  spec.seed = 72;
+  spec.error_rate = 0.08;
+  spec.restrict_errors_to_detail_rows = false;
+  spec.shuffle_object_ids = true;
+  const std::string generated = catalog::CatalogGenerator::generate(spec).text;
+  std::vector<std::string> lines;
+  for (const std::string_view line : split_view(generated, '\n')) {
+    lines.emplace_back(line);
+  }
+  std::multimap<size_t, std::string> repeats;  // insert before line index
+  size_t objects = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("OBJ|", 0) != 0 || objects++ % 40 != 0) continue;
+    repeats.emplace(i + 1, lines[i]);
+    repeats.emplace(i + 300, lines[i]);
+  }
+  std::string dirty;
+  for (size_t i = 0; i <= lines.size(); ++i) {
+    for (auto [it, end] = repeats.equal_range(i); it != end; ++it) {
+      dirty += it->second;
+      dirty += '\n';
+    }
+    if (i < lines.size() && !lines[i].empty()) {
+      dirty += lines[i];
+      dirty += '\n';
+    }
+  }
+  {
+    SCOPED_TRACE("every error kind, scrambled ids, repeated keys");
+    expect_bulk_matches_non_bulk(dirty);
   }
 }
 

@@ -377,21 +377,28 @@ TEST(SimSessionTest, ClusterSharedTableSlowerThanSingleNodeOnlyWhenAlternating) 
   EXPECT_GT(run_nodes(2), run_nodes(1));
 }
 
-TEST(SimServerTest, CacheModelFiguresArePinned) {
-  // Two seeded loaders through one SimServer whose 48-page cache evicts
-  // clean and dirty pages and wakes DBWR: presorted object runs take the
-  // column path, shuffled ones the row path, every object probes its frame
-  // (an FK parent-leaf read), and a secondary index adds leaf writes. The
-  // expected values were captured when the cache model still lived inside
-  // db::Engine; the sim figures depend on every one of them, and on each
-  // call's delta being priced (the final virtual time).
+// Two seeded loaders through one SimServer whose 48-page cache evicts
+// clean and dirty pages and wakes DBWR: every object probes its frame (an
+// FK parent-leaf read), and a secondary index adds leaf writes. With
+// `presorted_only` every call is a column batch with strictly increasing
+// keys; otherwise frames go as row batches and every other round's objects
+// are shuffled. The sim figures depend on every cache and I/O figure, and
+// on each call's delta being priced (the final virtual time).
+struct CacheModelRun {
+  int64_t objects = 0;
+  storage::CacheEvents cache;
+  storage::IoTally io;
+  Nanos now = 0;
+};
+
+CacheModelRun run_cache_model(bool presorted_only) {
   db::Schema schema = two_table_schema();
   db::TableDef objects = schema.table(1);
   db::Schema indexed;
-  ASSERT_TRUE(indexed.add_table(schema.table(0)).is_ok());
+  EXPECT_TRUE(indexed.add_table(schema.table(0)).is_ok());
   objects.col("mag", db::ColumnType::kDouble, false);
   objects.indexes.push_back(db::IndexDef{"idx_mag", {"mag"}, {}});
-  ASSERT_TRUE(indexed.add_table(objects).is_ok());
+  EXPECT_TRUE(indexed.add_table(objects).is_ok());
   db::Engine engine(indexed);
   sim::Environment env;
   ServerConfig config;
@@ -406,15 +413,22 @@ TEST(SimServerTest, CacheModelFiguresArePinned) {
       const uint32_t object_table = session.prepare_insert("objects").value();
       for (int round = 0; round < 12; ++round) {
         const int64_t frame_base = w * 1'000'000 + round * 20;
-        std::vector<db::Row> frame_rows;
-        for (int i = 0; i < 20; ++i) {
-          frame_rows.push_back(frame(frame_base + i));
+        if (presorted_only) {
+          db::ColumnBatch frame_batch(indexed.table(0));
+          for (int i = 0; i < 20; ++i) frame_batch.push_i64(0, frame_base + i);
+          session.execute_column_batch(frames, frame_batch, 0,
+                                       frame_batch.size());
+        } else {
+          std::vector<db::Row> frame_rows;
+          for (int i = 0; i < 20; ++i) {
+            frame_rows.push_back(frame(frame_base + i));
+          }
+          session.execute_batch(frames, frame_rows);
         }
-        session.execute_batch(frames, frame_rows);
         const int64_t object_base = (w * 100 + round) * 1'000;
         std::vector<int64_t> ids;
         for (int64_t i = 0; i < 400; ++i) ids.push_back(object_base + i);
-        if (round % 2 == 1) {
+        if (!presorted_only && round % 2 == 1) {
           for (size_t i = ids.size() - 1; i > 0; --i) {
             std::swap(ids[i], ids[static_cast<size_t>(rng.uniform_int(
                                   0, static_cast<int64_t>(i)))]);
@@ -432,20 +446,44 @@ TEST(SimServerTest, CacheModelFiguresArePinned) {
     });
   }
   env.run();
-  EXPECT_EQ(engine.live_view().row_count(1), 2 * 12 * 400);
+  return CacheModelRun{engine.live_view().row_count(1), server.cache_events(),
+                       server.io_tally(), env.now()};
+}
 
-  const storage::CacheEvents cache = server.cache_events();
-  EXPECT_EQ(cache.hits, 17668);
-  EXPECT_EQ(cache.misses, 3994);
-  EXPECT_EQ(cache.clean_evictions, 3787);
-  EXPECT_EQ(cache.dirty_evictions, 159);
-  EXPECT_EQ(cache.writer_wakes, 106);
-  EXPECT_EQ(cache.writer_scanned_frames, 5088);
-  EXPECT_EQ(cache.writer_flushed_pages, 4982);
-  const storage::IoTally io = server.io_tally();
-  EXPECT_EQ(io.pages_written, (std::array<int64_t, 3>{136, 5005, 0}));
-  EXPECT_EQ(io.pages_read, (std::array<int64_t, 3>{58, 3936, 0}));
-  EXPECT_EQ(env.now(), 2'775'470'508);
+TEST(SimServerTest, CacheModelFiguresArePinnedPresorted) {
+  // Every call a presorted column run. These values were captured when the
+  // cache model still lived inside db::Engine and when row-input calls still
+  // had their own per-row body; neither change may move them.
+  const CacheModelRun run = run_cache_model(/*presorted_only=*/true);
+  EXPECT_EQ(run.objects, 2 * 12 * 400);
+  EXPECT_EQ(run.cache.hits, 543);
+  EXPECT_EQ(run.cache.misses, 2745);
+  EXPECT_EQ(run.cache.clean_evictions, 2697);
+  EXPECT_EQ(run.cache.dirty_evictions, 0);
+  EXPECT_EQ(run.cache.writer_wakes, 58);
+  EXPECT_EQ(run.cache.writer_scanned_frames, 2784);
+  EXPECT_EQ(run.cache.writer_flushed_pages, 2726);
+  EXPECT_EQ(run.io.pages_written, (std::array<int64_t, 3>{71, 2655, 0}));
+  EXPECT_EQ(run.io.pages_read, (std::array<int64_t, 3>{67, 2678, 0}));
+  EXPECT_EQ(run.now, 2'283'829'803);
+}
+
+TEST(SimServerTest, CacheModelFiguresArePinnedMixed) {
+  // Row-batch frames and shuffled object rounds: each call runs as column
+  // runs cut at every key below its predecessor, so FK probes are memoized
+  // per run and pages are touched run by run.
+  const CacheModelRun run = run_cache_model(/*presorted_only=*/false);
+  EXPECT_EQ(run.objects, 2 * 12 * 400);
+  EXPECT_EQ(run.cache.hits, 13466);
+  EXPECT_EQ(run.cache.misses, 4063);
+  EXPECT_EQ(run.cache.clean_evictions, 3883);
+  EXPECT_EQ(run.cache.dirty_evictions, 132);
+  EXPECT_EQ(run.cache.writer_wakes, 109);
+  EXPECT_EQ(run.cache.writer_scanned_frames, 5232);
+  EXPECT_EQ(run.cache.writer_flushed_pages, 5123);
+  EXPECT_EQ(run.io.pages_written, (std::array<int64_t, 3>{137, 5118, 0}));
+  EXPECT_EQ(run.io.pages_read, (std::array<int64_t, 3>{58, 4005, 0}));
+  EXPECT_EQ(run.now, 2'792'135'283);
 }
 
 TEST(SimSessionTest, SingleDeviceLayoutSlowerThanSeparate) {

@@ -132,6 +132,33 @@ TEST_F(EngineTest, NotNullAndTypeMismatch) {
   Row wrong_arity = {Value::i64(1)};
   EXPECT_EQ(insert(txn, frames_, wrong_arity).code(),
             ErrorCode::kInvalidArgument);
+
+  // In a batch, the rows before a row that does not fit the table's layout
+  // are applied, and that row fails with the same status.
+  const std::vector<Row> rows = {frame_row(10), frame_row(11), wrong_arity,
+                                 frame_row(12)};
+  const BatchResult arity = engine_.insert_batch(txn, frames_, rows);
+  EXPECT_EQ(arity.rows_applied, 2);
+  ASSERT_TRUE(arity.error.has_value());
+  EXPECT_EQ(arity.error->row_index, 2u);
+  EXPECT_EQ(arity.error->status.code(), ErrorCode::kInvalidArgument);
+  // A column batch laid out unlike the table (an integer exposure column)
+  // takes the same route: its NULL cells fit, its first integer does not.
+  ColumnBatch ints({ColumnType::kInt64, ColumnType::kInt64});
+  for (int64_t id = 20; id < 24; ++id) {
+    ints.push_i64(0, id);
+    if (id < 22) {
+      ints.push_null(1);
+    } else {
+      ints.push_i64(1, 60);
+    }
+  }
+  const BatchResult typed = engine_.insert_column_batch(txn, frames_, ints);
+  EXPECT_EQ(typed.rows_applied, 2);
+  ASSERT_TRUE(typed.error.has_value());
+  EXPECT_EQ(typed.error->row_index, 2u);
+  EXPECT_EQ(typed.error->status.code(), ErrorCode::kTypeMismatch);
+  EXPECT_EQ(engine_.live_view().row_count(frames_), 4);
 }
 
 TEST_F(EngineTest, NullForeignKeyPasses) {
@@ -201,7 +228,8 @@ TEST_F(EngineTest, BatchCostsAccumulate) {
   const BatchResult result = engine_.insert_batch(txn, frames_, rows);
   EXPECT_EQ(result.costs.rows_applied, 100);
   EXPECT_EQ(result.costs.index_updates, 100);  // PK tree only
-  EXPECT_GT(result.costs.index_node_visits, 100);
+  // One sorted-run merge: each node it walks counts once.
+  EXPECT_GT(result.costs.index_node_visits, 0);
   EXPECT_GT(result.costs.heap_bytes, 0);
   EXPECT_GT(result.costs.wal_bytes, 0);
   EXPECT_GT(result.costs.check_evals, 0);
@@ -298,10 +326,9 @@ TEST_F(EngineTest, LeastLoadedExtentAssignmentBalancesSkew) {
   {
     const uint64_t txn = engine.begin_transaction();
     for (int i = 100; i < 140; ++i) {
-      ASSERT_TRUE(engine
-                      .insert_row(txn, frames, frame_row(i), costs,
-                                  /*extent_override=*/0)
-                      .is_ok());
+      const std::vector<Row> row = {frame_row(i)};
+      ASSERT_FALSE(engine.insert_batch(txn, frames, row, /*extent=*/0)
+                       .error.has_value());
     }
     ASSERT_TRUE(engine.commit(txn).is_ok());
   }
@@ -440,12 +467,22 @@ TEST_F(EngineTest, WalRecordsRetainedWhenRequested) {
                   .is_ok());
   ASSERT_TRUE(engine.commit(txn).is_ok());
   ASSERT_EQ(engine.wal_records().size(), 2u);
-  EXPECT_EQ(engine.wal_records()[0].type, storage::WalRecordType::kInsert);
+  // A one-row call logs a one-row run.
+  EXPECT_EQ(engine.wal_records()[0].type,
+            storage::WalRecordType::kInsertBatch);
   EXPECT_EQ(engine.wal_records()[1].type, storage::WalRecordType::kCommit);
   // The insert payload replays to the original row.
-  const auto replayed = decode_row(engine.wal_records()[0].payload);
-  ASSERT_TRUE(replayed.is_ok());
-  EXPECT_EQ((*replayed)[0].as_i64(), 1);
+  std::vector<Row> replayed;
+  ASSERT_TRUE(storage::for_each_insert_batch_row(
+                  engine.wal_records()[0].payload,
+                  [&](std::string_view bytes) -> Status {
+                    SKY_ASSIGN_OR_RETURN(Row row, decode_row(bytes));
+                    replayed.push_back(std::move(row));
+                    return ok_status();
+                  })
+                  .is_ok());
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0][0].as_i64(), 1);
 }
 
 TEST_F(EngineTest, InsertObserverSeesOrder) {
@@ -507,10 +544,11 @@ ColumnBatch column_frames(const Schema& schema,
 }
 
 TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
-  // The same rows through insert_batch (oracle) and insert_column_batch
-  // (fast path: presorted keys, one latch window) — physically identical
-  // heap state, identical row counts, identical index contents. Then the
-  // same again for dirty input: identical per-call outcomes too.
+  // The same rows through insert_batch (row input, copied into a column
+  // batch) and insert_column_batch — physically identical heap state,
+  // identical row counts, identical index contents. Then the same again for
+  // dirty input and for in-call duplicate keys: identical per-call outcomes
+  // too.
   // Physically identical heaps: same extent/page/slot layout, same bytes.
   const auto expect_same_heaps = [](const Engine& a_engine,
                                     const Engine& b_engine,
@@ -713,6 +751,170 @@ TEST_F(EngineTest, ColumnBatchMatchesRowBatchFinalState) {
   EXPECT_TRUE(dirty_col_engine.verify_integrity().is_ok());
   expect_same_heaps(dirty_row_engine, dirty_col_engine, {frames, objects});
   expect_same_indexes(dirty_row_engine, dirty_col_engine, objects);
+
+  // One call whose row `at` repeats the key of row `source` (-1: a key an
+  // earlier call published), at positions 0, 1, the middle and the last:
+  // same applied prefix, failing index and status, then the rest resent.
+  constexpr int64_t kCall = 12;
+  const std::vector<std::pair<int64_t, int64_t>> duplicates = {
+      {0, -1}, {1, 0}, {kCall / 2, kCall / 2 - 1}, {kCall / 2, 0},
+      {kCall - 1, kCall - 2}, {kCall - 1, 2}};
+  for (const auto& [at, source] : duplicates) {
+    SCOPED_TRACE("duplicate at " + std::to_string(at) + " of " +
+                 std::to_string(source));
+    Engine row_dup(schema);
+    Engine col_dup(schema);
+    const uint64_t row_dup_txn = row_dup.begin_transaction();
+    const uint64_t col_dup_txn = col_dup.begin_transaction();
+    ASSERT_EQ(row_dup.insert_batch(row_dup_txn, frames, frame_rows)
+                  .rows_applied,
+              200);
+    ASSERT_EQ(col_dup.insert_column_batch(col_dup_txn, frames, frame_cols)
+                  .rows_applied,
+              200);
+    // The earlier call: object 1000.
+    std::vector<Row> call_rows = {object_row(1000, 7, 11.0, -5.0, 18.5)};
+    for (int64_t i = 0; i < kCall; ++i) {
+      const int64_t id = i == at ? (source < 0 ? 1000 : 1001 + source)
+                                 : 1001 + i;
+      const auto x = static_cast<double>(i);
+      call_rows.push_back(object_row(id, (i * 13) % 200, 10.0 + x * 0.5,
+                                     -5.0 + x * 0.25, 17.0 + x / 3));
+    }
+    ColumnBatch call_cols(schema.table(objects));
+    for (const Row& row : call_rows) {
+      call_cols.push_i64(0, row[0].as_i64());
+      call_cols.push_i64(1, row[1].as_i64());
+      for (size_t c = 2; c < 5; ++c) call_cols.push_f64(c, row[c].as_f64());
+    }
+    // Row 0 goes alone; the call follows, resent after its error.
+    size_t next = 0;
+    size_t end = 1;
+    while (next < call_rows.size()) {
+      const BatchResult r = row_dup.insert_batch(
+          row_dup_txn, objects,
+          std::span<const Row>(&call_rows[next], end - next));
+      const BatchResult c = col_dup.insert_column_batch(
+          col_dup_txn, objects, call_cols, next, end - next);
+      ASSERT_EQ(r.rows_applied, c.rows_applied) << "call at " << next;
+      ASSERT_EQ(r.error.has_value(), c.error.has_value()) << "call at " << next;
+      if (!c.error.has_value()) {
+        next = end;
+        end = call_rows.size();
+        continue;
+      }
+      EXPECT_EQ(next + c.error->row_index, static_cast<size_t>(at + 1));
+      EXPECT_EQ(r.error->row_index, c.error->row_index);
+      EXPECT_EQ(c.error->status.code(), ErrorCode::kConstraintPrimaryKey);
+      EXPECT_EQ(r.error->status.message(), c.error->status.message());
+      next += c.error->row_index + 1;
+    }
+    EXPECT_EQ(col_dup.live_view().row_count(objects), kCall);
+    ASSERT_TRUE(row_dup.commit(row_dup_txn).is_ok());
+    ASSERT_TRUE(col_dup.commit(col_dup_txn).is_ok());
+    EXPECT_TRUE(col_dup.verify_integrity().is_ok());
+    expect_same_heaps(row_dup, col_dup, {frames, objects});
+    expect_same_indexes(row_dup, col_dup, objects);
+  }
+}
+
+// One call over shuffled keys holding one equal-key pair far apart (in a
+// table with an FK and a secondary index) stops where the same rows sent
+// one call each stop: same failing row and status, same heap slots, same
+// index contents. Row and column input agree with both.
+TEST_F(EngineTest, ShuffledCallWithEqualKeysMatchesOneCallPerRow) {
+  constexpr int kRows = 60;
+  constexpr int kDuplicateOf = 9;
+  constexpr int kDuplicateAt = 41;
+  Rng rng(2026);
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < kRows; ++i) ids.push_back(100 + i);
+  for (size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[static_cast<size_t>(rng.uniform_int(
+                          0, static_cast<int64_t>(i)))]);
+  }
+  ids[kDuplicateAt] = ids[kDuplicateOf];
+  std::vector<Row> rows;
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back(object_row(ids[static_cast<size_t>(i)], i % 5,
+                              10.0 + i * 0.1, 5.0, 15.0 + (i % 4)));
+  }
+  const Schema schema = frames_objects_schema();
+  ColumnBatch cols(schema.table(objects_));
+  for (const Row& row : rows) {
+    cols.push_i64(0, row[0].as_i64());
+    cols.push_i64(1, row[1].as_i64());
+    for (size_t c = 2; c < 5; ++c) cols.push_f64(c, row[c].as_f64());
+  }
+
+  struct Outcome {
+    size_t failed_at = 0;
+    Status status;
+    std::vector<std::tuple<uint32_t, uint32_t, uint32_t, std::string>> heap;
+    std::vector<Row> by_mag;
+  };
+  enum class Mode { kRowCall, kColumnCall, kCallPerRow };
+  const auto run = [&](Mode mode) {
+    Engine engine(schema);
+    const uint64_t txn = engine.begin_transaction();
+    std::vector<Row> frame_rows;
+    for (int64_t f = 0; f < 5; ++f) frame_rows.push_back(frame_row(f));
+    EXPECT_EQ(engine.insert_batch(txn, frames_, frame_rows).rows_applied, 5);
+    Outcome outcome;
+    if (mode == Mode::kCallPerRow) {
+      outcome.failed_at = rows.size();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        OpCosts costs;
+        Status status = engine.insert_row(txn, objects_, rows[i], costs);
+        if (!status.is_ok()) {
+          outcome.failed_at = i;
+          outcome.status = std::move(status);
+          break;
+        }
+      }
+    } else {
+      const BatchResult result =
+          mode == Mode::kRowCall
+              ? engine.insert_batch(txn, objects_, rows)
+              : engine.insert_column_batch(txn, objects_, cols);
+      EXPECT_TRUE(result.error.has_value());
+      if (result.error.has_value()) {
+        EXPECT_EQ(result.rows_applied,
+                  static_cast<int64_t>(result.error->row_index));
+        outcome.failed_at = result.error->row_index;
+        outcome.status = result.error->status;
+      }
+    }
+    EXPECT_TRUE(engine.commit(txn).is_ok());
+    EXPECT_TRUE(engine.verify_integrity().is_ok());
+    EXPECT_TRUE(engine.live_view()
+                    .scan_heap(objects_,
+                               [&](storage::SlotId slot,
+                                   std::string_view bytes) {
+                                 outcome.heap.emplace_back(
+                                     slot.extent, slot.page, slot.slot,
+                                     std::string(bytes));
+                               })
+                    .is_ok());
+    const auto by_mag = engine.live_view().index_range(objects_, "idx_mag",
+                                                       {}, {});
+    EXPECT_TRUE(by_mag.is_ok());
+    if (by_mag.is_ok()) outcome.by_mag = *by_mag;
+    return outcome;
+  };
+  const Outcome per_row = run(Mode::kCallPerRow);
+  EXPECT_EQ(per_row.failed_at, static_cast<size_t>(kDuplicateAt));
+  EXPECT_EQ(per_row.status.code(), ErrorCode::kConstraintPrimaryKey);
+  EXPECT_EQ(per_row.heap.size(), static_cast<size_t>(kDuplicateAt));
+  for (const Mode mode : {Mode::kRowCall, Mode::kColumnCall}) {
+    SCOPED_TRACE(mode == Mode::kRowCall ? "row call" : "column call");
+    const Outcome call = run(mode);
+    EXPECT_EQ(call.failed_at, per_row.failed_at);
+    EXPECT_EQ(call.status.code(), per_row.status.code());
+    EXPECT_EQ(call.status.message(), per_row.status.message());
+    EXPECT_EQ(call.heap, per_row.heap);
+    EXPECT_TRUE(call.by_mag == per_row.by_mag);
+  }
 }
 
 TEST_F(EngineTest, ColumnBatchStopsAtFirstErrorJdbcSemantics) {
@@ -750,8 +952,8 @@ TEST_F(EngineTest, ColumnBatchSubrangeReportsRelativeErrorIndex) {
 }
 
 TEST_F(EngineTest, ColumnBatchUnsortedKeysFallBackWithSameSemantics) {
-  // Unsorted primary keys are ineligible for the one-latch fast path; the
-  // rows must still land with identical final state via the fallback.
+  // Unsorted primary keys cut the call into several runs; every row must
+  // still land.
   const Schema schema = frames_objects_schema();
   Engine col_engine(schema);
   const uint32_t frames = col_engine.table_id("frames").value();

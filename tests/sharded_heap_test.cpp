@@ -18,6 +18,16 @@
 namespace sky::storage {
 namespace {
 
+// The rows as one packed run (ShardedHeap::append_batch's input).
+PackedRows pack(const std::vector<std::string>& rows) {
+  PackedRows packed;
+  for (const std::string& row : rows) {
+    packed.bytes += row;
+    packed.end_row();
+  }
+  return packed;
+}
+
 // ------------------------------------------------- oracle property battery ---
 
 // Random interleaving of appends (to random extents) and tombstones, applied
@@ -189,11 +199,11 @@ TEST(ShardedHeapTest, LeastLoadedCountsPendingAndIgnoresTombstones) {
   ShardedHeap heap(2);
   // A pending (uncommitted) append counts as load immediately: concurrent
   // pickers must not all pile onto an extent whose rows aren't published yet.
-  const auto pending = heap.append_pending(0, std::string(300, 'p'));
+  const auto pending = heap.append_batch(0, pack({std::string(300, 'p')}));
   EXPECT_EQ(heap.least_loaded_extent(), 1u);
   // Discarding the pending row does NOT give the bytes back — the signal is
   // bytes-ever-appended, matching how heap files never shrink.
-  ASSERT_TRUE(heap.discard(pending.slot).is_ok());
+  ASSERT_TRUE(heap.discard(pending.slots[0]).is_ok());
   EXPECT_EQ(heap.least_loaded_extent(), 1u);
   // Deletes don't subtract either.
   const auto live = heap.append(1, std::string(600, 'q'));
@@ -207,22 +217,22 @@ TEST(ShardedHeapTest, LeastLoadedCountsPendingAndIgnoresTombstones) {
 TEST(ShardedHeapTest, PendingRowsInvisibleUntilPublished) {
   ShardedHeap heap(4);
   heap.append(1, "live");
-  const auto pending = heap.append_pending(2, "ghost");
+  const SlotId pending = heap.append_batch(2, pack({"ghost"})).slots[0];
   EXPECT_EQ(heap.row_count(), 1);
-  EXPECT_FALSE(heap.read(pending.slot).is_ok());
+  EXPECT_FALSE(heap.read(pending).is_ok());
   int scanned = 0;
   heap.scan([&](SlotId, std::string_view) { ++scanned; });
   EXPECT_EQ(scanned, 1);
 
-  ASSERT_TRUE(heap.publish(pending.slot).is_ok());
+  ASSERT_TRUE(heap.publish_batch({&pending, 1}).is_ok());
   EXPECT_EQ(heap.row_count(), 2);
-  EXPECT_EQ(heap.read(pending.slot).value(), "ghost");
+  EXPECT_EQ(heap.read(pending).value(), "ghost");
 
-  const auto doomed = heap.append_pending(2, "discarded");
-  ASSERT_TRUE(heap.discard(doomed.slot).is_ok());
+  const SlotId doomed = heap.append_batch(2, pack({"discarded"})).slots[0];
+  ASSERT_TRUE(heap.discard(doomed).is_ok());
   EXPECT_EQ(heap.row_count(), 2);
-  EXPECT_FALSE(heap.read(doomed.slot).is_ok());
-  EXPECT_FALSE(heap.publish(doomed.slot).is_ok());
+  EXPECT_FALSE(heap.read(doomed).is_ok());
+  EXPECT_FALSE(heap.publish_batch({&doomed, 1}).is_ok());
 }
 
 // ------------------------------------------------------------- concurrency ---
@@ -317,15 +327,6 @@ TEST(ShardedHeapConcurrencyTest, ViewsSurviveConcurrentAppends) {
 
 // ------------------------------------------------------ packed batch runs ---
 
-PackedRows pack(const std::vector<std::string>& rows) {
-  PackedRows packed;
-  for (const std::string& row : rows) {
-    packed.bytes += row;
-    packed.end_row();
-  }
-  return packed;
-}
-
 TEST(ShardedHeapBatchTest, PackedRunMatchesRowByRowLayout) {
   Rng rng(77);
   std::vector<std::string> rows;
@@ -385,7 +386,7 @@ TEST(ShardedHeapBatchTest, LostTailIsDiscardedAndOnlyThePrefixPublished) {
   // bytes still occupy the page, so the next row lands after it.
   const SlotId last_discarded{2, 0, static_cast<uint32_t>(rows.size())};
   EXPECT_FALSE(heap.read(last_discarded).is_ok());
-  EXPECT_FALSE(heap.publish(last_discarded).is_ok());
+  EXPECT_FALSE(heap.publish_batch({&last_discarded, 1}).is_ok());
   const auto next = heap.append(2, "next");
   EXPECT_EQ(next.slot.page, 0u);
   EXPECT_EQ(next.slot.slot, static_cast<uint32_t>(rows.size()) + 1);

@@ -253,6 +253,8 @@ int cmd_load(const Args& args, bool verify_only) {
 
   const Status audit = engine.verify_integrity();
   std::printf("integrity audit: %s\n", audit.to_string().c_str());
+  std::printf("repository rows: %lld\n",
+              static_cast<long long>(engine.total_rows()));
   if (verify_only) {
     core::FileLoadReport totals;
     for (const auto& file : report->files) totals.merge_counts(file);
