@@ -1,12 +1,13 @@
 #include "db/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <thread>
 #include <tuple>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "db/control_plane.h"
@@ -463,6 +464,21 @@ std::vector<std::string> Engine::column_run_keys(const Table& table,
 
 namespace {
 
+// Move `it` forward to the first entry of `tree` >= `key`: step along the
+// current leaf, and descend from the root again once the walk leaves that
+// leaf short of `key`. A forward merge of sorted keys against the leaf
+// chain calls this once per key.
+void seek_forward(const index::BPlusTree& tree,
+                  index::BPlusTree::Iterator& it, std::string_view key) {
+  while (it.valid() && it.key() < key) {
+    const uint32_t leaf = it.leaf_page_id();
+    it.next();
+    if (it.valid() && it.leaf_page_id() != leaf && it.key() < key) {
+      it = tree.seek(key);
+    }
+  }
+}
+
 // Index of the first run key already in the table's PK tree (`limit` if
 // none): one forward merge of the sorted run against the tree's leaf chain
 // instead of `limit` point probes. Caller holds the table's index latch.
@@ -470,9 +486,10 @@ size_t first_duplicate_pk(const Table& table,
                           const std::vector<std::string>& pk_keys,
                           size_t limit) {
   if (limit == 0) return 0;
-  index::BPlusTree::Iterator it = table.pk_tree().seek(pk_keys[0]);
+  const index::BPlusTree& tree = table.pk_tree();
+  index::BPlusTree::Iterator it = tree.seek(pk_keys[0]);
   for (size_t i = 0; i < limit; ++i) {
-    while (it.valid() && it.key() < pk_keys[i]) it.next();
+    seek_forward(tree, it, pk_keys[i]);
     if (it.valid() && it.key() == pk_keys[i]) return i;
   }
   return limit;
@@ -578,35 +595,17 @@ std::optional<BatchError> Engine::insert_column_run_latched(
     checked_publishes = table.key_publishes;
     const size_t duplicate = first_duplicate_pk(table, pk_keys, limit);
     if (duplicate < limit) fail_constraint_at(duplicate);
-    // Foreign keys, one FK at a time over the run: each probe memoized on
-    // every key already verified this run (catalog blocks repeat parents
-    // heavily, but not always on adjacent rows). Skipped entirely when the
-    // engine runs FK-deferred (shard instances: parents may be remote).
+    // Foreign keys, one FK at a time over the run's surviving prefix.
+    // Skipped entirely when the engine runs FK-deferred (shard instances:
+    // parents may be remote).
     const size_t fk_count =
         options_.enforce_foreign_keys ? def.foreign_keys.size() : 0;
     for (size_t f = 0; f < fk_count && limit > 0; ++f) {
-      const Table& parent = tables_[table.fk_parent_ids[f]];
-      std::unordered_set<std::string> verified;
-      for (size_t i = 0; i < limit; ++i) {
-        const size_t r = first + i;
-        ++costs.fk_checks;
-        std::optional<std::string> probe =
-            encode_fk_probe(table.fk_columns[f], BatchCells(batch, r));
-        if (!probe.has_value()) continue;  // MATCH SIMPLE: NULL FK passes
-        if (verified.count(*probe) > 0) continue;  // memoized success
-        if (parent_has_key(parent, *probe, &costs)) {
-          verified.insert(std::move(*probe));
-          continue;
-        }
-        // The status-only check re-probes every FK of the row; it passes
-        // only if another session published the parent since the probe
-        // above, and then the row may stay.
-        Status status = check_constraints(table, batch.row(r), pk_keys[i]);
-        if (!status.is_ok()) {
-          failure = BatchError{i, std::move(status)};
-          limit = i;
-          break;
-        }
+      std::optional<BatchError> orphan =
+          merge_foreign_key(table, f, batch, first, limit, pk_keys, costs);
+      if (orphan.has_value()) {
+        limit = orphan->row_index;
+        failure = std::move(orphan);
       }
     }
   }
@@ -825,22 +824,203 @@ Status Engine::validate_row(const Table& table, const Row& row) const {
   return ok_status();
 }
 
-bool Engine::parent_has_key(const Table& parent, const std::string& key,
-                            OpCosts* costs) {
-  index::BPlusTree::TouchInfo touch;
-  const int64_t wait_ns = lock_shared_timed(parent.index_latch());
-  const std::shared_lock<std::shared_mutex> parent_latch(parent.index_latch(),
-                                                         std::adopt_lock);
-  const bool found =
-      parent.pk_tree().lookup_with_touch(key, &touch).has_value();
-  if (costs == nullptr) return found;
-  costs->lock_wait_ns += wait_ns;
-  costs->fk_node_visits += touch.nodes_visited;
-  if (found) {
-    touch_page({{parent.pk_page_file, touch.leaf_page_id},
-                storage::IoRole::kIndex, /*write=*/false});
+namespace {
+
+// Do rows `r - 1` and `r` of `batch` hold the same cells in `columns`? A
+// NULL equals only a NULL; the integer family compares by value, doubles
+// by bit pattern and strings by bytes, so equal cells are exactly equal key
+// encodings (0.0 and -0.0 differ, as their keys do).
+bool same_as_previous_row(const ColumnBatch& batch,
+                          const std::vector<int>& columns, size_t r) {
+  for (const int column : columns) {
+    const auto c = static_cast<size_t>(column);
+    const bool null = batch.is_null(r, c);
+    if (null != batch.is_null(r - 1, c)) return false;
+    if (null) continue;
+    switch (batch.column_type(c)) {
+      case ColumnType::kInt32:
+      case ColumnType::kInt64:
+      case ColumnType::kTimestamp:
+        if (batch.i64_at(r, c) != batch.i64_at(r - 1, c)) return false;
+        break;
+      case ColumnType::kDouble:
+        if (std::bit_cast<uint64_t>(batch.f64_at(r, c)) !=
+            std::bit_cast<uint64_t>(batch.f64_at(r - 1, c))) {
+          return false;
+        }
+        break;
+      case ColumnType::kString:
+        if (batch.str_at(r, c) != batch.str_at(r - 1, c)) return false;
+        break;
+    }
   }
-  return found;
+  return true;
+}
+
+// The first FK chunk's rows; each later chunk doubles, so a run that fails
+// at row i has merged at most about 2i rows.
+constexpr size_t kFirstForeignKeyChunk = 64;
+
+// Does `parent`'s primary key hold `key`? Takes the parent's index latch
+// shared for the probe (a parent is always another, earlier table).
+bool parent_has_key(const Table& parent, const std::string& key) {
+  const std::shared_lock<std::shared_mutex> parent_latch(parent.index_latch());
+  return parent.pk_tree().contains(key);
+}
+
+}  // namespace
+
+std::optional<BatchError> Engine::merge_foreign_key(
+    const Table& table, size_t fk, const ColumnBatch& batch, size_t first,
+    size_t count, const std::vector<std::string>& pk_keys, OpCosts& costs) {
+  const Table& parent = tables_[table.fk_parent_ids[fk]];
+  const std::vector<int>& columns = table.fk_columns[fk];
+  // A chunk row whose reference needs no probe: NULL (MATCH SIMPLE), or
+  // equal to the row before it, which already passed.
+  constexpr uint32_t kPasses = UINT32_MAX;
+  enum class KeyState : uint8_t { kVerified, kFound, kMissing, kRechecked };
+  // One distinct reference of a chunk, in order of first appearance.
+  struct ChunkKey {
+    uint32_t end;        // end offset of its bytes in `bytes`
+    uint32_t row;        // its first row
+    uint32_t canonical;  // the earliest chunk key with the same bytes
+    KeyState state;
+    uint32_t leaf;  // parent leaf holding it (kFound)
+  };
+  std::string bytes;
+  std::vector<ChunkKey> keys;
+  std::vector<uint32_t> row_keys;  // per chunk row: its key, or kPasses
+  std::vector<uint32_t> order;     // chunk keys by bytes, stable
+  std::vector<uint32_t> probes;    // canonical keys to merge, ascending
+  std::vector<std::string> verified;  // earlier chunks' keys, ascending
+  const auto key = [&](uint32_t k) {
+    const uint32_t begin = k == 0 ? 0 : keys[k - 1].end;
+    return std::string_view(bytes).substr(begin, keys[k].end - begin);
+  };
+  for (size_t begin = 0, size = kFirstForeignKeyChunk; begin < count;
+       begin += size, size *= 2) {
+    const size_t end = std::min(count, begin + size);
+    bytes.clear();
+    keys.clear();
+    row_keys.clear();
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = first + i;
+      if (i > 0 && same_as_previous_row(batch, columns, r)) {
+        row_keys.push_back(i == begin ? kPasses : row_keys.back());
+        continue;
+      }
+      const std::optional<std::string> probe =
+          encode_fk_probe(columns, BatchCells(batch, r));
+      if (!probe.has_value()) {
+        row_keys.push_back(kPasses);
+        continue;
+      }
+      bytes += *probe;
+      row_keys.push_back(static_cast<uint32_t>(keys.size()));
+      keys.push_back({static_cast<uint32_t>(bytes.size()),
+                      static_cast<uint32_t>(i), 0, KeyState::kMissing, 0});
+    }
+
+    // Sort (unless already ascending) and dedupe; keys verified by an
+    // earlier chunk need no probe.
+    order.resize(keys.size());
+    std::iota(order.begin(), order.end(), 0u);
+    bool ascending = true;
+    for (size_t k = 1; k < keys.size() && ascending; ++k) {
+      ascending = key(static_cast<uint32_t>(k - 1)) <
+                  key(static_cast<uint32_t>(k));
+    }
+    if (!ascending) {
+      std::stable_sort(order.begin(), order.end(),
+                       [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
+    }
+    probes.clear();
+    auto memo = order.empty() ? verified.end()
+                              : std::lower_bound(verified.begin(),
+                                                 verified.end(), key(order[0]));
+    for (size_t j = 0; j < order.size(); ++j) {
+      ChunkKey& chunk_key = keys[order[j]];
+      if (j > 0 && key(order[j - 1]) == key(order[j])) {
+        chunk_key.canonical = keys[order[j - 1]].canonical;
+        continue;
+      }
+      chunk_key.canonical = order[j];
+      while (memo != verified.end() && *memo < key(order[j])) ++memo;
+      if (memo != verified.end() && *memo == key(order[j])) {
+        chunk_key.state = KeyState::kVerified;
+      } else {
+        probes.push_back(order[j]);
+      }
+    }
+
+    // One forward merge of the probes against the parent's PK leaf chain
+    // under one shared latch.
+    int64_t descent = 0;
+    if (!probes.empty()) {
+      costs.lock_wait_ns += lock_shared_timed(parent.index_latch());
+      const std::shared_lock<std::shared_mutex> parent_latch(
+          parent.index_latch(), std::adopt_lock);
+      const index::BPlusTree& tree = parent.pk_tree();
+      descent = tree.height();
+      index::BPlusTree::Iterator it = tree.seek(key(probes[0]));
+      for (const uint32_t k : probes) {
+        const std::string_view want = key(k);
+        seek_forward(tree, it, want);
+        if (it.valid() && it.key() == want) {
+          keys[k].state = KeyState::kFound;
+          keys[k].leaf = it.leaf_page_id();
+        }
+      }
+    }
+
+    // The earliest row whose parent is missing. The status-only check
+    // re-probes every FK of the row; it passes only if another session
+    // published the parent since the merge, and then the row may stay.
+    std::optional<BatchError> failure;
+    size_t settled = end;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t k = row_keys[i - begin];
+      if (k == kPasses) continue;
+      ChunkKey& canonical = keys[keys[k].canonical];
+      if (canonical.state != KeyState::kMissing) continue;
+      Status status =
+          check_constraints(table, batch.row(first + i), pk_keys[i]);
+      if (!status.is_ok()) {
+        failure = BatchError{i, std::move(status)};
+        settled = i + 1;
+        break;
+      }
+      canonical.state = KeyState::kRechecked;
+    }
+
+    // Charge what a probe per distinct key up to the failing row would
+    // have: every row settled, one descent per key not verified by an
+    // earlier chunk, and a parent-leaf read per key found, in row order.
+    costs.fk_checks += static_cast<int64_t>(settled - begin);
+    for (uint32_t k = 0; k < keys.size() && keys[k].row < settled; ++k) {
+      if (keys[k].canonical != k || keys[k].state == KeyState::kVerified) {
+        continue;
+      }
+      costs.fk_node_visits += descent;
+      if (keys[k].state == KeyState::kFound) {
+        touch_page({{parent.pk_page_file, keys[k].leaf},
+                    storage::IoRole::kIndex,
+                    /*write=*/false});
+      }
+    }
+    if (failure.has_value()) return failure;
+    if (end < count && !probes.empty()) {
+      // Presorted input appends past the last verified key: no merge.
+      const bool append = verified.empty() || verified.back() < key(probes[0]);
+      const auto old_size = static_cast<ptrdiff_t>(verified.size());
+      for (const uint32_t k : probes) verified.emplace_back(key(k));
+      if (!append) {
+        std::inplace_merge(verified.begin(), verified.begin() + old_size,
+                           verified.end());
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 Status Engine::check_constraints(const Table& table, const Row& row,
@@ -861,7 +1041,7 @@ Status Engine::check_constraints(const Table& table, const Row& row,
     const auto probe =
         encode_fk_probe(table.fk_columns[f], RowCells(table.def(), row));
     if (!probe.has_value()) continue;  // NULL FK passes
-    if (!parent_has_key(tables_[table.fk_parent_ids[f]], *probe, nullptr)) {
+    if (!parent_has_key(tables_[table.fk_parent_ids[f]], *probe)) {
       return Status(ErrorCode::kConstraintForeignKey,
                     table.def().name + ": no parent row in " +
                         table.def().foreign_keys[f].parent_table + " for " +

@@ -17,8 +17,8 @@
 // Concurrency is fine-grained (see DESIGN.md "Engine concurrency model"):
 // normal operations take an engine-wide rwlock *shared*, the destination
 // table's metadata latch *shared*, and then the table's index latch
-// (exclusive while publishing a row into the trees, shared for queries and
-// FK probes). Heap appends land in per-transaction extents guarded by the
+// (exclusive while publishing a run into the trees, shared for queries and
+// FK merges). Heap appends land in per-transaction extents guarded by the
 // heap's own extent latches (storage/sharded_heap.h), so sessions loading
 // the *same* table append in parallel and only serialize on the short
 // index-latch window that checks constraints and updates the B+trees. The
@@ -438,12 +438,19 @@ class Engine {
   // prices.
   Status check_constraints(const Table& table, const Row& row,
                            const std::string& pk_key);
-  // Does `parent`'s primary key hold `key`? Takes the parent's index latch
-  // shared for the probe (a parent is always another, earlier table). With
-  // `costs`, charges latch wait and node visits and reports the parent leaf
-  // page read on a hit; without, charges and reports nothing.
-  bool parent_has_key(const Table& parent, const std::string& key,
-                      OpCosts* costs);
+  // Settle FK `fk` of `table` for rows [first, first + count) of `batch`
+  // (`pk_keys` aligned with them) by forward merges, in chunks of 64, 128,
+  // 256... rows: a chunk's distinct references (a row equal to the one
+  // before it adds none; NULLs pass) are sorted and walked once against
+  // the parent's PK leaf chain under one shared parent latch, skipping
+  // those an earlier chunk verified. The earliest row with no parent fails
+  // with check_constraints' status. Charges one fk_check per row and one
+  // descent per distinct reference up to that row, and reports one
+  // parent-leaf read per reference found, as a probe per distinct key
+  // would.
+  std::optional<BatchError> merge_foreign_key(
+      const Table& table, size_t fk, const ColumnBatch& batch, size_t first,
+      size_t count, const std::vector<std::string>& pk_keys, OpCosts& costs);
   void touch_page(const PageTouch& touch) const {
     if (page_touch_observer_) page_touch_observer_(touch);
   }

@@ -174,8 +174,8 @@ class Table {
   std::shared_mutex& latch() const { return *latch_; }
 
   // Per-table index latch: guards the PK tree, every secondary tree, and
-  // constraint visibility (a row is constraint-checked and published while
-  // this is held exclusive). FK probes from child tables take the parent's
+  // constraint visibility (a run's keys are re-checked and published while
+  // this is held exclusive). FK merges from child tables take the parent's
   // index latch shared. Lock hierarchy (see DESIGN.md "Engine concurrency
   // model"): table latch -> index latch -> heap extent latch, and across
   // tables always child -> parent (descending table id), which is acyclic
@@ -203,8 +203,8 @@ class Table {
   uint64_t key_publishes = 0;
   // Engine table ids of this table's FK parents and each FK's child column
   // indices, aligned with def().foreign_keys (resolved once at construction
-  // so the per-row FK probe does no name lookups). The parent ids are
-  // filled by the engine constructor, which owns the schema.
+  // so FK checks do no name lookups). The parent ids are filled by the
+  // engine constructor, which owns the schema.
   std::vector<uint32_t> fk_parent_ids;
   std::vector<std::vector<int>> fk_columns;
 

@@ -47,11 +47,9 @@ BPlusTree::~BPlusTree() = default;
 BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
 BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
 
-Status BPlusTree::insert(std::string_view key, uint64_t value,
-                         TouchInfo* touch) {
+Status BPlusTree::insert(std::string_view key, uint64_t value) {
   std::optional<SplitResult> split;
-  SKY_RETURN_IF_ERROR(
-      insert_recursive(root_.get(), key, value, 1, split, touch));
+  SKY_RETURN_IF_ERROR(insert_recursive(root_.get(), key, value, split));
   if (split.has_value()) {
     auto new_root = std::make_unique<InternalNode>();
     new_root->page_id = ++next_page_id_;
@@ -68,9 +66,8 @@ Status BPlusTree::insert(std::string_view key, uint64_t value,
 }
 
 Status BPlusTree::insert_recursive(Node* node, std::string_view key,
-                                   uint64_t value, int depth,
-                                   std::optional<SplitResult>& split,
-                                   TouchInfo* touch) {
+                                   uint64_t value,
+                                   std::optional<SplitResult>& split) {
   if (node->is_leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
     const auto it =
@@ -78,11 +75,6 @@ Status BPlusTree::insert_recursive(Node* node, std::string_view key,
     const auto pos = static_cast<size_t>(it - leaf->keys.begin());
     if (it != leaf->keys.end() && *it == key) {
       return Status(ErrorCode::kAlreadyExists, "duplicate index key");
-    }
-    if (touch != nullptr) {
-      touch->leaf_page_id = leaf->page_id;
-      touch->nodes_visited = depth;
-      touch->leaf_split = false;
     }
     leaf->keys.insert(it, std::string(key));
     leaf->values.insert(leaf->values.begin() + static_cast<ptrdiff_t>(pos),
@@ -100,10 +92,6 @@ Status BPlusTree::insert_recursive(Node* node, std::string_view key,
       leaf->values.resize(mid);
       right->next = leaf->next;
       leaf->next = right.get();
-      if (touch != nullptr) {
-        touch->leaf_split = true;
-        if (pos >= mid) touch->leaf_page_id = right->page_id;
-      }
       split = SplitResult{right->keys.front(), std::move(right)};
       ++node_count_;
     }
@@ -116,8 +104,7 @@ Status BPlusTree::insert_recursive(Node* node, std::string_view key,
   const auto child_idx = static_cast<size_t>(it - internal->keys.begin());
   std::optional<SplitResult> child_split;
   SKY_RETURN_IF_ERROR(insert_recursive(internal->children[child_idx].get(),
-                                       key, value, depth + 1, child_split,
-                                       touch));
+                                       key, value, child_split));
   if (child_split.has_value()) {
     internal->keys.insert(internal->keys.begin() +
                               static_cast<ptrdiff_t>(child_idx),
@@ -164,17 +151,7 @@ bool BPlusTree::contains(std::string_view key) const {
 }
 
 std::optional<uint64_t> BPlusTree::lookup(std::string_view key) const {
-  return lookup_with_touch(key, nullptr);
-}
-
-std::optional<uint64_t> BPlusTree::lookup_with_touch(std::string_view key,
-                                                     TouchInfo* touch) const {
   const LeafNode* leaf = find_leaf(key);
-  if (touch != nullptr) {
-    touch->leaf_page_id = leaf->page_id;
-    touch->nodes_visited = height_;
-    touch->leaf_split = false;
-  }
   const auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
   if (it != leaf->keys.end() && *it == key) {
     return leaf->values[static_cast<size_t>(it - leaf->keys.begin())];
@@ -203,6 +180,10 @@ std::string_view BPlusTree::Iterator::key() const {
 
 uint64_t BPlusTree::Iterator::value() const {
   return static_cast<const LeafNode*>(leaf_)->values[pos_];
+}
+
+uint32_t BPlusTree::Iterator::leaf_page_id() const {
+  return static_cast<const LeafNode*>(leaf_)->page_id;
 }
 
 void BPlusTree::Iterator::next() {

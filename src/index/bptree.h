@@ -33,27 +33,12 @@ class BPlusTree {
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
 
-  // Page-level touch information for one insert, consumed by the buffer
-  // cache model: presorted keys keep hitting the same (rightmost) leaf while
-  // random keys scatter across leaves — the mechanism behind the paper's
-  // presort guideline (section 4.5.4).
-  struct TouchInfo {
-    uint32_t leaf_page_id = 0;  // stable id of the leaf that absorbed the key
-    int nodes_visited = 0;      // descent length (== height)
-    bool leaf_split = false;    // a new leaf page was created
-  };
-
   // Insert a unique key. Returns kAlreadyExists (a primary-key violation at
   // the table layer) if the key is present.
-  Status insert(std::string_view key, uint64_t value,
-                TouchInfo* touch = nullptr);
+  Status insert(std::string_view key, uint64_t value);
 
   bool contains(std::string_view key) const;
   std::optional<uint64_t> lookup(std::string_view key) const;
-  // Lookup that also reports the leaf page examined (FK parent checks feed
-  // this to the buffer-cache model as a read touch).
-  std::optional<uint64_t> lookup_with_touch(std::string_view key,
-                                            TouchInfo* touch) const;
 
   // Remove a key (transaction rollback path). Returns true if removed.
   // Underflowed nodes are not rebalanced — deletions here only occur when a
@@ -67,6 +52,9 @@ class BPlusTree {
     bool valid() const;
     std::string_view key() const;
     uint64_t value() const;
+    // Stable id of the leaf holding the current entry (the page a read of
+    // this entry touches).
+    uint32_t leaf_page_id() const;
     void next();
 
    private:
@@ -101,8 +89,10 @@ class BPlusTree {
   // sorted.
   Status bulk_build(std::vector<std::pair<std::string, uint64_t>> sorted);
 
-  // Page-level touch summary for one sorted-run insert (the batch analogue
-  // of TouchInfo): feeds the same buffer-cache / cost-model hooks.
+  // Page-level touch summary for one sorted-run insert, consumed by the
+  // buffer-cache and cost models: presorted keys keep hitting the same
+  // (rightmost) leaf while random keys scatter across leaves — the
+  // mechanism behind the paper's presort guideline (section 4.5.4).
   struct RunTouch {
     int nodes_visited = 0;  // distinct nodes walked by the merge descent
     int leaf_splits = 0;    // new leaf pages created
@@ -139,8 +129,7 @@ class BPlusTree {
   struct SplitResult;
 
   Status insert_recursive(Node* node, std::string_view key, uint64_t value,
-                          int depth, std::optional<SplitResult>& split,
-                          TouchInfo* touch);
+                          std::optional<SplitResult>& split);
   // Merge run[begin, end) into the subtree at `node`; new right siblings
   // (with their separators) are appended to `pieces` for the parent to
   // splice in after this child.

@@ -10,10 +10,16 @@ namespace {
 constexpr char kTagNull = '\x00';
 constexpr char kTagValue = '\x01';
 
-void append_big_endian(std::string& out, uint64_t value, int bytes) {
-  for (int shift = (bytes - 1) * 8; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
+// One present fixed-width field: the value tag, then the low `Bytes` bytes
+// of `value` big-endian, written with a single append.
+template <size_t Bytes>
+void append_fixed(std::string& out, uint64_t value) {
+  char field[1 + Bytes];
+  field[0] = kTagValue;
+  for (size_t i = 0; i < Bytes; ++i) {
+    field[1 + i] = static_cast<char>(value >> ((Bytes - 1 - i) * 8));
   }
+  out.append(field, sizeof(field));
 }
 
 uint64_t read_big_endian(std::string_view data, size_t pos, int bytes) {
@@ -53,23 +59,18 @@ KeyEncoder& KeyEncoder::append_null() {
 }
 
 KeyEncoder& KeyEncoder::append_int32(int32_t value) {
-  buffer_.push_back(kTagValue);
-  const uint32_t flipped = static_cast<uint32_t>(value) ^ 0x80000000U;
-  append_big_endian(buffer_, flipped, 4);
+  append_fixed<4>(buffer_, static_cast<uint32_t>(value) ^ 0x80000000U);
   return *this;
 }
 
 KeyEncoder& KeyEncoder::append_int64(int64_t value) {
-  buffer_.push_back(kTagValue);
-  const uint64_t flipped =
-      static_cast<uint64_t>(value) ^ 0x8000000000000000ULL;
-  append_big_endian(buffer_, flipped, 8);
+  append_fixed<8>(buffer_,
+                  static_cast<uint64_t>(value) ^ 0x8000000000000000ULL);
   return *this;
 }
 
 KeyEncoder& KeyEncoder::append_double(double value) {
-  buffer_.push_back(kTagValue);
-  append_big_endian(buffer_, double_to_ordered(value), 8);
+  append_fixed<8>(buffer_, double_to_ordered(value));
   return *this;
 }
 

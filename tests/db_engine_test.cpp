@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "db/control_plane.h"
 #include "db/engine.h"
 
@@ -1114,6 +1115,197 @@ TEST_F(EngineTest, ColumnBatchForeignKeyViolationReported) {
   ASSERT_TRUE(result.error.has_value());
   EXPECT_EQ(result.error->row_index, 1u);
   EXPECT_EQ(result.error->status.code(), ErrorCode::kConstraintForeignKey);
+}
+
+// --------------------------------------------------- FK checks of one run ---
+
+// Parents keyed by int64 (`a`, 1000 rows: a two-level tree), string (`b`,
+// 200 rows) and double (`z`: 0.0 and 1.5), and a child `c` with one
+// nullable FK to each.
+class ForeignKeyRunTest : public ::testing::Test {
+ protected:
+  struct ChildRow {
+    int64_t id;
+    std::optional<int64_t> a;
+    std::optional<std::string> code;
+    std::optional<double> v;
+  };
+
+  static Schema schema() {
+    Schema schema;
+    TableDef a;
+    a.name = "a";
+    a.col("a_id", ColumnType::kInt64, false);
+    a.primary_key = {"a_id"};
+    EXPECT_TRUE(schema.add_table(a).is_ok());
+    TableDef b;
+    b.name = "b";
+    b.col("code", ColumnType::kString, false);
+    b.primary_key = {"code"};
+    EXPECT_TRUE(schema.add_table(b).is_ok());
+    TableDef z;
+    z.name = "z";
+    z.col("v", ColumnType::kDouble, false);
+    z.primary_key = {"v"};
+    EXPECT_TRUE(schema.add_table(z).is_ok());
+    TableDef c;
+    c.name = "c";
+    c.col("id", ColumnType::kInt64, false);
+    c.col("a_id", ColumnType::kInt64, true);
+    c.col("code", ColumnType::kString, true);
+    c.col("v", ColumnType::kDouble, true);
+    c.primary_key = {"id"};
+    c.foreign_keys.push_back(ForeignKey{{"a_id"}, "a"});
+    c.foreign_keys.push_back(ForeignKey{{"code"}, "b"});
+    c.foreign_keys.push_back(ForeignKey{{"v"}, "z"});
+    EXPECT_TRUE(schema.add_table(c).is_ok());
+    return schema;
+  }
+
+  static std::string code(int64_t i) {
+    return str_format("b%03d", static_cast<int>(i));
+  }
+
+  ForeignKeyRunTest() : engine_(schema()) {
+    child_ = engine_.table_id("c").value();
+    txn_ = engine_.begin_transaction();
+    std::vector<Row> a_rows;
+    for (int64_t i = 0; i < 1000; ++i) a_rows.push_back({Value::i64(i)});
+    std::vector<Row> b_rows;
+    for (int64_t i = 0; i < 200; ++i) b_rows.push_back({Value::str(code(i))});
+    const std::vector<Row> z_rows = {{Value::f64(0.0)}, {Value::f64(1.5)}};
+    for (const auto& [name, rows] :
+         {std::pair{"a", a_rows}, {"b", b_rows}, {"z", z_rows}}) {
+      const BatchResult loaded =
+          engine_.insert_batch(txn_, engine_.table_id(name).value(), rows);
+      EXPECT_FALSE(loaded.error.has_value());
+    }
+  }
+
+  BatchResult insert_children(const std::vector<ChildRow>& rows) {
+    ColumnBatch batch(engine_.schema().table(child_));
+    for (const ChildRow& row : rows) {
+      batch.push_i64(0, row.id);
+      row.a.has_value() ? batch.push_i64(1, *row.a) : batch.push_null(1);
+      row.code.has_value() ? batch.push_str(2, *row.code) : batch.push_null(2);
+      row.v.has_value() ? batch.push_f64(3, *row.v) : batch.push_null(3);
+    }
+    return engine_.insert_column_batch(txn_, child_, batch);
+  }
+
+  // 300 rows, one run (increasing ids). `a` keys are unsorted, each on 3
+  // adjacent rows, and recur on rows far apart (block k and k + 61 share a
+  // key); `code` keys descend in blocks of 4 and recur every 90 blocks'
+  // worth; row 150 has a NULL `a`, row 77 a NULL code; `v` is NULL
+  // throughout.
+  static std::vector<ChildRow> mixed_rows() {
+    std::vector<ChildRow> rows;
+    for (int64_t i = 0; i < 300; ++i) {
+      ChildRow row{1000 + i, ((i / 3) * 37) % 61 * 16,
+                   code(199 - ((i / 4) * 11) % 90), std::nullopt};
+      if (i == 150) row.a.reset();
+      if (i == 77) row.code.reset();
+      rows.push_back(row);
+    }
+    return rows;
+  }
+
+  Engine engine_;
+  uint32_t child_ = 0;
+  uint64_t txn_ = 0;
+};
+
+TEST_F(ForeignKeyRunTest, CleanUnsortedRunChargesEachDistinctKeyOnce) {
+  const BatchResult result = insert_children(mixed_rows());
+  ASSERT_FALSE(result.error.has_value()) << result.error->status.to_string();
+  EXPECT_EQ(result.rows_applied, 300);
+  EXPECT_EQ(result.costs.fk_checks, 900);  // every row, once per FK
+  // 61 distinct `a` keys and 75 distinct codes, each parent a two-level
+  // tree: one descent charged per distinct key.
+  EXPECT_EQ(result.costs.fk_node_visits, 2 * 61 + 2 * 75);
+  EXPECT_TRUE(engine_.verify_integrity().is_ok());
+}
+
+TEST_F(ForeignKeyRunTest, EarlierOfTwoFailingForeignKeysIsReported) {
+  // The second FK fails first (row 120); the first FK's failure (row 200)
+  // lies past it.
+  std::vector<ChildRow> rows = mixed_rows();
+  rows[200].a = 5000;
+  rows[120].code = "zzz";
+  BatchResult result = insert_children(rows);
+  EXPECT_EQ(result.rows_applied, 120);
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->row_index, 120u);
+  EXPECT_EQ(result.error->status.code(), ErrorCode::kConstraintForeignKey);
+  EXPECT_EQ(result.error->status.message(),
+            "c: no parent row in b for (1120, 256, zzz, NULL)");
+  // FK a walks rows 0..200, FK code rows 0..120, FK v rows 0..119; the
+  // missing key is charged too (61 + 1 `a` keys, 30 + 1 codes).
+  EXPECT_EQ(result.costs.fk_checks, 201 + 121 + 120);
+  EXPECT_EQ(result.costs.fk_node_visits, 2 * 62 + 2 * 31);
+
+  // The first FK fails first (row 60 of the resent rest).
+  rows.erase(rows.begin(), rows.begin() + 121);
+  rows[60].a = 7000;
+  result = insert_children(rows);
+  EXPECT_EQ(result.rows_applied, 60);
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->row_index, 60u);
+  EXPECT_EQ(result.error->status.message(),
+            "c: no parent row in a for (1181, 7000, b154, NULL)");
+  EXPECT_EQ(result.costs.fk_checks, 61 + 60 + 60);
+  EXPECT_EQ(result.costs.fk_node_visits, 2 * (21 + 1) + 2 * 16);
+  EXPECT_TRUE(engine_.verify_integrity().is_ok());
+}
+
+TEST_F(ForeignKeyRunTest, DanglingKeyOnLastRowOfLongRun) {
+  // 4000 rows, four per parent (presorted), codes in blocks of 20; the
+  // last row's parent does not exist.
+  std::vector<ChildRow> rows;
+  for (int64_t i = 0; i < 4000; ++i) {
+    rows.push_back({i, i / 4, code(i / 20), std::nullopt});
+  }
+  rows.back().a = 1000;
+  const BatchResult result = insert_children(rows);
+  EXPECT_EQ(result.rows_applied, 3999);
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->row_index, 3999u);
+  EXPECT_EQ(result.error->status.message(),
+            "c: no parent row in a for (3999, 1000, b199, NULL)");
+  EXPECT_EQ(result.costs.fk_checks, 4000 + 3999 + 3999);
+  EXPECT_EQ(result.costs.fk_node_visits, 2 * (1000 + 1) + 2 * 200);
+}
+
+TEST_F(ForeignKeyRunTest, RepeatAcrossChunkBoundaryIsNotProbedAgain) {
+  // Rows 0..64 share a parent, so row 64 repeats row 63 across the first
+  // chunk boundary (64 rows); row 65 has no parent.
+  std::vector<ChildRow> rows;
+  for (int64_t i = 0; i < 66; ++i) {
+    rows.push_back({i, 5, std::nullopt, std::nullopt});
+  }
+  rows.back().a = 5000;
+  const BatchResult result = insert_children(rows);
+  EXPECT_EQ(result.rows_applied, 65);
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->row_index, 65u);
+  EXPECT_EQ(result.costs.fk_checks, 66 + 65 + 65);
+  EXPECT_EQ(result.costs.fk_node_visits, 2 * 2);  // 5 once, then 5000
+}
+
+TEST_F(ForeignKeyRunTest, DoubleKeysCompareByBitPattern) {
+  // -0.0 equals 0.0 as a double but encodes differently, so it is its own
+  // key even on the row after a 0.0, and `z` holds only 0.0.
+  const BatchResult result =
+      insert_children({{1, std::nullopt, std::nullopt, 1.5},
+                       {2, std::nullopt, std::nullopt, 0.0},
+                       {3, std::nullopt, std::nullopt, 0.0},
+                       {4, std::nullopt, std::nullopt, -0.0}});
+  EXPECT_EQ(result.rows_applied, 3);
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->row_index, 3u);
+  EXPECT_EQ(result.error->status.code(), ErrorCode::kConstraintForeignKey);
+  EXPECT_EQ(result.costs.fk_checks, 4 + 4 + 4);
+  EXPECT_EQ(result.costs.fk_node_visits, 3);  // 0.0, 1.5, -0.0 on one leaf
 }
 
 // ------------------------------------------------- randomized differential ---

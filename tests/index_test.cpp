@@ -54,6 +54,40 @@ TEST(KeyCodecTest, DoubleOrderPreserved) {
   }
 }
 
+// The exact bytes of the fixed-width fields at their edges: stored keys,
+// snapshot key runs and FK probes all compare these bytes.
+TEST(KeyCodecTest, FixedWidthGoldenBytes) {
+  const auto bytes = [](std::initializer_list<unsigned> list) {
+    std::string out;
+    for (const unsigned b : list) out.push_back(static_cast<char>(b));
+    return out;
+  };
+  EXPECT_EQ(enc_i64(std::numeric_limits<int64_t>::min()),
+            bytes({1, 0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(enc_i64(std::numeric_limits<int64_t>::max()),
+            bytes({1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc_i64(-2), bytes({1, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                0xFE}));
+  EXPECT_EQ(enc_i32(std::numeric_limits<int32_t>::min()),
+            bytes({1, 0, 0, 0, 0}));
+  EXPECT_EQ(enc_i32(std::numeric_limits<int32_t>::max()),
+            bytes({1, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc_i32(258), bytes({1, 0x80, 0, 0x01, 0x02}));
+  EXPECT_EQ(enc_f64(0.0), bytes({1, 0x80, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(enc_f64(-0.0),
+            bytes({1, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc_f64(std::numeric_limits<double>::infinity()),
+            bytes({1, 0xFF, 0xF0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(enc_f64(-std::numeric_limits<double>::infinity()),
+            bytes({1, 0x00, 0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(enc_f64(std::numeric_limits<double>::quiet_NaN()),
+            bytes({1, 0xFF, 0xF8, 0, 0, 0, 0, 0, 0}));
+  // Fields append in order, each with its own tag.
+  EXPECT_EQ(KeyEncoder().append_int32(-1).append_null().append_int64(1).take(),
+            bytes({1, 0x7F, 0xFF, 0xFF, 0xFF, 0, 1, 0x80, 0, 0, 0, 0, 0, 0,
+                   0x01}));
+}
+
 TEST(KeyCodecTest, StringOrderPreservedIncludingEmbeddedNul) {
   const std::vector<std::string> values = {
       std::string(), std::string("\0", 1), std::string("\0a", 2), "a",
@@ -266,6 +300,25 @@ TEST(BPlusTreeTest, SeekFindsFirstGreaterOrEqual) {
   EXPECT_EQ(it.value(), 40u);
   it = tree.seek(enc_i64(41));
   EXPECT_FALSE(it.valid());
+}
+
+TEST(BPlusTreeTest, IteratorReportsTheLeafOfEachEntry) {
+  BPlusTree tree(8);
+  std::vector<std::pair<std::string, uint64_t>> run;
+  for (int i = 0; i < 100; ++i) run.emplace_back(enc_i64(i), i);
+  BPlusTree::RunTouch touch;
+  ASSERT_TRUE(tree.insert_sorted_run(std::move(run), &touch).is_ok());
+  // Walking every entry meets the leaves in tree order, one id per leaf.
+  std::vector<uint32_t> walked;
+  for (auto it = tree.begin(); it.valid(); it.next()) {
+    if (walked.empty() || walked.back() != it.leaf_page_id()) {
+      walked.push_back(it.leaf_page_id());
+    }
+  }
+  EXPECT_GT(walked.size(), 10u);
+  EXPECT_EQ(walked, touch.touched_leaf_ids);
+  EXPECT_EQ(std::set<uint32_t>(walked.begin(), walked.end()).size(),
+            walked.size());
 }
 
 TEST(BPlusTreeTest, RangeLookupHalfOpen) {
