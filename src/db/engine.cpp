@@ -5,6 +5,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <tuple>
@@ -12,6 +13,10 @@
 #include "common/strings.h"
 #include "db/control_plane.h"
 #include "index/key_codec.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace sky::db {
 
@@ -40,6 +45,26 @@ void count_index_columns(const TableDef& def,
   }
 }
 
+// Keep freed heap in the process for reuse. Scans, gathers and loader
+// batches allocate and free tens of MB of small blocks over and over. With
+// glibc's adaptive thresholds, whether a free hands that memory back to
+// the system depends on the heap's layout and on the largest mapped block
+// freed so far, so the same scan faults every page in again on some
+// passes and not on others. Fixed thresholds make the cost the same on
+// every pass: a block of 128 KB or more is mapped on its own and unmapped
+// when freed; smaller blocks come from the heap, which a free never trims
+// (an explicit malloc_trim still does). Set once per process, by the
+// first engine.
+void keep_freed_heap() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    mallopt(M_MMAP_THRESHOLD, 128 << 10);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  });
+#endif
+}
+
 EngineOptions normalize(EngineOptions options) {
   if (options.heap_extents < 1) options.heap_extents = 1;
   if (options.heap_extents > storage::kMaxHeapExtents) {
@@ -61,6 +86,7 @@ Engine::Engine(Schema schema, EngineOptions options)
                                options.policies.commit.durability}),
       txn_gate_(options.policies.concurrency.max_concurrent_transactions),
       snapshots_(static_cast<size_t>(schema_.table_count())) {
+  keep_freed_heap();
   tables_.reserve(static_cast<size_t>(schema_.table_count()));
   uint32_t next_file_id = 0;
   for (uint32_t id = 0; id < static_cast<uint32_t>(schema_.table_count());
