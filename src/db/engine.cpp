@@ -21,8 +21,6 @@
 namespace sky::db {
 
 namespace {
-// (key, row id) entries of one B+tree, as its bulk builds take them.
-using IndexEntries = std::vector<std::pair<std::string, uint64_t>>;
 
 // Tally the types of the columns behind `keys` inserted index entries over
 // the same columns (cost-model input: float keys are priced higher than
@@ -521,6 +519,19 @@ size_t first_duplicate_pk(const Table& table,
   return limit;
 }
 
+// Rows [first, first + count) of `batch` encoded end to end into one
+// buffer: no allocation per row.
+storage::PackedRows pack_rows(const ColumnBatch& batch, size_t first,
+                              size_t count) {
+  storage::PackedRows rows;
+  rows.ends.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    batch.encode_row_to(first + i, rows.bytes);
+    rows.end_row();
+  }
+  return rows;
+}
+
 }  // namespace
 
 std::optional<BatchError> Engine::insert_column_run_latched(
@@ -643,68 +654,22 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   if (limit == 0) return failure;
   storage::ShardedHeap::BatchAppendResult appended;
   {
-    // One packed encode of the whole prefix: no allocation per row.
-    storage::PackedRows rows;
-    rows.ends.reserve(limit);
-    for (size_t i = 0; i < limit; ++i) {
-      batch.encode_row_to(first + i, rows.bytes);
-      rows.end_row();
-    }
+    const storage::PackedRows rows = pack_rows(batch, first, limit);
     costs.heap_bytes += static_cast<int64_t>(rows.bytes.size());
     appended = table.heap().append_batch(extent, rows);
     costs.lock_wait_ns += appended.latch_wait_ns;
     costs.heap_pages_opened += appended.pages_opened;
   }
 
-  // What derives from the appended slots alone is built before the
-  // exclusive latch, for the first `n` rows: row ids, the run's undo
-  // record, each enabled secondary index's sorted key run (row indices
-  // until the record is packed, row ids after) and the WAL payload. The
-  // PK run needs no sort: column_run_keys admitted only increasing keys.
+  // What derives from the appended slots alone (prepare_run, then the WAL
+  // payload) is built before the exclusive latch, for the first `n` rows.
   std::vector<uint64_t> row_ids;
   UndoRun undo;
   std::vector<IndexEntries> secondary_runs(table.secondaries().size());
   std::string wal_payload;
   const auto prepare = [&](size_t n) {
-    row_ids.resize(n);
-    undo = UndoRun{tid, {}, {}, {}};
-    undo.rows.reserve(n);
-    size_t pk_bytes = 0;
-    for (size_t i = 0; i < n; ++i) {
-      row_ids[i] = make_row_id(tid, appended.slots[i]);
-      undo.rows.push_back({appended.slots[i], appended.views[i]});
-      pk_bytes += pk_keys[i].size();
-    }
-    undo.pk.reserve(n, pk_bytes);
-    for (size_t i = 0; i < n; ++i) {
-      undo.pk.push_back(pk_keys[i], static_cast<uint32_t>(i));
-    }
-    undo.secondaries.resize(table.secondaries().size());
-    for (size_t s = 0; s < table.secondaries().size(); ++s) {
-      const SecondaryIndex& secondary = table.secondaries()[s];
-      IndexEntries& run = secondary_runs[s];
-      run.clear();
-      // The enabled flags change only under the exclusive engine lock.
-      if (!secondary.enabled) continue;
-      run.reserve(n);
-      size_t key_bytes = 0;
-      for (size_t i = 0; i < n; ++i) {
-        run.emplace_back(
-            encode_index_key(secondary.def, secondary.column_indices,
-                             BatchCells(batch, first + i), row_ids[i]),
-            i);
-        key_bytes += run.back().first.size();
-      }
-      // Every key carries the row-id suffix: unique and disjoint by
-      // construction.
-      std::sort(run.begin(), run.end());
-      KeyRun& keys = undo.secondaries[s].emplace();
-      keys.reserve(n, key_bytes);
-      for (auto& [key, row] : run) {
-        keys.push_back(key, static_cast<uint32_t>(row));
-        row = row_ids[row];
-      }
-    }
+    prepare_run(table, batch, first, n, appended, pk_keys, row_ids, undo,
+                secondary_runs);
     wal_payload = storage::encode_insert_batch_payload(
         std::span<const std::string_view>(appended.views).first(n));
   };
@@ -799,6 +764,55 @@ std::optional<BatchError> Engine::insert_column_run_latched(
   // The undo log belongs to this session's transaction alone.
   txn.undo.push_back(std::move(undo));
   return failure;
+}
+
+void Engine::prepare_run(
+    const Table& table, const ColumnBatch& batch, size_t first, size_t n,
+    const storage::ShardedHeap::BatchAppendResult& appended,
+    const std::vector<std::string>& pk_keys, std::vector<uint64_t>& row_ids,
+    UndoRun& undo, std::vector<IndexEntries>& secondary_runs) const {
+  const uint32_t tid = table.id();
+  row_ids.resize(n);
+  undo = UndoRun{tid, {}, {}, {}};
+  undo.rows.reserve(n);
+  size_t pk_bytes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    row_ids[i] = make_row_id(tid, appended.slots[i]);
+    undo.rows.push_back({appended.slots[i], appended.views[i]});
+    pk_bytes += pk_keys[i].size();
+  }
+  // The PK run needs no sort: the keys are strictly increasing.
+  undo.pk.reserve(n, pk_bytes);
+  for (size_t i = 0; i < n; ++i) {
+    undo.pk.push_back(pk_keys[i], static_cast<uint32_t>(i));
+  }
+  undo.secondaries.resize(table.secondaries().size());
+  for (size_t s = 0; s < table.secondaries().size(); ++s) {
+    const SecondaryIndex& secondary = table.secondaries()[s];
+    IndexEntries& run = secondary_runs[s];
+    run.clear();
+    // The enabled flags change only under the exclusive engine lock.
+    if (!secondary.enabled) continue;
+    run.reserve(n);
+    size_t key_bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      run.emplace_back(
+          encode_index_key(secondary.def, secondary.column_indices,
+                           BatchCells(batch, first + i), row_ids[i]),
+          i);
+      key_bytes += run.back().first.size();
+    }
+    // Every key carries the row-id suffix: unique and disjoint by
+    // construction. Sorted with row indices, then packed into the record,
+    // then given their row ids.
+    std::sort(run.begin(), run.end());
+    KeyRun& keys = undo.secondaries[s].emplace();
+    keys.reserve(n, key_bytes);
+    for (auto& [key, row] : run) {
+      keys.push_back(key, static_cast<uint32_t>(row));
+      row = row_ids[row];
+    }
+  }
 }
 
 Status Engine::validate_row(const Table& table, const Row& row) const {
@@ -1079,34 +1093,6 @@ Status Engine::check_constraints(const Table& table, const Row& row,
 
 // ------------------------------------------------------------- maintenance
 
-namespace {
-
-// Every heap row's (key, row id) entry of `secondary`, in heap-scan order;
-// the first row that fails to decode fails the build.
-Result<IndexEntries> index_entries_from_heap(const Table& table,
-                                             const SecondaryIndex& secondary) {
-  IndexEntries entries;
-  entries.reserve(static_cast<size_t>(table.heap().row_count()));
-  Status decode_status = ok_status();
-  table.heap().scan([&](storage::SlotId slot, std::string_view bytes) {
-    if (!decode_status.is_ok()) return;
-    const auto row = decode_row(bytes);
-    if (!row.is_ok()) {
-      decode_status = row.status();
-      return;
-    }
-    const uint64_t row_id = make_row_id(table.id(), slot);
-    entries.emplace_back(
-        encode_index_key(secondary.def, secondary.column_indices,
-                         RowCells(table.def(), *row), row_id),
-        row_id);
-  });
-  SKY_RETURN_IF_ERROR(decode_status);
-  return entries;
-}
-
-}  // namespace
-
 Status Engine::set_index_enabled(uint32_t tid, std::string_view index_name,
                                  bool enabled) {
   const std::unique_lock<std::shared_mutex> engine_lock(engine_mu_);
@@ -1138,8 +1124,25 @@ Status Engine::rebuild_index(uint32_t tid, std::string_view index_name) {
   const std::unique_lock<std::shared_mutex> table_latch(table.latch());
   for (SecondaryIndex& secondary : table.secondaries()) {
     if (secondary.def.name != index_name) continue;
-    SKY_ASSIGN_OR_RETURN(IndexEntries entries,
-                         index_entries_from_heap(table, secondary));
+    // Every heap row's (key, row id) entry; the first row that fails to
+    // decode fails the build.
+    IndexEntries entries;
+    entries.reserve(static_cast<size_t>(table.heap().row_count()));
+    Status decode_status = ok_status();
+    table.heap().scan([&](storage::SlotId slot, std::string_view bytes) {
+      if (!decode_status.is_ok()) return;
+      const auto row = decode_row(bytes);
+      if (!row.is_ok()) {
+        decode_status = row.status();
+        return;
+      }
+      const uint64_t row_id = make_row_id(tid, slot);
+      entries.emplace_back(
+          encode_index_key(secondary.def, secondary.column_indices,
+                           RowCells(table.def(), *row), row_id),
+          row_id);
+    });
+    SKY_RETURN_IF_ERROR(decode_status);
     std::sort(entries.begin(), entries.end());
     secondary.enabled = true;
     return secondary.tree.bulk_build(std::move(entries));
@@ -1159,54 +1162,48 @@ Status Engine::bulk_load_sorted(uint32_t tid, const std::vector<Row>& rows) {
     return Status(ErrorCode::kFailedPrecondition,
                   "bulk_load_sorted requires an empty table");
   }
-  IndexEntries pk_entries;
-  pk_entries.reserve(rows.size());
   // One extent per preload, chosen like a transaction's: the preload stays
   // one dense append stream (extent 0 whenever heap_extents is 1), and
   // under kLeastLoaded successive preloads balance instead of alternating.
   const uint32_t extent = choose_extent(&table, std::nullopt);
-  // A preload is one logical commit: published to snapshot readers as a
-  // single chunk (slots and byte views collected as the rows land; chunk
-  // row index = input position).
-  SnapshotChunk chunk;
-  chunk.rows.reserve(rows.size());
-  for (const Row& row : rows) {
-    SKY_RETURN_IF_ERROR(validate_row(table, row));
-    const auto appended = table.heap().append(extent, encode_row(row));
-    pk_entries.emplace_back(
-        encode_key(table.pk_column_indices(), RowCells(table.def(), row)),
-        make_row_id(tid, appended.slot));
-    chunk.rows.push_back({appended.slot, appended.bytes});
+  // Every row is checked before any lands: a rejected preload leaves the
+  // table empty.
+  for (const Row& row : rows) SKY_RETURN_IF_ERROR(validate_row(table, row));
+  ColumnBatch batch(table.def());
+  batch.reserve(rows.size());
+  batch.append_rows(rows);  // validated rows all fit the table's layout
+  std::vector<std::string> pk_keys =
+      column_run_keys(table, batch, 0, rows.size());
+  if (pk_keys.size() < rows.size()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "bulk_load_sorted requires strictly increasing primary "
+                  "keys");
   }
-  // Pack each key run before its tree build consumes the keys it views.
-  const auto pack = [](const IndexEntries& entries) {
-    KeyRun::Entries views;
-    views.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      views.emplace_back(entries[i].first, static_cast<uint32_t>(i));
-    }
-    return KeyRun::sorted(std::move(views));
-  };
-  chunk.pk = pack(pk_entries);
-  chunk.secondaries.resize(table.secondaries().size());
-  // Requires strict PK order; bulk_build rejects violations.
+  const storage::ShardedHeap::BatchAppendResult appended =
+      table.heap().append_batch(extent, pack_rows(batch, 0, rows.size()));
+  SKY_RETURN_IF_ERROR(table.heap().publish_batch(appended.slots));
+  std::vector<uint64_t> row_ids;
+  UndoRun undo;
+  std::vector<IndexEntries> secondary_runs(table.secondaries().size());
+  prepare_run(table, batch, 0, rows.size(), appended, pk_keys, row_ids, undo,
+              secondary_runs);
+  IndexEntries pk_entries;
+  pk_entries.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    pk_entries.emplace_back(std::move(pk_keys[i]), row_ids[i]);
+  }
   SKY_RETURN_IF_ERROR(table.pk_tree().bulk_build(std::move(pk_entries)));
   for (size_t s = 0; s < table.secondaries().size(); ++s) {
     SecondaryIndex& secondary = table.secondaries()[s];
-    if (!secondary.enabled) continue;  // chunk run stays nullopt (disabled)
-    // Rebuild from heap so preloaded data is indexed too. The table was
-    // empty, so the scan visits exactly the rows just appended, in append
-    // order — scan position = chunk row index.
-    SKY_ASSIGN_OR_RETURN(IndexEntries entries,
-                         index_entries_from_heap(table, secondary));
-    chunk.secondaries[s] = pack(entries);
-    std::sort(entries.begin(), entries.end());
-    SKY_RETURN_IF_ERROR(secondary.tree.bulk_build(std::move(entries)));
+    if (!secondary.enabled) continue;
+    SKY_RETURN_IF_ERROR(
+        secondary.tree.bulk_build(std::move(secondary_runs[s])));
   }
-  if (!chunk.rows.empty()) {
-    std::vector<std::pair<uint32_t, SnapshotChunk>> chunks;
-    chunks.emplace_back(tid, std::move(chunk));
-    snapshots_.publish(std::move(chunks));
+  // A preload is one logical commit: its run is the one snapshot chunk.
+  if (!rows.empty()) {
+    std::vector<UndoRun> runs;
+    runs.push_back(std::move(undo));
+    publish_snapshot_chunks(std::move(runs));
   }
   return ok_status();
 }

@@ -243,10 +243,14 @@ class Engine {
   // "recreate secondary indices after the catch-up load" path.
   Status rebuild_index(uint32_t table_id, std::string_view index_name);
 
-  // Preload an empty table from PK-sorted rows, bypassing the WAL and the
-  // page-touch observer (fast fixture path for database-size experiments,
-  // Fig. 9). Constraints are still validated structurally (types, arity,
-  // strict PK order).
+  // Preload an empty table from PK-sorted rows, bypassing the WAL, the
+  // page-touch observer and transactions (fast fixture path for
+  // database-size experiments, Fig. 9). Every row is validated
+  // (validate_row) and the primary keys checked strictly increasing before
+  // any row lands, so a rejected preload leaves the table empty. The rows
+  // are then appended and published as one packed run, the trees bulk
+  // built from the run's keys, and the run published to snapshot readers
+  // as one chunk.
   Status bulk_load_sorted(uint32_t table_id, const std::vector<Row>& rows);
 
   // -------------------------------------------------------------- read views
@@ -327,6 +331,9 @@ class Engine {
   // internals (latches for live reads, pinned chunks for snapshot reads).
   friend class ReadView;
 
+  // (key, row id) entries of one B+tree, as its bulk builds and sorted-run
+  // merges take them.
+  using IndexEntries = std::vector<std::pair<std::string, uint64_t>>;
   // One column run's undo record: the rows it applied and their keys.
   // Rollback walks the records newest-first, each record's rows
   // newest-first. At commit a table's records become its snapshot chunk:
@@ -430,6 +437,19 @@ class Engine {
       Transaction& txn, uint32_t table_id, const ColumnBatch& batch,
       size_t first, size_t count, std::vector<std::string> pk_keys,
       uint32_t extent, OpCosts& costs);
+  // What derives from a column run's appended slots alone, for its first
+  // `n` rows (batch rows [first, first + n), `pk_keys` their increasing
+  // primary keys): the row ids, the undo record, and each enabled
+  // secondary index's (key, row id) run in key order. A disabled index's
+  // run is left empty and the record carries none for it. Written into the
+  // caller's buffers, which a second call for a shorter prefix reuses. The
+  // insert body and the preload both build their runs with it.
+  void prepare_run(const Table& table, const ColumnBatch& batch, size_t first,
+                   size_t n,
+                   const storage::ShardedHeap::BatchAppendResult& appended,
+                   const std::vector<std::string>& pk_keys,
+                   std::vector<uint64_t>& row_ids, UndoRun& undo,
+                   std::vector<IndexEntries>& secondary_runs) const;
   // The row's first PK or FK violation against the current trees. Caller
   // holds the table's index latch (shared or exclusive); parents' index
   // latches are taken shared inside. Charges nothing and reports no page

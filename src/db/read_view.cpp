@@ -109,9 +109,7 @@ Result<std::vector<Row>> ReadView::range(const Table& table, int secondary,
   // Tree reads synchronize with row publication on the index latch; the
   // heap read inside row_at() takes its extent latch underneath.
   const std::shared_lock<std::shared_mutex> latch(table.index_latch());
-  const std::vector<uint64_t> row_ids =
-      hi.empty() ? tree.range_lookup_unbounded(lo)
-                 : tree.range_lookup(lo, hi);
+  const std::vector<uint64_t> row_ids = tree.range_lookup(lo, hi);
   std::vector<Row> rows;
   rows.reserve(row_ids.size());
   for (const uint64_t row_id : row_ids) {

@@ -47,93 +47,6 @@ BPlusTree::~BPlusTree() = default;
 BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
 BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
 
-Status BPlusTree::insert(std::string_view key, uint64_t value) {
-  std::optional<SplitResult> split;
-  SKY_RETURN_IF_ERROR(insert_recursive(root_.get(), key, value, split));
-  if (split.has_value()) {
-    auto new_root = std::make_unique<InternalNode>();
-    new_root->page_id = ++next_page_id_;
-    new_root->keys.push_back(std::move(split->separator));
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split->right));
-    root_ = std::move(new_root);
-    ++height_;
-    ++node_count_;
-  }
-  ++size_;
-  approx_bytes_ += key.size() + kEntryOverhead;
-  return ok_status();
-}
-
-Status BPlusTree::insert_recursive(Node* node, std::string_view key,
-                                   uint64_t value,
-                                   std::optional<SplitResult>& split) {
-  if (node->is_leaf) {
-    auto* leaf = static_cast<LeafNode*>(node);
-    const auto it =
-        std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
-    const auto pos = static_cast<size_t>(it - leaf->keys.begin());
-    if (it != leaf->keys.end() && *it == key) {
-      return Status(ErrorCode::kAlreadyExists, "duplicate index key");
-    }
-    leaf->keys.insert(it, std::string(key));
-    leaf->values.insert(leaf->values.begin() + static_cast<ptrdiff_t>(pos),
-                        value);
-    if (leaf->keys.size() > static_cast<size_t>(fanout_)) {
-      const size_t mid = leaf->keys.size() / 2;
-      auto right = std::make_unique<LeafNode>();
-      right->page_id = ++next_page_id_;
-      right->keys.assign(std::make_move_iterator(leaf->keys.begin() +
-                                                 static_cast<ptrdiff_t>(mid)),
-                         std::make_move_iterator(leaf->keys.end()));
-      right->values.assign(leaf->values.begin() + static_cast<ptrdiff_t>(mid),
-                           leaf->values.end());
-      leaf->keys.resize(mid);
-      leaf->values.resize(mid);
-      right->next = leaf->next;
-      leaf->next = right.get();
-      split = SplitResult{right->keys.front(), std::move(right)};
-      ++node_count_;
-    }
-    return ok_status();
-  }
-
-  auto* internal = static_cast<InternalNode*>(node);
-  const auto it =
-      std::upper_bound(internal->keys.begin(), internal->keys.end(), key);
-  const auto child_idx = static_cast<size_t>(it - internal->keys.begin());
-  std::optional<SplitResult> child_split;
-  SKY_RETURN_IF_ERROR(insert_recursive(internal->children[child_idx].get(),
-                                       key, value, child_split));
-  if (child_split.has_value()) {
-    internal->keys.insert(internal->keys.begin() +
-                              static_cast<ptrdiff_t>(child_idx),
-                          std::move(child_split->separator));
-    internal->children.insert(
-        internal->children.begin() + static_cast<ptrdiff_t>(child_idx) + 1,
-        std::move(child_split->right));
-    if (internal->children.size() > static_cast<size_t>(fanout_)) {
-      const size_t mid = internal->keys.size() / 2;
-      auto right = std::make_unique<InternalNode>();
-      right->page_id = ++next_page_id_;
-      std::string up_key = std::move(internal->keys[mid]);
-      right->keys.assign(
-          std::make_move_iterator(internal->keys.begin() +
-                                  static_cast<ptrdiff_t>(mid) + 1),
-          std::make_move_iterator(internal->keys.end()));
-      right->children.assign(
-          std::make_move_iterator(internal->children.begin() +
-                                  static_cast<ptrdiff_t>(mid) + 1),
-          std::make_move_iterator(internal->children.end()));
-      internal->keys.resize(mid);
-      internal->children.resize(mid + 1);
-      split = SplitResult{std::move(up_key), std::move(right)};
-      ++node_count_;
-    }
-  }
-  return ok_status();
-}
-
 const BPlusTree::LeafNode* BPlusTree::find_leaf(std::string_view key) const {
   const Node* node = root_.get();
   while (!node->is_leaf) {
@@ -215,29 +128,11 @@ BPlusTree::Iterator BPlusTree::begin() const {
   return seek(std::string_view("", 0));
 }
 
-std::vector<uint64_t> BPlusTree::prefix_lookup(std::string_view prefix) const {
-  std::vector<uint64_t> out;
-  for (Iterator it = seek(prefix);
-       it.valid() && it.key().substr(0, prefix.size()) == prefix; it.next()) {
-    out.push_back(it.value());
-  }
-  return out;
-}
-
 std::vector<uint64_t> BPlusTree::range_lookup(std::string_view first_key,
                                               std::string_view last_key) const {
   std::vector<uint64_t> out;
-  for (Iterator it = seek(first_key); it.valid() && it.key() < last_key;
-       it.next()) {
-    out.push_back(it.value());
-  }
-  return out;
-}
-
-std::vector<uint64_t> BPlusTree::range_lookup_unbounded(
-    std::string_view first_key) const {
-  std::vector<uint64_t> out;
-  for (Iterator it = seek(first_key); it.valid(); it.next()) {
+  for (Iterator it = seek(first_key);
+       it.valid() && (last_key.empty() || it.key() < last_key); it.next()) {
     out.push_back(it.value());
   }
   return out;
@@ -435,6 +330,9 @@ Status BPlusTree::insert_run_recursive(
   new_children.reserve(internal->children.size());
   size_t run_pos = begin;
   std::vector<SplitResult> child_pieces;
+  // A child that fails leaves itself valid; the children after it are kept
+  // as they are, so this node is rebuilt whole before the failure returns.
+  Status status = ok_status();
   for (size_t i = 0; i < internal->children.size(); ++i) {
     size_t hi = end;
     if (i < internal->keys.size()) {
@@ -448,10 +346,10 @@ Status BPlusTree::insert_run_recursive(
     if (i > 0) new_keys.push_back(std::move(internal->keys[i - 1]));
     Node* const child = internal->children[i].get();
     new_children.push_back(std::move(internal->children[i]));
-    if (run_pos < hi) {
+    if (status.is_ok() && run_pos < hi) {
       child_pieces.clear();
-      SKY_RETURN_IF_ERROR(insert_run_recursive(child, run, run_pos, hi,
-                                               child_pieces, touch));
+      status = insert_run_recursive(child, run, run_pos, hi, child_pieces,
+                                    touch);
       for (SplitResult& piece : child_pieces) {
         new_keys.push_back(std::move(piece.separator));
         new_children.push_back(std::move(piece.right));
@@ -464,7 +362,7 @@ Status BPlusTree::insert_run_recursive(
   if (internal->children.size() > static_cast<size_t>(fanout_)) {
     multi_split_internal(internal, pieces);
   }
-  return ok_status();
+  return status;
 }
 
 void BPlusTree::multi_split_internal(InternalNode* node,
@@ -519,8 +417,8 @@ Status BPlusTree::insert_sorted_run(
   }
   const size_t count = run.size();
   std::vector<SplitResult> pieces;
-  SKY_RETURN_IF_ERROR(
-      insert_run_recursive(root_.get(), run, 0, count, pieces, touch));
+  const Status status =
+      insert_run_recursive(root_.get(), run, 0, count, pieces, touch);
   // Grow upward while the root overflowed: wrap the root and its new right
   // siblings in a fresh root, re-splitting if even that is over-full.
   while (!pieces.empty()) {
@@ -538,6 +436,17 @@ Status BPlusTree::insert_sorted_run(
       multi_split_internal(new_root.get(), pieces);
     }
     root_ = std::move(new_root);
+  }
+  if (!status.is_ok()) {
+    // A duplicate stopped the merge after the leaves before it took their
+    // slices: count what the tree now holds.
+    size_ = 0;
+    approx_bytes_ = 0;
+    for (Iterator it = begin(); it.valid(); it.next()) {
+      ++size_;
+      approx_bytes_ += it.key().size() + kEntryOverhead;
+    }
+    return status;
   }
   size_ += count;
   approx_bytes_ += run_bytes;

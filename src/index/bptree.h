@@ -5,9 +5,11 @@
 // Fig. 8 study. Secondary (non-unique) indexes are made unique by the table
 // layer appending the 8-byte row id to the encoded key, as real systems do.
 //
+// Keys enter a tree only as a sorted run: bulk_build() constructs a whole
+// tree from sorted input without per-key descent (index rebuilds and the
+// Fig. 9 preload), and insert_sorted_run() merges a sorted run into a live
+// tree in one descent (every insert call). erase() is the rollback path.
 // Leaves are chained for range scans (cone searches over htmid ranges).
-// bulk_build() constructs a tree from sorted input without per-key descent;
-// benchmarks use it to preload multi-"gigabyte" databases (Fig. 9).
 #pragma once
 
 #include <cstdint>
@@ -32,10 +34,6 @@ class BPlusTree {
   BPlusTree& operator=(BPlusTree&&) noexcept;
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
-
-  // Insert a unique key. Returns kAlreadyExists (a primary-key violation at
-  // the table layer) if the key is present.
-  Status insert(std::string_view key, uint64_t value);
 
   bool contains(std::string_view key) const;
   std::optional<uint64_t> lookup(std::string_view key) const;
@@ -67,15 +65,10 @@ class BPlusTree {
   Iterator seek(std::string_view key) const;
   Iterator begin() const;
 
-  // All values whose key starts with `prefix` (non-unique index probes).
-  std::vector<uint64_t> prefix_lookup(std::string_view prefix) const;
-
-  // Entries with first_key <= key < last_key (half-open).
+  // Values of the entries with first_key <= key < last_key (half-open); an
+  // empty `last_key` means no upper bound, as in ReadView's ranges.
   std::vector<uint64_t> range_lookup(std::string_view first_key,
                                      std::string_view last_key) const;
-  // Entries with first_key <= key, to the end of the tree.
-  std::vector<uint64_t> range_lookup_unbounded(
-      std::string_view first_key) const;
 
   size_t size() const { return size_; }
   int height() const { return height_; }
@@ -112,8 +105,9 @@ class BPlusTree {
   // contents (the engine verifies both under the exclusive index latch).
   // Violations return kInvalidArgument (unsorted: tree unmodified) or
   // kAlreadyExists (duplicate: leaves merged before the offending key keep
-  // their slices — the tree stays structurally valid, so callers treat it
-  // as a logic error, not a recovery point).
+  // their slices, and the tree and its size stay valid; a one-key run
+  // leaves the tree unchanged. Callers treat it as a logic error, not a
+  // recovery point).
   Status insert_sorted_run(std::vector<std::pair<std::string, uint64_t>> run,
                            RunTouch* touch = nullptr);
 
@@ -128,8 +122,6 @@ class BPlusTree {
 
   struct SplitResult;
 
-  Status insert_recursive(Node* node, std::string_view key, uint64_t value,
-                          std::optional<SplitResult>& split);
   // Merge run[begin, end) into the subtree at `node`; new right siblings
   // (with their separators) are appended to `pieces` for the parent to
   // splice in after this child.

@@ -7,8 +7,7 @@
 
 namespace sky::storage {
 
-HeapFile::AppendResult HeapFile::append_with_state(std::string_view row,
-                                                   RowState state) {
+HeapFile::AppendResult HeapFile::append_pending(std::string_view row) {
   assert(row.size() <= std::numeric_limits<uint32_t>::max());
   const auto row_size = static_cast<uint32_t>(row.size());
   bool opened_new_page = false;
@@ -23,23 +22,11 @@ HeapFile::AppendResult HeapFile::append_with_state(std::string_view row,
   const uint32_t begin = page.bytes_used();
   if (row_size > 0) std::memcpy(page.bytes.get() + begin, row.data(), row_size);
   page.row_ends.push_back(begin + row_size);
-  page.states.push_back(state);
-  if (state == RowState::kLive) {
-    ++live_rows_;
-    total_bytes_ += row_size;
-  }
+  page.states.push_back(RowState::kPending);
   const auto slot_index = static_cast<uint32_t>(page.states.size() - 1);
   const SlotId slot{extent_id_, static_cast<uint32_t>(pages_.size() - 1),
                     slot_index};
   return AppendResult{slot, opened_new_page, page.row(slot_index)};
-}
-
-HeapFile::AppendResult HeapFile::append(std::string_view row) {
-  return append_with_state(row, RowState::kLive);
-}
-
-HeapFile::AppendResult HeapFile::append_pending(std::string_view row) {
-  return append_with_state(row, RowState::kPending);
 }
 
 Result<HeapFile::Page*> HeapFile::page_for(SlotId slot) {

@@ -23,18 +23,18 @@
 // Storage stability contract: row bytes never move once appended. A page's
 // buffer is allocated once at its final size and never grows or moves (the
 // page records that own it may be relocated as the page array grows; the
-// buffers they point to are not), so a string_view returned by append(),
-// read() or scan() remains valid for the heap's lifetime even while later
-// appends grow the file. Snapshot chunks and undo entries rely on this to
-// hold row views without a later latched read; sharded_heap_test and
-// storage_test have the regression tests.
+// buffers they point to are not), so a string_view returned by
+// append_pending(), read() or scan() remains valid for the heap's lifetime
+// even while later appends grow the file. Snapshot chunks and undo entries
+// rely on this to hold row views without a later latched read;
+// sharded_heap_test and storage_test have the regression tests.
 //
-// Rows support two-phase insertion: append() makes a row live immediately,
-// while append_pending() hides it from read()/scan()/counters until
-// publish() — the engine appends pending, re-validates constraints under the
-// index latch, then publishes, so scans never observe a row that may still
-// fail its constraint checks. A pending row that loses a constraint race is
-// discard()ed and its slot stays dead forever.
+// Rows enter in two phases: append_pending() hides a row from
+// read()/scan()/counters until publish() — the engine appends pending,
+// re-validates constraints under the index latch, then publishes, so scans
+// never observe a row that may still fail its constraint checks. A pending
+// row that loses a constraint race is discard()ed and its slot stays dead
+// forever.
 #pragma once
 
 #include <cstdint>
@@ -63,19 +63,18 @@ class HeapFile {
 
   uint32_t extent_id() const { return extent_id_; }
 
-  // Copy a serialized row into the heap. Returns its slot, whether a fresh
-  // page was opened to hold it (cost-model signal: one more dirty page), and
-  // a view of the stored bytes — valid for the heap's lifetime per the
-  // stability contract, so callers (snapshot chunks) can reference the row
-  // without a later latched read.
+  // Copy a serialized row into the heap as a hidden row: invisible to
+  // read()/scan() and excluded from row_count()/total_bytes() until
+  // publish(), though it occupies page space at once. Returns its slot,
+  // whether a fresh page was opened to hold it (cost-model signal: one more
+  // dirty page), and a view of the stored bytes — valid for the heap's
+  // lifetime per the stability contract, so callers (snapshot chunks) can
+  // reference the row without a later latched read.
   struct AppendResult {
     SlotId slot;
     bool opened_new_page;
     std::string_view bytes;
   };
-  AppendResult append(std::string_view row);
-  // Append a hidden row: invisible to read()/scan() and excluded from
-  // row_count()/total_bytes() until publish(). It still occupies page space.
   AppendResult append_pending(std::string_view row);
   // Make a pending row live. Errors if the slot is not pending.
   Status publish(SlotId slot);
@@ -128,7 +127,6 @@ class HeapFile {
     }
   };
 
-  AppendResult append_with_state(std::string_view row, RowState state);
   // Locate a slot's page, validating extent/page/slot bounds.
   Result<Page*> page_for(SlotId slot);
   Result<const Page*> page_for(SlotId slot) const;

@@ -36,34 +36,6 @@ ShardedHeap::ShardedHeap(uint32_t extent_count, Nanos append_write_latency)
   }
 }
 
-ShardedHeap::AppendResult ShardedHeap::append(uint32_t extent,
-                                              std::string_view row) {
-  const uint32_t e = extent % extent_count();
-  Extent& target = *extents_[e];
-  const auto row_size = static_cast<int64_t>(row.size());
-  AppendResult result;
-  result.latch_wait_ns = lock_extent_timed(target.latch);
-  const std::unique_lock<std::shared_mutex> latch(target.latch,
-                                                  std::adopt_lock);
-  const HeapFile::AppendResult appended = target.file.append(row);
-  result.slot = appended.slot;
-  result.opened_new_page = appended.opened_new_page;
-  result.bytes = appended.bytes;
-  if (appended.opened_new_page) {
-    pages_.fetch_add(1, std::memory_order_relaxed);
-  }
-  target.appended_bytes.fetch_add(row_size, std::memory_order_relaxed);
-  live_rows_.fetch_add(1, std::memory_order_relaxed);
-  total_bytes_.fetch_add(row_size, std::memory_order_relaxed);
-  if (append_write_latency_ > 0) {
-    // Modeled synchronous write to this extent's storage unit: slept under
-    // the extent latch so same-extent appends queue, distinct ones overlap.
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(append_write_latency_));
-  }
-  return result;
-}
-
 ShardedHeap::BatchAppendResult ShardedHeap::append_batch(
     uint32_t extent, const PackedRows& rows) {
   BatchAppendResult result;
@@ -87,7 +59,7 @@ ShardedHeap::BatchAppendResult ShardedHeap::append_batch(
                                   std::memory_order_relaxed);
   if (append_write_latency_ > 0) {
     // One modeled device write per row, paid as a single sleep under the
-    // extent latch (same total as row-by-row appends, one syscall).
+    // extent latch (one syscall).
     std::this_thread::sleep_for(std::chrono::nanoseconds(
         append_write_latency_ * static_cast<Nanos>(rows.size())));
   }

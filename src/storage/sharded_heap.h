@@ -16,9 +16,12 @@
 // extents in ascending order, pages and slots within, so iteration over a
 // quiesced heap is deterministic.
 //
-// Thread safety: fully internally synchronized. append/publish/discard/
-// mark_deleted take the extent's latch exclusive; read() and scan() take it
-// shared. Aggregate counters are relaxed atomics, so row_count()/
+// Rows enter only pending, a packed run at a time (append_batch), and then
+// are published or discarded (heap_file.h).
+//
+// Thread safety: fully internally synchronized. append_batch/publish_batch/
+// discard/mark_deleted take the extent's latch exclusive; read() and scan()
+// take it shared. Aggregate counters are relaxed atomics, so row_count()/
 // total_bytes() snapshots never touch a latch. Returned string_views obey
 // the HeapFile stability contract (row bytes never move), so a view read
 // under the latch stays valid after release even while other threads append.
@@ -76,24 +79,11 @@ class ShardedHeap {
     return static_cast<uint32_t>(extents_.size());
   }
 
-  struct AppendResult {
-    SlotId slot;
-    bool opened_new_page = false;
-    Nanos latch_wait_ns = 0;  // time blocked on a contended extent latch
-    // View of the stored row bytes (stable for the heap's lifetime).
-    std::string_view bytes;
-  };
-  // Copy a live row into the given extent (clamped into range).
-  AppendResult append(uint32_t extent, std::string_view row);
-  // Drop one pending row of append_batch (see heap_file.h); its slot stays
-  // dead.
-  Status discard(SlotId slot);
-
-  // Batch append for the columnar insert path: every row of the packed run
-  // lands pending in the given extent under ONE latch acquisition, hidden
-  // until publish_batch() (discard() drops one). Slot layout is identical
-  // to the same rows appended one by one; the modeled per-append device
-  // write is slept once for the whole batch (rows.size() x
+  // The one way rows enter the heap: every row of the packed run lands
+  // pending in the given extent (clamped into range) under ONE latch
+  // acquisition, hidden until publish_batch() (discard() drops one). Slot
+  // layout is identical to the same rows appended one by one; the modeled
+  // per-row device write is slept once for the whole batch (rows.size() x
   // append_write_latency) under the latch, preserving the
   // one-write-stream-per-extent contention model.
   struct BatchAppendResult {
@@ -107,6 +97,8 @@ class ShardedHeap {
   // Make pending rows live, taking each slot's extent latch once per run of
   // same-extent slots. Errors if a slot is not pending.
   Status publish_batch(std::span<const SlotId> slots);
+  // Drop one pending row (see heap_file.h); its slot stays dead.
+  Status discard(SlotId slot);
 
   Result<std::string_view> read(SlotId slot) const;
   Status mark_deleted(SlotId slot);

@@ -426,8 +426,29 @@ TEST_F(EngineTest, BulkLoadSortedPreload) {
 }
 
 TEST_F(EngineTest, BulkLoadSortedRejectsUnsorted) {
-  EXPECT_FALSE(
-      engine_.bulk_load_sorted(frames_, {frame_row(2), frame_row(1)}).is_ok());
+  // A rejected preload lands no row: the table stays empty and consistent,
+  // and the corrected preload then succeeds.
+  const auto expect_empty = [&] {
+    EXPECT_EQ(engine_.live_view().row_count(frames_), 0);
+    EXPECT_EQ(engine_.total_rows(), 0);
+    EXPECT_TRUE(engine_.verify_integrity().is_ok());
+  };
+  EXPECT_EQ(
+      engine_.bulk_load_sorted(frames_, {frame_row(2), frame_row(1)}).code(),
+      ErrorCode::kInvalidArgument);
+  expect_empty();
+  // A row failing validation after a valid one returns validate_row's
+  // status.
+  const Row null_pk = {Value::null(), Value::f64(60.0)};
+  const Status not_null =
+      engine_.bulk_load_sorted(frames_, {frame_row(1), null_pk});
+  EXPECT_EQ(not_null.code(), ErrorCode::kConstraintNotNull);
+  EXPECT_EQ(not_null.message(), "frames.frame_id is NOT NULL");
+  expect_empty();
+  ASSERT_TRUE(
+      engine_.bulk_load_sorted(frames_, {frame_row(1), frame_row(2)}).is_ok());
+  EXPECT_EQ(engine_.live_view().row_count(frames_), 2);
+  EXPECT_TRUE(engine_.verify_integrity().is_ok());
 }
 
 // ----------------------------------------------------------------- queries ---

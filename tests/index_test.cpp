@@ -126,7 +126,8 @@ TEST(KeyCodecTest, StringNotPrefixOfLonger) {
 TEST(KeyCodecTest, RoundTripInt64) {
   for (int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-42},
                     int64_t{0}, int64_t{7}, std::numeric_limits<int64_t>::max()}) {
-    KeyDecoder dec(enc_i64(v));
+    const std::string key = enc_i64(v);  // the decoder views it
+    KeyDecoder dec(key);
     const auto decoded = dec.decode_int64();
     ASSERT_TRUE(decoded.is_ok());
     ASSERT_TRUE(decoded->has_value());
@@ -137,7 +138,8 @@ TEST(KeyCodecTest, RoundTripInt64) {
 
 TEST(KeyCodecTest, RoundTripDouble) {
   for (double v : {-1e300, -2.5, 0.0, 3.25, 1e300}) {
-    KeyDecoder dec(enc_f64(v));
+    const std::string key = enc_f64(v);  // the decoder views it
+    KeyDecoder dec(key);
     const auto decoded = dec.decode_double();
     ASSERT_TRUE(decoded.is_ok());
     ASSERT_TRUE(decoded->has_value());
@@ -149,7 +151,8 @@ TEST(KeyCodecTest, RoundTripString) {
   for (const std::string& v :
        {std::string(""), std::string("hello"), std::string("a\0b", 3),
         std::string("\0\0", 2)}) {
-    KeyDecoder dec(enc_str(v));
+    const std::string key = enc_str(v);  // the decoder views it
+    KeyDecoder dec(key);
     const auto decoded = dec.decode_string();
     ASSERT_TRUE(decoded.is_ok());
     ASSERT_TRUE(decoded->has_value());
@@ -179,7 +182,8 @@ TEST(KeyCodecTest, RoundTripNullAndComposite) {
 
 TEST(KeyCodecTest, DecoderRejectsTruncation) {
   const std::string key = enc_i64(5);
-  KeyDecoder dec(key.substr(0, key.size() - 2));
+  const std::string truncated = key.substr(0, key.size() - 2);
+  KeyDecoder dec(truncated);
   EXPECT_FALSE(dec.decode_int64().is_ok());
   KeyDecoder empty(std::string_view{});
   EXPECT_FALSE(empty.decode_int32().is_ok());
@@ -227,6 +231,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KeyCodecOrderProperty,
 
 // ---------------------------------------------------------------- B+tree ---
 
+// One key as a one-entry sorted run: keys enter a live tree only as sorted
+// runs.
+Status insert_one(BPlusTree& tree, std::string key, uint64_t value) {
+  std::vector<std::pair<std::string, uint64_t>> run;
+  run.emplace_back(std::move(key), value);
+  return tree.insert_sorted_run(std::move(run));
+}
+
 TEST(BPlusTreeTest, EmptyTree) {
   BPlusTree tree;
   EXPECT_EQ(tree.size(), 0u);
@@ -239,9 +251,9 @@ TEST(BPlusTreeTest, EmptyTree) {
 
 TEST(BPlusTreeTest, InsertAndLookup) {
   BPlusTree tree;
-  ASSERT_TRUE(tree.insert("b", 2).is_ok());
-  ASSERT_TRUE(tree.insert("a", 1).is_ok());
-  ASSERT_TRUE(tree.insert("c", 3).is_ok());
+  ASSERT_TRUE(insert_one(tree, "b", 2).is_ok());
+  ASSERT_TRUE(insert_one(tree, "a", 1).is_ok());
+  ASSERT_TRUE(insert_one(tree, "c", 3).is_ok());
   EXPECT_EQ(tree.size(), 3u);
   EXPECT_EQ(tree.lookup("a").value(), 1u);
   EXPECT_EQ(tree.lookup("b").value(), 2u);
@@ -252,17 +264,26 @@ TEST(BPlusTreeTest, InsertAndLookup) {
 
 TEST(BPlusTreeTest, DuplicateInsertRejected) {
   BPlusTree tree;
-  ASSERT_TRUE(tree.insert("k", 1).is_ok());
-  const Status dup = tree.insert("k", 2);
+  ASSERT_TRUE(insert_one(tree, "k", 1).is_ok());
+  const size_t bytes = tree.approx_bytes();
+  const Status dup = insert_one(tree, "k", 2);
   EXPECT_EQ(dup.code(), ErrorCode::kAlreadyExists);
+  // The tree is unchanged.
   EXPECT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree.approx_bytes(), bytes);
   EXPECT_EQ(tree.lookup("k").value(), 1u);
+  EXPECT_TRUE(tree.validate().is_ok());
+  auto it = tree.begin();
+  ASSERT_TRUE(it.valid());
+  EXPECT_EQ(it.key(), "k");
+  it.next();
+  EXPECT_FALSE(it.valid());
 }
 
 TEST(BPlusTreeTest, SplitsGrowHeight) {
   BPlusTree tree(4);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   EXPECT_EQ(tree.size(), 100u);
   EXPECT_GT(tree.height(), 2);
@@ -275,7 +296,7 @@ TEST(BPlusTreeTest, SplitsGrowHeight) {
 TEST(BPlusTreeTest, ReverseInsertionOrder) {
   BPlusTree tree(4);
   for (int i = 99; i >= 0; --i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   EXPECT_TRUE(tree.validate().is_ok());
   // In-order iteration yields sorted keys.
@@ -290,7 +311,7 @@ TEST(BPlusTreeTest, ReverseInsertionOrder) {
 TEST(BPlusTreeTest, SeekFindsFirstGreaterOrEqual) {
   BPlusTree tree;
   for (int i = 0; i < 50; i += 10) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   auto it = tree.seek(enc_i64(15));
   ASSERT_TRUE(it.valid());
@@ -324,16 +345,24 @@ TEST(BPlusTreeTest, IteratorReportsTheLeafOfEachEntry) {
 TEST(BPlusTreeTest, RangeLookupHalfOpen) {
   BPlusTree tree;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   const auto hits = tree.range_lookup(enc_i64(10), enc_i64(20));
   ASSERT_EQ(hits.size(), 10u);
   EXPECT_EQ(hits.front(), 10u);
   EXPECT_EQ(hits.back(), 19u);
+  // An empty upper bound reads to the end of the tree.
+  const auto tail = tree.range_lookup(enc_i64(90), "");
+  ASSERT_EQ(tail.size(), 10u);
+  EXPECT_EQ(tail.front(), 90u);
+  EXPECT_EQ(tail.back(), 99u);
+  EXPECT_EQ(tree.range_lookup("", "").size(), 100u);
+  EXPECT_TRUE(tree.range_lookup(enc_i64(100), "").empty());
 }
 
-TEST(BPlusTreeTest, PrefixLookupForNonUniqueEmulation) {
-  // Non-unique secondary index: key = attribute || rowid.
+TEST(BPlusTreeTest, RangeLookupForNonUniqueEmulation) {
+  // Non-unique secondary index: key = attribute || rowid. One attribute's
+  // entries are the range [attr, attr + 1), as ReadView reads them.
   BPlusTree tree;
   for (uint64_t row = 0; row < 30; ++row) {
     const int64_t attr = static_cast<int64_t>(row % 3);
@@ -341,17 +370,21 @@ TEST(BPlusTreeTest, PrefixLookupForNonUniqueEmulation) {
                                 .append_int64(attr)
                                 .append_int64(static_cast<int64_t>(row))
                                 .take();
-    ASSERT_TRUE(tree.insert(key, row).is_ok());
+    ASSERT_TRUE(insert_one(tree, key, row).is_ok());
   }
-  const auto hits = tree.prefix_lookup(enc_i64(1));
+  const auto hits = tree.range_lookup(enc_i64(1), enc_i64(2));
   EXPECT_EQ(hits.size(), 10u);
   for (uint64_t row : hits) EXPECT_EQ(row % 3, 1u);
+  // The last attribute's range is unbounded above.
+  const auto last = tree.range_lookup(enc_i64(2), "");
+  EXPECT_EQ(last.size(), 10u);
+  for (uint64_t row : last) EXPECT_EQ(row % 3, 2u);
 }
 
 TEST(BPlusTreeTest, EraseRemovesAndIterationSkips) {
   BPlusTree tree(4);
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   for (int i = 0; i < 60; i += 2) {
     EXPECT_TRUE(tree.erase(enc_i64(i)));
@@ -370,14 +403,14 @@ TEST(BPlusTreeTest, EraseRemovesAndIterationSkips) {
 TEST(BPlusTreeTest, EraseEverything) {
   BPlusTree tree(4);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   for (int i = 0; i < 40; ++i) EXPECT_TRUE(tree.erase(enc_i64(i)));
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.begin().valid());
   EXPECT_TRUE(tree.validate().is_ok());
   // Tree is still usable after full drain.
-  ASSERT_TRUE(tree.insert("again", 7).is_ok());
+  ASSERT_TRUE(insert_one(tree, "again", 7).is_ok());
   EXPECT_EQ(tree.lookup("again").value(), 7u);
 }
 
@@ -395,7 +428,7 @@ TEST(BPlusTreeTest, BulkBuildMatchesIncremental) {
     EXPECT_FALSE(bulk.contains(enc_i64(i * 3 + 1)));
   }
   // Insertions after bulk build keep working.
-  ASSERT_TRUE(bulk.insert(enc_i64(1), 9999).is_ok());
+  ASSERT_TRUE(insert_one(bulk, enc_i64(1), 9999).is_ok());
   EXPECT_TRUE(bulk.validate().is_ok());
   EXPECT_EQ(bulk.size(), 1001u);
 }
@@ -408,7 +441,7 @@ TEST(BPlusTreeTest, BulkBuildRejectsUnsorted) {
 
 TEST(BPlusTreeTest, BulkBuildEmpty) {
   BPlusTree tree;
-  ASSERT_TRUE(tree.insert("x", 1).is_ok());
+  ASSERT_TRUE(insert_one(tree, "x", 1).is_ok());
   ASSERT_TRUE(tree.bulk_build({}).is_ok());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.contains("x"));
@@ -417,7 +450,7 @@ TEST(BPlusTreeTest, BulkBuildEmpty) {
 
 TEST(BPlusTreeTest, MoveSemantics) {
   BPlusTree tree;
-  ASSERT_TRUE(tree.insert("k", 5).is_ok());
+  ASSERT_TRUE(insert_one(tree, "k", 5).is_ok());
   BPlusTree moved = std::move(tree);
   EXPECT_EQ(moved.lookup("k").value(), 5u);
 }
@@ -425,10 +458,10 @@ TEST(BPlusTreeTest, MoveSemantics) {
 TEST(BPlusTreeTest, ApproxBytesTracksGrowth) {
   BPlusTree tree;
   EXPECT_EQ(tree.approx_bytes(), 0u);
-  ASSERT_TRUE(tree.insert("abcd", 1).is_ok());
+  ASSERT_TRUE(insert_one(tree, "abcd", 1).is_ok());
   const size_t after_one = tree.approx_bytes();
   EXPECT_GT(after_one, 0u);
-  ASSERT_TRUE(tree.insert("efgh", 2).is_ok());
+  ASSERT_TRUE(insert_one(tree, "efgh", 2).is_ok());
   EXPECT_GT(tree.approx_bytes(), after_one);
   tree.erase("abcd");
   EXPECT_LT(tree.approx_bytes(), after_one * 2);
@@ -456,7 +489,7 @@ TEST_P(BPlusTreeFuzz, MatchesReferenceMap) {
     const double action = rng.uniform();
     if (action < 0.6) {
       const uint64_t value = rng.next_u64();
-      const Status status = tree.insert(key, value);
+      const Status status = insert_one(tree, key, value);
       if (reference.count(key) > 0) {
         EXPECT_EQ(status.code(), ErrorCode::kAlreadyExists);
       } else {
@@ -502,7 +535,7 @@ TEST(BPlusTreeTest, LargeSequentialLoad) {
   BPlusTree tree(8);
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(tree, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   EXPECT_EQ(tree.size(), static_cast<size_t>(n));
   EXPECT_GE(tree.height(), 4);
@@ -525,7 +558,8 @@ TEST(BPlusTreeTest, SortedRunIntoEmptyTreeMatchesLoopInsert) {
   std::vector<std::pair<std::string, uint64_t>> run;
   for (int i = 0; i < 500; ++i) {
     run.emplace_back(enc_i64(i), static_cast<uint64_t>(i * 10));
-    ASSERT_TRUE(loop.insert(enc_i64(i), static_cast<uint64_t>(i * 10)).is_ok());
+    ASSERT_TRUE(
+        insert_one(loop, enc_i64(i), static_cast<uint64_t>(i * 10)).is_ok());
   }
   ASSERT_TRUE(batch.insert_sorted_run(std::move(run)).is_ok());
   EXPECT_TRUE(batch.validate().is_ok());
@@ -546,13 +580,14 @@ TEST(BPlusTreeTest, SortedRunIntoEmptyTreeMatchesLoopInsert) {
 TEST(BPlusTreeTest, SortedRunInterleavesWithExistingKeys) {
   BPlusTree batch(4), loop(4);
   for (int i = 0; i < 300; i += 2) {  // evens pre-loaded in both trees
-    ASSERT_TRUE(batch.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
-    ASSERT_TRUE(loop.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(
+        insert_one(batch, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(loop, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   std::vector<std::pair<std::string, uint64_t>> odds;
   for (int i = 1; i < 300; i += 2) {
     odds.emplace_back(enc_i64(i), static_cast<uint64_t>(i));
-    ASSERT_TRUE(loop.insert(enc_i64(i), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(insert_one(loop, enc_i64(i), static_cast<uint64_t>(i)).is_ok());
   }
   BPlusTree::RunTouch touch;
   ASSERT_TRUE(batch.insert_sorted_run(std::move(odds), &touch).is_ok());
@@ -577,7 +612,8 @@ TEST(BPlusTreeTest, SortedRunSharesDescentAcrossTheRun) {
   // leaves, not N root-to-leaf descents.
   BPlusTree tree(4);
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(tree.insert(enc_i64(i * 3), static_cast<uint64_t>(i)).is_ok());
+    ASSERT_TRUE(
+        insert_one(tree, enc_i64(i * 3), static_cast<uint64_t>(i)).is_ok());
   }
   std::vector<std::pair<std::string, uint64_t>> run;
   const int n = 500;
@@ -611,6 +647,26 @@ TEST(BPlusTreeTest, SortedRunDuplicateAgainstTreeReported) {
   EXPECT_TRUE(tree.validate().is_ok());
 }
 
+TEST(BPlusTreeTest, SortedRunDuplicateBelowTheRootLeavesTheTreeValid) {
+  // The duplicate sits in a leaf two levels down, after leaves that take
+  // their slices first: every internal node on the way is still rebuilt
+  // whole, and the counters agree with what the tree holds.
+  BPlusTree tree(4);
+  std::vector<std::pair<std::string, uint64_t>> evens;
+  for (int i = 0; i < 200; i += 2) evens.emplace_back(enc_i64(i), i);
+  ASSERT_TRUE(tree.insert_sorted_run(std::move(evens)).is_ok());
+  ASSERT_GT(tree.height(), 2);
+  const Status dup = tree.insert_sorted_run(make_run({1, 3, 151, 152, 153}));
+  EXPECT_EQ(dup.code(), ErrorCode::kAlreadyExists);
+  ASSERT_TRUE(tree.validate().is_ok()) << tree.validate().to_string();
+  size_t walked = 0;
+  for (auto it = tree.begin(); it.valid(); it.next()) ++walked;
+  EXPECT_EQ(tree.size(), walked);
+  EXPECT_TRUE(tree.contains(enc_i64(1)));
+  EXPECT_FALSE(tree.contains(enc_i64(153)));
+  EXPECT_EQ(tree.lookup(enc_i64(152)).value(), 152u);
+}
+
 TEST(BPlusTreeTest, SortedRunDuplicateWithinRunReported) {
   BPlusTree tree(4);
   const Status dup = tree.insert_sorted_run(make_run({7, 7}));
@@ -620,7 +676,7 @@ TEST(BPlusTreeTest, SortedRunDuplicateWithinRunReported) {
 
 TEST(BPlusTreeTest, SortedRunEmptyIsANoOp) {
   BPlusTree tree(4);
-  ASSERT_TRUE(tree.insert(enc_i64(1), 1).is_ok());
+  ASSERT_TRUE(insert_one(tree, enc_i64(1), 1).is_ok());
   ASSERT_TRUE(tree.insert_sorted_run({}).is_ok());
   EXPECT_EQ(tree.size(), 2u - 1u);
   EXPECT_TRUE(tree.validate().is_ok());

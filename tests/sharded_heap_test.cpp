@@ -28,6 +28,24 @@ PackedRows pack(const std::vector<std::string>& rows) {
   return packed;
 }
 
+// A live row as the engine makes one: appended pending, then published.
+HeapFile::AppendResult append_live(ShardedHeap& heap, uint32_t extent,
+                                   std::string_view row) {
+  PackedRows packed;
+  packed.bytes = row;
+  packed.end_row();
+  const ShardedHeap::BatchAppendResult appended =
+      heap.append_batch(extent, packed);
+  EXPECT_TRUE(heap.publish_batch(appended.slots).is_ok());
+  return {appended.slots[0], appended.pages_opened > 0, appended.views[0]};
+}
+
+HeapFile::AppendResult append_live(HeapFile& heap, std::string_view row) {
+  const HeapFile::AppendResult appended = heap.append_pending(row);
+  EXPECT_TRUE(heap.publish(appended.slot).is_ok());
+  return appended;
+}
+
 // ------------------------------------------------- oracle property battery ---
 
 // Random interleaving of appends (to random extents) and tombstones, applied
@@ -60,8 +78,8 @@ TEST(ShardedHeapPropertyTest, MatchesSingleHeapOracle) {
             rng.ident(static_cast<size_t>(rng.uniform_int(5, 120)));
         const auto extent =
             static_cast<uint32_t>(rng.uniform_int(0, extents - 1));
-        const auto s = sharded.append(extent, payload);
-        const auto o = oracle.append(payload);
+        const auto s = append_live(sharded, extent, payload);
+        const auto o = append_live(oracle, payload);
         EXPECT_EQ(s.slot.extent, extent);
         live.push_back({s.slot, o.slot, std::move(payload)});
       }
@@ -97,7 +115,7 @@ TEST(ShardedHeapPropertyTest, ScanIsDeterministicAndExtentOrdered) {
   Rng rng(2024);
   ShardedHeap heap(6);
   for (int i = 0; i < 1500; ++i) {
-    heap.append(static_cast<uint32_t>(rng.uniform_int(0, 5)),
+    append_live(heap, static_cast<uint32_t>(rng.uniform_int(0, 5)),
                 rng.ident(static_cast<size_t>(rng.uniform_int(3, 40))));
   }
   auto collect = [&heap] {
@@ -131,8 +149,8 @@ TEST(ShardedHeapPropertyTest, ScanIsDeterministicAndExtentOrdered) {
 TEST(ShardedHeapTest, AppendClampsExtentIntoRange) {
   ShardedHeap heap(8);
   EXPECT_EQ(heap.extent_count(), 8u);
-  EXPECT_EQ(heap.append(11, "a").slot.extent, 3u);  // 11 % 8
-  EXPECT_EQ(heap.append(7, "b").slot.extent, 7u);
+  EXPECT_EQ(append_live(heap, 11, "a").slot.extent, 3u);  // 11 % 8
+  EXPECT_EQ(append_live(heap, 7, "b").slot.extent, 7u);
   // Reads and deletes reject out-of-range extents instead of clamping:
   // a SlotId names a physical location, not a request.
   EXPECT_FALSE(heap.read(SlotId{9, 0, 0}).is_ok());
@@ -144,9 +162,9 @@ TEST(ShardedHeapTest, ExtentsPackPagesIndependently) {
   const std::string half(kPageSize / 2 + 100, 'x');
   // Two big rows in one extent need two pages; spread over two extents
   // they fit one page each.
-  heap.append(0, half);
-  heap.append(0, half);
-  heap.append(1, half);
+  append_live(heap, 0, half);
+  append_live(heap, 0, half);
+  append_live(heap, 1, half);
   const auto stats = heap.extent_stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].rows, 2);
@@ -166,8 +184,8 @@ TEST(ShardedHeapTest, SingleExtentMatchesHeapFileLayout) {
   for (int i = 0; i < 800; ++i) {
     const std::string row =
         rng.ident(static_cast<size_t>(rng.uniform_int(10, 300)));
-    const auto s = sharded.append(0, row);
-    const auto p = plain.append(row);
+    const auto s = append_live(sharded, 0, row);
+    const auto p = append_live(plain, row);
     EXPECT_EQ(s.slot, p.slot);
     EXPECT_EQ(s.opened_new_page, p.opened_new_page);
   }
@@ -181,17 +199,17 @@ TEST(ShardedHeapTest, LeastLoadedExtentTracksAppendedBytes) {
   // Empty heap: all extents tie at zero; lowest index wins.
   EXPECT_EQ(heap.least_loaded_extent(), 0u);
   // Skew the load: extents 0 and 1 heavy, extent 2 light, extent 3 empty.
-  heap.append(0, std::string(500, 'a'));
-  heap.append(1, std::string(400, 'b'));
-  heap.append(2, std::string(10, 'c'));
+  append_live(heap, 0, std::string(500, 'a'));
+  append_live(heap, 1, std::string(400, 'b'));
+  append_live(heap, 2, std::string(10, 'c'));
   EXPECT_EQ(heap.least_loaded_extent(), 3u);
-  heap.append(3, std::string(50, 'd'));
+  append_live(heap, 3, std::string(50, 'd'));
   EXPECT_EQ(heap.least_loaded_extent(), 2u);
   // Ties break toward the lowest index.
   ShardedHeap even(3);
-  even.append(0, "xx");
-  even.append(1, "yy");
-  even.append(2, "zz");
+  append_live(even, 0, "xx");
+  append_live(even, 1, "yy");
+  append_live(even, 2, "zz");
   EXPECT_EQ(even.least_loaded_extent(), 0u);
 }
 
@@ -206,7 +224,7 @@ TEST(ShardedHeapTest, LeastLoadedCountsPendingAndIgnoresTombstones) {
   ASSERT_TRUE(heap.discard(pending.slots[0]).is_ok());
   EXPECT_EQ(heap.least_loaded_extent(), 1u);
   // Deletes don't subtract either.
-  const auto live = heap.append(1, std::string(600, 'q'));
+  const auto live = append_live(heap, 1, std::string(600, 'q'));
   EXPECT_EQ(heap.least_loaded_extent(), 0u);  // 300 (extent 0) vs 600
   ASSERT_TRUE(heap.mark_deleted(live.slot).is_ok());
   EXPECT_EQ(heap.least_loaded_extent(), 0u);  // still 300 vs 600
@@ -216,7 +234,7 @@ TEST(ShardedHeapTest, LeastLoadedCountsPendingAndIgnoresTombstones) {
 
 TEST(ShardedHeapTest, PendingRowsInvisibleUntilPublished) {
   ShardedHeap heap(4);
-  heap.append(1, "live");
+  append_live(heap, 1, "live");
   const SlotId pending = heap.append_batch(2, pack({"ghost"})).slots[0];
   EXPECT_EQ(heap.row_count(), 1);
   EXPECT_FALSE(heap.read(pending).is_ok());
@@ -247,8 +265,8 @@ TEST(ShardedHeapConcurrencyTest, ParallelAppendsToDistinctExtents) {
   for (uint32_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&heap, &extent_mismatches, t] {
       for (int i = 0; i < kRowsPerThread; ++i) {
-        const auto r = heap.append(
-            t, "t" + std::to_string(t) + "-" + std::to_string(i));
+        const auto r = append_live(
+            heap, t, "t" + std::to_string(t) + "-" + std::to_string(i));
         if (r.slot.extent != t) ++extent_mismatches[t];
       }
     });
@@ -287,7 +305,7 @@ TEST(ShardedHeapConcurrencyTest, SharedExtentAppendsStaySequential) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&heap] {
-      for (int i = 0; i < kRowsPerThread; ++i) heap.append(2, "payload");
+      for (int i = 0; i < kRowsPerThread; ++i) append_live(heap, 2, "payload");
     });
   }
   for (std::thread& worker : workers) worker.join();
@@ -308,7 +326,7 @@ TEST(ShardedHeapConcurrencyTest, ViewsSurviveConcurrentAppends) {
   // must stay valid while other threads grow every extent past many page
   // boundaries (page buffers never move or grow).
   ShardedHeap heap(4);
-  const auto anchor = heap.append(3, "anchor-row");
+  const auto anchor = append_live(heap, 3, "anchor-row");
   const std::string_view view = heap.read(anchor.slot).value();
   const char* anchor_data = view.data();
 
@@ -316,7 +334,7 @@ TEST(ShardedHeapConcurrencyTest, ViewsSurviveConcurrentAppends) {
   const std::string filler(kPageSize / 4, 'z');
   for (uint32_t t = 0; t < 4; ++t) {
     workers.emplace_back([&heap, &filler, t] {
-      for (int i = 0; i < 1000; ++i) heap.append(t, filler);
+      for (int i = 0; i < 1000; ++i) append_live(heap, t, filler);
     });
   }
   for (std::thread& worker : workers) worker.join();
@@ -355,7 +373,7 @@ TEST(ShardedHeapBatchTest, LostTailIsDiscardedAndOnlyThePrefixPublished) {
   // primary keys; rows from the first lost race on are discarded and only
   // the surviving prefix is published.
   ShardedHeap heap(3);
-  heap.append(2, "earlier");
+  append_live(heap, 2, "earlier");
   std::vector<std::string> rows;
   for (int i = 0; i < 10; ++i) {
     rows.push_back("row-" + std::to_string(i) + std::string(40, 'x'));
@@ -387,13 +405,13 @@ TEST(ShardedHeapBatchTest, LostTailIsDiscardedAndOnlyThePrefixPublished) {
   const SlotId last_discarded{2, 0, static_cast<uint32_t>(rows.size())};
   EXPECT_FALSE(heap.read(last_discarded).is_ok());
   EXPECT_FALSE(heap.publish_batch({&last_discarded, 1}).is_ok());
-  const auto next = heap.append(2, "next");
+  const auto next = append_live(heap, 2, "next");
   EXPECT_EQ(next.slot.page, 0u);
   EXPECT_EQ(next.slot.slot, static_cast<uint32_t>(rows.size()) + 1);
 }
 
 TEST(ShardedHeapBatchTest, ViewsStayValidAcrossTenThousandAppends) {
-  // Views handed out by append(), append_batch() and read() point into page
+  // Views handed out by append_batch() and read() point into page
   // buffers; 10k further appends (new pages, oversized rows, packed runs)
   // must leave every one of them reading its own bytes (ASan flags any
   // dangling read).
@@ -411,7 +429,7 @@ TEST(ShardedHeapBatchTest, ViewsStayValidAcrossTenThousandAppends) {
   }
   for (int i = 0; i < 50; ++i) {
     std::string row = rng.ident(static_cast<size_t>(rng.uniform_int(1, 120)));
-    const auto r = heap.append(1, row);
+    const auto r = append_live(heap, 1, row);
     held.emplace_back(r.bytes, row);
     held.emplace_back(heap.read(r.slot).value(), std::move(row));
   }
@@ -433,7 +451,7 @@ TEST(ShardedHeapBatchTest, ViewsStayValidAcrossTenThousandAppends) {
       const size_t size = rng.bernoulli(0.01)
                               ? static_cast<size_t>(kPageSize) + 17
                               : static_cast<size_t>(rng.uniform_int(1, 200));
-      heap.append(extent, std::string(size, 'g'));
+      append_live(heap, extent, std::string(size, 'g'));
       ++appended;
     }
   }

@@ -361,6 +361,32 @@ TEST_F(SnapshotTest, BulkLoadSortedPublishesOneChunk) {
       table_, "ix_batch", {Value::i64(1)}, {Value::i64(2)});
   ASSERT_TRUE(by_batch.is_ok());
   EXPECT_EQ(by_batch->size(), 8u);
+
+  // Preloaded with ix_batch disabled: still one chunk, but it carries no
+  // ix_batch run, so a pin over it fails closed on that index, before and
+  // after the live index is rebuilt.
+  Engine disabled(batches_schema());
+  ASSERT_TRUE(disabled.set_index_enabled(table_, "ix_batch", false).is_ok());
+  ASSERT_TRUE(disabled.bulk_load_sorted(table_, rows).is_ok());
+  EXPECT_EQ(disabled.stats().snapshots.chunks_published, 1);
+  const Snapshot pinned = disabled.pin_snapshot();
+  EXPECT_EQ(disabled.view_at(pinned).row_count(table_), 32);
+  const auto closed = disabled.view_at(pinned).index_range(
+      table_, "ix_batch", {Value::i64(1)}, {Value::i64(2)});
+  ASSERT_FALSE(closed.is_ok());
+  EXPECT_EQ(closed.status().code(), ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(disabled.set_index_enabled(table_, "ix_batch", true).is_ok());
+  ASSERT_TRUE(disabled.rebuild_index(table_, "ix_batch").is_ok());
+  const auto live = disabled.live_view().index_range(
+      table_, "ix_batch", {Value::i64(0)}, {});
+  ASSERT_TRUE(live.is_ok());
+  EXPECT_EQ(live->size(), 32u);
+  EXPECT_EQ(disabled.view_at(pinned)
+                .index_range(table_, "ix_batch", {Value::i64(1)},
+                             {Value::i64(2)})
+                .status()
+                .code(),
+            ErrorCode::kFailedPrecondition);
 }
 
 TEST_F(SnapshotTest, ChunkPredatingIndexFailsClosed) {

@@ -15,10 +15,17 @@ namespace {
 
 // -------------------------------------------------------------- HeapFile ---
 
+// A live row as the engine makes one: appended pending, then published.
+HeapFile::AppendResult append_live(HeapFile& heap, std::string_view row) {
+  const HeapFile::AppendResult appended = heap.append_pending(row);
+  EXPECT_TRUE(heap.publish(appended.slot).is_ok());
+  return appended;
+}
+
 TEST(HeapFileTest, AppendAndRead) {
   HeapFile heap;
-  const auto r1 = heap.append("row-one");
-  const auto r2 = heap.append("row-two");
+  const auto r1 = append_live(heap, "row-one");
+  const auto r2 = append_live(heap, "row-two");
   EXPECT_TRUE(r1.opened_new_page);
   EXPECT_FALSE(r2.opened_new_page);
   EXPECT_EQ(heap.row_count(), 2);
@@ -29,8 +36,8 @@ TEST(HeapFileTest, AppendAndRead) {
 TEST(HeapFileTest, PageBoundaryOpensNewPage) {
   HeapFile heap;
   const std::string big(kPageSize / 2 + 100, 'x');
-  const auto r1 = heap.append(big);
-  const auto r2 = heap.append(big);  // does not fit in page 0
+  const auto r1 = append_live(heap, big);
+  const auto r2 = append_live(heap, big);  // does not fit in page 0
   EXPECT_TRUE(r2.opened_new_page);
   EXPECT_EQ(heap.page_count(), 2);
   EXPECT_EQ(r1.slot.page, 0u);
@@ -40,7 +47,7 @@ TEST(HeapFileTest, PageBoundaryOpensNewPage) {
 TEST(HeapFileTest, ReadErrors) {
   HeapFile heap;
   EXPECT_FALSE(heap.read(SlotId{0, 0, 0}).is_ok());
-  heap.append("x");
+  append_live(heap, "x");
   EXPECT_FALSE(heap.read(SlotId{0, 0, 5}).is_ok());  // bad slot
   EXPECT_FALSE(heap.read(SlotId{0, 9, 0}).is_ok());  // bad page
   EXPECT_FALSE(heap.read(SlotId{3, 0, 0}).is_ok());  // wrong extent
@@ -48,7 +55,7 @@ TEST(HeapFileTest, ReadErrors) {
 
 TEST(HeapFileTest, PendingRowsAreHiddenUntilPublished) {
   HeapFile heap;
-  const auto visible = heap.append("live");
+  const auto visible = append_live(heap, "live");
   const auto hidden = heap.append_pending("pending");
   // Pending rows occupy page space but are invisible everywhere.
   EXPECT_EQ(heap.row_count(), 1);
@@ -75,7 +82,7 @@ TEST(HeapFileTest, DiscardAbandonsPendingRow) {
   EXPECT_FALSE(heap.publish(pending.slot).is_ok());
   EXPECT_FALSE(heap.discard(pending.slot).is_ok());
   // The hole still consumes page bytes; the next append lands after it.
-  const auto next = heap.append("after");
+  const auto next = append_live(heap, "after");
   EXPECT_EQ(next.slot.page, pending.slot.page);
   EXPECT_EQ(next.slot.slot, pending.slot.slot + 1);
 }
@@ -85,10 +92,10 @@ TEST(HeapFileTest, ViewsStayValidAcrossPageGrowth) {
   // rows to open many new pages must not invalidate previously returned
   // views (page buffers never move or grow, even when the page array does).
   HeapFile heap;
-  const auto first = heap.append("stable-row-zero");
+  const auto first = append_live(heap, "stable-row-zero");
   const std::string_view view = heap.read(first.slot).value();
   const std::string big(kPageSize / 3, 'f');
-  for (int i = 0; i < 500; ++i) heap.append(big);
+  for (int i = 0; i < 500; ++i) append_live(heap, big);
   ASSERT_GT(heap.page_count(), 100);
   EXPECT_EQ(view, "stable-row-zero");
   EXPECT_EQ(heap.read(first.slot).value().data(), view.data());
@@ -96,18 +103,18 @@ TEST(HeapFileTest, ViewsStayValidAcrossPageGrowth) {
 
 TEST(HeapFileTest, OversizedRowGetsAPageOfItsOwn) {
   HeapFile heap;
-  const auto before = heap.append("small");
+  const auto before = append_live(heap, "small");
   std::string big(static_cast<size_t>(kPageSize) * 2 + 123, '\0');
   for (size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<char>('a' + i % 26);
   }
-  const auto r = heap.append(big);
+  const auto r = append_live(heap, big);
   EXPECT_TRUE(r.opened_new_page);
   EXPECT_EQ(r.slot.page, before.slot.page + 1);
   EXPECT_EQ(r.slot.slot, 0u);
   EXPECT_EQ(r.bytes, big);
   // Even a one-byte row does not share the oversized page.
-  const auto after = heap.append("z");
+  const auto after = append_live(heap, "z");
   EXPECT_TRUE(after.opened_new_page);
   EXPECT_EQ(after.slot.page, r.slot.page + 1);
   EXPECT_EQ(heap.read(r.slot).value(), big);
@@ -120,18 +127,19 @@ TEST(HeapFileTest, RowThatExactlyFillsAPage) {
   HeapFile heap;
   const std::string head(100, 'h');
   const std::string rest(static_cast<size_t>(kPageSize) - head.size(), 'r');
-  const auto a = heap.append(head);
-  const auto b = heap.append(rest);  // bytes_used + size == kPageSize: fits
+  const auto a = append_live(heap, head);
+  // bytes_used + size == kPageSize: fits
+  const auto b = append_live(heap, rest);
   EXPECT_FALSE(b.opened_new_page);
   EXPECT_EQ(b.slot.page, a.slot.page);
   const std::string full(static_cast<size_t>(kPageSize), 'f');
-  const auto c = heap.append(full);  // a whole page on its own
+  const auto c = append_live(heap, full);  // a whole page on its own
   EXPECT_TRUE(c.opened_new_page);
   EXPECT_EQ(c.slot.page, 1u);
-  const auto d = heap.append("");  // an empty row still fits a full page
+  const auto d = append_live(heap, "");  // an empty row still fits a full page
   EXPECT_FALSE(d.opened_new_page);
   EXPECT_EQ(d.slot.page, 1u);
-  EXPECT_TRUE(heap.append("x").opened_new_page);
+  EXPECT_TRUE(append_live(heap, "x").opened_new_page);
   EXPECT_EQ(heap.read(a.slot).value(), head);
   EXPECT_EQ(heap.read(b.slot).value(), rest);
   EXPECT_EQ(heap.read(c.slot).value(), full);
@@ -169,7 +177,7 @@ TEST(HeapFileTest, SlotSequenceIsAFunctionOfRowSizes) {
     const std::string row(static_cast<size_t>(size),
                           static_cast<char>('a' + i % 26));
     const bool pending = rng.bernoulli(0.3);
-    const auto r = pending ? heap.append_pending(row) : heap.append(row);
+    const auto r = pending ? heap.append_pending(row) : append_live(heap, row);
     ASSERT_EQ(r.bytes, row);
     if (pending && rng.bernoulli(0.5)) {
       ASSERT_TRUE(heap.discard(r.slot).is_ok());
@@ -188,7 +196,7 @@ TEST(HeapFileTest, SlotSequenceIsAFunctionOfRowSizes) {
 
 TEST(HeapFileTest, TombstoneHidesRow) {
   HeapFile heap;
-  const auto r = heap.append("doomed");
+  const auto r = append_live(heap, "doomed");
   ASSERT_TRUE(heap.mark_deleted(r.slot).is_ok());
   EXPECT_FALSE(heap.read(r.slot).is_ok());
   EXPECT_EQ(heap.row_count(), 0);
@@ -200,7 +208,7 @@ TEST(HeapFileTest, ScanVisitsLiveRowsInOrder) {
   HeapFile heap;
   std::vector<SlotId> slots;
   for (int i = 0; i < 100; ++i) {
-    slots.push_back(heap.append("row" + std::to_string(i)).slot);
+    slots.push_back(append_live(heap, "row" + std::to_string(i)).slot);
   }
   ASSERT_TRUE(heap.mark_deleted(slots[10]).is_ok());
   ASSERT_TRUE(heap.mark_deleted(slots[50]).is_ok());
@@ -219,8 +227,8 @@ TEST(HeapFileTest, ScanVisitsLiveRowsInOrder) {
 
 TEST(HeapFileTest, TotalBytesTracksLiveData) {
   HeapFile heap;
-  const auto r = heap.append("abcde");
-  heap.append("xy");
+  const auto r = append_live(heap, "abcde");
+  append_live(heap, "xy");
   EXPECT_EQ(heap.total_bytes(), 7);
   ASSERT_TRUE(heap.mark_deleted(r.slot).is_ok());
   EXPECT_EQ(heap.total_bytes(), 2);
